@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the Pareto-pruning kernel: raw dominance relations,
 //! bucketed vs. linear-scan `ParetoSet` insertion (climb and approximate
-//! pruning), and one scratch-reusing `ParetoStep`.
+//! pruning), and the scratch-reusing arena climb `Rmq` runs.
 //!
 //! The bucketed-vs-linear groups quantify the PR-2 hot-path overhaul: the
 //! format-bucketed, aggregate-key-filtered `ParetoSet` against the flat
@@ -16,10 +16,10 @@ use std::hint::black_box;
 
 use moqo_bench::{candidate_stream, cost_pairs, resource_model};
 use moqo_core::archive::Admission;
-use moqo_core::climb::{pareto_step_with, StepScratch};
-use moqo_core::mutations::MutationSet;
+use moqo_core::arena::PlanArena;
+use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::pareto::{LinearParetoSet, ParetoSet, PrunePolicy};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -117,21 +117,27 @@ fn bench_insert_climb(c: &mut Criterion) {
 }
 
 fn bench_climb_step_scratch(c: &mut Criterion) {
+    // The production climb, as `Rmq` runs it every iteration: clear the
+    // transient arena, draw the start plan, climb with a long-lived scratch.
     let mut group = c.benchmark_group("climb_step");
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
     for n in [10usize, 50, 100] {
         let (model, query) = resource_model(n);
-        let plan = random_plan(&model, query, &mut StdRng::seed_from_u64(2));
+        let cfg = ClimbConfig::default();
+        let mut arena = PlanArena::new();
         let mut scratch = StepScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                black_box(pareto_step_with(
-                    &plan,
+                arena.clear();
+                let start =
+                    random_plan_in(&mut arena, &model, query, &mut StdRng::seed_from_u64(2));
+                black_box(pareto_climb_in(
+                    &mut arena,
+                    start,
                     &model,
-                    PrunePolicy::OnePerFormat,
-                    MutationSet::Bushy,
+                    &cfg,
                     &mut scratch,
                 ))
             })

@@ -27,11 +27,10 @@ use serde::Serialize;
 use moqo_bench::{candidate_stream, cost_pairs, resource_model};
 use moqo_core::archive::{Admission, EpsFactors};
 use moqo_core::arena::PlanArena;
-use moqo_core::climb::{pareto_step_with, StepScratch};
+use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::cost::CostVector;
 use moqo_core::model::testing::StubModel;
 use moqo_core::model::OutputFormat;
-use moqo_core::mutations::MutationSet;
 use moqo_core::optimizer::{Budget, ConvergencePoint, PlanExchange};
 use moqo_core::pareto::{LinearParetoSet, ParetoSet, PrunePolicy};
 use moqo_core::plan::{PlanKind, PlanRef};
@@ -670,18 +669,27 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
         ));
     }
 
-    // 3. One ParetoStep with reused scratch on a 50-table cycle query.
+    // 3. The production climb on a 50-table cycle query, as `Rmq` runs it
+    // every iteration: clear the transient arena, draw the start plan, climb
+    // with the long-lived scratch. Reported per `ParetoStep` (the improving
+    // steps plus the confirming one), draw included.
     let (model, query) = resource_model(if quick { 20 } else { 50 });
-    let plan = random_plan(&model, query, &mut StdRng::seed_from_u64(2));
+    let cfg = ClimbConfig::default();
+    let mut climb_arena = PlanArena::new();
     let mut scratch = StepScratch::default();
-    out.push(time_ns_per_op("climb_step", rounds.min(10), 1, || {
-        std::hint::black_box(pareto_step_with(
-            &plan,
+    let mut climb = || {
+        climb_arena.clear();
+        let start = random_plan_in(
+            &mut climb_arena,
             &model,
-            PrunePolicy::OnePerFormat,
-            MutationSet::Bushy,
-            &mut scratch,
-        ));
+            query,
+            &mut StdRng::seed_from_u64(2),
+        );
+        pareto_climb_in(&mut climb_arena, start, &model, &cfg, &mut scratch).1
+    };
+    let steps = climb().steps as u64 + 1;
+    out.push(time_ns_per_op("climb_step", rounds.min(10), steps, || {
+        std::hint::black_box(climb());
     }));
 
     // 4. Plan representation: hash-consed arena vs Arc<Plan> trees, on the

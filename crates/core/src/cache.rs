@@ -28,8 +28,8 @@ pub struct PlanCache<P = PlanRef> {
     map: FxHashMap<TableSet, ParetoSet<P>>,
     insertions: u64,
     rejections: u64,
-    /// Screening tallies drained from the per-table-set frontiers after
-    /// every insertion (see [`PlanCache::take_screen_counters`]).
+    /// Screening tallies drained from the per-table-set frontiers whenever
+    /// a [`CacheSlot`] closes (see [`PlanCache::take_screen_counters`]).
     screen: ScreenCounters,
 }
 
@@ -69,10 +69,10 @@ impl<P> PlanCache<P> {
 
     /// Inserts a candidate described by its table set, cost vector and
     /// output format, materializing it via `make` only on admission
-    /// ([`ParetoSet::admit`]) — the hot-path entry point of the frontier
-    /// approximation, where most operator combinations are pruned and must
-    /// not allocate. The materialized plan must match `rel`, `cost` and
-    /// `format`. Returns `true` iff the candidate was kept.
+    /// ([`ParetoSet::admit`]). The materialized plan must match `rel`,
+    /// `cost` and `format`. Returns `true` iff the candidate was kept.
+    /// Callers with many candidates for one table set take a
+    /// [`PlanCache::slot`] instead.
     pub fn insert_with(
         &mut self,
         rel: TableSet,
@@ -81,15 +81,22 @@ impl<P> PlanCache<P> {
         admission: &Admission,
         make: impl FnOnce() -> P,
     ) -> bool {
-        let set = self.map.entry(rel).or_default();
-        let kept = set.admit(cost, format, admission, make);
-        self.screen.absorb(&set.take_screen_counters());
-        if kept {
-            self.insertions += 1;
-        } else {
-            self.rejections += 1;
+        self.slot(rel).insert_with(cost, format, admission, make)
+    }
+
+    /// Opens the frontier of `rel` for a run of insertions — the hot-path
+    /// entry point of the frontier approximation, which offers every
+    /// operator of every operand pair of a join node to one table set: the
+    /// session-sized map is probed once here, not once per candidate, and
+    /// the frontier's screening tallies are drained once, when the slot is
+    /// dropped.
+    pub fn slot(&mut self, rel: TableSet) -> CacheSlot<'_, P> {
+        CacheSlot {
+            set: self.map.entry(rel).or_default(),
+            insertions: &mut self.insertions,
+            rejections: &mut self.rejections,
+            screen: &mut self.screen,
         }
-        kept
     }
 
     /// Number of distinct table sets with a cached frontier.
@@ -138,6 +145,43 @@ impl<P> PlanCache<P> {
     /// Removes every cached entry (used by cache-ablation experiments).
     pub fn clear(&mut self) {
         self.map.clear();
+    }
+}
+
+/// One table set's cached frontier, opened by [`PlanCache::slot`].
+#[derive(Debug)]
+pub struct CacheSlot<'a, P> {
+    set: &'a mut ParetoSet<P>,
+    insertions: &'a mut u64,
+    rejections: &'a mut u64,
+    screen: &'a mut ScreenCounters,
+}
+
+impl<P> CacheSlot<'_, P> {
+    /// [`PlanCache::insert_with`] for this slot's table set: most operator
+    /// combinations are pruned and must not allocate, so `make` runs only
+    /// on admission.
+    #[inline]
+    pub fn insert_with(
+        &mut self,
+        cost: &CostVector,
+        format: OutputFormat,
+        admission: &Admission,
+        make: impl FnOnce() -> P,
+    ) -> bool {
+        let kept = self.set.admit(cost, format, admission, make);
+        if kept {
+            *self.insertions += 1;
+        } else {
+            *self.rejections += 1;
+        }
+        kept
+    }
+}
+
+impl<P> Drop for CacheSlot<'_, P> {
+    fn drop(&mut self) {
+        self.screen.absorb(&self.set.take_screen_counters());
     }
 }
 

@@ -21,17 +21,39 @@
 //! # Hot-path discipline
 //!
 //! `ParetoStep` runs inside every climbing step, and most of the candidates
-//! it generates are rejected by pruning. The step therefore costs each
-//! candidate through the model *first* and probes the frontier via
-//! [`ParetoSet::admit`], materializing the `Arc<Plan>` only on
-//! admission — a rejected candidate allocates nothing. Reusable buffers
-//! live in [`StepScratch`], which [`pareto_climb_with`] threads through the
-//! whole climb (and the RMQ main loop carries across iterations) so the
-//! inner loops run allocation-free in steady state.
+//! it generates are rejected by pruning. Two formulations share this file.
+//! The `Arc<Plan>` one ([`pareto_step_with`], [`pareto_climb_with`]) is the
+//! reference: it costs each candidate through the model *first* and probes
+//! the frontier via [`ParetoSet::admit`], materializing the `Arc<Plan>` only
+//! on admission. The arena one ([`pareto_step_in`], [`pareto_climb_in`],
+//! [`pareto_climb_aborting_in`]) is what the optimizers run; it makes the
+//! same decisions in the same order and, on top, does each piece of work
+//! once:
+//!
+//! * **an operand pair is costed once** — all its operators through one
+//!   [`CostModel::join_props_all`] call, which shares the pair's
+//!   cardinality, pages and input-cost sum; candidates are still admitted
+//!   recombined-root-operator first, then the operator changes in
+//!   `join_ops` order, then the structural rules;
+//! * **a sub-plan is stepped once per climb** — the per-climb memo in
+//!   [`StepScratch`] answers every sub-tree the previous steps left
+//!   untouched (see there for why that is sound and when the memo is
+//!   dropped). What a memo hit skips is skipped entirely: no costing, no
+//!   frontier probe, no interning, no screening tallies;
+//! * **nothing is allocated in steady state** — operator lists, costing
+//!   output, the one live step frontier and the step results all live in
+//!   the [`StepScratch`] the RMQ main loop carries across iterations;
+//!   rejected candidates touch neither the arena nor the heap, admitted
+//!   ones intern their root into an arena that keeps its capacity over
+//!   [`PlanArena::clear`]. Growing any of these for a larger plan than seen
+//!   before is the only allocation left.
+
+use std::ops::Range;
 
 use crate::archive::Admission;
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
-use crate::model::CostModel;
+use crate::fxhash::FxHashMap;
+use crate::model::{CostModel, JoinOpId, PlanProps};
 use crate::mutations::{all_neighbors, MutationSet};
 use crate::optimizer::AbortCheck;
 use crate::pareto::{ParetoSet, PrunePolicy};
@@ -68,20 +90,44 @@ pub struct ClimbStats {
     pub steps: usize,
 }
 
-/// Reusable buffers for [`pareto_step_with`]: operator lists queried from
-/// the cost model in the innermost candidate loops. One scratch serves a
-/// whole climb (the recursion uses each buffer transiently between
-/// recursive calls), and the RMQ main loop reuses one across iterations.
+/// Everything a climb reuses instead of rebuilding. One scratch serves a
+/// whole climb, and the RMQ main loop carries one across iterations.
+///
+/// * **Buffers**: the operator lists queried from the cost model in the
+///   innermost candidate loops (`Arc` and arena paths) and the
+///   batch-costing output parallel to them (arena path). The recursion
+///   uses each transiently between recursive calls.
+/// * **The step frontier** (arena path): both recursive calls of a join
+///   node return before the node prunes its own candidates, so one
+///   [`ParetoSet`] is live at a time; each node clears it — buckets and
+///   blocks keep their capacity — before offering its candidates.
+/// * **The `ParetoStep` memo** (arena path): sub-plan [`PlanId`] → its step
+///   result, stored as a span of one flat id list. Hash-consing makes "same
+///   id" mean "same sub-plan" and the step is a pure function of the
+///   sub-plan (for a fixed model, policy and rule set), so a sub-tree the
+///   previous step left untouched is answered from the memo: none of its
+///   candidates is costed, probed or interned again. **Validity rule:** an
+///   entry holds only inside the arena that issued its ids, between two
+///   [`PlanArena::clear`]s, under one [`ClimbConfig`]. Every climb
+///   ([`pareto_climb_in`], [`pareto_climb_aborting_in`]) and every
+///   stand-alone [`pareto_step_in`] therefore starts by dropping the memo;
+///   each holds the arena exclusively until it returns, so nothing can
+///   clear it in between.
 #[derive(Debug, Default)]
 pub struct StepScratch {
-    ops: Vec<crate::model::JoinOpId>,
-    structural_ops: Vec<crate::model::JoinOpId>,
-    /// Screening tallies harvested from every step frontier this scratch
-    /// served (each `pareto_step*` call builds a fresh [`ParetoSet`] per
-    /// recursion node and drains its counters here before returning).
-    /// Pure observation — never read by the climb itself; the RMQ loop
-    /// takes the accumulated total once per iteration and flushes it to
-    /// the global `moqo-obs` registry.
+    ops: Vec<JoinOpId>,
+    structural_ops: Vec<JoinOpId>,
+    /// `CostModel::join_props_all` output, parallel to `ops`.
+    props: Vec<PlanProps>,
+    frontier: ParetoSet<PlanId>,
+    memo: FxHashMap<PlanId, Range<usize>>,
+    /// The memoized step results, back to back; `memo` holds the spans.
+    memo_ids: Vec<PlanId>,
+    /// Screening tallies drained from the step frontier of every recursion
+    /// node this scratch served. Sub-trees answered from the memo screen
+    /// nothing and add nothing. Pure observation — never read by the climb
+    /// itself; the RMQ loop takes the accumulated total once per iteration
+    /// and flushes it to the global `moqo-obs` registry.
     pub screen: crate::pareto::ScreenCounters,
 }
 
@@ -89,6 +135,12 @@ impl StepScratch {
     /// Returns and resets the accumulated screening tallies.
     pub fn take_screen(&mut self) -> crate::pareto::ScreenCounters {
         std::mem::take(&mut self.screen)
+    }
+
+    /// Drops the `ParetoStep` memo (see the validity rule above).
+    fn forget_steps(&mut self) {
+        self.memo.clear();
+        self.memo_ids.clear();
     }
 }
 
@@ -203,6 +255,9 @@ where
 /// candidates intern their root (an intern hit — the steady-state common
 /// case once a neighborhood has been visited — allocates nothing); rejected
 /// candidates touch neither the arena nor the heap.
+///
+/// A stand-alone step: it drops the scratch's memo first, so `scratch` may
+/// have served any arena before.
 pub fn pareto_step_in<M>(
     arena: &mut PlanArena,
     p: PlanId,
@@ -214,54 +269,92 @@ pub fn pareto_step_in<M>(
 where
     M: CostModel + ?Sized,
 {
-    let mut frontier: ParetoSet<PlanId> = ParetoSet::new();
+    scratch.forget_steps();
     let admission = Admission::climb(policy);
+    let step = step_in(arena, p, model, &admission, mutations, scratch);
+    scratch.memo_ids[step].to_vec()
+}
+
+/// The recursion behind [`pareto_step_in`] and the arena climbs: returns
+/// the step result of `p` as a span of `scratch.memo_ids`, from the memo
+/// when `p` was stepped before (see [`StepScratch`]).
+fn step_in<M>(
+    arena: &mut PlanArena,
+    p: PlanId,
+    model: &M,
+    admission: &Admission,
+    mutations: MutationSet,
+    scratch: &mut StepScratch,
+) -> Range<usize>
+where
+    M: CostModel + ?Sized,
+{
+    if let Some(step) = scratch.memo.get(&p) {
+        return step.clone();
+    }
     match arena.node(p).kind() {
         PlanNodeKind::Scan { table, op } => {
+            let frontier = &mut scratch.frontier;
+            frontier.clear();
             // Identity first, then the scan-operator mutations.
             let view = arena.view(p);
-            frontier.admit(&view.cost, view.format, &admission, || p);
+            frontier.admit(&view.cost, view.format, admission, || p);
             for &alt in model.scan_ops(table) {
                 if alt != op {
                     let props = model.scan_props(table, alt);
-                    frontier.admit(&props.cost, props.format, &admission, || {
+                    frontier.admit(&props.cost, props.format, admission, || {
                         arena.scan_from_props(table, alt, props)
                     });
                 }
             }
         }
         PlanNodeKind::Join { outer, inner, op } => {
-            let outer_pareto = pareto_step_in(arena, outer, model, policy, mutations, scratch);
-            let inner_pareto = pareto_step_in(arena, inner, model, policy, mutations, scratch);
-            for &o in &outer_pareto {
+            // Both sub-steps finish before this level touches the buffers
+            // and the frontier.
+            let outer_step = step_in(arena, outer, model, admission, mutations, scratch);
+            let inner_step = step_in(arena, inner, model, admission, mutations, scratch);
+            let StepScratch {
+                ops,
+                structural_ops,
+                props: pair_props,
+                frontier,
+                memo_ids,
+                ..
+            } = scratch;
+            frontier.clear();
+            for &o in &memo_ids[outer_step] {
                 // One view copy per operand pair, reused across operators.
                 let vo = arena.view(o);
-                for &i in &inner_pareto {
+                for &i in &memo_ids[inner_step.clone()] {
                     let vi = arena.view(i);
-                    scratch.ops.clear();
-                    model.join_ops(&vo, &vi, &mut scratch.ops);
-                    let Some(root_op) = scratch
-                        .ops
+                    ops.clear();
+                    model.join_ops(&vo, &vi, ops);
+                    // The recombined plan keeps the original operator when
+                    // applicable, else takes the first applicable one —
+                    // `join_preferring`'s pick. A model violating its
+                    // non-empty contract skips the pair.
+                    let Some(root) = ops
                         .iter()
-                        .find(|&&a| a == op)
-                        .or_else(|| scratch.ops.first())
-                        .copied()
+                        .position(|&a| a == op)
+                        .or((!ops.is_empty()).then_some(0))
                     else {
                         continue;
                     };
-                    // Candidates are costed through the model (cheap,
-                    // cache-resident) and interned only on admission — see
-                    // the matching note in `approximate_frontiers_in`.
-                    let props = model.join_props(&vo, &vi, root_op);
-                    frontier.admit(&props.cost, props.format, &admission, || {
+                    let root_op = ops[root];
+                    // The pair is costed once for all its operators
+                    // (cheap, cache-resident model math) and candidates are
+                    // interned only on admission — see the matching note in
+                    // `approximate_frontiers_in`. Admission order is the
+                    // recombined plan first, then the operator changes.
+                    pair_props.clear();
+                    model.join_props_all(&vo, &vi, ops, pair_props);
+                    let props = pair_props[root];
+                    frontier.admit(&props.cost, props.format, admission, || {
                         arena.join_from_props(o, i, root_op, props)
                     });
-                    // Operator changes at the root.
-                    for k in 0..scratch.ops.len() {
-                        let alt = scratch.ops[k];
+                    for (&alt, &props) in ops.iter().zip(pair_props.iter()) {
                         if alt != root_op {
-                            let props = model.join_props(&vo, &vi, alt);
-                            frontier.admit(&props.cost, props.format, &admission, || {
+                            frontier.admit(&props.cost, props.format, admission, || {
                                 arena.join_from_props(o, i, alt, props)
                             });
                         }
@@ -273,9 +366,9 @@ where
                         i,
                         root_op,
                         model,
-                        &mut scratch.structural_ops,
+                        structural_ops,
                         &mut |arena, a, b, jop, props| {
-                            frontier.admit(&props.cost, props.format, &admission, || {
+                            frontier.admit(&props.cost, props.format, admission, || {
                                 arena.join_from_props(a, b, jop, props)
                             });
                         },
@@ -284,8 +377,19 @@ where
             }
         }
     }
-    scratch.screen.absorb(&frontier.screen_counters());
-    frontier.into_plans()
+    // File the result in the memo; the next node clears the frontier.
+    let StepScratch {
+        frontier,
+        memo,
+        memo_ids,
+        screen,
+        ..
+    } = scratch;
+    screen.absorb(&frontier.take_screen_counters());
+    let step = memo_ids.len()..memo_ids.len() + frontier.len();
+    memo_ids.extend_from_slice(frontier.plans());
+    memo.insert(p, step.clone());
+    step
 }
 
 /// Climbs until `p` cannot be improved further (`ParetoClimb`): repeatedly
@@ -382,19 +486,21 @@ fn climb_loop_in<M>(
 where
     M: CostModel + ?Sized,
 {
+    scratch.forget_steps();
+    let admission = Admission::climb(cfg.policy);
     let mut current = start;
     let mut stats = ClimbStats::default();
     while stats.steps < cfg.max_steps {
         if abort.is_some_and(AbortCheck::should_abort) {
             return (current, stats, true);
         }
-        let mutations = pareto_step_in(arena, current, model, cfg.policy, cfg.mutations, scratch);
+        let step = step_in(arena, current, model, &admission, cfg.mutations, scratch);
         let current_cost = *arena.node(current).cost();
-        match mutations
-            .into_iter()
-            .find(|&m| arena.node(m).cost().strictly_dominates(&current_cost))
+        match scratch.memo_ids[step]
+            .iter()
+            .find(|&&m| arena.node(m).cost().strictly_dominates(&current_cost))
         {
-            Some(better) => {
+            Some(&better) => {
                 current = better;
                 stats.steps += 1;
             }
@@ -543,40 +649,92 @@ mod tests {
 
     #[test]
     fn arena_climb_matches_legacy_across_seeds_and_sizes() {
-        // Seed-determinism satellite: 3 seeds × 2 query sizes. Arena-built
-        // and Arc-built climbs must consume the RNG identically, make the
-        // same moves, and end on the same local optimum with the same final
-        // step frontier.
+        // Seed-determinism satellite: 3 seeds × 6 settings (up to n = 12,
+        // three metrics, climbs under both prune policies). The arena climb
+        // — with its step memo, reused frontier and batch costing — and the
+        // memo-free Arc climb must consume the RNG identically, make the
+        // same moves in the same order, and end on the same local optimum
+        // with the same final step frontier.
         use crate::arena::PlanArena;
         use crate::random_plan::random_plan_in;
-        for n in [6usize, 9] {
+        let policies = [PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable];
+        let (fast, literal) = (policies[0], policies[1]);
+        for (n, dim, climb_policy) in [
+            (6usize, 2usize, fast),
+            (9, 2, fast),
+            (12, 2, fast),
+            (12, 3, fast),
+            // Literal-policy step frontiers grow with every move: an n = 8
+            // climb takes ten seconds here and an n = 9 climb minutes, so
+            // these stay small.
+            (6, 2, literal),
+            (6, 3, literal),
+        ] {
             for seed in [1u64, 2, 3] {
-                let (m, q) = setup(n, 2, 17);
+                let at = format!("n={n}, dim={dim}, {climb_policy:?}, seed={seed}");
+                let (m, q) = setup(n, dim, 17);
                 let start_arc = random_plan(&m, q, &mut StdRng::seed_from_u64(seed));
                 let mut arena = PlanArena::new();
                 let start_id = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
                     arena.display(start_id, &m),
                     start_arc.display(&m),
-                    "random generation diverged (n={n}, seed={seed})"
+                    "random generation diverged ({at})"
                 );
-                let cfg = ClimbConfig::default();
+                let cfg = ClimbConfig {
+                    policy: climb_policy,
+                    ..ClimbConfig::default()
+                };
+                // The Arc climb, move by move.
+                let mut moves = vec![start_arc.clone()];
+                while let Some(better) = {
+                    let current = moves.last().unwrap();
+                    pareto_step(current, &m, cfg.policy, cfg.mutations)
+                        .into_iter()
+                        .find(|s| s.cost().strictly_dominates(current.cost()))
+                } {
+                    moves.push(better);
+                }
+                let opt_arc = moves.last().unwrap().clone();
+                let stats_arc = ClimbStats {
+                    steps: moves.len() - 1,
+                };
+
                 let mut scratch = StepScratch::default();
-                let (opt_arc, stats_arc) = pareto_climb(start_arc, &m, &cfg);
                 let (opt_id, stats_id) =
                     pareto_climb_in(&mut arena, start_id, &m, &cfg, &mut scratch);
-                assert_eq!(stats_arc, stats_id, "path lengths diverged");
+                assert_eq!(stats_arc, stats_id, "path lengths diverged ({at})");
                 assert_eq!(
                     arena.display(opt_id, &m),
                     opt_arc.display(&m),
-                    "local optima diverged (n={n}, seed={seed})"
+                    "local optima diverged ({at})"
                 );
                 assert_eq!(
                     arena.node(opt_id).cost().as_slice(),
                     opt_arc.cost().as_slice()
                 );
-                // Identical final frontiers from one more step at the optimum.
-                for policy in [PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable] {
+                // The arena climb cut short after k moves stands where
+                // the Arc climb stood after k moves.
+                for (k, expected) in moves.iter().enumerate() {
+                    let cut = ClimbConfig {
+                        max_steps: k,
+                        ..cfg
+                    };
+                    let (at_k, _) = pareto_climb_in(&mut arena, start_id, &m, &cut, &mut scratch);
+                    assert_eq!(
+                        arena.display(at_k, &m),
+                        expected.display(&m),
+                        "move {k} diverged ({at})"
+                    );
+                }
+                // Identical final frontiers from one more step at the optimum
+                // (a literal-policy step of an n = 12 plan takes a minute).
+                let affordable = if n <= 9 {
+                    &policies[..]
+                } else {
+                    &policies[..1]
+                };
+                for &policy in affordable {
                     let legacy: Vec<String> = pareto_step(&opt_arc, &m, policy, MutationSet::Bushy)
                         .iter()
                         .map(|s| s.display(&m))
@@ -592,7 +750,10 @@ mod tests {
                     .iter()
                     .map(|&s| arena.display(s, &m))
                     .collect();
-                    assert_eq!(in_arena, legacy, "step frontier diverged under {policy:?}");
+                    assert_eq!(
+                        in_arena, legacy,
+                        "step frontier diverged under {policy:?} ({at})"
+                    );
                 }
             }
         }

@@ -23,16 +23,18 @@
 use crate::archive::Admission;
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
 use crate::cache::PlanCache;
-use crate::model::{CostModel, JoinOpId};
+use crate::model::{CostModel, JoinOpId, PlanProps};
 use crate::plan::{Plan, PlanKind, PlanRef};
 use crate::tables::TableSet;
 
-/// Reusable buffers for [`approximate_frontiers_with`]: the operand
-/// frontier snapshots (copied out because the cache is mutated while the
-/// pairs are combined) and the per-pair operator list. One scratch serves a
-/// whole traversal — the recursion uses the buffers transiently between
-/// recursive calls — and the RMQ main loop reuses one across iterations so
-/// the traversal runs allocation-free in steady state.
+/// Reusable buffers of the frontier approximation: the operand frontier
+/// snapshots (copied out because the cache is mutated while the pairs are
+/// combined), the per-pair operator list, and the batch-costing output
+/// parallel to it. One scratch serves a whole traversal — the recursion
+/// uses the buffers transiently between recursive calls — and the RMQ main
+/// loop reuses one across iterations, so in steady state the traversal
+/// allocates only where an admitted plan grows a cached frontier or the
+/// arena. Nothing in here carries meaning from one call to the next.
 ///
 /// Generic over the plan handle like [`PlanCache`]: the arena traversal
 /// ([`approximate_frontiers_in`]) snapshots `Copy` [`PlanId`]s instead of
@@ -42,6 +44,8 @@ pub struct FrontierScratch<P = PlanRef> {
     outer_plans: Vec<P>,
     inner_plans: Vec<P>,
     ops: Vec<JoinOpId>,
+    /// `CostModel::join_props_all` output, parallel to `ops` (arena path).
+    props: Vec<PlanProps>,
 }
 
 impl<P> Default for FrontierScratch<P> {
@@ -50,6 +54,7 @@ impl<P> Default for FrontierScratch<P> {
             outer_plans: Vec::new(),
             inner_plans: Vec::new(),
             ops: Vec::new(),
+            props: Vec::new(),
         }
     }
 }
@@ -107,6 +112,7 @@ pub fn approximate_frontiers_with<M>(
                 outer_plans,
                 inner_plans,
                 ops,
+                ..
             } = scratch;
             outer_plans.clear();
             outer_plans.extend_from_slice(cache.frontier(outer.rel()));
@@ -149,10 +155,10 @@ pub fn approximate_frontiers_in<M>(
 {
     match arena.node(p).kind() {
         PlanNodeKind::Scan { table, .. } => {
-            let rel = TableSet::singleton(table);
+            let mut slot = cache.slot(TableSet::singleton(table));
             for &op in model.scan_ops(table) {
                 let props = model.scan_props(table, op);
-                cache.insert_with(rel, &props.cost, props.format, admission, || {
+                slot.insert_with(&props.cost, props.format, admission, || {
                     arena.scan_from_props(table, op, props)
                 });
             }
@@ -165,13 +171,16 @@ pub fn approximate_frontiers_in<M>(
                 outer_plans,
                 inner_plans,
                 ops,
+                props,
             } = scratch;
             let (outer_rel, inner_rel) = (arena.node(outer).rel(), arena.node(inner).rel());
             outer_plans.clear();
             outer_plans.extend_from_slice(cache.frontier(outer_rel));
             inner_plans.clear();
             inner_plans.extend_from_slice(cache.frontier(inner_rel));
-            let rel = outer_rel.union(inner_rel);
+            // Every candidate of this node lands in one table set: open
+            // its frontier once for all of them.
+            let mut slot = cache.slot(outer_rel.union(inner_rel));
             for &o in outer_plans.iter() {
                 // One view copy per operand pair, reused across operators.
                 let vo = arena.view(o);
@@ -179,15 +188,17 @@ pub fn approximate_frontiers_in<M>(
                     let vi = arena.view(i);
                     ops.clear();
                     model.join_ops(&vo, &vi, ops);
-                    for &op in ops.iter() {
-                        // Candidates are costed through the model, not via
-                        // an intern-map probe: in a session-sized arena the
-                        // probe is a cache-missing hash lookup, measurably
-                        // slower than recomputing L1-resident model math.
-                        // Interning happens only on admission (the rare
-                        // path), where it replaces the old Arc allocation.
-                        let props = model.join_props(&vo, &vi, op);
-                        cache.insert_with(rel, &props.cost, props.format, admission, || {
+                    // The pair is costed through the model, once for all
+                    // its operators, not via an intern-map probe: in a
+                    // session-sized arena the probe is a cache-missing hash
+                    // lookup, measurably slower than recomputing
+                    // L1-resident model math. Interning happens only on
+                    // admission (the rare path), where it replaces the old
+                    // Arc allocation.
+                    props.clear();
+                    model.join_props_all(&vo, &vi, ops, props);
+                    for (&op, &props) in ops.iter().zip(props.iter()) {
+                        slot.insert_with(&props.cost, props.format, admission, || {
                             arena.join_from_props(o, i, op, props)
                         });
                     }

@@ -96,6 +96,14 @@ impl PlanView {
 ///   node weakly dominates the cost of each input (the paper's footnote 1
 ///   restricts the guarantees of the principle of optimality to such
 ///   accumulative metrics).
+/// * `join_props_all(o, i, ops, out)` appends, for every operator of `ops`
+///   in order, **exactly the bits** `join_props(o, i, op)` returns. The hot
+///   loops (hill climbing, frontier approximation) cost an operand pair
+///   through it once and then enumerate operators over the result, so it is
+///   the only method a model needs to override for speed: everything that
+///   depends on the pair alone (output cardinality, pages, the operands'
+///   cost sum) is computed once instead of once per operator. The provided
+///   default is the per-operator loop, which is always correct.
 pub trait CostModel: Sync {
     /// Number of cost metrics `l`.
     fn dim(&self) -> usize;
@@ -118,6 +126,20 @@ pub trait CostModel: Sync {
 
     /// Properties of a join of `outer` and `inner` with operator `op`.
     fn join_props(&self, outer: &PlanView, inner: &PlanView, op: JoinOpId) -> PlanProps;
+
+    /// Appends to `out` the properties of joining `outer` and `inner` with
+    /// each operator of `ops`, in order — bit for bit what
+    /// [`join_props`](CostModel::join_props) returns per operator (see the
+    /// trait contract). Override it to share the pair-invariant work.
+    fn join_props_all(
+        &self,
+        outer: &PlanView,
+        inner: &PlanView,
+        ops: &[JoinOpId],
+        out: &mut Vec<PlanProps>,
+    ) {
+        out.extend(ops.iter().map(|&op| self.join_props(outer, inner, op)));
+    }
 
     /// Human-readable name of a scan operator.
     fn scan_op_name(&self, op: ScanOpId) -> String;
@@ -161,6 +183,15 @@ macro_rules! delegate_cost_model {
         }
         fn join_props(&self, outer: &PlanView, inner: &PlanView, op: JoinOpId) -> PlanProps {
             (**self).join_props(outer, inner, op)
+        }
+        fn join_props_all(
+            &self,
+            outer: &PlanView,
+            inner: &PlanView,
+            ops: &[JoinOpId],
+            out: &mut Vec<PlanProps>,
+        ) {
+            (**self).join_props_all(outer, inner, ops, out)
         }
         fn scan_op_name(&self, op: ScanOpId) -> String {
             (**self).scan_op_name(op)

@@ -8,6 +8,7 @@
 //! fraction so downstream cost ratios stay well-defined.
 
 use moqo_catalog::Catalog;
+use moqo_core::cost::CostVector;
 use moqo_core::model::PlanView;
 
 /// Smallest page estimate (keeps per-metric costs strictly positive).
@@ -24,6 +25,37 @@ pub fn join_rows(catalog: &Catalog, outer: &PlanView, inner: &PlanView) -> f64 {
 pub fn rows_to_pages(rows: f64, tuples_per_page: f64) -> f64 {
     debug_assert!(tuples_per_page > 0.0);
     (rows / tuples_per_page).max(MIN_PAGES)
+}
+
+/// Everything about a join node that depends on the operand pair but not
+/// on the operator. `join_props` builds one per call, `join_props_all` one
+/// per operand pair — the rest of a model's join costing takes it as given,
+/// which is what keeps the two bit-identical.
+#[derive(Clone, Copy, Debug)]
+pub struct JoinPair {
+    /// Estimated output cardinality ([`join_rows`]).
+    pub rows: f64,
+    /// Estimated output size in pages ([`rows_to_pages`]).
+    pub pages: f64,
+    /// `outer.cost + inner.cost`, the accumulated cost of the inputs.
+    pub inputs: CostVector,
+}
+
+impl JoinPair {
+    /// The pair-invariant properties of joining `outer` with `inner`.
+    pub fn new(
+        catalog: &Catalog,
+        outer: &PlanView,
+        inner: &PlanView,
+        tuples_per_page: f64,
+    ) -> Self {
+        let rows = join_rows(catalog, outer, inner);
+        JoinPair {
+            rows,
+            pages: rows_to_pages(rows, tuples_per_page),
+            inputs: outer.cost.add(&inner.cost),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -300,8 +300,9 @@ impl Default for Histogram {
 pub struct Metrics {
     /// RMQ iterations completed (aborted iterations are not counted).
     pub rmq_iterations: ShardedCounter,
-    /// Mutation candidates generated by the climb loop (every candidate
-    /// is costed and offered to a Pareto frontier exactly once).
+    /// Candidates probed by the climb loop: each is costed and offered to
+    /// a step frontier once (sub-trees answered from the per-climb memo are
+    /// not re-counted).
     pub climb_candidates: ShardedCounter,
     /// Member comparisons screened out by the aggregate-key pre-filter
     /// before any full dominance test ran.
