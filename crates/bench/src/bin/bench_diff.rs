@@ -22,7 +22,11 @@
 //!   pooled-vs-scoped throughput, the front-door degraded-vs-plain shed
 //!   ratio) are demoted to warnings when either file was generated at
 //!   `host_parallelism == 1` — a single hardware thread has no
-//!   parallelism to measure.
+//!   parallelism to measure. So is the one absolute ratio: in the
+//!   candidate, `par_rmq` at one thread must reach 0.9× the sequential
+//!   `rmq[]` run of the same fixture (a lone worker has nobody to exchange
+//!   with) — also a warning in quick mode, whose 6 ms runs cannot resolve
+//!   it.
 //!
 //! Usage:
 //!
@@ -57,14 +61,18 @@ impl Gate {
     /// A ratio gate that can be demoted to a warning: parallel-scaling
     /// ratios are meaningless on a single hardware thread, so when either
     /// file was generated at `host_parallelism == 1` the check still runs
-    /// but a failure only warns (schema v6).
+    /// but a failure only warns (schema v6). Likewise a ratio of two runs
+    /// too short to resolve it.
     fn check_ratio(&mut self, hard: bool, ok: bool, msg: impl FnOnce() -> String) {
         if hard {
             self.check(ok, msg);
         } else {
             self.checks += 1;
             if !ok {
-                eprintln!("bench_diff: warning (host_parallelism == 1) — {}", msg());
+                eprintln!(
+                    "bench_diff: warning (host_parallelism == 1 or quick mode) — {}",
+                    msg()
+                );
             }
         }
     }
@@ -124,6 +132,10 @@ fn diff_rmq(gate: &mut Gate, base: &Value, cand: &Value, tag: &str) {
         }
     }
 }
+
+/// Floor of `par_rmq[threads = 1].iters_per_sec` over the sequential
+/// `rmq[]` run of the same fixture, in the candidate file.
+const PAR1_VS_SEQ_FLOOR: f64 = 0.9;
 
 fn main() {
     let mut baseline_path = None;
@@ -769,6 +781,34 @@ fn main() {
                     format!(
                         "par_rmq scaling @{threads} threads: {cscale:.2}x fell below \
                          baseline {bscale:.2}x ÷ margin {speedup_margin}"
+                    )
+                });
+            }
+        }
+        // One `ParRmq` worker against sequential `Rmq` on the same fixture
+        // and seed (ROADMAP item 2 ii): a lone worker has nobody to exchange
+        // with, so it may cost a thread hand-off and the query-frontier
+        // publishes over the sequential loop, not more. An absolute floor on
+        // the candidate alone — both rates come from one run on one host.
+        // Quick mode times 40 iterations (about 6 ms): one late thread
+        // wake-up moves the ratio by more than the floor allows, so there a
+        // failure only warns.
+        let seq_rate = |tables: f64| {
+            let run = rmq(&cand)
+                .into_iter()
+                .find(|r| f64_field(r, "tables") == Some(tables))?;
+            let last = run.get("checkpoints")?.as_array()?.last()?.clone();
+            Some(f64_field(&last, "iterations")? / (f64_field(&last, "elapsed_ms")? / 1e3))
+        };
+        if let Some(one) = cpar.iter().find(|e| f64_field(e, "threads") == Some(1.0)) {
+            let tables = f64_field(one, "tables").unwrap_or(-1.0);
+            if let (Some(par), Some(seq)) = (f64_field(one, "iters_per_sec"), seq_rate(tables)) {
+                let resolvable = multicore && mode(&cand) == "full";
+                gate.check_ratio(resolvable, par / seq >= PAR1_VS_SEQ_FLOOR, || {
+                    format!(
+                        "par_rmq @1 thread vs rmq (tables={tables}): {:.2}x is below the \
+                         {PAR1_VS_SEQ_FLOOR} floor ({par:.0} vs {seq:.0} iters/s)",
+                        par / seq
                     )
                 });
             }

@@ -168,6 +168,14 @@ impl ArenaStats {
     }
 }
 
+/// The memo of [`PlanArena::import_memoized`]: imported tree roots by `Arc`
+/// address. Each entry holds its `Arc`, so an address cannot be reused by
+/// another plan while the memo knows it.
+#[derive(Debug, Default)]
+pub struct ImportMemo {
+    seen: FxHashMap<usize, (PlanRef, PlanId)>,
+}
+
 /// The hash-consed plan arena (see the module docs for representation,
 /// interning rules and the lifetime/eviction contract).
 #[derive(Debug, Default)]
@@ -479,20 +487,43 @@ impl PlanArena {
     /// plan's cached properties are trusted — it must stem from the same
     /// cost model the arena is used with.
     pub fn import(&mut self, plan: &PlanRef) -> PlanId {
+        self.import_rec(plan, &mut None)
+    }
+
+    /// [`Self::import`] with a memo that outlives the call: a (sub-)tree whose
+    /// root `Arc` the memo has seen costs one probe instead of a walk. Plans
+    /// exported from one arena share their sub-trees by `Arc` identity
+    /// ([`Self::export`] is memoized per node), so importing a stream of
+    /// related plans — a parallel worker absorbing another's survivors —
+    /// re-interns each distinct node once. `memo` must only ever be used
+    /// with this arena, and not across a [`Self::clear`].
+    pub fn import_memoized(&mut self, plan: &PlanRef, memo: &mut ImportMemo) -> PlanId {
+        self.import_rec(plan, &mut Some(memo))
+    }
+
+    fn import_rec(&mut self, plan: &PlanRef, memo: &mut Option<&mut ImportMemo>) -> PlanId {
+        let key = std::sync::Arc::as_ptr(plan) as usize;
+        if let Some((_, id)) = memo.as_ref().and_then(|m| m.seen.get(&key)) {
+            return *id;
+        }
         let props = PlanProps {
             cost: *plan.cost(),
             rows: plan.rows(),
             pages: plan.pages(),
             format: plan.format(),
         };
-        match plan.kind() {
+        let id = match plan.kind() {
             PlanKind::Scan { table, op } => self.scan_from_props(*table, *op, props),
             PlanKind::Join { outer, inner, op } => {
-                let o = self.import(outer);
-                let i = self.import(inner);
+                let o = self.import_rec(outer, memo);
+                let i = self.import_rec(inner, memo);
                 self.join_from_props(o, i, *op, props)
             }
+        };
+        if let Some(memo) = memo {
+            memo.seen.insert(key, (plan.clone(), id));
         }
+        id
     }
 
     /// Re-interns the plan rooted at `root` of `src` into `self`, returning
@@ -627,6 +658,33 @@ mod tests {
         assert_eq!(back, id);
         // Export is memoized: same Arc both times.
         assert!(std::sync::Arc::ptr_eq(&exported, &arena.export(id)));
+    }
+
+    #[test]
+    fn memoized_import_lands_on_import_s_ids_and_walks_a_known_tree_once() {
+        let m = StubModel::line(6, 2, 5);
+        let q = TableSet::prefix(6);
+        let mut src = PlanArena::new();
+        let mut rng = StdRng::seed_from_u64(23);
+        let plans: Vec<PlanRef> = (0..6)
+            .map(|_| {
+                let id = random_plan_in(&mut src, &m, q, &mut rng);
+                src.export(id)
+            })
+            .collect();
+        let (mut plain, mut memoized) = (PlanArena::new(), PlanArena::new());
+        let mut memo = ImportMemo::default();
+        for p in &plans {
+            assert_eq!(memoized.import_memoized(p, &mut memo), plain.import(p));
+        }
+        assert_eq!(memoized.len(), plain.len());
+        // A root the memo knows is answered without touching the arena.
+        let requests = |a: &PlanArena| a.stats().dedup_hits + a.stats().misses;
+        let before = requests(&memoized);
+        for p in &plans {
+            memoized.import_memoized(p, &mut memo);
+        }
+        assert_eq!(requests(&memoized), before);
     }
 
     #[test]

@@ -8,6 +8,20 @@
 //! approaches the partial-plan tables of the dynamic-programming
 //! approximation schemes — but only for table sets that actually occur in
 //! locally Pareto-optimal plans.
+//!
+//! ## The change list
+//!
+//! The cache also records **what changed**: every table set that admitted a
+//! plan since the last [`PlanCache::clear_changed`], once, together with how
+//! many of its newest members are fresh ([`PlanCache::changed_sets`]). A
+//! [`ParetoSet`] keeps its members in insertion order and evictions compact
+//! in place, so the plans admitted since the last clear are always a
+//! *suffix* of the set; evictions can only make the recorded suffix cover a
+//! few already-known members too, never miss a fresh one. The parallel
+//! optimizer publishes exactly these suffixes at an exchange point instead
+//! of re-offering the whole cache. Nobody else clears the list: in a
+//! sequential run it simply stops growing at
+//! [`PlanCache::num_table_sets`] entries.
 
 use crate::archive::Admission;
 use crate::cost::CostVector;
@@ -25,7 +39,10 @@ use crate::tables::TableSet;
 /// default) serves `Arc<Plan>` consumers and tests.
 #[derive(Debug)]
 pub struct PlanCache<P = PlanRef> {
-    map: FxHashMap<TableSet, ParetoSet<P>>,
+    map: FxHashMap<TableSet, Entry<P>>,
+    /// Table sets whose `fresh` count is non-zero, each listed once, in the
+    /// order they first changed (see the module docs).
+    changed: Vec<TableSet>,
     insertions: u64,
     rejections: u64,
     /// Screening tallies drained from the per-table-set frontiers whenever
@@ -33,10 +50,30 @@ pub struct PlanCache<P = PlanRef> {
     screen: ScreenCounters,
 }
 
+/// One table set's frontier plus its share of the change list.
+#[derive(Debug)]
+struct Entry<P> {
+    set: ParetoSet<P>,
+    /// How many of the newest members of `set` may have been admitted since
+    /// the last [`PlanCache::clear_changed`] (an upper bound, at most
+    /// `set.len()`); non-zero iff the table set is on the change list.
+    fresh: usize,
+}
+
+impl<P> Default for Entry<P> {
+    fn default() -> Self {
+        Entry {
+            set: ParetoSet::default(),
+            fresh: 0,
+        }
+    }
+}
+
 impl<P> Default for PlanCache<P> {
     fn default() -> Self {
         PlanCache {
             map: FxHashMap::default(),
+            changed: Vec::new(),
             insertions: 0,
             rejections: 0,
             screen: ScreenCounters::default(),
@@ -54,7 +91,7 @@ impl<P> PlanCache<P> {
     /// empty if the table set was never seen.
     #[inline]
     pub fn frontier(&self, rel: TableSet) -> &[P] {
-        self.map.get(&rel).map_or(&[], |s| s.plans())
+        self.map.get(&rel).map_or(&[], |e| e.set.plans())
     }
 
     /// The cached frontier for `rel` as the underlying [`ParetoSet`]
@@ -64,7 +101,7 @@ impl<P> PlanCache<P> {
     /// re-deriving them from plan handles.
     #[inline]
     pub fn frontier_set(&self, rel: TableSet) -> Option<&ParetoSet<P>> {
-        self.map.get(&rel)
+        self.map.get(&rel).map(|e| &e.set)
     }
 
     /// Inserts a candidate described by its table set, cost vector and
@@ -89,13 +126,52 @@ impl<P> PlanCache<P> {
     /// operator of every operand pair of a join node to one table set: the
     /// session-sized map is probed once here, not once per candidate, and
     /// the frontier's screening tallies are drained once, when the slot is
-    /// dropped.
+    /// dropped — as is the change list's one branch.
     pub fn slot(&mut self, rel: TableSet) -> CacheSlot<'_, P> {
+        self.open(rel, true)
+    }
+
+    /// [`PlanCache::slot`] for plans that come *from* an exchange partner
+    /// (`Rmq::warm_start`): what they admit is not news to anyone, so the
+    /// slot does not put `rel` on the change list. If `rel` is already on
+    /// it, the fresh suffix still grows past the arrivals so that it keeps
+    /// covering the members it covered before.
+    pub fn slot_absorbing(&mut self, rel: TableSet) -> CacheSlot<'_, P> {
+        self.open(rel, false)
+    }
+
+    fn open(&mut self, rel: TableSet, marks: bool) -> CacheSlot<'_, P> {
         CacheSlot {
-            set: self.map.entry(rel).or_default(),
+            entry: self.map.entry(rel).or_default(),
+            rel,
+            marks,
+            opened_at: self.insertions,
+            changed: &mut self.changed,
             insertions: &mut self.insertions,
             rejections: &mut self.rejections,
             screen: &mut self.screen,
+        }
+    }
+
+    /// The change list: every table set that admitted a plan since the last
+    /// [`PlanCache::clear_changed`], once, in the order they first changed,
+    /// as `(table set, frontier, first fresh index)` — the members at and
+    /// past the index include every plan admitted since (see the module
+    /// docs for why it is a suffix).
+    pub fn changed_sets(&self) -> impl Iterator<Item = (TableSet, &ParetoSet<P>, usize)> {
+        self.changed.iter().map(|rel| {
+            let entry = &self.map[rel];
+            (*rel, &entry.set, entry.set.len() - entry.fresh)
+        })
+    }
+
+    /// Empties the change list (the parallel optimizer does so right after
+    /// publishing it).
+    pub fn clear_changed(&mut self) {
+        for rel in self.changed.drain(..) {
+            if let Some(entry) = self.map.get_mut(&rel) {
+                entry.fresh = 0;
+            }
         }
     }
 
@@ -106,12 +182,12 @@ impl<P> PlanCache<P> {
 
     /// Total number of cached plans over all table sets.
     pub fn total_plans(&self) -> usize {
-        self.map.values().map(|s| s.len()).sum()
+        self.map.values().map(|e| e.set.len()).sum()
     }
 
     /// Size of the largest per-table-set frontier (for Lemma 6 checks).
     pub fn max_frontier_size(&self) -> usize {
-        self.map.values().map(|s| s.len()).max().unwrap_or(0)
+        self.map.values().map(|e| e.set.len()).max().unwrap_or(0)
     }
 
     /// Lifetime counters: `(kept, rejected)` insertion attempts.
@@ -129,7 +205,7 @@ impl<P> PlanCache<P> {
 
     /// Iterates over `(table set, frontier)` entries in unspecified order.
     pub fn entries(&self) -> impl Iterator<Item = (TableSet, &[P])> {
-        self.map.iter().map(|(k, v)| (*k, v.plans()))
+        self.map.iter().map(|(k, v)| (*k, v.set.plans()))
     }
 
     /// Iterates over `(table set, frontier set)` entries in unspecified
@@ -139,19 +215,26 @@ impl<P> PlanCache<P> {
     /// sub-query frontier without re-deriving candidate costs. Used by the
     /// parallel optimizer to exchange partial-plan frontiers.
     pub fn entry_sets(&self) -> impl Iterator<Item = (TableSet, &ParetoSet<P>)> {
-        self.map.iter().map(|(k, v)| (*k, v))
+        self.map.iter().map(|(k, v)| (*k, &v.set))
     }
 
     /// Removes every cached entry (used by cache-ablation experiments).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.changed.clear();
     }
 }
 
 /// One table set's cached frontier, opened by [`PlanCache::slot`].
 #[derive(Debug)]
 pub struct CacheSlot<'a, P> {
-    set: &'a mut ParetoSet<P>,
+    entry: &'a mut Entry<P>,
+    rel: TableSet,
+    /// Whether admissions put `rel` on the change list.
+    marks: bool,
+    /// The cache's `insertions` when the slot opened.
+    opened_at: u64,
+    changed: &'a mut Vec<TableSet>,
     insertions: &'a mut u64,
     rejections: &'a mut u64,
     screen: &'a mut ScreenCounters,
@@ -169,7 +252,7 @@ impl<P> CacheSlot<'_, P> {
         admission: &Admission,
         make: impl FnOnce() -> P,
     ) -> bool {
-        let kept = self.set.admit(cost, format, admission, make);
+        let kept = self.entry.set.admit(cost, format, admission, make);
         if kept {
             *self.insertions += 1;
         } else {
@@ -181,7 +264,14 @@ impl<P> CacheSlot<'_, P> {
 
 impl<P> Drop for CacheSlot<'_, P> {
     fn drop(&mut self) {
-        self.screen.absorb(&self.set.take_screen_counters());
+        self.screen.absorb(&self.entry.set.take_screen_counters());
+        let admitted = (*self.insertions - self.opened_at) as usize;
+        if admitted > 0 && (self.marks || self.entry.fresh > 0) {
+            if self.entry.fresh == 0 {
+                self.changed.push(self.rel);
+            }
+            self.entry.fresh = (self.entry.fresh + admitted).min(self.entry.set.len());
+        }
     }
 }
 
@@ -201,7 +291,7 @@ impl PlanCache<PlanRef> {
     pub fn check_invariant(&self) -> bool {
         self.map
             .iter()
-            .all(|(rel, set)| set.check_invariant() && set.iter().all(|p| p.rel() == *rel))
+            .all(|(rel, e)| e.set.check_invariant() && e.set.iter().all(|p| p.rel() == *rel))
     }
 }
 
@@ -283,6 +373,64 @@ mod tests {
         let (kept, rejected) = cache.counters();
         assert_eq!((kept, rejected), (1, 1));
         assert_eq!(cache.total_plans(), 1);
+    }
+
+    #[test]
+    fn change_list_names_each_changed_set_once_with_its_fresh_suffix() {
+        let m = model();
+        let mut cache = PlanCache::new();
+        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
+        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
+        let join = |op| Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op));
+        let exact = Admission::exact();
+        cache.insert(s0.clone(), &exact);
+        cache.insert(join(0), &exact);
+        // A rejected duplicate changes nothing.
+        cache.insert(s0.clone(), &exact);
+        let changed: Vec<_> = cache
+            .changed_sets()
+            .map(|(rel, set, from)| (rel, set.len(), from))
+            .collect();
+        assert_eq!(changed, vec![(s0.rel(), 1, 0), (join(0).rel(), 1, 0)]);
+        cache.clear_changed();
+        assert_eq!(cache.changed_sets().count(), 0);
+        // Two more admissions to one set: listed once, suffix of two.
+        cache.insert(join(1), &exact);
+        cache.insert(join(2), &exact);
+        let changed: Vec<_> = cache
+            .changed_sets()
+            .map(|(rel, set, from)| (rel, set.len(), from))
+            .collect();
+        assert_eq!(changed, vec![(join(0).rel(), 3, 1)]);
+    }
+
+    #[test]
+    fn absorbing_slots_stay_off_the_change_list_but_keep_a_suffix_whole() {
+        let m = model();
+        let mut cache: PlanCache = PlanCache::new();
+        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
+        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
+        let joins: Vec<_> = (0..3u16)
+            .map(|op| Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op)))
+            .collect();
+        let rel = joins[0].rel();
+        let exact = Admission::exact();
+        let absorb = |cache: &mut PlanCache, p: &PlanRef| {
+            cache
+                .slot_absorbing(p.rel())
+                .insert_with(p.cost(), p.format(), &exact, || p.clone())
+        };
+        assert!(absorb(&mut cache, &joins[0]));
+        assert_eq!(cache.changed_sets().count(), 0);
+        // An own admission behind the absorbed plan: a suffix of one.
+        assert!(cache.insert(joins[1].clone(), &exact));
+        let from = |cache: &PlanCache| cache.changed_sets().map(|(_, _, from)| from).next();
+        assert_eq!(from(&cache), Some(1));
+        // An arrival behind a pending admission must not push it out of the
+        // suffix.
+        assert!(absorb(&mut cache, &joins[2]));
+        assert_eq!(from(&cache), Some(1));
+        assert_eq!(cache.frontier(rel).len(), 3);
     }
 
     #[test]

@@ -658,10 +658,24 @@ impl<P> ParetoSet<P> {
         &mut self,
         other: &ParetoSet<Q>,
         admission: &Admission,
+        adopt: impl FnMut(&Q) -> P,
+    ) -> usize {
+        self.merge_from(other, 0, admission, adopt)
+    }
+
+    /// [`ParetoSet::merge_with`] restricted to `other`'s members at and past
+    /// index `start`. Members are stored in insertion order, so this merges
+    /// the plans `other` admitted most recently — what a delta exchange
+    /// offers (see [`PlanCache::changed_sets`](crate::cache::PlanCache::changed_sets)).
+    pub fn merge_from<Q>(
+        &mut self,
+        other: &ParetoSet<Q>,
+        start: usize,
+        admission: &Admission,
         mut adopt: impl FnMut(&Q) -> P,
     ) -> usize {
         let mut inserted = 0;
-        for (plan, meta) in other.plans.iter().zip(&other.meta) {
+        for (plan, meta) in other.plans[start..].iter().zip(&other.meta[start..]) {
             if self.admit(&meta.cost, meta.format, admission, || adopt(plan)) {
                 inserted += 1;
             }
@@ -1192,6 +1206,24 @@ mod tests {
                 .collect()
         };
         assert_eq!(render(&merged), render(&sequential));
+    }
+
+    #[test]
+    fn merge_from_offers_only_the_suffix() {
+        let exact = Admission::exact();
+        let mut source = ParetoSet::new();
+        for (cost, format) in [(&[4.0, 4.0], 0u8), (&[2.0, 6.0], 0), (&[6.0, 2.0], 0)] {
+            source.insert(synthetic_plan(cost, format), &exact);
+        }
+        let mut target: ParetoSet = ParetoSet::new();
+        let mut offered = 0;
+        let inserted = target.merge_from(&source, 1, &exact, |p| {
+            offered += 1;
+            p.clone()
+        });
+        assert_eq!((inserted, offered, target.len()), (2, 2, 2));
+        assert!(target.costs().all(|c| c.as_slice() != [4.0, 4.0]));
+        assert_eq!(target.merge_from(&source, 3, &exact, |p| p.clone()), 0);
     }
 
     #[test]

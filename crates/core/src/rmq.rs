@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::archive::{Admission, ArchiveConfig};
-use crate::arena::{PlanArena, PlanId};
+use crate::arena::{ImportMemo, PlanArena, PlanId};
 use crate::cache::PlanCache;
 use crate::climb::{
     pareto_climb_aborting_in, pareto_climb_in, ClimbConfig, ClimbStats, StepScratch,
@@ -152,6 +152,10 @@ pub struct Rmq<M: CostModel> {
     climb_arena: PlanArena,
     /// Reused id-translation memo for that adoption.
     adopt_memo: FxHashMap<PlanId, PlanId>,
+    /// What [`Rmq::warm_start`] has imported into `arena` so far: warm-start
+    /// plans arrive in related batches (an exchange partner's survivors, a
+    /// finished session's cache) that share most of their sub-trees.
+    import_memo: ImportMemo,
     cache: PlanCache<PlanId>,
     /// Result archive used when `share_cache` is disabled.
     results: ParetoSet<PlanId>,
@@ -202,6 +206,7 @@ impl<M: CostModel> Rmq<M> {
             arena: PlanArena::new(),
             climb_arena: PlanArena::new(),
             adopt_memo: FxHashMap::default(),
+            import_memo: ImportMemo::default(),
             cache: PlanCache::new(),
             results: ParetoSet::new(),
             iteration: 0,
@@ -481,6 +486,14 @@ impl<M: CostModel> Rmq<M> {
         &self.cache
     }
 
+    /// Empties the cache's change list ([`PlanCache::changed_sets`]): the
+    /// parallel optimizer calls this right after it has published the list.
+    /// The list has one reader; a second one would miss what the first
+    /// cleared.
+    pub fn clear_changed_sets(&mut self) {
+        self.cache.clear_changed();
+    }
+
     /// The session's plan arena (read access for diagnostics: occupancy,
     /// interning dedup rate, and exporting cached [`PlanId`]s).
     pub fn arena(&self) -> &PlanArena {
@@ -500,6 +513,8 @@ impl<M: CostModel> Rmq<M> {
     /// ignored. Plans are inserted with exact pruning
     /// ([`Admission::exact`]) so a warm start can never evict better plans
     /// found later. Returns the number of plans absorbed into the cache.
+    /// Absorbed plans do not enter the cache's change list
+    /// ([`PlanCache::slot_absorbing`]).
     ///
     /// With `share_cache` disabled (the cache ablation), there is no
     /// partial-plan cache to seed, but **full-query** plans still enter the
@@ -518,11 +533,10 @@ impl<M: CostModel> Rmq<M> {
                 }
                 let cost = *plan.cost();
                 let format = plan.format();
-                let arena = &mut self.arena;
-                if self
-                    .results
-                    .admit(&cost, format, &Admission::exact(), || arena.import(&plan))
-                {
+                let (arena, memo) = (&mut self.arena, &mut self.import_memo);
+                if self.results.admit(&cost, format, &Admission::exact(), || {
+                    arena.import_memoized(&plan, memo)
+                }) {
                     absorbed += 1;
                 }
             }
@@ -535,13 +549,13 @@ impl<M: CostModel> Rmq<M> {
             let rel = plan.rel();
             let cost = *plan.cost();
             let format = plan.format();
-            let arena = &mut self.arena;
-            if self
-                .cache
-                .insert_with(rel, &cost, format, &Admission::exact(), || {
-                    arena.import(&plan)
-                })
-            {
+            let (arena, memo) = (&mut self.arena, &mut self.import_memo);
+            if self.cache.slot_absorbing(rel).insert_with(
+                &cost,
+                format,
+                &Admission::exact(),
+                || arena.import_memoized(&plan, memo),
+            ) {
                 absorbed += 1;
             }
         }

@@ -336,10 +336,15 @@ pub struct Metrics {
     pub exchange_merged: Counter,
     /// Snapshot epoch bumps (one per publish that admitted anything).
     pub exchange_epochs: Counter,
-    /// Plans absorbed from global snapshots by workers.
+    /// Plans workers admitted into their caches out of the shared
+    /// frontier's delta log: full-query and sub-query survivors that
+    /// *another* worker published since the absorber last looked (a worker
+    /// never reads its own entries back).
     pub exchange_absorbed: Counter,
     /// Sub-query (partial-plan) frontier members offered to the shared
-    /// frontier's table-set-keyed partial exchange.
+    /// frontier's table-set-keyed partial exchange. A worker offers a
+    /// member once — at the first publish after its cache admitted it — so
+    /// this tracks admissions, not cache size × publishes.
     pub exchange_partial_offered: Counter,
     /// Offered partial plans admitted into a shared sub-query frontier.
     pub exchange_partial_merged: Counter,

@@ -59,10 +59,47 @@
 //! window of publishes merges nothing (the frontiers have converged;
 //! publishing is pure overhead) and snaps back to the base the moment any
 //! publish merges (information is moving again). Alongside the full-query
-//! frontier, workers publish their **partial-plan (sub-query) frontiers**
-//! — the per-table-set survivors of their private caches — and absorb the
-//! shared ones via subset-filtered `warm_start`, so workers stop
-//! rediscovering each other's intermediate frontiers.
+//! frontier, workers share their **partial-plan (sub-query) frontiers** —
+//! the per-table-set survivors of their private caches — so they stop
+//! rediscovering each other's intermediate results.
+//!
+//! An exchange point costs what **changed since this worker's last one**,
+//! in both directions ([`ExchangePort`] is a worker's end of it):
+//!
+//! * **Publish.** The worker's [`PlanCache`](moqo_core::cache::PlanCache)
+//!   keeps a change list: the table sets that admitted a plan since the
+//!   list was last cleared, and how many of each set's newest members are
+//!   fresh. Only those members are offered to the shared per-table-set
+//!   frontiers, which act as the global filter; a set that did not change
+//!   was offered before, and re-offering a member could only see it
+//!   rejected as weakly dominated by its own copy. A worker with an empty
+//!   list takes no lock.
+//! * **Absorb.** Survivors of every merge are appended to the shared
+//!   **delta log**, tagged with their publisher. A worker keeps a *cursor*
+//!   — the log length it has read up to — and warm-starts only the entries
+//!   past it that someone else published: never the whole shared state,
+//!   never its own plans. An entry that has since been evicted from its
+//!   shared frontier is harmless: its evictor follows it in the log and
+//!   removes it again under the warm start's exact pruning. With nothing new
+//!   the absorb is one atomic load.
+//! * **No echo.** Absorbed plans enter the cache through
+//!   [`PlanCache::slot_absorbing`](moqo_core::cache::PlanCache::slot_absorbing),
+//!   which does not put their table set on the change list — they came out
+//!   of the shared frontier, so offering them back is wasted work. What a
+//!   worker *builds* from an absorbed plan is a new admission and is
+//!   published like any other.
+//!
+//! A round whose active width is 1 (configured, or granted via
+//! [`PlanExchange::set_effective_fan_out`]) does no partial exchange at all:
+//! there is nobody to share with. The lone worker only keeps the published
+//! query frontier current — the one [`ParRmq::frontier`] reads — while its
+//! change list accumulates; the first wide round publishes it, and the
+//! workers that sat out catch up from their old cursors.
+//!
+//! A round ends with a flush publish so survivors found since the last
+//! periodic exchange are not lost. A worker that has not iterated since its
+//! last publish skips it: it has nothing to add, and a publish that can only
+//! merge nothing would count toward the adaptive period's dry window.
 //!
 //! [`ParRmq`] also implements the anytime [`Optimizer`] trait:
 //! [`Optimizer::step`] runs one bounded *round* (`workers × batch`
@@ -101,10 +138,12 @@
 mod adaptive;
 mod frontier;
 pub mod pool;
+mod port;
 
 pub use adaptive::{AdaptiveExchange, MAX_BACKOFF_LEVEL};
-pub use frontier::{ExchangeStats, FrontierSnapshot, PartialSnapshot, SharedFrontier};
+pub use frontier::{ExchangeStats, FrontierSnapshot, SharedFrontier, ANONYMOUS};
 pub use pool::{ExecPool, PoolHandle, TaskGroup, TaskSpec, TaskStatus};
+pub use port::ExchangePort;
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -196,15 +235,15 @@ pub struct ParRunStats {
 /// One worker: a private sequential RMQ plus its exchange bookkeeping.
 struct Worker<M: CostModel> {
     rmq: Rmq<M>,
+    /// The worker's end of the exchange (publisher tag = worker index).
+    port: ExchangePort,
     /// Completed iterations over the optimizer's lifetime.
     iterations: u64,
     /// Iterations since the last exchange (live mode).
     since_exchange: u64,
-    /// Last global epoch this worker absorbed.
-    last_seen_epoch: u64,
-    /// Last partial-frontier epoch this worker absorbed.
-    last_seen_partial_epoch: u64,
-    /// Plans absorbed from global snapshots over the lifetime.
+    /// Iterations since the last publish, periodic or flush (live mode).
+    since_publish: u64,
+    /// Plans absorbed from the delta log over the lifetime.
     absorbed: u64,
 }
 
@@ -247,7 +286,10 @@ impl WorkPlan {
 struct ExchangeCtx<'a> {
     shared: &'a SharedFrontier,
     adaptive: &'a AdaptiveExchange,
-    query: TableSet,
+    /// Whether more than one worker is active this round. A lone worker has
+    /// nobody to share sub-query plans with: it only keeps the published
+    /// query frontier current.
+    wide: bool,
 }
 
 /// Runs up to `max_iters` iterations of `worker` under `plan`, exchanging
@@ -284,6 +326,7 @@ fn run_chunk<M: CostModel>(
             worker.iterations += 1;
             if let Some(ex) = exchange {
                 worker.since_exchange += 1;
+                worker.since_publish += 1;
                 if worker.since_exchange >= ex.adaptive.period() {
                     worker.since_exchange = 0;
                     exchange_point(worker, ex);
@@ -294,28 +337,43 @@ fn run_chunk<M: CostModel>(
     (done, false)
 }
 
-/// One full exchange: publish the query frontier and the sub-query
-/// (partial-plan) frontiers, feed the merge outcome to the adaptive
-/// period, then absorb whatever the rest of the run published. Both halves
-/// are traced as spans (publish arg = plans merged, absorb arg = plans
+/// One full exchange: publish, then — in a wide round — absorb whatever the
+/// rest of the run logged since this worker last looked. Both halves are
+/// traced as spans (publish arg = plans merged, absorb arg = plans
 /// absorbed), parented to the ambient batch/session span.
 fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     publish_point(worker, ex);
+    if !ex.wide {
+        return;
+    }
     let mut span = spans::begin(SpanKind::ExchangeAbsorb, SpanId::NONE);
-    let before = worker.absorbed;
-    absorb_global(worker, ex.shared);
-    absorb_partials(worker, ex);
+    let absorbed = worker.port.absorb(&mut worker.rmq, ex.shared) as u64;
+    worker.absorbed += absorbed;
+    if absorbed > 0 {
+        let epoch = ex.shared.epoch();
+        moqo_obs::ctx::set_epoch(epoch);
+        moqo_obs::journal::emit_with(
+            moqo_obs::journal::Target::Exchange,
+            moqo_obs::journal::Level::Debug,
+            || moqo_obs::journal::EventKind::ExchangeAbsorb { epoch, absorbed },
+        );
+    }
     if let Some(s) = span.as_mut() {
-        s.set_arg(worker.absorbed - before);
+        s.set_arg(absorbed);
     }
     spans::finish(span);
 }
 
-/// One publish half (periodic or final flush): offer the query and
-/// sub-query frontiers, feed the merge outcome to the adaptive period.
-fn publish_point<M: CostModel>(worker: &Worker<M>, ex: &ExchangeCtx<'_>) {
+/// One publish half: offer the query frontier and — in a wide round — the
+/// sub-query plans admitted since the last publish, and feed the merge
+/// outcome to the adaptive period.
+fn publish_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
+    worker.since_publish = 0;
     let mut span = spans::begin(SpanKind::ExchangePublish, SpanId::NONE);
-    let merged = publish_frontier(worker, ex.shared) + publish_partials(worker, ex);
+    let mut merged = worker.port.publish_frontier(&worker.rmq, ex.shared);
+    if ex.wide {
+        merged += worker.port.publish_partials(&mut worker.rmq, ex.shared);
+    }
     if let Some(s) = span.as_mut() {
         s.set_arg(merged as u64);
     }
@@ -323,70 +381,18 @@ fn publish_point<M: CostModel>(worker: &Worker<M>, ex: &ExchangeCtx<'_>) {
     ex.adaptive.on_publish(merged);
 }
 
-fn publish_frontier<M: CostModel>(worker: &Worker<M>, shared: &SharedFrontier) -> usize {
-    match worker.rmq.frontier_set() {
-        Some(set) if !set.is_empty() => shared.publish(worker.rmq.arena(), set),
-        _ => 0,
+/// The publish at the end of a round, so survivors found since the last
+/// periodic exchange are not lost. A worker that has not iterated since it
+/// last published has nothing to add, and saying so again would read as a
+/// dry publish to the adaptive period: it stays silent.
+fn flush_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
+    if worker.since_publish > 0 {
+        publish_point(worker, ex);
     }
-}
-
-/// Publishes the worker's multi-table *sub*-query frontiers (single-table
-/// frontiers are trivial to rediscover; the full query goes through
-/// [`publish_frontier`]).
-fn publish_partials<M: CostModel>(worker: &Worker<M>, ex: &ExchangeCtx<'_>) -> usize {
-    let query = ex.query;
-    let sets = worker
-        .rmq
-        .cache()
-        .entry_sets()
-        .filter(|(rel, _)| *rel != query && rel.iter().count() > 1);
-    ex.shared.publish_partials(worker.rmq.arena(), sets)
-}
-
-fn absorb_global<M: CostModel>(worker: &mut Worker<M>, shared: &SharedFrontier) {
-    let snap = shared.snapshot();
-    if snap.epoch <= worker.last_seen_epoch {
-        return;
-    }
-    worker.last_seen_epoch = snap.epoch;
-    // Same model on every worker, so no dimension filtering is needed;
-    // warm_start inserts with exact pruning and can never evict better
-    // plans the worker finds later.
-    let absorbed = worker.rmq.warm_start(snap.plans.iter().cloned());
-    worker.absorbed += absorbed as u64;
-    shared.record_absorbed(absorbed);
-    moqo_obs::ctx::set_epoch(snap.epoch);
-    if moqo_obs::journal::enabled(
-        moqo_obs::journal::Target::Exchange,
-        moqo_obs::journal::Level::Debug,
-    ) {
-        moqo_obs::journal::emit_with(
-            moqo_obs::journal::Target::Exchange,
-            moqo_obs::journal::Level::Debug,
-            || moqo_obs::journal::EventKind::ExchangeAbsorb {
-                epoch: snap.epoch,
-                absorbed: absorbed as u64,
-            },
-        );
-    }
-}
-
-fn absorb_partials<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
-    let snap = ex.shared.partial_snapshot();
-    if snap.epoch <= worker.last_seen_partial_epoch {
-        return;
-    }
-    worker.last_seen_partial_epoch = snap.epoch;
-    // warm_start files each plan under its own table set (subset-filtered),
-    // so the flattened partial snapshot lands straight in the cache.
-    let absorbed = worker.rmq.warm_start(snap.plans.iter().cloned());
-    worker.absorbed += absorbed as u64;
-    ex.shared.record_absorbed(absorbed);
 }
 
 /// The scoped-thread worker body (standalone mode): iterate until the plan
-/// is exhausted, then flush a final publish so survivors found since the
-/// last periodic exchange are not lost. Returns iterations completed.
+/// is exhausted, then flush ([`flush_point`]). Returns iterations completed.
 fn run_worker<M: CostModel>(
     worker: &mut Worker<M>,
     mut plan: WorkPlan,
@@ -398,7 +404,7 @@ fn run_worker<M: CostModel>(
     let prev = span.as_ref().map(|s| spans::set_current(s.id()));
     let (done, _) = run_chunk(worker, &mut plan, u64::MAX, exchange);
     if let Some(ex) = exchange {
-        publish_point(worker, ex);
+        flush_point(worker, ex);
     }
     if let Some(prev) = prev {
         spans::set_current(prev);
@@ -448,10 +454,10 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                             ..cfg.base
                         },
                     ),
+                    port: ExchangePort::new(w as u32),
                     iterations: 0,
                     since_exchange: 0,
-                    last_seen_epoch: 0,
-                    last_seen_partial_epoch: 0,
+                    since_publish: 0,
                     absorbed: 0,
                 })
             })
@@ -543,7 +549,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         let mut plans = self.make_plans(budget, start, active);
         let shared = Arc::clone(&self.shared);
         let adaptive = Arc::clone(&self.adaptive);
-        let query = self.query;
         // Scoped threads start with an empty ambient span; hand them the
         // caller's so their batch spans parent to the enclosing session.
         let parent_span = spans::current();
@@ -565,7 +570,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                         let ex = ExchangeCtx {
                             shared,
                             adaptive,
-                            query,
+                            wide: active > 1,
                         };
                         let exchange = (!cfg.deterministic).then_some(&ex);
                         run_worker(worker, plan, exchange);
@@ -604,7 +609,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             let checked_in = Arc::clone(&checked_in);
             let shared = Arc::clone(&self.shared);
             let adaptive = Arc::clone(&self.adaptive);
-            let query = self.query;
             let det = cfg.deterministic;
             pool.spawn_in(&group, spec, move || {
                 let worker = slot.as_mut().expect("worker moved into this task");
@@ -617,7 +621,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                 let ex = ExchangeCtx {
                     shared: &shared,
                     adaptive: &adaptive,
-                    query,
+                    wide: active > 1,
                 };
                 let exchange = (!det).then_some(&ex);
                 let (done, finished) = run_chunk(worker, &mut plan, batch, exchange);
@@ -632,7 +636,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                     return TaskStatus::Yield;
                 }
                 if !det {
-                    publish_point(worker, &ex);
+                    flush_point(worker, &ex);
                 }
                 if let Some(prev) = prev {
                     spans::set_current(prev);
@@ -719,7 +723,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             .collect()
     }
 
-    /// Plans absorbed from global snapshots per worker.
+    /// Plans absorbed from the delta log per worker.
     pub fn worker_absorbed(&self) -> Vec<u64> {
         self.workers
             .iter()
@@ -902,7 +906,6 @@ mod tests {
         assert!(ex.publishes > 0, "workers must publish");
         assert!(ex.merged > 0, "someone's survivors must merge");
         assert!(ex.epochs > 0);
-        assert!(ex.arena_nodes > 0);
         assert!(
             ex.partial_offered > 0,
             "sub-query frontiers must be offered: {ex:?}"
@@ -1013,6 +1016,35 @@ mod tests {
             "dry publishes must raise the backoff level: {:?}",
             par.exchange_stats()
         );
+    }
+
+    #[test]
+    fn a_flush_right_after_an_exchange_publishes_nothing() {
+        // One worker, so the dry window is one publish: at the parent the
+        // end-of-round flush re-offered the frontier the 8th iteration had
+        // just published, merged nothing, and raised the backoff level.
+        let mut cfg = ParRmqConfig::seeded(4, 1);
+        cfg.exchange_period = 8;
+        let mut par = ParRmq::new(model(6), TableSet::prefix(6), cfg);
+        par.optimize(Budget::Iterations(8));
+        assert_eq!(par.exchange_stats().publishes, 1);
+        assert_eq!(par.backoff_level(), 0);
+        // Iterations since the last publish still go out with the flush.
+        par.optimize(Budget::Iterations(3));
+        assert_eq!(par.exchange_stats().publishes, 2);
+    }
+
+    #[test]
+    fn a_lone_worker_exchanges_no_partial_plans() {
+        let mut cfg = ParRmqConfig::seeded(5, 3);
+        cfg.exchange_period = 2;
+        let mut par = ParRmq::new(model(7), TableSet::prefix(7), cfg);
+        PlanExchange::set_effective_fan_out(&mut par, 1);
+        par.optimize(Budget::Iterations(40));
+        let ex = par.exchange_stats();
+        assert!(ex.publishes > 0 && ex.merged > 0, "{ex:?}");
+        assert_eq!((ex.partial_offered, ex.absorbed), (0, 0), "{ex:?}");
+        assert!(!par.frontier().is_empty());
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //! `StepScratch` and a cleared (capacity-keeping) arena, a climb takes its
 //! step frontier, its buffers and its step results from the scratch.
 //!
-//! One test per binary: the counting allocator is process-wide, and the
-//! per-thread switch keeps the harness' own threads out of the count.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! The counting allocator (`tests/common/counting_alloc.rs`) counts per
+//! thread and only while asked to.
 
 use moqo_core::arena::PlanArena;
 use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
@@ -16,32 +13,11 @@ use moqo_workload::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-thread_local! {
-    /// `Some(n)` while this thread is being measured.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct Counting;
-
-// SAFETY: every request is forwarded unchanged to `System`; the only extra
-// work is bumping a const-initialized, destructor-free thread-local `Cell`,
-// which neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get().map(|n| n + 1)));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get().map(|n| n + 1)));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 #[test]
 fn third_climb_over_reused_scratch_and_cleared_arena_allocates_nothing() {
@@ -58,9 +34,10 @@ fn third_climb_over_reused_scratch_and_cleared_arena_allocates_nothing() {
         arena.clear();
         let mut rng = StdRng::seed_from_u64(3);
         let start = random_plan_in(&mut arena, &model, query.tables(), &mut rng);
-        ALLOCATIONS.with(|c| c.set(Some(0)));
-        let (_, stats) = pareto_climb_in(&mut arena, start, &model, &cfg, &mut scratch);
-        allocations.push(ALLOCATIONS.with(|c| c.replace(None)).expect("was counting"));
+        let ((_, stats), allocated) = counting_alloc::count(|| {
+            pareto_climb_in(&mut arena, start, &model, &cfg, &mut scratch)
+        });
+        allocations.push(allocated);
         steps.push(stats.steps as u64);
     }
     assert!(steps[2] >= 2, "climb too short to say much: {steps:?}");
