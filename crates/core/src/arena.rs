@@ -42,6 +42,7 @@
 //! re-interning, used by the service cache's compaction).
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 
 use crate::cost::CostVector;
@@ -264,27 +265,34 @@ impl PlanArena {
     /// allocated; debug builds assert the cached properties agree with the
     /// candidate's (they must, for a fixed cost model).
     fn intern(&mut self, kind: PlanNodeKind, rel: TableSet, props: PlanProps) -> PlanId {
-        if let Some(&id) = self.intern.get(&kind) {
-            self.dedup_hits += 1;
-            debug_assert_eq!(
-                self.nodes[id.index()].cost.as_slice(),
-                props.cost.as_slice(),
-                "intern hit disagrees on cost: one arena, one cost model"
-            );
-            return id;
+        // One probe serves the hit and the insert.
+        match self.intern.entry(kind) {
+            Entry::Occupied(hit) => {
+                let id = *hit.get();
+                self.dedup_hits += 1;
+                debug_assert_eq!(
+                    self.nodes[id.index()].cost.as_slice(),
+                    props.cost.as_slice(),
+                    "intern hit disagrees on cost: one arena, one cost model"
+                );
+                id
+            }
+            Entry::Vacant(slot) => {
+                let id =
+                    PlanId(u32::try_from(self.nodes.len()).expect("arena full: > u32::MAX nodes"));
+                self.interned_total += 1;
+                self.nodes.push(PlanNode {
+                    kind,
+                    rel,
+                    cost: props.cost,
+                    rows: props.rows,
+                    pages: props.pages,
+                    format: props.format,
+                });
+                slot.insert(id);
+                id
+            }
         }
-        let id = PlanId(u32::try_from(self.nodes.len()).expect("arena full: > u32::MAX nodes"));
-        self.interned_total += 1;
-        self.nodes.push(PlanNode {
-            kind,
-            rel,
-            cost: props.cost,
-            rows: props.rows,
-            pages: props.pages,
-            format: props.format,
-        });
-        self.intern.insert(kind, id);
-        id
     }
 
     /// The canonical id of the scan `(table, op)`, if already interned.

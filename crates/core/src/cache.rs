@@ -20,8 +20,10 @@
 //! few already-known members too, never miss a fresh one. The parallel
 //! optimizer publishes exactly these suffixes at an exchange point instead
 //! of re-offering the whole cache. Nobody else clears the list: in a
-//! sequential run it simply stops growing at
-//! [`PlanCache::num_table_sets`] entries.
+//! sequential run it simply stops growing at no more than
+//! [`PlanCache::num_table_sets`] entries, and its suffixes are everything
+//! the optimizer admitted itself — what `Rmq::export_plans` hands a
+//! finished session's publisher.
 
 use crate::archive::Admission;
 use crate::cost::CostVector;

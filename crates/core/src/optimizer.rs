@@ -271,13 +271,17 @@ pub trait Optimizer {
 /// [`Rmq`]: crate::rmq::Rmq
 pub trait PlanExchange: Optimizer + Send {
     /// Absorbs previously optimized partial plans (warm start). Returns how
-    /// many plans were actually incorporated.
+    /// many plans were accepted: incorporated at once, or kept aside to be
+    /// incorporated when the optimizer first needs them (see
+    /// [`Rmq::warm_start`](crate::rmq::Rmq::warm_start)); `0` for plans it
+    /// cannot use (a foreign cost dimension, tables outside its query).
     fn absorb_plans(&mut self, plans: &[PlanRef]) -> usize {
         let _ = plans;
         0
     }
 
-    /// Exports partial plans for reuse by other optimizer instances.
+    /// Exports partial plans for reuse by other optimizer instances: what
+    /// this optimizer found itself. What it absorbed is not echoed.
     fn export_plans(&self) -> Vec<PlanRef> {
         Vec::new()
     }

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::archive::{Admission, ArchiveConfig};
-use crate::arena::{ImportMemo, PlanArena, PlanId};
+use crate::arena::{ImportMemo, PlanArena, PlanId, PlanNodeKind};
 use crate::cache::PlanCache;
 use crate::climb::{
     pareto_climb_aborting_in, pareto_climb_in, ClimbConfig, ClimbStats, StepScratch,
@@ -123,6 +123,17 @@ impl RmqStats {
     }
 }
 
+/// What became of the warm-start plans an [`Rmq`] parked
+/// ([`Rmq::warm_start`]); lifetime totals.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WarmStartStats {
+    /// Plans parked: accepted for a table set the session had not touched.
+    pub parked: u64,
+    /// Parked plans since offered to the plan cache, because a climbed plan
+    /// contained their table set. `parked - imported` are still parked.
+    pub imported: u64,
+}
+
 /// The RMQ optimizer (Algorithm 1).
 ///
 /// Generic over how the model is held: pass `&model` for the classic
@@ -135,8 +146,10 @@ impl RmqStats {
 /// approximation move `Copy` [`PlanId`]s, and structurally identical
 /// subplans rediscovered across iterations are interned once. `Arc<Plan>`
 /// trees appear only at the API boundary — [`Rmq::frontier`] exports
-/// (memoized) and [`Rmq::warm_start`] imports. The arena lives and dies
-/// with the optimizer (see [`crate::arena`] for the lifetime contract).
+/// (memoized) and [`Rmq::warm_start`] imports, lazily: a warm-start plan
+/// enters the arena when the session first touches its table set. The arena
+/// lives and dies with the optimizer (see [`crate::arena`] for the lifetime
+/// contract).
 pub struct Rmq<M: CostModel> {
     model: M,
     query: TableSet,
@@ -152,10 +165,20 @@ pub struct Rmq<M: CostModel> {
     climb_arena: PlanArena,
     /// Reused id-translation memo for that adoption.
     adopt_memo: FxHashMap<PlanId, PlanId>,
-    /// What [`Rmq::warm_start`] has imported into `arena` so far: warm-start
-    /// plans arrive in related batches (an exchange partner's survivors, a
-    /// finished session's cache) that share most of their sub-trees.
+    /// What of the warm start has been imported into `arena` so far:
+    /// warm-start plans arrive in related batches (an exchange partner's
+    /// survivors, a finished session's cache) that share most of their
+    /// sub-trees.
     import_memo: ImportMemo,
+    /// Warm-start plans for table sets the session has not touched yet, in
+    /// arrival order ([`Rmq::warm_start`]). A list leaves the map when a
+    /// climbed plan first contains its table set, so no table set ever has
+    /// both parked plans and a cache entry.
+    parked: FxHashMap<TableSet, Vec<PlanRef>>,
+    /// Lifetime parked/imported totals.
+    warm: WarmStartStats,
+    /// The part of `warm` already flushed to the `moqo-obs` registry.
+    flushed_warm: WarmStartStats,
     cache: PlanCache<PlanId>,
     /// Result archive used when `share_cache` is disabled.
     results: ParetoSet<PlanId>,
@@ -207,6 +230,9 @@ impl<M: CostModel> Rmq<M> {
             climb_arena: PlanArena::new(),
             adopt_memo: FxHashMap::default(),
             import_memo: ImportMemo::default(),
+            parked: FxHashMap::default(),
+            warm: WarmStartStats::default(),
+            flushed_warm: WarmStartStats::default(),
             cache: PlanCache::new(),
             results: ParetoSet::new(),
             iteration: 0,
@@ -315,6 +341,12 @@ impl<M: CostModel> Rmq<M> {
                 .arena
                 .adopt(&self.climb_arena, climb_opt, &mut self.adopt_memo);
             self.climb_arena.clear();
+            // First touch: the frontier approximation reads and writes the
+            // table sets of this plan only, so these are the only parked
+            // lists it could ever see.
+            if !self.parked.is_empty() {
+                self.import_parked(opt_plan);
+            }
             approximate_frontiers_in(
                 &mut self.arena,
                 opt_plan,
@@ -364,6 +396,29 @@ impl<M: CostModel> Rmq<M> {
         Some(climb_stats)
     }
 
+    /// Offers the plan cache the parked warm-start plans of every table set
+    /// that occurs in the plan rooted at `id` (at most 2n−1 of them), in
+    /// arrival order and under exact pruning — what [`Rmq::warm_start`]
+    /// does at once for a table set that is already live.
+    fn import_parked(&mut self, id: PlanId) {
+        let node = self.arena.node(id);
+        let (rel, kind) = (node.rel(), node.kind());
+        if let PlanNodeKind::Join { outer, inner, .. } = kind {
+            self.import_parked(outer);
+            self.import_parked(inner);
+        }
+        if let Some(plans) = self.parked.remove(&rel) {
+            self.warm.imported += plans.len() as u64;
+            let (arena, memo) = (&mut self.arena, &mut self.import_memo);
+            let mut slot = self.cache.slot_absorbing(rel);
+            for plan in &plans {
+                slot.insert_with(plan.cost(), plan.format(), &Admission::exact(), || {
+                    arena.import_memoized(plan, memo)
+                });
+            }
+        }
+    }
+
     /// Appends one convergence checkpoint for the current state, evicting
     /// the oldest if the bounded ring is full. Skips exact duplicates (a
     /// forced final sample at an iteration that just hit a mark).
@@ -399,7 +454,8 @@ impl<M: CostModel> Rmq<M> {
     }
 
     /// Flushes this iteration's observation deltas — the climb scratch's
-    /// screening tallies and the arenas' intern deltas — to the global
+    /// screening tallies, the arenas' intern deltas and the warm start's
+    /// parked/imported deltas — to the global
     /// `moqo-obs` registry, and emits one `Iteration` journal event when
     /// the `climb` target is enabled. Called once per **completed**
     /// iteration (aborted iterations are discarded wholesale), so the hot
@@ -434,6 +490,11 @@ impl<M: CostModel> Rmq<M> {
         m.arena_dedup_hits.add(dedup_hits - self.flushed_dedup_hits);
         self.flushed_interns = interns;
         self.flushed_dedup_hits = dedup_hits;
+        m.warm_parked
+            .add(self.warm.parked - self.flushed_warm.parked);
+        m.warm_imported
+            .add(self.warm.imported - self.flushed_warm.imported);
+        self.flushed_warm = self.warm;
         if journal::enabled(journal::Target::Climb, journal::Level::Debug) {
             ctx::set_iteration(self.iteration);
             let frontier = self.frontier_set().map_or(0, ParetoSet::len) as u64;
@@ -488,8 +549,8 @@ impl<M: CostModel> Rmq<M> {
 
     /// Empties the cache's change list ([`PlanCache::changed_sets`]): the
     /// parallel optimizer calls this right after it has published the list.
-    /// The list has one reader; a second one would miss what the first
-    /// cleared.
+    /// The list has one reader; a second one — [`PlanExchange::export_plans`]
+    /// is one — would miss what the first cleared.
     pub fn clear_changed_sets(&mut self) {
         self.cache.clear_changed();
     }
@@ -505,16 +566,29 @@ impl<M: CostModel> Rmq<M> {
         &self.model
     }
 
-    /// Warm-starts the optimizer by seeding its partial-plan cache with
-    /// previously optimized plans (§4.3's sharing mechanism, extended
-    /// across queries: the optimization service injects partial plans from
-    /// completed sessions over the same catalog). Only plans for strict
+    /// Warm-starts the optimizer with previously optimized plans (§4.3's
+    /// sharing mechanism, extended across queries: the optimization service
+    /// offers partial plans from completed sessions over the same catalog,
+    /// parallel workers offer each other's survivors). Only plans for
     /// subsets-or-equal of this query's table set are useful; others are
-    /// ignored. Plans are inserted with exact pruning
-    /// ([`Admission::exact`]) so a warm start can never evict better plans
-    /// found later. Returns the number of plans absorbed into the cache.
-    /// Absorbed plans do not enter the cache's change list
-    /// ([`PlanCache::slot_absorbing`]).
+    /// ignored.
+    ///
+    /// The import is lazy, because the frontier approximation only ever
+    /// reads the table sets of the plan it just climbed. A plan for the query
+    /// itself, or for a table set the plan cache already holds, is offered to
+    /// that frontier at once; every other plan is **parked** — one `Arc`
+    /// clone under its table set, no arena node, no cache entry — and the
+    /// parked plans of a table set are offered, in arrival order, when a
+    /// climbed plan first contains it, before the session's own candidates
+    /// for that set. Per-table-set frontiers are independent, so every
+    /// frontier the session reads has seen the same offers in the same order
+    /// as under an eager import; plans for sets it never touches are dropped
+    /// with the session. Offers use exact pruning ([`Admission::exact`]), so
+    /// a warm start can never evict better plans found later, and stay off
+    /// the cache's change list ([`PlanCache::slot_absorbing`]).
+    ///
+    /// Returns the number of plans **accepted**: admitted at once plus
+    /// parked.
     ///
     /// With `share_cache` disabled (the cache ablation), there is no
     /// partial-plan cache to seed, but **full-query** plans still enter the
@@ -525,41 +599,51 @@ impl<M: CostModel> Rmq<M> {
     where
         I: IntoIterator<Item = PlanRef>,
     {
-        let mut absorbed = 0;
+        let exact = Admission::exact();
+        let mut accepted = 0;
         if !self.cfg.share_cache {
-            for plan in plans {
-                if plan.rel() != self.query {
-                    continue;
-                }
-                let cost = *plan.cost();
-                let format = plan.format();
+            for plan in plans.into_iter().filter(|p| p.rel() == self.query) {
                 let (arena, memo) = (&mut self.arena, &mut self.import_memo);
-                if self.results.admit(&cost, format, &Admission::exact(), || {
+                let admitted = self.results.admit(plan.cost(), plan.format(), &exact, || {
                     arena.import_memoized(&plan, memo)
-                }) {
-                    absorbed += 1;
-                }
+                });
+                accepted += usize::from(admitted);
             }
-            return absorbed;
+            return accepted;
         }
         for plan in plans {
-            if !plan.rel().is_subset(self.query) {
+            let rel = plan.rel();
+            if !rel.is_subset(self.query) {
                 continue;
             }
-            let rel = plan.rel();
-            let cost = *plan.cost();
-            let format = plan.format();
-            let (arena, memo) = (&mut self.arena, &mut self.import_memo);
-            if self.cache.slot_absorbing(rel).insert_with(
-                &cost,
-                format,
-                &Admission::exact(),
-                || arena.import_memoized(&plan, memo),
-            ) {
-                absorbed += 1;
+            if rel == self.query || self.cache.frontier_set(rel).is_some() {
+                let (arena, memo) = (&mut self.arena, &mut self.import_memo);
+                let admitted = self.cache.slot_absorbing(rel).insert_with(
+                    plan.cost(),
+                    plan.format(),
+                    &exact,
+                    || arena.import_memoized(&plan, memo),
+                );
+                accepted += usize::from(admitted);
+            } else {
+                self.parked.entry(rel).or_default().push(plan);
+                self.warm.parked += 1;
+                accepted += 1;
             }
         }
-        absorbed
+        accepted
+    }
+
+    /// How many warm-start plans were parked and how many of those the
+    /// session went on to import (lifetime totals; diagnostics and tests).
+    pub fn warm_start_stats(&self) -> WarmStartStats {
+        self.warm
+    }
+
+    /// The table sets that still have parked warm-start plans, with how
+    /// many, in unspecified order (diagnostics and tests).
+    pub fn parked_sets(&self) -> impl Iterator<Item = (TableSet, usize)> + '_ {
+        self.parked.iter().map(|(rel, plans)| (*rel, plans.len()))
     }
 
     /// The query being optimized.
@@ -591,12 +675,18 @@ impl<M: CostModel + Send> PlanExchange for Rmq<M> {
         self.warm_start(plans.iter().filter(|p| p.cost().dim() == dim).cloned())
     }
 
+    /// The fresh suffixes of the cache's change list
+    /// ([`PlanCache::changed_sets`]): every plan this optimizer admitted
+    /// itself since the list was last cleared — for a stand-alone `Rmq`,
+    /// which never clears it, since creation. Absorbed plans stay off the
+    /// list, so a warm start is not echoed (an eviction can stretch a suffix
+    /// over a few absorbed neighbours, never make it miss a fresh plan).
     fn export_plans(&self) -> Vec<PlanRef> {
         // Cached handles are PlanIds into the session arena; exchange
         // partners speak `Arc<Plan>`, so export at the boundary (memoized).
         let mut out = Vec::new();
-        for (_, plans) in self.cache().entries() {
-            out.extend(plans.iter().map(|&id| self.arena.export(id)));
+        for (_, set, from) in self.cache.changed_sets() {
+            out.extend(set.plans()[from..].iter().map(|&id| self.arena.export(id)));
         }
         out
     }

@@ -477,6 +477,17 @@ fn run_single_service(opts: &Options) {
         stats.cache.hits,
         stats.cache.lookups,
     );
+    print_warm_start(&obs);
+}
+
+/// How much of what sessions absorbed they went on to use: plans parked by
+/// table set at a warm start, and those imported when first touched.
+fn print_warm_start(obs: &moqo_obs::ObsSnapshot) {
+    let (parked, imported) = (obs.counter("warm.parked"), obs.counter("warm.imported"));
+    println!(
+        "  warm start      {parked} plans parked, {imported} imported on first touch ({:.0}%)",
+        100.0 * imported as f64 / parked.max(1) as f64,
+    );
 }
 
 /// Front-door mode: zipfian multi-tenant traffic through the sharded
@@ -595,6 +606,7 @@ fn run_front_door(opts: &Options) {
         fd.quota_rejected
     );
     println!("  degrade level   {}", fd.degrade_level);
+    print_warm_start(&moqo_obs::ObsSnapshot::capture());
     let mut breached_any = 0u64;
     for (i, stats) in door.shard_stats().iter().enumerate() {
         breached_any |= stats.slo_breached;

@@ -328,6 +328,14 @@ pub struct Metrics {
     pub arena_interns: ShardedCounter,
     /// Plan-arena intern requests answered by an existing node.
     pub arena_dedup_hits: ShardedCounter,
+    /// Warm-start plans an optimizer parked: accepted for a table set it had
+    /// not touched yet, at the cost of one `Arc` clone (`Rmq::warm_start`).
+    /// Flushed per iteration, so a session that never iterates adds nothing.
+    pub warm_parked: ShardedCounter,
+    /// Parked plans offered to the plan cache because a climbed plan
+    /// contained their table set. `warm.imported / warm.parked` is how much
+    /// of the warm start this traffic ever used.
+    pub warm_imported: ShardedCounter,
     /// Shared-frontier publish calls.
     pub exchange_publishes: Counter,
     /// Plans offered to the shared frontier across all publishes.
@@ -336,10 +344,11 @@ pub struct Metrics {
     pub exchange_merged: Counter,
     /// Snapshot epoch bumps (one per publish that admitted anything).
     pub exchange_epochs: Counter,
-    /// Plans workers admitted into their caches out of the shared
-    /// frontier's delta log: full-query and sub-query survivors that
-    /// *another* worker published since the absorber last looked (a worker
-    /// never reads its own entries back).
+    /// Plans workers accepted out of the shared frontier's delta log —
+    /// admitted into a live cache frontier at once, or parked until the
+    /// worker touches their table set (`Rmq::warm_start`): full-query and
+    /// sub-query survivors that *another* worker published since the
+    /// absorber last looked (a worker never reads its own entries back).
     pub exchange_absorbed: Counter,
     /// Sub-query (partial-plan) frontier members offered to the shared
     /// frontier's table-set-keyed partial exchange. A worker offers a
@@ -426,7 +435,8 @@ pub struct Metrics {
     /// at slice granularity — the sampled clock that avoids a per-step
     /// `Instant::now`).
     pub service_slice_us: Histogram,
-    /// Plans absorbed from the cross-query cache per warm-started session.
+    /// Plans accepted from the cross-query cache per session at submit:
+    /// admitted at once plus parked (`Rmq::warm_start`); 0 on a cache miss.
     pub service_warm_start_depth: Histogram,
     /// Peak buffered rows per executed plan.
     pub exec_peak_buffer_rows: Histogram,
@@ -447,6 +457,8 @@ impl Metrics {
             pareto_archive_size: Gauge::new(),
             arena_interns: ShardedCounter::new(),
             arena_dedup_hits: ShardedCounter::new(),
+            warm_parked: ShardedCounter::new(),
+            warm_imported: ShardedCounter::new(),
             exchange_publishes: Counter::new(),
             exchange_offered: Counter::new(),
             exchange_merged: Counter::new(),
@@ -506,6 +518,8 @@ impl Metrics {
             ("pareto.archive_size", self.pareto_archive_size.get()),
             ("arena.interns", self.arena_interns.get()),
             ("arena.dedup_hits", self.arena_dedup_hits.get()),
+            ("warm.parked", self.warm_parked.get()),
+            ("warm.imported", self.warm_imported.get()),
             ("exchange.publishes", self.exchange_publishes.get()),
             ("exchange.offered", self.exchange_offered.get()),
             ("exchange.merged", self.exchange_merged.get()),

@@ -39,9 +39,10 @@
 //! A logged plan may since have been evicted from its shared frontier by a
 //! better one. The log keeps it anyway: the evictor was appended after it,
 //! so a reader that absorbs the stale plan absorbs its evictor in the same
-//! or a later read, and `Rmq::warm_start` inserts under exact pruning, where
-//! the evictor removes the stale plan again (or rejects it, if it arrives
-//! second). The log therefore grows by exactly the plans that ever merged,
+//! or a later read, and `Rmq::warm_start` offers a table set's arrivals in
+//! arrival order under exact pruning (at once, or all of them when the
+//! reader first touches the set), where the evictor removes the stale plan
+//! again (or rejects it, if it arrives second). The log therefore grows by exactly the plans that ever merged,
 //! at two words apiece on top of trees their publisher's arena memoizes
 //! anyway.
 //!

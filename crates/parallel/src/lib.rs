@@ -81,7 +81,11 @@
 //!   never its own plans. An entry that has since been evicted from its
 //!   shared frontier is harmless: its evictor follows it in the log and
 //!   removes it again under the warm start's exact pruning. With nothing new
-//!   the absorb is one atomic load.
+//!   the absorb is one atomic load. The warm start is lazy
+//!   ([`Rmq::warm_start`]): a plan for a table set the worker's cache holds
+//!   is offered at once, any other is parked by table set and offered, in
+//!   arrival order, when the worker first climbs a plan over that set —
+//!   most sub-query frontiers of the other workers are never imported.
 //! * **No echo.** Absorbed plans enter the cache through
 //!   [`PlanCache::slot_absorbing`](moqo_core::cache::PlanCache::slot_absorbing),
 //!   which does not put their table set on the change list — they came out

@@ -5,8 +5,11 @@
 //! **across queries**: when a session finishes, its non-dominated partial
 //! plans are published here keyed by `(context fingerprint, table set)`;
 //! when a new session is admitted, every published frontier whose table set
-//! is contained in the new query is injected into the fresh optimizer's
-//! cache (an exact-pruning warm start, see `Rmq::warm_start`).
+//! is contained in the new query is handed to the fresh optimizer, which
+//! parks it by table set and imports a frontier into its own cache when it
+//! first touches that set (an exact-pruning, lazy warm start, see
+//! `Rmq::warm_start`). A finished session publishes what it found itself —
+//! what it absorbed is not echoed back (`Rmq::export_plans`).
 //!
 //! The **context fingerprint** must capture everything that makes two
 //! sessions' cost vectors comparable: the catalog statistics *and* the cost
@@ -44,7 +47,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use moqo_core::archive::Admission;
-use moqo_core::arena::{PlanArena, PlanId};
+use moqo_core::arena::{ImportMemo, PlanArena, PlanId};
 use moqo_core::cost::CostVector;
 use moqo_core::fxhash::{FxHashMap, FxHashSet};
 use moqo_core::model::OutputFormat;
@@ -247,13 +250,16 @@ impl SharedPlanCache {
         inner.clock += 1;
         let clock = inner.clock;
         let per_entry_cap = self.config.max_plans_per_entry;
+        // One session's plans share most of their sub-trees (by `Arc`, its
+        // arena's exports are memoized): walk each once per publish.
+        let mut memo = ImportMemo::default();
         for plan in plans {
             let rel = plan.rel();
             // Compaction-on-cache-insert: re-intern the session's plan into
             // the cache arena. The resulting id is canonical, so the
             // `(context, PlanId)` index catches an exact re-publish with
             // one probe — no dominance scan, no tree walk.
-            let id = inner.arena.import(&plan);
+            let id = inner.arena.import_memoized(&plan, &mut memo);
             if inner.ids.contains(&(context, id)) {
                 inner.identity_rejects += 1;
                 continue;
@@ -522,6 +528,34 @@ mod tests {
         // The second publish added only its two new nodes (T2 scan + root):
         // the shared (T0 ⋈ T1) subtree was interned already.
         assert_eq!(after - before, 2, "subplan sharing failed");
+    }
+
+    #[test]
+    fn one_publish_walks_a_shared_subtree_once_and_lands_on_import_s_ids() {
+        use moqo_core::model::{JoinOpId, ScanOpId};
+        let model = StubModel::line(3, 2, 1);
+        let s = |t: usize| Plan::scan(&model, TableId::new(t), ScanOpId(0));
+        // Three incomparable roots over the same two operand `Arc`s.
+        let (sub, s2) = (Plan::join(&model, s(0), s(1), JoinOpId(0)), s(2));
+        let plans: Vec<PlanRef> = (0..3u16)
+            .map(|op| Plan::join(&model, sub.clone(), s2.clone(), JoinOpId(op)))
+            .collect();
+        let cache = SharedPlanCache::new(CacheConfig::default());
+        cache.publish(1, plans.clone());
+        let inner = cache.inner.lock().unwrap();
+        // 4 operand nodes + 3 roots, each interned by a miss: the second and
+        // third plan found their operands in the memo, not in the arena.
+        let stats = inner.arena.stats();
+        assert_eq!((stats.misses, stats.dedup_hits), (7, 0));
+        let mut reference = PlanArena::new();
+        let expected: Vec<PlanId> = plans.iter().map(|p| reference.import(p)).collect();
+        assert_eq!(reference.stats().dedup_hits, 8, "what a plain import pays");
+        let stored: Vec<PlanId> = inner.map[&1][&plans[0].rel()]
+            .plans
+            .iter()
+            .map(|c| c.id)
+            .collect();
+        assert_eq!(stored, expected);
     }
 
     #[test]

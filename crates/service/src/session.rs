@@ -82,7 +82,7 @@ pub(crate) struct SessionState {
     /// its queueing delay (`None` until first stepped).
     pub first_step_at: Option<Instant>,
     pub first_frontier_at: Option<Instant>,
-    /// Plans absorbed from the cross-query cache at warm-start.
+    /// Plans accepted from the cross-query cache at warm-start.
     pub absorbed: usize,
 }
 
@@ -151,8 +151,10 @@ impl SessionHandle {
         self.shared.state.lock().unwrap().status
     }
 
-    /// Number of partial plans the session absorbed from the cross-query
-    /// cache at warm-start (`> 0` means the cache had overlapping state).
+    /// Number of partial plans the session's optimizer accepted from the
+    /// cross-query cache at warm-start (`> 0` means the cache had
+    /// overlapping state): admitted into its query frontier at once, or
+    /// parked until it first touches their table set (`Rmq::warm_start`).
     pub fn absorbed_plans(&self) -> usize {
         self.shared.state.lock().unwrap().absorbed
     }

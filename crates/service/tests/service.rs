@@ -605,3 +605,64 @@ fn updates_stream_gives_up_when_nothing_steps_the_session() {
         "stream must terminate promptly via the idle timeout"
     );
 }
+
+/// The cross-query cache ends where it ended when every finished session
+/// re-published all it had absorbed — without the echo. Serial traffic on
+/// one worker, so every count repeats exactly: 40 sessions over 6 query
+/// templates (5–9 of 12 chain tables), 40 iterations each.
+#[test]
+fn serial_sessions_leave_the_cache_as_an_echoing_publish_did() {
+    use moqo_cost::{ResourceCostModel, ResourceMetric};
+    use moqo_workload::TrafficSpec;
+
+    let spec = TrafficSpec {
+        min_query_tables: 5,
+        max_query_tables: 9,
+        ..TrafficSpec::chain(12, 40, 7)
+    };
+    let (catalog, sessions) = spec.generate_skewed(1, 0.0, 6, 1.0);
+    let model = Arc::new(ResourceCostModel::new(
+        catalog,
+        &[ResourceMetric::Time, ResourceMetric::Buffer],
+    ));
+    let service = OptimizationService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let mut warm_started = 0;
+    for (i, session) in sessions.iter().enumerate() {
+        let tables = session.query.tables();
+        let handle = service
+            .submit(SessionRequest {
+                optimizer: Box::new(Rmq::new(
+                    Arc::clone(&model),
+                    tables,
+                    RmqConfig::seeded(i as u64),
+                )),
+                budget: Budget::Iterations(40),
+                query: tables,
+                context: 1,
+            })
+            .expect("admitted");
+        handle.wait_done(WAIT).expect("completes");
+        warm_started += usize::from(handle.absorbed_plans() > 0);
+    }
+    assert_eq!(warm_started, 39);
+    // Recorded at the parent commit, where the same traffic also made
+    // 19127 identity-rejected publishes (478 per session).
+    let stats = service.cache_stats();
+    assert_eq!(
+        (
+            stats.plans,
+            stats.entries,
+            stats.published,
+            stats.arena_nodes
+        ),
+        (1301, 587, 1423, 1349)
+    );
+    assert!(
+        stats.identity_rejects < 5 * sessions.len() as u64,
+        "{} identity rejects",
+        stats.identity_rejects
+    );
+}
