@@ -102,7 +102,7 @@ impl<M: CostModel> Nsga2<M> {
         for _ in 0..params.population {
             let genome: Genome = (0..genome_len).map(|_| rng.random()).collect();
             let plan = decode(&mut arena, &model, &tables, &genome);
-            let cost = *arena.node(plan).cost();
+            let cost = arena.cost(plan);
             population.push(Individual {
                 genome,
                 plan,
@@ -327,7 +327,7 @@ impl<M: CostModel> Optimizer for Nsga2<M> {
         // Evaluate offspring and pool with parents (elitism).
         for genome in offspring {
             let plan = decode(&mut self.arena, &self.model, &self.tables, &genome);
-            let cost = *self.arena.node(plan).cost();
+            let cost = self.arena.cost(plan);
             self.population.push(Individual {
                 genome,
                 plan,

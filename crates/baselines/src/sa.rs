@@ -3,10 +3,11 @@
 //! Follows the SAIO variant described by Steinbrunn et al., generalized to
 //! several cost metrics the way the paper does (§6.1): "our generalization
 //! uses the average cost difference between the current plan and its
-//! neighbor, averaging over all cost metrics". We average *relative*
-//! per-metric differences so metrics with different units are commensurable
-//! (an implementation choice documented in DESIGN.md; absolute differences
-//! would let the largest-magnitude metric dominate the acceptance test).
+//! neighbor, averaging over all cost metrics". This implementation departs
+//! from that: it averages *relative* per-metric differences, where §6.1
+//! says "average cost difference", so that metrics with different units are
+//! commensurable (absolute differences would let the largest-magnitude
+//! metric dominate the acceptance test).
 //!
 //! One optimizer step is one annealing *stage*: `moves_per_stage` random
 //! neighbor proposals at the current temperature, followed by geometric
@@ -171,8 +172,8 @@ impl<M: CostModel> Optimizer for SimulatedAnnealing<M> {
                 continue;
             };
             self.proposed += 1;
-            let current_cost = *self.arena.node(self.current).cost();
-            let candidate_cost = *self.arena.node(candidate).cost();
+            let current_cost = self.arena.cost(self.current);
+            let candidate_cost = self.arena.cost(candidate);
             let delta = Self::relative_delta(&current_cost, &candidate_cost);
             let accept =
                 delta <= 0.0 || self.rng.random::<f64>() < (-delta / self.temperature).exp();

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out (paper §4.2/§4.3):
+//! Ablations of the paper's design choices (§4.2/§4.3):
 //!
 //! 1. **Fast vs. naive climbing** — the recursive multi-mutation
 //!    `ParetoStep` against single-mutation climbing with full-plan

@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the Pareto-pruning kernel: raw dominance relations,
-//! bucketed vs. linear-scan `ParetoSet` insertion (climb and approximate
-//! pruning), and the scratch-reusing arena climb `Rmq` runs.
+//! member-array vs. linear-scan `ParetoSet` insertion (climb and
+//! approximate pruning), admission into the cached-set shape, and the
+//! scratch-reusing arena climb `Rmq` runs.
 //!
-//! The bucketed-vs-linear groups quantify the PR-2 hot-path overhaul: the
-//! format-bucketed, aggregate-key-filtered `ParetoSet` against the flat
+//! The `bucketed`-vs-`linear` groups pit the member-array, aggregate-key
+//! filtered `ParetoSet` (block-indexed past its crossover) against the flat
 //! `Vec<PlanRef>` reference (`LinearParetoSet`) over identical candidate
 //! streams. The deterministic perf-baseline harness
 //! (`cargo run -p moqo-bench --bin harness`) measures the same kernels and
@@ -14,7 +15,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use moqo_bench::{candidate_stream, cost_pairs, resource_model};
+use moqo_bench::{
+    admit_cached_shape, cached_shape_stream, candidate_stream, cost_pairs, resource_model,
+};
 use moqo_core::archive::Admission;
 use moqo_core::arena::PlanArena;
 use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
@@ -116,6 +119,22 @@ fn bench_insert_climb(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_admit_cached_shape(c: &mut Criterion) {
+    // Two output formats, at most 8 members: the shape of almost every
+    // cached table set (see `cached_shape_stream`).
+    let mut group = c.benchmark_group("admit_cached_shape");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .sample_size(30);
+    for dim in [2usize, 3] {
+        let stream = cached_shape_stream(dim, 29);
+        group.bench_with_input(BenchmarkId::from_parameter(dim), &stream, |b, stream| {
+            b.iter(|| black_box(admit_cached_shape(stream)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_climb_step_scratch(c: &mut Criterion) {
     // The production climb, as `Rmq` runs it every iteration: clear the
     // transient arena, draw the start plan, climb with a long-lived scratch.
@@ -151,6 +170,7 @@ criterion_group!(
     bench_dominance,
     bench_insert_approx,
     bench_insert_climb,
+    bench_admit_cached_shape,
     bench_climb_step_scratch
 );
 criterion_main!(benches);

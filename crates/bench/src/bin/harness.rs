@@ -24,7 +24,9 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use moqo_bench::{candidate_stream, cost_pairs, resource_model};
+use moqo_bench::{
+    admit_cached_shape, cached_shape_stream, candidate_stream, cost_pairs, resource_model,
+};
 use moqo_core::archive::{Admission, EpsFactors};
 use moqo_core::arena::PlanArena;
 use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
@@ -57,7 +59,7 @@ use rand::SeedableRng;
 /// counter deltas (climb-stage screening, arena interning), deterministic
 /// and gated bit-for-bit by `bench_diff`.
 /// v5 (additive over v4): many-objective scaling — `dominance_screen_*`
-/// micro kernels (block SoA archive screening vs the legacy scalar loop at
+/// micro kernels (`ParetoSet` archive screening vs a plain scalar loop at
 /// d ∈ {2,4,6,8,10}) with the `dominance_soa_vs_scalar_d8` speedup, the
 /// `eps_archive` section (archive-size-vs-ε curve on an anti-correlated
 /// d=8 stream, exact-archive blowup ratio), the `rmq_dim` end-to-end
@@ -86,7 +88,10 @@ use rand::SeedableRng;
 /// machine-dependent (presence-checked), and the headline
 /// `degraded_vs_plain_shed` ratio is gated like the parallel-scaling
 /// ratios — demoted to a warning at `host_parallelism == 1`.
-const SCHEMA_VERSION: u32 = 8;
+/// v9 (additive over v8): the `admit_cached_shape_d{2,3}` micro kernels —
+/// admission into the shape of almost every cached table set (two output
+/// formats, at most 8 members).
+const SCHEMA_VERSION: u32 = 9;
 
 #[derive(Serialize)]
 struct Baseline {
@@ -262,8 +267,9 @@ struct Speedups {
     plan_build_arena_vs_arc: f64,
     plan_mutate_arena_vs_arc: f64,
     plan_eq_arena_vs_arc: f64,
-    /// Block SoA archive screening vs the legacy scalar member loop on the
-    /// same d=8 stream (schema v5; > 1 means the SoA kernel is faster).
+    /// `ParetoSet` archive screening (block SoA kernel at this size) vs the
+    /// plain scalar member loop on the same d=8 stream (schema v5; > 1
+    /// means the set is faster).
     dominance_soa_vs_scalar_d8: f64,
 }
 
@@ -628,13 +634,15 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
         std::hint::black_box(set.len());
     }));
 
-    // 2b. Archive dominance screening across dimensions: the block SoA
-    // kernel inside `ParetoSet` vs the legacy scalar per-member loop
-    // (aggregate-key filter + component-wise dominance over a flat
-    // `Vec<CostVector>`), both building an exact archive from the same
-    // uniform single-format stream. Uniform costs at d ≥ 4 are almost all
-    // mutually incomparable, so the archive approaches the stream length —
-    // the many-objective regime the SoA layout targets.
+    // 2b. Archive dominance screening across dimensions: `ParetoSet::admit`
+    // (`_soa`: a member scan below `SOA_CROSSOVER`, the block SoA kernel
+    // past it) vs a plain scalar per-member loop (aggregate-key filter +
+    // component-wise dominance over a flat `Vec<CostVector>`), both
+    // building an exact archive from the same uniform single-format
+    // stream. Uniform costs at d ≥ 6 are almost all mutually incomparable,
+    // so the archive approaches the stream length — the many-objective
+    // regime the block kernel targets; at d ≤ 4 it stays below the
+    // crossover.
     for dim in [2usize, 4, 6, 8, 10] {
         let costs = screen_stream(1024, dim, 19);
         let ops = costs.len() as u64;
@@ -665,6 +673,26 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
                     set.admit(c, OutputFormat(0), &Admission::exact(), || 0u32);
                 }
                 std::hint::black_box(set.len());
+            },
+        ));
+    }
+
+    // 2c. The cached-set shape: 256 sets of two formats and at most 8
+    // members, as nearly every table set of the plan cache is, each offered
+    // 8 candidates under α = 2 pruning (most are rejected). Timed per
+    // admission, set creation and teardown included — the cache pays both.
+    for dim in [2usize, 3] {
+        let stream = cached_shape_stream(dim, 29);
+        assert!(
+            admit_cached_shape(&stream).iter().all(|set| set.len() <= 8),
+            "the stream keeps the cached shape"
+        );
+        out.push(time_ns_per_op(
+            &format!("admit_cached_shape_d{dim}"),
+            rounds,
+            stream.len() as u64,
+            || {
+                std::hint::black_box(admit_cached_shape(&stream));
             },
         ));
     }

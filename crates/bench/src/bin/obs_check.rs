@@ -1,7 +1,9 @@
 //! Validates a telemetry snapshot emitted by `serve --obs-json` (or any
 //! `moqo_obs::ObsSnapshot::to_json` output): well-formed JSON, the
-//! expected schema version, the registry's counter/histogram layout, and
-//! — when counters are required — nonzero activity on the named seams.
+//! expected schema version, the registry's counter/histogram layout (the
+//! span and journal drop counters included: without them a snapshot cannot
+//! show whether its rings overwrote anything), and — when counters are
+//! required — nonzero activity on the named seams.
 //! Optionally also validates a causal span trace (`--trace`, the Chrome
 //! trace-event JSON `serve --trace-out` / `optimize --trace-out` write)
 //! and the anytime-convergence section of a schema-v7 bench baseline
@@ -199,6 +201,9 @@ fn check_convergence(path: &str, violations: &mut Vec<String>) {
 /// Schema version `ObsSnapshot::to_json` emits (see `moqo-obs`).
 const OBS_SCHEMA: u64 = 1;
 
+/// Counters every snapshot must carry, zero or not.
+const DROP_COUNTERS: [&str; 2] = ["spans.dropped", "journal.dropped"];
+
 fn main() {
     let mut path = None;
     let mut required: Vec<String> = Vec::new();
@@ -272,6 +277,11 @@ fn main() {
             for (name, value) in counters {
                 if value.as_u64().is_none() {
                     violations.push(format!("counter `{name}` is not a u64: {value:?}"));
+                }
+            }
+            for name in DROP_COUNTERS {
+                if !counters.iter().any(|(k, _)| k == name) {
+                    violations.push(format!("drop counter `{name}` is missing"));
                 }
             }
             for name in &required {

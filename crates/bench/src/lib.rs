@@ -5,8 +5,10 @@
 //! Criterion micro-benchmarks and the `BENCH_rmq.json` baseline runs, so
 //! numbers from either source are comparable across PRs.
 
+use moqo_core::archive::Admission;
 use moqo_core::cost::CostVector;
 use moqo_core::model::{OutputFormat, PlanProps, ScanOpId};
+use moqo_core::pareto::ParetoSet;
 use moqo_core::plan::{Plan, PlanRef};
 use moqo_core::{TableId, TableSet};
 use moqo_cost::{ResourceCostModel, ResourceMetric};
@@ -84,6 +86,40 @@ pub fn candidate_stream(len: usize, dim: usize, formats: u8, seed: u64) -> Vec<P
             )
         })
         .collect()
+}
+
+/// Sets [`admit_cached_shape`] deals its candidates to, round-robin.
+const CACHED_SHAPE_SETS: usize = 256;
+
+/// Candidates for the shape of almost every cached table set in the
+/// benchmark's sessions (79–99.9 % of them): two output formats and at most
+/// 8 members. Costs lie on an anti-correlated front (`Σ c_k ≈ 50·dim`, each
+/// in `[1, 100)`), 8 per set of [`admit_cached_shape`].
+pub fn cached_shape_stream(dim: usize, seed: u64) -> Vec<(CostVector, OutputFormat)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = 50.0 * dim as f64;
+    (0..8 * CACHED_SHAPE_SETS)
+        .map(|_| {
+            let mut v: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 99.0 + 1.0).collect();
+            let scale = total / v.iter().sum::<f64>();
+            for c in &mut v {
+                *c = (*c * scale).clamp(1.0, 100.0);
+            }
+            (CostVector::new(&v), OutputFormat(rng.random_range(0..2)))
+        })
+        .collect()
+}
+
+/// Deals a [`cached_shape_stream`] round-robin to 256 fresh sets under
+/// α = 2 pruning — most candidates are rejected, and each set ends with a
+/// handful of tradeoffs per format.
+pub fn admit_cached_shape(stream: &[(CostVector, OutputFormat)]) -> Vec<ParetoSet<u32>> {
+    let adm = Admission::approx(2.0);
+    let mut sets: Vec<ParetoSet<u32>> = (0..CACHED_SHAPE_SETS).map(|_| ParetoSet::new()).collect();
+    for (i, (cost, format)) in stream.iter().enumerate() {
+        sets[i % CACHED_SHAPE_SETS].admit(cost, *format, &adm, || i as u32);
+    }
+    sets
 }
 
 /// Deterministic pairs of random cost vectors for dominance-relation

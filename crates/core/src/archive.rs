@@ -82,6 +82,7 @@ impl EpsFactors {
     }
 
     /// Exact dominance: factor 1 in every metric.
+    #[inline]
     pub fn exact() -> Self {
         EpsFactors::splat(1.0)
     }
@@ -145,14 +146,21 @@ impl EpsFactors {
     /// products, same summation order).
     #[inline]
     pub fn bound_of(&self, cost: &CostVector) -> CostVector {
-        let d = cost.dim();
         let mut v = [0.0; MAX_COST_DIM];
-        for (k, slot) in v[..d].iter_mut().enumerate() {
-            // Saturate at MAX so an infinite factor (legal: "everything is
-            // covered on this metric") still yields a valid cost vector.
-            *slot = (self.values[k] * cost[k]).min(f64::MAX);
+        for (k, slot) in v[..cost.dim()].iter_mut().enumerate() {
+            *slot = self.bound_component(k, cost[k]);
         }
-        CostVector::new(&v[..d])
+        CostVector::new(&v[..cost.dim()])
+    }
+
+    /// Component `k` of [`bound_of`](Self::bound_of) for a cost component
+    /// `c`, for screens that compare components and need not build a vector
+    /// per candidate.
+    #[inline]
+    pub fn bound_component(&self, k: usize, c: f64) -> f64 {
+        // Saturate at MAX so an infinite factor (legal: "everything is
+        // covered on this metric") still yields a valid cost vector.
+        (self.values[k] * c).min(f64::MAX)
     }
 
     /// The ε-Pareto box of `cost`: per metric, the index of the
@@ -343,6 +351,7 @@ impl Admission {
     }
 
     /// Per-metric approximate pruning, unbounded.
+    #[inline]
     pub fn approx_per_metric(factors: EpsFactors) -> Self {
         Admission {
             rule: AdmissionRule::Approx(factors),
@@ -351,8 +360,9 @@ impl Admission {
     }
 
     /// Exact approximate pruning (`α = 1` everywhere), unbounded.
+    #[inline]
     pub fn exact() -> Self {
-        Admission::approx(1.0)
+        Admission::approx_per_metric(EpsFactors::exact())
     }
 
     /// ε-Pareto box archive with the given per-metric factors, unbounded.

@@ -20,6 +20,13 @@
 //!   approximation rediscover the same subplans constantly; an intern hit
 //!   costs one hash probe and allocates nothing.
 //!
+//! Costs are stored apart from the nodes, in one `Vec<f64>` with one stride
+//! of the session's cost dimension per node (fixed by the first intern), so
+//! a node costs its 48-byte [`PlanNode`] plus `8 · dim` bytes rather than an
+//! inline [`MAX_COST_DIM`](crate::cost::MAX_COST_DIM)-slot vector.
+//! [`PlanArena::cost`], [`PlanArena::view`] and [`PlanArena::props`] rebuild
+//! the [`CostVector`] value on demand.
+//!
 //! # Interning rules
 //!
 //! A node's identity is its *structure*: `(table, op)` for scans,
@@ -91,12 +98,12 @@ pub enum PlanNodeKind {
 }
 
 /// An interned plan node: structure plus the derived properties cached at
-/// interning time (the arena analogue of [`Plan`]).
+/// interning time (the arena analogue of [`Plan`]). The node's cost vector
+/// lives in the arena's cost array ([`PlanArena::cost`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanNode {
     kind: PlanNodeKind,
     rel: TableSet,
-    cost: CostVector,
     rows: f64,
     pages: f64,
     format: OutputFormat,
@@ -113,12 +120,6 @@ impl PlanNode {
     #[inline]
     pub fn rel(&self) -> TableSet {
         self.rel
-    }
-
-    /// The node's cost vector (`p.cost`).
-    #[inline]
-    pub fn cost(&self) -> &CostVector {
-        &self.cost
     }
 
     /// Estimated output cardinality in rows.
@@ -182,6 +183,11 @@ pub struct ImportMemo {
 #[derive(Debug, Default)]
 pub struct PlanArena {
     nodes: Vec<PlanNode>,
+    /// Node costs back to back, `dim` components per node, in node order.
+    costs: Vec<f64>,
+    /// The cost dimension of every node, fixed by the first intern into an
+    /// empty arena.
+    dim: usize,
     intern: FxHashMap<PlanNodeKind, PlanId>,
     dedup_hits: u64,
     /// Lifetime count of interned nodes (monotone across [`Self::clear`]).
@@ -232,6 +238,7 @@ impl PlanArena {
     /// (or [`Self::export`]).
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.costs.clear();
         self.intern.clear();
         self.export_memo.get_mut().clear();
     }
@@ -246,6 +253,13 @@ impl PlanArena {
         &self.nodes[id.index()]
     }
 
+    /// The node's cost vector (`p.cost`), rebuilt from the cost array.
+    #[inline]
+    pub fn cost(&self, id: PlanId) -> CostVector {
+        let at = id.index() * self.dim;
+        CostVector::new(&self.costs[at..at + self.dim])
+    }
+
     /// The node's properties as the representation-agnostic [`PlanView`]
     /// consumed by [`CostModel`] implementations.
     #[inline]
@@ -253,7 +267,7 @@ impl PlanArena {
         let n = &self.nodes[id.index()];
         PlanView {
             rel: n.rel,
-            cost: n.cost,
+            cost: self.cost(id),
             rows: n.rows,
             pages: n.pages,
             format: n.format,
@@ -271,7 +285,7 @@ impl PlanArena {
                 let id = *hit.get();
                 self.dedup_hits += 1;
                 debug_assert_eq!(
-                    self.nodes[id.index()].cost.as_slice(),
+                    self.cost(id).as_slice(),
                     props.cost.as_slice(),
                     "intern hit disagrees on cost: one arena, one cost model"
                 );
@@ -280,11 +294,21 @@ impl PlanArena {
             Entry::Vacant(slot) => {
                 let id =
                     PlanId(u32::try_from(self.nodes.len()).expect("arena full: > u32::MAX nodes"));
+                let cost = props.cost.as_slice();
+                if self.nodes.is_empty() {
+                    self.dim = cost.len();
+                }
+                // The cost array's stride depends on it.
+                assert_eq!(
+                    cost.len(),
+                    self.dim,
+                    "mixed cost dimensions in one arena: one arena, one cost model"
+                );
                 self.interned_total += 1;
+                self.costs.extend_from_slice(cost);
                 self.nodes.push(PlanNode {
                     kind,
                     rel,
-                    cost: props.cost,
                     rows: props.rows,
                     pages: props.pages,
                     format: props.format,
@@ -319,7 +343,7 @@ impl PlanArena {
     pub fn props(&self, id: PlanId) -> PlanProps {
         let n = &self.nodes[id.index()];
         PlanProps {
-            cost: n.cost,
+            cost: self.cost(id),
             rows: n.rows,
             pages: n.pages,
             format: n.format,
@@ -472,14 +496,8 @@ impl PlanArena {
         if let Some(hit) = self.export_memo.borrow().get(&id) {
             return hit.clone();
         }
-        let node = &self.nodes[id.index()];
-        let props = PlanProps {
-            cost: node.cost,
-            rows: node.rows,
-            pages: node.pages,
-            format: node.format,
-        };
-        let plan = match node.kind {
+        let props = self.props(id);
+        let plan = match self.nodes[id.index()].kind {
             PlanNodeKind::Scan { table, op } => Plan::scan_from_props(table, op, props),
             PlanNodeKind::Join { outer, inner, op } => {
                 Plan::join_from_props(self.export(outer), self.export(inner), op, props)
@@ -547,14 +565,8 @@ impl PlanArena {
         if let Some(&hit) = memo.get(&root) {
             return hit;
         }
-        let node = src.nodes[root.index()];
-        let props = PlanProps {
-            cost: node.cost,
-            rows: node.rows,
-            pages: node.pages,
-            format: node.format,
-        };
-        let id = match node.kind {
+        let props = src.props(root);
+        let id = match src.nodes[root.index()].kind {
             PlanNodeKind::Scan { table, op } => self.scan_from_props(table, op, props),
             PlanNodeKind::Join { outer, inner, op } => {
                 let o = self.adopt(src, outer, memo);
@@ -641,7 +653,7 @@ mod tests {
         for _ in 0..10 {
             let id = random_plan_in(&mut arena, &m, q, &mut rng_a);
             let arc = random_plan(&m, q, &mut rng_b);
-            assert_eq!(arena.node(id).cost().as_slice(), arc.cost().as_slice());
+            assert_eq!(arena.cost(id).as_slice(), arc.cost().as_slice());
             assert_eq!(arena.node(id).rel(), arc.rel());
             assert_eq!(arena.node(id).format(), arc.format());
             assert_eq!(arena.node_count(id), arc.node_count());
@@ -659,7 +671,7 @@ mod tests {
         let id = random_plan_in(&mut arena, &m, q, &mut rng);
         let exported = arena.export(id);
         assert!(exported.validate(q).is_ok());
-        assert_eq!(exported.cost().as_slice(), arena.node(id).cost().as_slice());
+        assert_eq!(exported.cost().as_slice(), arena.cost(id).as_slice());
         assert_eq!(arena.display(id, &m), exported.display(&m));
         // Re-importing lands on the same canonical id (hash-consing).
         let back = arena.import(&exported);

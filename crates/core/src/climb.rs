@@ -495,10 +495,10 @@ where
             return (current, stats, true);
         }
         let step = step_in(arena, current, model, &admission, cfg.mutations, scratch);
-        let current_cost = *arena.node(current).cost();
+        let current_cost = arena.cost(current);
         match scratch.memo_ids[step]
             .iter()
-            .find(|&&m| arena.node(m).cost().strictly_dominates(&current_cost))
+            .find(|&&m| arena.cost(m).strictly_dominates(&current_cost))
         {
             Some(&better) => {
                 current = better;
@@ -709,10 +709,7 @@ mod tests {
                     opt_arc.display(&m),
                     "local optima diverged ({at})"
                 );
-                assert_eq!(
-                    arena.node(opt_id).cost().as_slice(),
-                    opt_arc.cost().as_slice()
-                );
+                assert_eq!(arena.cost(opt_id).as_slice(), opt_arc.cost().as_slice());
                 // The arena climb cut short after k moves stands where
                 // the Arc climb stood after k moves.
                 for (k, expected) in moves.iter().enumerate() {

@@ -36,33 +36,80 @@
 //! # Hot-path representation
 //!
 //! `Prune`/`SigBetter` run inside every hill-climbing step and every
-//! `ApproximateFrontiers` traversal, so the paper's per-iteration complexity
-//! argument hinges on these checks being cheap. [`ParetoSet`] therefore
+//! `ApproximateFrontiers` traversal, and one [`ParetoSet`] exists per cached
+//! table set — tens of thousands per session — so both the screen and the
+//! bytes per set count. The frontiers are small: 2.6–6.6 members on average
+//! in the benchmark's sessions, 2 or 3 metrics, and almost always exactly
+//! two output formats. A [`ParetoSet`] therefore
 //!
-//! * **buckets members by output format** — the `SameOutput` conjunct
-//!   becomes a hash-map lookup followed by a scan of one format's members;
-//! * **stores each bucket's cost vectors in structure-of-arrays blocks** —
-//!   blocks of [`LANES`] members hold metric `k` of all lanes contiguously,
-//!   so one candidate is screened against a whole block per pass with a
-//!   branch-free, auto-vectorizable inner loop (tail lanes are padded with
-//!   `+∞`, which can never cover a candidate); each block also carries its
-//!   aggregate-key range (see [`CostVector::agg_key`]), letting a whole
-//!   block be skipped when its key range already rules dominance out;
+//! * **stores its members in one array** — the plan handles plus a parallel
+//!   array of inline metadata (cost vector, cached aggregate key, output
+//!   format), in insertion order. A set below the crossover owns exactly
+//!   these two heap blocks;
+//! * **screens that array directly** — per member a format compare (the
+//!   `SameOutput` conjunct), then the cached aggregate-key filter (see
+//!   [`CostVector::agg_key`]), then the component-wise compare, in
+//!   ascending member order;
+//! * **indexes formats in structure-of-arrays blocks only past a measured
+//!   crossover** — the first dominance-screen probe (climb, approximate or
+//!   cost-frontier rule) that finds the set's member count × the cost
+//!   dimension at or past [`SOA_CROSSOVER`] gives each of its formats a
+//!   block index: metric `k` of [`LANES`] members stored contiguously, so a
+//!   candidate is screened against whole blocks of the formats in scope (its
+//!   own, or every format for the cost frontier) by a branch-free inner
+//!   loop, and each block's aggregate-key range lets the screen skip it
+//!   whole. It is the set's size that decides because the member scan reads
+//!   every member, of any format. The indices then follow every insertion;
+//!   after an eviction each re-reads its member indices (and its columns
+//!   only if its format lost members), and all are dropped when the set
+//!   falls back below the crossover. The ε-box screen compares cached
+//!   boxes, not costs, so a set only it probes is never indexed. In this
+//!   repository the indices engage for the archives of the perf-baseline
+//!   harness (the d ≥ 6 `dominance_screen_*` kernels, the 4-format
+//!   `insert_*` kernels and the exact d = 8 archive of the ε-archive
+//!   curve), for the baselines' cost-frontier result archives once they
+//!   grow that large and, of the benchmark's sessions, only for
+//!   `seq_manyobj`'s largest query frontiers (86–88 members at d = 3: about
+//!   120 blocks screened per iteration, against 10 000 probes);
 //! * **defers plan materialization** — [`ParetoSet::admit`] takes the
 //!   candidate's cost and format plus a closure producing the plan, so
 //!   *rejected candidates never allocate* (callers cost a candidate, probe
 //!   the set, and only build the plan handle on admission).
 //!
-//! The pre-bucketing flat-`Vec` implementation is retained as
-//! [`LinearParetoSet`] for differential tests and the `pruning`
+//! [`SOA_CROSSOVER`] (256) was measured with the `dominance_screen_*`
+//! kernels of the perf-baseline harness on a 2-vCPU x86-64 host. On the
+//! d = 4 kernel, whose archive ends at 59 members (236 member × dimension),
+//! the member scan took 51 ns per admission and the block screen 65–88 ns;
+//! from d = 6 on (archives of 300–800 members) the block screen is 2.4–3.0×
+//! faster. Rejection-only probes of fixed archives break even between 48
+//! and 300 member × dimension, and the block index also pays a refresh per
+//! eviction. At 256, the d ≤ 4 single-format kernels and practically every
+//! cached table set scan (a 3-metric set needs 86 members to promote),
+//! while the 4-format, d = 4 `insert_*` kernels (about 240 members) screen
+//! blocks and stay 2–4× faster than the linear reference. The member scan
+//! still costs about 2.1× (d = 2) and 1.1× (d = 4) a bare loop over cost
+//! vectors (the scalar `dominance_screen_*` twins, medians of 13 harness
+//! runs); at d = 2 per-probe overhead — the screening tallies, the rule
+//! dispatch, the format compare — is what remains of the gap.
+//!
+//! What a session holds, on one `seq_manyobj`-shaped session (chain n = 50,
+//! 3 metrics, MinMax selectivities, 500 iterations: 17 028 cached table sets
+//! with 106 078 plans, 147 946 arena nodes): the plan cache went from
+//! 47.9 MB (2 811 B per table set — a hashed per-format bucket map with
+//! block columns, key ranges and id lists per bucket, 11 heap blocks) to
+//! 19.3 MB (1 134 B per set in 2 heap blocks; 182 B per cached plan, was
+//! 451). Member arrays grow by half rather than doubling from 4, since most
+//! sets hold 2–6 members.
+//!
+//! The flat-`Vec` implementation that dereferences every member is
+//! retained as [`LinearParetoSet`] for differential tests and the `pruning`
 //! micro-benchmark; it admits through the scalar reference predicates
 //! [`AdmissionRule::rejects`] / [`AdmissionRule::evicts`], and both
 //! implementations make identical keep/evict decisions and store survivors
 //! in the same order.
 
 use crate::archive::{Admission, AdmissionRule, BoxKey, EpsFactors};
-use crate::cost::CostVector;
-use crate::fxhash::FxHashMap;
+use crate::cost::{CostVector, MAX_COST_DIM};
 use crate::model::OutputFormat;
 use crate::plan::{Plan, PlanRef};
 
@@ -72,6 +119,12 @@ pub use crate::archive::PrunePolicy;
 /// [`LANES`] lanes is stored contiguously, so the screening inner loop is a
 /// fixed-width, branch-free compare the compiler can vectorize.
 pub const LANES: usize = 8;
+
+/// Member count × cost dimension at which a set's formats get
+/// structure-of-arrays block indices (see the module docs for the
+/// measurement behind it). Below it, the admission screen scans the member
+/// array.
+pub const SOA_CROSSOVER: usize = 256;
 
 /// `Better(p1, p2)` of Algorithm 2: same output format and strictly
 /// dominating cost.
@@ -88,8 +141,8 @@ pub fn sig_better(p1: &Plan, p2: &Plan, alpha: f64) -> bool {
 }
 
 /// Screening tallies accumulated by a [`ParetoSet`]'s admission paths:
-/// how much work the two-stage screen (block key-range pre-filter, then
-/// block-wide component compares) did, and how candidates fared.
+/// how much work the two-stage screen (aggregate-key pre-filter, then
+/// component-wise compares) did, and how candidates fared.
 ///
 /// The fields are plain `u64`s bumped inline — no atomics, no
 /// allocation — so counting is free relative to the dominance arithmetic
@@ -102,11 +155,13 @@ pub fn sig_better(p1: &Plan, p2: &Plan, alpha: f64) -> bool {
 pub struct ScreenCounters {
     /// Candidates offered to the set (admission probes).
     pub probes: u64,
-    /// Member comparisons resolved by the aggregate-key pre-filter alone
-    /// (members inside blocks whose key range ruled dominance out).
+    /// Member comparisons resolved by the aggregate-key pre-filter alone:
+    /// members whose cached key ruled dominance out on the member scan, and
+    /// the lanes of key-skipped blocks on an indexed format.
     pub agg_key_skips: u64,
-    /// Member comparisons executed by the component-wise kernels (lanes of
-    /// screened blocks, or scalar compares on the scalar paths).
+    /// Member comparisons executed component-wise: members compared on the
+    /// member scan (one per probe on the one-per-format path), and the
+    /// lanes of screened blocks on an indexed format.
     pub dominance_tests: u64,
     /// Candidates rejected (dominated, α-covered, box-covered, duplicate,
     /// or refused at capacity).
@@ -116,7 +171,7 @@ pub struct ScreenCounters {
     /// Incumbent members evicted by admitted candidates.
     pub evicted: u64,
     /// Structure-of-arrays blocks actually screened (not key-skipped) by
-    /// the block kernels.
+    /// the block kernels — 0 unless the set is past [`SOA_CROSSOVER`].
     pub blocks_screened: u64,
     /// Candidates rejected by the ε-box rule that exact dominance would
     /// have admitted — the precision-driven rejections that bound the
@@ -140,8 +195,8 @@ impl ScreenCounters {
 
 /// Inline per-member pruning metadata: the cost vector, its cached
 /// aggregate key, and the output format. Dominance checks touch only this
-/// dense array (or the bucket's SoA mirror of it); the member's plan handle
-/// is never dereferenced.
+/// dense array (or a format's block index); the member's plan handle is
+/// never dereferenced.
 #[derive(Clone, Copy, Debug)]
 struct Meta {
     cost: CostVector,
@@ -161,12 +216,26 @@ impl Meta {
     }
 }
 
-/// One output format's members: ascending member indices plus a
-/// structure-of-arrays mirror of their cost vectors in blocks of [`LANES`],
-/// each block carrying its aggregate-key range for whole-block skips, and
-/// (under ε-box admission) a cache of the members' precision boxes.
-#[derive(Clone, Debug, Default)]
-struct Bucket {
+/// The factors of the exact rules: the bound component `min(1 · c, MAX)`
+/// is `c` for every cost component the [`crate::model::CostModel`] contract
+/// allows (finite, non-negative).
+const EXACT: EpsFactors = EpsFactors::splat(1.0);
+
+/// Whether `members` members of dimension `dim` are past the crossover.
+#[inline]
+fn past_crossover(members: usize, dim: usize) -> bool {
+    members * dim >= SOA_CROSSOVER
+}
+
+/// The block index of one output format of a set past the crossover: its
+/// ascending member indices plus a structure-of-arrays mirror of their cost
+/// vectors in blocks of [`LANES`], each block carrying its aggregate-key
+/// range for whole-block skips.
+#[derive(Clone, Debug)]
+struct BlockIndex {
+    format: OutputFormat,
+    /// Cost dimensionality of the members.
+    dim: usize,
     /// Ascending indices into the set's `plans`/`meta`.
     ids: Vec<u32>,
     /// Block-major columnar costs: metric `k` of block `b`'s lanes lives at
@@ -178,16 +247,51 @@ struct Bucket {
     kmin: Vec<f64>,
     /// Per-block maximum aggregate key (conservative likewise).
     kmax: Vec<f64>,
-    /// Cost dimensionality of the members (set on first push).
-    dim: usize,
-    /// Cached ε-boxes, parallel to `ids`, valid for `box_factors`.
-    boxes: Vec<BoxKey>,
-    /// The factors `boxes` was computed with; recomputed lazily when the
-    /// schedule moves (amortized: once per schedule step per bucket).
-    box_factors: Option<EpsFactors>,
 }
 
-impl Bucket {
+impl BlockIndex {
+    /// Indexes the members of `format` in `meta`.
+    fn build(format: OutputFormat, meta: &[Meta]) -> Self {
+        let mut index = BlockIndex {
+            format,
+            dim: 0,
+            ids: Vec::new(),
+            cols: Vec::new(),
+            kmin: Vec::new(),
+            kmax: Vec::new(),
+        };
+        index.rebuild(meta);
+        index
+    }
+
+    /// Re-indexes the members of this index's format from scratch, keeping
+    /// the allocations.
+    fn rebuild(&mut self, meta: &[Meta]) {
+        self.ids.clear();
+        self.cols.clear();
+        self.kmin.clear();
+        self.kmax.clear();
+        for (i, m) in meta.iter().enumerate() {
+            if m.format == self.format {
+                self.push(i as u32, m);
+            }
+        }
+    }
+
+    /// Follows an eviction: re-reads the indices of this format's members
+    /// and, only if the format lost some, its columns (a format that lost
+    /// none still holds the same members in the same order — only their
+    /// indices moved).
+    fn refresh(&mut self, meta: &[Meta]) {
+        let before = self.ids.len();
+        self.ids.clear();
+        self.ids
+            .extend((0..meta.len() as u32).filter(|&i| meta[i as usize].format == self.format));
+        if self.ids.len() != before {
+            self.rebuild(meta);
+        }
+    }
+
     /// Appends a member, opening a new `+∞`-padded block when the previous
     /// one is full.
     fn push(&mut self, idx: u32, meta: &Meta) {
@@ -195,7 +299,7 @@ impl Bucket {
         if self.ids.is_empty() {
             self.dim = d;
         }
-        debug_assert_eq!(self.dim, d, "mixed cost dimensionality in bucket");
+        debug_assert_eq!(self.dim, d, "mixed cost dimensionality in one format");
         let lane = self.ids.len() % LANES;
         let block = self.ids.len() / LANES;
         if lane == 0 {
@@ -203,67 +307,37 @@ impl Bucket {
             self.kmin.push(f64::INFINITY);
             self.kmax.push(f64::NEG_INFINITY);
         }
-        let base = block * d * LANES;
-        for k in 0..d {
-            self.cols[base + k * LANES + lane] = meta.cost[k];
-        }
-        self.kmin[block] = self.kmin[block].min(meta.key);
-        self.kmax[block] = self.kmax[block].max(meta.key);
+        self.write(block * LANES + lane, meta);
         self.ids.push(idx);
-        if let Some(f) = self.box_factors {
-            self.boxes.push(f.box_key(&meta.cost));
-        }
     }
 
-    /// Overwrites the member at bucket slot `slot` in place (the
+    /// Overwrites the member at set index `idx` in place (the
     /// one-per-format replacement path). Key ranges are widened, never
     /// tightened — stale-but-sound for the block skips.
-    fn replace(&mut self, slot: usize, meta: &Meta) {
-        let d = self.dim;
-        let block = slot / LANES;
-        let lane = slot % LANES;
-        let base = block * d * LANES;
-        for k in 0..d {
+    fn replace(&mut self, idx: u32, meta: &Meta) {
+        let slot = self
+            .ids
+            .binary_search(&idx)
+            .expect("replaced member is indexed under its format");
+        self.write(slot, meta);
+    }
+
+    fn write(&mut self, slot: usize, meta: &Meta) {
+        let (block, lane) = (slot / LANES, slot % LANES);
+        let base = block * self.dim * LANES;
+        for k in 0..self.dim {
             self.cols[base + k * LANES + lane] = meta.cost[k];
         }
         self.kmin[block] = self.kmin[block].min(meta.key);
         self.kmax[block] = self.kmax[block].max(meta.key);
-        if let Some(f) = self.box_factors {
-            self.boxes[slot] = f.box_key(&meta.cost);
-        }
-    }
-
-    /// Drops all members, retaining the box-factor tag so rebuilt members
-    /// get their boxes recomputed eagerly.
-    fn reset(&mut self) {
-        self.ids.clear();
-        self.cols.clear();
-        self.kmin.clear();
-        self.kmax.clear();
-        self.boxes.clear();
-    }
-
-    /// Makes the cached ε-boxes valid for `factors`, recomputing them from
-    /// the members' costs if the factors moved since the last probe.
-    fn ensure_boxes(&mut self, factors: &EpsFactors, meta: &[Meta]) {
-        if self.box_factors.as_ref() == Some(factors) && self.boxes.len() == self.ids.len() {
-            return;
-        }
-        self.boxes.clear();
-        self.boxes.extend(
-            self.ids
-                .iter()
-                .map(|&i| factors.box_key(&meta[i as usize].cost)),
-        );
-        self.box_factors = Some(*factors);
     }
 
     /// Rejection kernel: whether any member's cost is component-wise `≤`
-    /// `bound` (`bound_key` must be `bound.agg_key()`). One pass per block:
+    /// `bound` (`bound_key` must be the sum of `bound`). One pass per block:
     /// blocks whose minimum key exceeds the bound's key are skipped whole
     /// (a covering member's key cannot exceed the bound's); screened blocks
     /// run a branch-free lane-wide compare.
-    fn covers(&self, bound: &CostVector, bound_key: f64, screen: &mut ScreenCounters) -> bool {
+    fn covers(&self, bound: &[f64], bound_key: f64, screen: &mut ScreenCounters) -> bool {
         let d = self.dim;
         let n = self.ids.len();
         for block in 0..self.kmin.len() {
@@ -276,8 +350,7 @@ impl Bucket {
             screen.dominance_tests += lanes as u64;
             let base = block * d * LANES;
             let mut ok = [true; LANES];
-            for k in 0..d {
-                let b = bound[k];
+            for (k, &b) in bound[..d].iter().enumerate() {
                 let col = &self.cols[base + k * LANES..base + (k + 1) * LANES];
                 for (o, &c) in ok.iter_mut().zip(col) {
                     *o &= c <= b;
@@ -332,18 +405,61 @@ impl Bucket {
     }
 }
 
+/// The ε-box of every member, parallel to the member array, valid for
+/// `factors`. Recomputed whole when an ε-box probe brings other factors
+/// (amortized: once per schedule step per set).
+#[derive(Clone, Debug)]
+struct BoxCache {
+    factors: EpsFactors,
+    keys: Vec<BoxKey>,
+}
+
+/// Removes the members `dead` picks — it sees each member's index,
+/// metadata and (when the set caches them) ε-box — from every parallel
+/// array at once, keeping the survivors in order: `Vec::retain`, which the
+/// linear reference uses, applied in lockstep. Returns how many went.
+fn retain_members<P>(
+    plans: &mut Vec<P>,
+    meta: &mut Vec<Meta>,
+    mut boxes: Option<&mut BoxCache>,
+    mut dead: impl FnMut(usize, &Meta, Option<&BoxKey>) -> bool,
+) -> usize {
+    let len = meta.len();
+    let mut kept = 0;
+    for i in 0..len {
+        // Positions past `kept` are untouched, so `i` still holds member i.
+        if dead(i, &meta[i], boxes.as_deref().map(|b| &b.keys[i])) {
+            continue;
+        }
+        if kept < i {
+            plans.swap(kept, i);
+            meta.swap(kept, i);
+            if let Some(b) = boxes.as_deref_mut() {
+                b.keys.swap(kept, i);
+            }
+        }
+        kept += 1;
+    }
+    plans.truncate(kept);
+    meta.truncate(kept);
+    if let Some(b) = boxes {
+        b.keys.truncate(kept);
+    }
+    len - kept
+}
+
 /// A pruned set of plans over the same table set.
 ///
 /// Invariant: no member strictly dominates another member with the same
 /// output format (every [`AdmissionRule`] preserves this — the ε-box rule
 /// included, because box keys are monotone under dominance).
 ///
-/// Members are stored in insertion order (evictions compact in place), with
-/// a per-output-format bucket on the side holding the
-/// structure-of-arrays mirror of the members' costs, so same-format probes
-/// never scan members of other formats and screened members are compared a
-/// whole block per pass. See the module docs for the full hot-path
-/// rationale.
+/// Members are stored in insertion order (evictions compact in place) in
+/// one member array: plan handles plus inline cost metadata. Once a
+/// dominance screen probes the set past [`SOA_CROSSOVER`], each format
+/// additionally carries a structure-of-arrays block index, and ε-box
+/// admission caches every member's box. See the
+/// module docs for the full hot-path rationale.
 ///
 /// The member handle type `P` is generic: every pruning decision reads only
 /// the inline `(cost, key, format)` metadata, so the same code stores
@@ -355,8 +471,12 @@ pub struct ParetoSet<P = PlanRef> {
     plans: Vec<P>,
     /// Parallel to `plans`: inline cost metadata.
     meta: Vec<Meta>,
-    /// Output format → SoA bucket over ascending indices into `plans`/`meta`.
-    buckets: FxHashMap<OutputFormat, Bucket>,
+    /// One block index per format once a dominance screen probed the set
+    /// past the crossover; none below it (almost every set) and none on a
+    /// set only the ε-box screen probes.
+    index: Vec<BlockIndex>,
+    /// The members' ε-boxes, parallel to `meta`, once an ε-box probe asked.
+    boxes: Option<Box<BoxCache>>,
     /// Screening tallies (observational only; see [`ScreenCounters`]).
     screen: ScreenCounters,
 }
@@ -366,7 +486,8 @@ impl<P> Default for ParetoSet<P> {
         ParetoSet {
             plans: Vec::new(),
             meta: Vec::new(),
-            buckets: FxHashMap::default(),
+            index: Vec::new(),
+            boxes: None,
             screen: ScreenCounters::default(),
         }
     }
@@ -401,60 +522,90 @@ impl<P> ParetoSet<P> {
         self.plans.is_empty()
     }
 
-    /// Removes all members.
+    /// Removes all members, keeping the member arrays' capacity.
     pub fn clear(&mut self) {
         self.plans.clear();
         self.meta.clear();
-        for bucket in self.buckets.values_mut() {
-            bucket.reset();
+        self.index.clear();
+        if let Some(b) = self.boxes.as_deref_mut() {
+            b.keys.clear();
         }
     }
 
-    #[inline]
     fn push(&mut self, plan: P, meta: Meta) {
-        let idx = self.plans.len() as u32;
+        let idx = self.meta.len() as u32;
+        if let Some(b) = self.boxes.as_deref_mut() {
+            b.keys.push(b.factors.box_key(&meta.cost));
+        }
+        // Grow by half rather than doubling from 4: most sets hold 2–6
+        // members, and a set's unused slots cost 108 bytes each.
+        if self.meta.len() == self.meta.capacity() {
+            let more = (self.meta.len() / 2).max(2);
+            self.meta.reserve_exact(more);
+            self.plans.reserve_exact(more);
+        }
         self.plans.push(plan);
-        self.buckets
-            .entry(meta.format)
-            .or_default()
-            .push(idx, &meta);
         self.meta.push(meta);
+        // An indexed set keeps every format's index current.
+        if !self.index.is_empty() {
+            match self.index.iter_mut().find(|ix| ix.format == meta.format) {
+                Some(ix) => ix.push(idx, &meta),
+                None => self.index_new_formats(),
+            }
+        }
     }
 
-    /// Removes the members at the given ascending indices, preserving the
-    /// relative order of the survivors (mirrors `Vec::retain`, which the
-    /// linear reference implementation uses), then rebuilds the format
-    /// buckets (including their SoA blocks and box caches). Eviction is the
-    /// rare path — admissions evict only when the newcomer dominates stored
-    /// members — so the O(len) compaction does not affect the rejection
-    /// fast path.
-    fn remove_sorted(&mut self, dead: &[u32]) {
-        debug_assert!(dead.windows(2).all(|w| w[0] < w[1]));
-        let mut di = 0usize;
-        let mut idx = 0u32;
-        self.plans.retain(|_| {
-            let drop = di < dead.len() && dead[di] == idx;
-            if drop {
-                di += 1;
+    /// Whether the set is past the crossover.
+    fn past_crossover(&self) -> bool {
+        self.meta
+            .first()
+            .is_some_and(|m| past_crossover(self.meta.len(), m.cost.dim()))
+    }
+
+    /// Gives every format of the set that has no block index one. Called by
+    /// the dominance screens on their first probe past the crossover, so a
+    /// set that is never screened that way (ε-box archives) never pays for
+    /// an index.
+    fn index_new_formats(&mut self) {
+        for i in 0..self.meta.len() {
+            let format = self.meta[i].format;
+            if self.index.iter().all(|ix| ix.format != format) {
+                self.index.push(BlockIndex::build(format, &self.meta));
             }
-            idx += 1;
-            !drop
-        });
-        di = 0;
-        idx = 0;
-        self.meta.retain(|_| {
-            let drop = di < dead.len() && dead[di] == idx;
-            if drop {
-                di += 1;
-            }
-            idx += 1;
-            !drop
-        });
-        for bucket in self.buckets.values_mut() {
-            bucket.reset();
         }
-        for (i, m) in self.meta.iter().enumerate() {
-            self.buckets.entry(m.format).or_default().push(i as u32, m);
+    }
+
+    /// Members were evicted: refreshes the block indices while the set is
+    /// past the crossover (dropping those of formats that emptied) and
+    /// drops them all once it is not.
+    fn reindex(&mut self) {
+        if !self.past_crossover() {
+            self.index.clear();
+            return;
+        }
+        let meta = &self.meta;
+        self.index.retain_mut(|ix| {
+            ix.refresh(meta);
+            !ix.ids.is_empty()
+        });
+    }
+
+    /// Makes the ε-box cache valid for `factors`.
+    fn ensure_boxes(&mut self, factors: &EpsFactors) {
+        let meta = &self.meta;
+        match self.boxes.as_deref_mut() {
+            Some(b) if b.factors == *factors => {}
+            Some(b) => {
+                b.factors = *factors;
+                b.keys.clear();
+                b.keys.extend(meta.iter().map(|m| factors.box_key(&m.cost)));
+            }
+            None => {
+                self.boxes = Some(Box::new(BoxCache {
+                    factors: *factors,
+                    keys: meta.iter().map(|m| factors.box_key(&m.cost)).collect(),
+                }));
+            }
         }
     }
 
@@ -481,158 +632,31 @@ impl<P> ParetoSet<P> {
         make: impl FnOnce() -> P,
     ) -> bool {
         self.screen.probes += 1;
-        // One-per-format climb pruning is a scalar slot-replace, not a scan.
-        if admission.rule == AdmissionRule::Climb(PrunePolicy::OnePerFormat) {
-            return match self
-                .buckets
-                .get(&format)
-                .and_then(|b| b.ids.first().copied())
-            {
-                Some(idx) => {
-                    self.screen.dominance_tests += 1;
-                    if cost.strictly_dominates(&self.meta[idx as usize].cost) {
-                        let meta = Meta::of(cost, format);
-                        self.buckets
-                            .get_mut(&format)
-                            .expect("bucket exists")
-                            .replace(0, &meta);
-                        self.meta[idx as usize] = meta;
-                        self.plans[idx as usize] = make();
-                        self.screen.admitted += 1;
-                        self.screen.evicted += 1;
-                        true
-                    } else {
-                        self.screen.rejected += 1;
-                        false
-                    }
-                }
-                None => {
-                    if admission
-                        .capacity
-                        .is_some_and(|cap| self.plans.len() >= cap)
-                    {
-                        self.screen.rejected += 1;
-                        return false;
-                    }
-                    self.screen.admitted += 1;
-                    self.push(make(), Meta::of(cost, format));
-                    true
-                }
-            };
-        }
-
-        let mut dead: Vec<u32> = Vec::new();
-        let rejected = match admission.rule {
+        let rejected = match &admission.rule {
+            AdmissionRule::Climb(PrunePolicy::OnePerFormat) => {
+                return self.admit_one_per_format(cost, format, admission, make)
+            }
+            // Weak dominance (`m ⪯ c`) folds the strict-domination and
+            // exact-duplicate rejections of Algorithm 2 into one bound.
             AdmissionRule::Climb(_) => {
-                // Weak dominance (`m ⪯ c`) folds the strict-domination and
-                // exact-duplicate rejections of Algorithm 2 into one bound.
-                let key = cost.agg_key();
-                let screen = &mut self.screen;
-                if self
-                    .buckets
-                    .get(&format)
-                    .is_some_and(|b| b.covers(cost, key, screen))
-                {
-                    true
-                } else {
-                    // Weakly dominated members are strictly dominated here:
-                    // an equal-cost member would have rejected the candidate.
-                    if let Some(b) = self.buckets.get(&format) {
-                        b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
-                    }
-                    false
-                }
+                self.reject_or_evict(Some(format), cost, |k, c| EXACT.bound_component(k, c))
             }
+            // `m ⪯ bound_of(c)` is per-metric α-dominance, computed with
+            // exactly the arithmetic of `approx_dominates` (and the bound's
+            // key matches `scaled_agg_key` for uniform factors), so
+            // decisions are bit-identical to the scalar-α predicate.
             AdmissionRule::Approx(eps) => {
-                // `m ⪯ bound_of(c)` is per-metric α-dominance, computed with
-                // exactly the arithmetic of `approx_dominates` (and
-                // `bound.agg_key()` matches `scaled_agg_key` for uniform
-                // factors), so decisions are bit-identical to the former
-                // scalar-α path.
-                let bound = eps.bound_of(cost);
-                let bound_key = bound.agg_key();
-                let screen = &mut self.screen;
-                if self
-                    .buckets
-                    .get(&format)
-                    .is_some_and(|b| b.covers(&bound, bound_key, screen))
-                {
-                    true
-                } else {
-                    let key = cost.agg_key();
-                    if let Some(b) = self.buckets.get(&format) {
-                        b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
-                    }
-                    false
-                }
-            }
-            AdmissionRule::EpsBox(eps) => {
-                let cbox = eps.box_key(cost);
-                let meta = &self.meta;
-                let screen = &mut self.screen;
-                let bucket = self.buckets.entry(format).or_default();
-                bucket.ensure_boxes(&eps, meta);
-                let mut covered = false;
-                for (slot, &i) in bucket.ids.iter().enumerate() {
-                    screen.dominance_tests += 1;
-                    let mbox = &bucket.boxes[slot];
-                    let mcost = &meta[i as usize].cost;
-                    // A member whose box weakly dominates the candidate's
-                    // rejects it — unless they share a box and the candidate
-                    // strictly dominates the incumbent (it replaces it).
-                    if mbox.dominates(&cbox) && (*mbox != cbox || !cost.strictly_dominates(mcost)) {
-                        if !mcost.dominates(cost) {
-                            screen.eps_rejects += 1;
-                        }
-                        covered = true;
-                        break;
-                    }
-                }
-                if !covered {
-                    for (slot, &i) in bucket.ids.iter().enumerate() {
-                        let mbox = &bucket.boxes[slot];
-                        let mcost = &meta[i as usize].cost;
-                        if cbox.dominates(mbox) && (cbox != *mbox || cost.strictly_dominates(mcost))
-                        {
-                            dead.push(i);
-                        }
-                    }
-                }
-                covered
+                self.reject_or_evict(Some(format), cost, |k, c| eps.bound_component(k, c))
             }
             AdmissionRule::CostFrontier => {
-                let key = cost.agg_key();
-                let screen = &mut self.screen;
-                let mut covered = false;
-                for b in self.buckets.values() {
-                    if b.covers(cost, key, screen) {
-                        covered = true;
-                        break;
-                    }
-                }
-                if !covered {
-                    for b in self.buckets.values() {
-                        b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
-                    }
-                    // Bucket iteration order is arbitrary; restore the
-                    // ascending order `remove_sorted` requires.
-                    dead.sort_unstable();
-                }
-                covered
+                self.reject_or_evict(None, cost, |k, c| EXACT.bound_component(k, c))
             }
+            AdmissionRule::EpsBox(eps) => self.reject_or_evict_boxed(eps, format, cost),
         };
-
-        if rejected {
-            self.screen.rejected += 1;
-            return false;
-        }
-        if !dead.is_empty() {
-            self.screen.evicted += dead.len() as u64;
-            self.remove_sorted(&dead);
-        }
-        if admission
-            .capacity
-            .is_some_and(|cap| self.plans.len() >= cap)
+        if rejected
+            || admission
+                .capacity
+                .is_some_and(|cap| self.plans.len() >= cap)
         {
             self.screen.rejected += 1;
             return false;
@@ -640,6 +664,217 @@ impl<P> ParetoSet<P> {
         self.screen.admitted += 1;
         self.push(make(), Meta::of(cost, format));
         true
+    }
+
+    /// One-per-format climb pruning: a compare against the first member of
+    /// the candidate's format and, if it wins, a replace in place.
+    fn admit_one_per_format(
+        &mut self,
+        cost: &CostVector,
+        format: OutputFormat,
+        admission: &Admission,
+        make: impl FnOnce() -> P,
+    ) -> bool {
+        let Some(idx) = self.meta.iter().position(|m| m.format == format) else {
+            if admission
+                .capacity
+                .is_some_and(|cap| self.plans.len() >= cap)
+            {
+                self.screen.rejected += 1;
+                return false;
+            }
+            self.screen.admitted += 1;
+            self.push(make(), Meta::of(cost, format));
+            return true;
+        };
+        self.screen.dominance_tests += 1;
+        if !cost.strictly_dominates(&self.meta[idx].cost) {
+            self.screen.rejected += 1;
+            return false;
+        }
+        let meta = Meta::of(cost, format);
+        if let Some(b) = self.boxes.as_deref_mut() {
+            b.keys[idx] = b.factors.box_key(cost);
+        }
+        if let Some(ix) = self.index.iter_mut().find(|ix| ix.format == format) {
+            ix.replace(idx as u32, &meta);
+        }
+        self.meta[idx] = meta;
+        self.plans[idx] = make();
+        self.screen.admitted += 1;
+        self.screen.evicted += 1;
+        true
+    }
+
+    /// The dominance screen of the climb, approximate and cost-frontier
+    /// rules over the members in scope (those of `scope`'s format, or all):
+    /// rejects the candidate if a member weakly dominates its rejection
+    /// bound (component `k` is `bound(k, cost[k])`), otherwise evicts the
+    /// members `cost` weakly dominates (an equal-cost member would have
+    /// rejected it, so under the climb rule these are strictly dominated).
+    /// Returns whether the candidate was rejected.
+    ///
+    /// Bound components are computed where they are compared, through the
+    /// factor arithmetic even for the exact rules ([`EXACT`]): the compiler
+    /// then keeps them in registers across the member loop, which made the
+    /// exact rules 2× faster at d = 4 than comparing against the cost slice
+    /// itself.
+    #[inline(always)]
+    fn reject_or_evict(
+        &mut self,
+        scope: Option<OutputFormat>,
+        cost: &CostVector,
+        bound: impl Fn(usize, f64) -> f64,
+    ) -> bool {
+        let c = cost.as_slice();
+        // `CostVector::agg_key` of the bound: the same sum in the same order.
+        let bound_key: f64 = c.iter().enumerate().map(|(k, &x)| bound(k, x)).sum();
+        // Members share the candidate's dimension.
+        if self.index.is_empty() && past_crossover(self.meta.len(), c.len()) {
+            self.index_new_formats();
+        }
+        if !self.index.is_empty() {
+            let mut bounds = [0.0; MAX_COST_DIM];
+            for (k, (slot, &x)) in bounds.iter_mut().zip(c).enumerate() {
+                *slot = bound(k, x);
+            }
+            return self.reject_or_evict_indexed(scope, &bounds[..c.len()], bound_key, cost);
+        }
+        // Tallies stay in registers through the member loop.
+        let (mut skips, mut tests) = (0, 0);
+        let covered = self.meta.iter().any(|m| {
+            if scope.is_some_and(|f| m.format != f) {
+                return false;
+            }
+            if m.key > bound_key {
+                skips += 1;
+                return false;
+            }
+            tests += 1;
+            let mc = m.cost.as_slice();
+            mc.iter()
+                .zip(c)
+                .enumerate()
+                .all(|(k, (a, &x))| *a <= bound(k, x))
+        });
+        self.screen.agg_key_skips += skips;
+        self.screen.dominance_tests += tests;
+        if !covered {
+            self.evict_dominated(scope, cost);
+        }
+        covered
+    }
+
+    /// The eviction half of [`Self::reject_or_evict`] on the member scan.
+    #[inline(never)]
+    fn evict_dominated(&mut self, scope: Option<OutputFormat>, cost: &CostVector) {
+        let key = cost.agg_key();
+        let screen = &mut self.screen;
+        let evicted = retain_members(
+            &mut self.plans,
+            &mut self.meta,
+            self.boxes.as_deref_mut(),
+            |_, m, _| {
+                if scope.is_some_and(|f| m.format != f) {
+                    return false;
+                }
+                if m.key < key {
+                    screen.agg_key_skips += 1;
+                    return false;
+                }
+                screen.dominance_tests += 1;
+                cost.dominates(&m.cost)
+            },
+        );
+        self.after_eviction(evicted);
+    }
+
+    /// [`Self::reject_or_evict`] for an indexed set: screens the block
+    /// indices of the formats in scope (every format has one).
+    #[inline(never)]
+    fn reject_or_evict_indexed(
+        &mut self,
+        scope: Option<OutputFormat>,
+        bound: &[f64],
+        bound_key: f64,
+        cost: &CostVector,
+    ) -> bool {
+        let in_scope = |ix: &BlockIndex| scope.is_none_or(|f| ix.format == f);
+        for ix in &self.index {
+            if in_scope(ix) && ix.covers(bound, bound_key, &mut self.screen) {
+                return true;
+            }
+        }
+        let key = cost.agg_key();
+        let mut dead = Vec::new();
+        for ix in &self.index {
+            if in_scope(ix) {
+                ix.harvest_dominated(cost, key, &mut dead, &mut self.screen);
+            }
+        }
+        if !dead.is_empty() {
+            // Each index harvests in ascending order; the format-blind rule
+            // merges several.
+            dead.sort_unstable();
+            let evicted = retain_members(
+                &mut self.plans,
+                &mut self.meta,
+                self.boxes.as_deref_mut(),
+                |i, _, _| dead.binary_search(&(i as u32)).is_ok(),
+            );
+            self.after_eviction(evicted);
+        }
+        false
+    }
+
+    /// The ε-box screen: a member whose box weakly dominates the
+    /// candidate's rejects it — unless they share a box and the candidate
+    /// strictly dominates the incumbent, which it then replaces. Otherwise
+    /// evicts the members whose boxes the candidate's box dominates.
+    fn reject_or_evict_boxed(
+        &mut self,
+        eps: &EpsFactors,
+        format: OutputFormat,
+        cost: &CostVector,
+    ) -> bool {
+        let cbox = eps.box_key(cost);
+        self.ensure_boxes(eps);
+        let boxes = self.boxes.as_deref().expect("box cache is live");
+        let screen = &mut self.screen;
+        for (m, mbox) in self.meta.iter().zip(&boxes.keys) {
+            if m.format != format {
+                continue;
+            }
+            screen.dominance_tests += 1;
+            if mbox.dominates(&cbox) && (*mbox != cbox || !cost.strictly_dominates(&m.cost)) {
+                if !m.cost.dominates(cost) {
+                    screen.eps_rejects += 1;
+                }
+                return true;
+            }
+        }
+        let evicted = retain_members(
+            &mut self.plans,
+            &mut self.meta,
+            self.boxes.as_deref_mut(),
+            |_, m, mbox| {
+                let mbox = mbox.expect("box cache is live");
+                m.format == format
+                    && cbox.dominates(mbox)
+                    && (cbox != *mbox || cost.strictly_dominates(&m.cost))
+            },
+        );
+        self.after_eviction(evicted);
+        false
+    }
+
+    fn after_eviction(&mut self, evicted: usize) {
+        if evicted > 0 {
+            self.screen.evicted += evicted as u64;
+            if !self.index.is_empty() {
+                self.reindex();
+            }
+        }
     }
 
     /// Merges every member of `other` into `self` under the given
@@ -707,56 +942,71 @@ impl<P> ParetoSet<P> {
 
     /// Debug check of the handle-independent part of the set invariant: no
     /// member strictly dominates another member with the same output
-    /// format, and the metadata / SoA bucket index is internally consistent
-    /// (columns mirror member costs, block key ranges are conservative,
-    /// box caches match their factors).
+    /// format, and the metadata is internally consistent — cached keys and
+    /// ε-boxes match the costs, and an indexed set is past [`SOA_CROSSOVER`]
+    /// and carries, for every format, a block index that mirrors its members
+    /// (ascending ids, columns equal to the costs, conservative block key
+    /// ranges).
     /// (`ParetoSet<PlanRef>::check_invariant` additionally cross-checks the
     /// stored plans against the metadata.)
     pub fn check_invariant_meta(&self) -> bool {
         if self.plans.len() != self.meta.len() {
             return false;
         }
-        for m in &self.meta {
-            if m.key != m.cost.agg_key() {
-                return false;
-            }
-        }
-        let indexed: usize = self.buckets.values().map(|b| b.ids.len()).sum();
-        if indexed != self.meta.len() {
+        if self.meta.iter().any(|m| m.key != m.cost.agg_key()) {
             return false;
         }
-        for (format, bucket) in &self.buckets {
-            if bucket.ids.windows(2).any(|w| w[0] >= w[1]) {
+        if let Some(b) = &self.boxes {
+            if b.keys.len() != self.meta.len()
+                || self
+                    .meta
+                    .iter()
+                    .zip(&b.keys)
+                    .any(|(m, k)| *k != b.factors.box_key(&m.cost))
+            {
                 return false;
             }
-            if bucket.box_factors.is_some() && bucket.boxes.len() != bucket.ids.len() {
+        }
+        let mut formats: Vec<OutputFormat> = self.meta.iter().map(|m| m.format).collect();
+        formats.sort_unstable();
+        formats.dedup();
+        let indexed_set = !self.index.is_empty();
+        if indexed_set && !self.past_crossover() {
+            return false;
+        }
+        let mut indexed = 0;
+        for format in formats {
+            let members: Vec<usize> = (0..self.meta.len())
+                .filter(|&i| self.meta[i].format == format)
+                .collect();
+            let ix = self.index.iter().find(|ix| ix.format == format);
+            if indexed_set != ix.is_some() {
                 return false;
             }
-            for (slot, &i) in bucket.ids.iter().enumerate() {
-                let m = match self.meta.get(i as usize) {
-                    Some(m) if m.format == *format => m,
-                    _ => return false,
-                };
-                let d = bucket.dim;
-                if m.cost.dim() != d {
+            let Some(ix) = ix else { continue };
+            indexed += 1;
+            if ix
+                .ids
+                .iter()
+                .map(|&i| i as usize)
+                .ne(members.iter().copied())
+            {
+                return false;
+            }
+            for (slot, &i) in ix.ids.iter().enumerate() {
+                let m = &self.meta[i as usize];
+                let (block, lane) = (slot / LANES, slot % LANES);
+                if m.cost.dim() != ix.dim
+                    || (0..ix.dim)
+                        .any(|k| ix.cols[(block * ix.dim + k) * LANES + lane] != m.cost[k])
+                    || !(ix.kmin[block] <= m.key && m.key <= ix.kmax[block])
+                {
                     return false;
-                }
-                let base = (slot / LANES) * d * LANES + slot % LANES;
-                for k in 0..d {
-                    if bucket.cols[base + k * LANES] != m.cost[k] {
-                        return false;
-                    }
-                }
-                let block = slot / LANES;
-                if !(bucket.kmin[block] <= m.key && m.key <= bucket.kmax[block]) {
-                    return false;
-                }
-                if let Some(f) = &bucket.box_factors {
-                    if bucket.boxes[slot] != f.box_key(&m.cost) {
-                        return false;
-                    }
                 }
             }
+        }
+        if indexed != self.index.len() {
+            return false;
         }
         for (i, a) in self.meta.iter().enumerate() {
             for (j, b) in self.meta.iter().enumerate() {
@@ -1285,7 +1535,9 @@ mod tests {
         assert_eq!(c.dominance_tests, 1);
 
         // Eviction: dominated incumbent replaced under the literal policy.
-        // The admitted candidate's eviction pass screens one SoA block.
+        // Below the crossover the screen scans members: the rejection pass
+        // key-skips the (more expensive) incumbent, the eviction pass
+        // compares it.
         let mut set = ParetoSet::new();
         assert!(set.insert(bad, &keep_incomparable()));
         assert!(set.insert(good, &keep_incomparable()));
@@ -1293,7 +1545,8 @@ mod tests {
         assert_eq!(c.probes, 2);
         assert_eq!(c.admitted, 2);
         assert_eq!(c.evicted, 1);
-        assert!(c.blocks_screened >= 1, "{c:?}");
+        assert_eq!((c.agg_key_skips, c.dominance_tests), (1, 1));
+        assert_eq!(c.blocks_screened, 0);
 
         // take_screen_counters drains; absorb sums.
         let mut total = ScreenCounters::default();
@@ -1301,15 +1554,103 @@ mod tests {
         assert_eq!(total.probes, 2);
         assert_eq!(set.screen_counters(), ScreenCounters::default());
 
-        // The block key-range pre-filter skips blocks whose keys already
-        // rule dominance out: a cheap member cannot be dominated by an
-        // expensive candidate, so the second probe's eviction pass skips
-        // the incumbent's block.
+        // The key pre-filter skips members whose keys already rule
+        // dominance out: a cheap member cannot be dominated by an expensive
+        // candidate, so the second probe's eviction pass skips the
+        // incumbent after its rejection pass compared it.
         let mut set = ParetoSet::new();
         assert!(set.insert(synthetic_plan(&[1.0, 1.0, 1.0], 0), &Admission::exact()));
         assert!(set.insert(synthetic_plan(&[0.5, 4.0, 1.0], 0), &Admission::exact()));
         let c = set.screen_counters();
-        assert!(c.agg_key_skips >= 1, "{c:?}");
+        assert_eq!((c.agg_key_skips, c.dominance_tests), (1, 1), "{c:?}");
+    }
+
+    #[test]
+    fn a_format_past_the_crossover_is_screened_in_blocks_until_it_falls_back() {
+        // d = 8: a format-1 member and `n` pairwise incomparable members of
+        // format 0 take the set past the crossover; the format-1 member in
+        // front keeps set and format indices apart.
+        let n = SOA_CROSSOVER.div_ceil(8) - 1;
+        let point = |a: f64, b: f64| CostVector::new(&[a, b, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let exact = Admission::exact();
+        let mut set: ParetoSet<u32> = ParetoSet::new();
+        assert!(set.admit(&point(1.0, 1.0), OutputFormat(1), &exact, || 0));
+        for i in 0..n {
+            let (a, b) = (i as f64 + 1.0, (n - i) as f64);
+            assert!(set.admit(&point(a, b), OutputFormat(0), &exact, || i as u32 + 1));
+            assert!(set.check_invariant_meta(), "member {i}");
+        }
+        assert!(set.index.is_empty(), "indexed before a probe needs it");
+        assert_eq!(set.take_screen_counters().blocks_screened, 0);
+        // The next probe indexes both formats and screens the dominated
+        // candidate with the block kernel.
+        assert!(!set.admit(&point(2.0, n as f64), OutputFormat(0), &exact, || 0));
+        assert_eq!(set.index.len(), 2, "both formats are indexed");
+        assert!(set.take_screen_counters().blocks_screened > 0);
+        // A candidate dominating the first half evicts it: the set falls
+        // below the crossover, the indices go, survivors keep their order.
+        let half = (n / 2) as f64;
+        assert!(set.admit(&point(1.0, half), OutputFormat(0), &exact, || 99));
+        assert!(set.check_invariant_meta());
+        assert!(set.index.is_empty());
+        let expected: Vec<u32> = std::iter::once(0)
+            .chain(
+                (0..n)
+                    .filter(|&i| ((n - i) as f64) < half)
+                    .map(|i| i as u32 + 1),
+            )
+            .chain([99])
+            .collect();
+        assert_eq!(set.plans(), &expected[..]);
+        set.take_screen_counters();
+        assert!(!set.admit(&point(2.0, n as f64), OutputFormat(0), &exact, || 0));
+        assert_eq!(set.screen_counters().blocks_screened, 0);
+    }
+
+    #[test]
+    fn cost_frontiers_screen_every_format_in_blocks_and_eps_boxes_never_index() {
+        // d = 8, two formats alternating along an anti-diagonal: pairwise
+        // incomparable, so every candidate is admitted until the set passes
+        // the crossover.
+        let n = SOA_CROSSOVER.div_ceil(8);
+        let point = |a: f64, b: f64| CostVector::new(&[a, b, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let fill = |admission: &Admission| {
+            let mut set: ParetoSet<u32> = ParetoSet::new();
+            for i in 0..n {
+                let (a, b) = (i as f64 + 1.0, (n - i) as f64);
+                let format = OutputFormat((i % 2) as u8);
+                assert!(set.admit(&point(a, b), format, admission, || i as u32));
+            }
+            set.take_screen_counters();
+            set
+        };
+        let frontier = Admission::cost_frontier();
+        let mut set = fill(&frontier);
+        // Format-blind: a format-1 candidate only the first (format-0)
+        // member dominates is rejected, in blocks.
+        let first_only = point(1.0, n as f64 + 1.0);
+        assert!(!set.admit(&first_only, OutputFormat(1), &frontier, || 0));
+        assert_eq!(set.index.len(), 2);
+        assert!(set.take_screen_counters().blocks_screened > 0);
+        // A candidate dominating members of both formats evicts them all,
+        // keeping the survivors' order.
+        let cut = (n / 2) as f64;
+        assert!(set.admit(&point(1.0, cut), OutputFormat(0), &frontier, || 99));
+        assert!(set.check_invariant_meta());
+        let expected: Vec<u32> = (0..n as u32)
+            .filter(|&i| ((n as u32 - i) as f64) < cut)
+            .chain([99])
+            .collect();
+        assert_eq!(set.plans(), &expected[..]);
+
+        let boxed = Admission::eps_box(EpsFactors::exact());
+        let mut set = fill(&boxed);
+        assert!(!set.admit(&point(3.0, n as f64), OutputFormat(0), &boxed, || 0));
+        assert!(
+            set.index.is_empty(),
+            "the ε-box screen never reads an index"
+        );
+        assert!(set.check_invariant_meta());
     }
 
     #[test]
@@ -1460,18 +1801,23 @@ mod tests {
     mod differential {
         //! Differential proptests (compiled under the `diff-testing`
         //! feature): (a) every admission rule preserves the Pareto-set
-        //! invariant, (b) the bucketed-SoA implementation makes exactly the
-        //! decisions — and stores exactly the survivors, in the same order —
-        //! as the linear-scan reference deciding through the scalar
-        //! [`AdmissionRule`] predicates, and (c) the degenerate ε-archive
-        //! (all factors 1) makes exactly the decisions of exact approximate
+        //! invariant, (b) the member-array set — scanned below the
+        //! crossover, block-indexed past it — makes exactly the decisions,
+        //! and stores exactly the survivors, in the same order, as the
+        //! linear-scan reference deciding through the scalar
+        //! [`AdmissionRule`] predicates, on small random streams and on
+        //! streams that carry two interleaved formats across the crossover
+        //! and back at d ∈ {2, 3, 8}, and (c) the degenerate ε-archive (all
+        //! factors 1) makes exactly the decisions of exact approximate
         //! pruning at d ∈ {2, 4, 8}.
 
         use super::*;
         use proptest::prelude::*;
+        use proptest::TestRng;
+        use rand::Rng;
 
         /// Candidate streams: small integer-ish costs maximize dominance /
-        /// equality collisions, few formats maximize bucket contention.
+        /// equality collisions, few formats maximize format contention.
         fn arb_stream_d(dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, u8)>> {
             proptest::collection::vec(
                 (
@@ -1486,6 +1832,44 @@ mod tests {
             arb_stream_d(3)
         }
 
+        /// Streams that push two interleaved formats past the crossover and
+        /// back: points on the anti-diagonal `c0 + c1 = span` (pairwise
+        /// incomparable unless equal there; the other metrics are 1 or 2)
+        /// grow both frontiers to about `SOA_CROSSOVER / d` members each, a
+        /// burst of cheap points evicts most of them, and more diagonal
+        /// points regrow them. Integer costs keep ties and duplicates.
+        struct CrossingStream {
+            dim: usize,
+        }
+
+        impl Strategy for CrossingStream {
+            type Value = Vec<(Vec<f64>, u8)>;
+
+            fn sample(&self, rng: &mut TestRng) -> Self::Value {
+                let per_format = SOA_CROSSOVER.div_ceil(self.dim);
+                let span = 4 * per_format as u32;
+                let point = |rng: &mut TestRng, c0: u32, c1: u32, rest: u32| {
+                    let mut cost = vec![f64::from(c0), f64::from(c1)];
+                    cost.extend((2..self.dim).map(|_| f64::from(rng.random_range(1..=rest))));
+                    (cost, rng.random_range(0..2u8))
+                };
+                let diagonal = |rng: &mut TestRng| {
+                    let a = rng.random_range(0..=span);
+                    point(rng, a, span - a, 2)
+                };
+                let grow = rng.random_range(3 * per_format..4 * per_format);
+                let crash = rng.random_range(2..6);
+                let regrow = rng.random_range(0..per_format);
+                let mut stream: Vec<_> = (0..grow).map(|_| diagonal(rng)).collect();
+                for _ in 0..crash {
+                    let (c0, c1) = (rng.random_range(0..span / 4), rng.random_range(0..span / 4));
+                    stream.push(point(rng, c0, c1, 1));
+                }
+                stream.extend((0..regrow).map(|_| diagonal(rng)));
+                stream
+            }
+        }
+
         fn survivors(plans: &[PlanRef]) -> Vec<(Vec<f64>, u8)> {
             plans
                 .iter()
@@ -1493,27 +1877,72 @@ mod tests {
                 .collect()
         }
 
-        /// Runs a stream through the bucketed set under `adm` and the
-        /// linear oracle, asserting identical decisions and survivors.
+        /// Runs a stream through the set and the linear oracle, the `i`-th
+        /// candidate under `adm(i)`, asserting identical decisions and
+        /// survivors, and the set's invariant every 32 candidates.
+        fn assert_matches_linear_with(
+            stream: &[(Vec<f64>, u8)],
+            adm: impl Fn(usize) -> Admission,
+        ) -> Result<(), TestCaseError> {
+            let mut set = ParetoSet::new();
+            let mut linear = LinearParetoSet::new();
+            for (i, (cost, format)) in stream.iter().enumerate() {
+                let adm = adm(i);
+                let p = synthetic_plan(cost, *format);
+                let kept = set.insert(p.clone(), &adm);
+                let kept_l = linear.admit(p, &adm);
+                prop_assert_eq!(kept, kept_l, "decision {} diverged under {:?}", i, adm);
+                if i % 32 == 31 {
+                    prop_assert!(set.check_invariant(), "invariant broken at {}", i);
+                }
+            }
+            prop_assert!(set.check_invariant());
+            prop_assert_eq!(
+                survivors(set.plans()),
+                survivors(linear.plans()),
+                "survivors diverged under {:?}",
+                adm(stream.len())
+            );
+            Ok(())
+        }
+
+        /// [`assert_matches_linear_with`] under one admission throughout.
         fn assert_matches_linear(
             stream: &[(Vec<f64>, u8)],
             adm: &Admission,
         ) -> Result<(), TestCaseError> {
-            let mut bucketed = ParetoSet::new();
-            let mut linear = LinearParetoSet::new();
-            for (cost, format) in stream {
-                let p = synthetic_plan(cost, *format);
-                let kept_b = bucketed.insert(p.clone(), adm);
-                let kept_l = linear.admit(p, adm);
-                prop_assert_eq!(kept_b, kept_l, "decision diverged under {:?}", adm);
+            assert_matches_linear_with(stream, |_| *adm)
+        }
+
+        /// Every rule, unbounded and at two capacities: one past the
+        /// crossover, one far below it.
+        fn every_rule(dim: usize) -> Vec<Admission> {
+            let factors: Vec<f64> = (0..dim).map(|k| 1.0 + (k % 2) as f64).collect();
+            let rules = [
+                Admission::climb(PrunePolicy::OnePerFormat),
+                Admission::climb(PrunePolicy::KeepIncomparable),
+                Admission::exact(),
+                Admission::approx(1.5),
+                Admission::approx_per_metric(EpsFactors::per_metric(&factors)),
+                Admission::eps_box(EpsFactors::exact()),
+                Admission::eps_box(EpsFactors::uniform(1.5)),
+                Admission::cost_frontier(),
+            ];
+            let big = 3 * SOA_CROSSOVER.div_ceil(dim) / 2;
+            rules
+                .iter()
+                .flat_map(|&adm| [adm, adm.with_capacity(big), adm.with_capacity(3)])
+                .collect()
+        }
+
+        /// Every rule of [`every_rule`] over a crossing stream.
+        fn assert_crossing_matches_linear(
+            dim: usize,
+            stream: &[(Vec<f64>, u8)],
+        ) -> Result<(), TestCaseError> {
+            for adm in every_rule(dim) {
+                assert_matches_linear(stream, &adm)?;
             }
-            prop_assert!(bucketed.check_invariant());
-            prop_assert_eq!(
-                survivors(bucketed.plans()),
-                survivors(linear.plans()),
-                "survivors diverged under {:?}",
-                adm
-            );
             Ok(())
         }
 
@@ -1613,6 +2042,48 @@ mod tests {
             #[test]
             fn exact_eps_box_matches_exact_archive_d8(stream in arb_stream_d(8)) {
                 assert_exact_eps_box_matches(&stream)?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// Every rule, with and without capacity, over streams that
+            /// carry two formats past the crossover and back, at d = 2.
+            #[test]
+            fn every_rule_matches_linear_across_the_crossover_d2(stream in CrossingStream { dim: 2 }) {
+                assert_crossing_matches_linear(2, &stream)?;
+            }
+
+            /// The same at d = 3.
+            #[test]
+            fn every_rule_matches_linear_across_the_crossover_d3(stream in CrossingStream { dim: 3 }) {
+                assert_crossing_matches_linear(3, &stream)?;
+            }
+
+            /// The same at d = 8.
+            #[test]
+            fn every_rule_matches_linear_across_the_crossover_d8(stream in CrossingStream { dim: 8 }) {
+                assert_crossing_matches_linear(8, &stream)?;
+            }
+
+            /// ε-box admission whose factors change mid-stream (coarse,
+            /// finer, exact, coarse again): the cached boxes follow.
+            #[test]
+            fn eps_box_with_changing_factors_matches_linear(
+                stream in CrossingStream { dim: 3 },
+                cuts in proptest::collection::vec(0usize..400, 3),
+                capacity in prop_oneof![Just(None), Just(Some(40usize))],
+            ) {
+                let schedule = [2.0, 1.25, 1.0, 3.0];
+                assert_matches_linear_with(&stream, |i| {
+                    let phase = cuts.iter().filter(|&&cut| cut <= i).count();
+                    let adm = Admission::eps_box(EpsFactors::uniform(schedule[phase]));
+                    match capacity {
+                        Some(cap) => adm.with_capacity(cap),
+                        None => adm,
+                    }
+                })?;
             }
         }
     }

@@ -3,8 +3,11 @@
 //! This is the reproduction of the cost-metric setting of the paper's
 //! evaluation (§6.1): "query execution time, buffer space consumption, and
 //! disc space consumption", the metrics previously used by Trummer & Koch's
-//! approximation-scheme evaluation. Exact formulas were not published; see
-//! DESIGN.md §3 for the substitution argument. The model composes the
+//! approximation-scheme evaluation. Exact formulas were not published, so
+//! this model substitutes textbook operator formulas over the same three
+//! metrics (see [`crate::operators`]); what the experiments depend on —
+//! genuine tradeoffs between the metrics across operators, and costs that
+//! add up along the plan tree — holds by construction. The model composes the
 //! operator library of [`crate::operators`] with the catalog's cardinality
 //! estimates and presents any non-empty subset of the three metrics
 //! (experiments use `l ∈ {1, 2, 3}` metrics drawn uniformly, as in §6.1).

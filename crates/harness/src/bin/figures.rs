@@ -14,7 +14,8 @@
 //! ```
 //!
 //! The ASCII panels printed to stdout are the series the paper's figures
-//! plot; EXPERIMENTS.md archives runs of this binary.
+//! plot; `--out` keeps a run's reports. This binary is the one entry point
+//! for the figures.
 
 use std::path::PathBuf;
 use std::time::Instant;

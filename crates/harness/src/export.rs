@@ -2,9 +2,9 @@
 //!
 //! The ASCII renderer of [`crate::report`] is what humans read in a
 //! terminal; this module produces the same data in formats downstream
-//! tooling can consume — `serde_json` for structured archival (the format
-//! EXPERIMENTS.md's archived runs use) and a long-format CSV that plotting
-//! scripts can pivot into the paper's panel grid directly.
+//! tooling can consume — `serde_json` for structured archival (what
+//! `figures --out DIR` writes beside the text report) and a long-format CSV
+//! that plotting scripts can pivot into the paper's panel grid directly.
 
 use std::fmt::Write as _;
 use std::io;

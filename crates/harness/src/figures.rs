@@ -5,8 +5,8 @@
 //! Figures 6–9) — a Rust iteration costs far less than the paper's Java 1.7
 //! iteration, so the same qualitative regime (how many iterations each
 //! algorithm completes, which DP configurations finish) is reached much
-//! earlier. `MOQO_TIME_SCALE` rescales all budgets; EXPERIMENTS.md records
-//! the scale used for the archived runs.
+//! earlier. `MOQO_TIME_SCALE` rescales all budgets, so a reported result
+//! must state the scale it ran at.
 
 use std::time::Duration;
 

@@ -3,8 +3,9 @@
 //! Drives every experiment of the paper's §6 and appendix: the nine figures
 //! comparing DP approximation schemes, SA, 2P, NSGA-II, II, and RMQ on
 //! chain/cycle/star queries of 4–100 tables under 2–3 cost metrics, plus
-//! the path-length/Pareto-count statistics of Figure 3 and the ablations
-//! called out in DESIGN.md.
+//! the path-length/Pareto-count statistics of Figure 3. (The ablations of
+//! §4.2/§4.3's design choices — fast vs. naive climbing, the plan cache, the
+//! α schedule, sampled neighbors — are `moqo-bench`'s `ablations` bench.)
 //!
 //! Measurement protocol (§6.1): per test case all algorithms run under the
 //! same wall-clock budget; frontiers are snapshotted at regular checkpoints;

@@ -10,7 +10,8 @@
 //! site is live. Enabled events go into a global ring of [`capacity`]
 //! entries ([`JOURNAL_CAPACITY`] by default, overridable at runtime via
 //! [`set_capacity`] or `MOQO_JOURNAL_CAPACITY`); when full, the oldest
-//! event is overwritten (sequence numbers expose the gap).
+//! event is overwritten (sequence numbers expose the gap, and the
+//! `journal.dropped` counter counts it).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -18,6 +19,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::ctx::{self, Ctx};
+use crate::metrics::metrics;
 
 /// Event severity, ordered `Debug < Info < Warn`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -532,13 +534,15 @@ pub fn capacity() -> usize {
 }
 
 /// Overrides the ring capacity (clamped to at least 1) and trims the ring
-/// if it already holds more than the new bound.
+/// if it already holds more than the new bound (trimmed events count as
+/// dropped).
 pub fn set_capacity(events: usize) {
     let cap = events.max(1);
     CAPACITY.store(cap, Ordering::Relaxed);
     let mut ring = RING.lock().unwrap();
     while ring.len() > cap {
         ring.pop_front();
+        metrics().journal_dropped.incr();
     }
 }
 
@@ -554,6 +558,7 @@ fn record(target: Target, level: Level, kind: EventKind) {
     let mut ring = RING.lock().unwrap();
     if ring.len() >= capacity() {
         ring.pop_front();
+        metrics().journal_dropped.incr();
     }
     ring.push_back(event);
 }
@@ -648,6 +653,21 @@ mod tests {
         for pair in evs.windows(2) {
             assert!(pair[0].seq < pair[1].seq);
         }
+    }
+
+    #[test]
+    fn overwritten_events_are_counted_as_dropped() {
+        let _guard = journal_lock();
+        enable(&[Target::Arena], Level::Debug);
+        drain();
+        let before = metrics().journal_dropped.get();
+        for _ in 0..(capacity() + 50) {
+            emit_with(Target::Arena, Level::Debug, || EventKind::Note("z"));
+        }
+        let dropped = metrics().journal_dropped.get() - before;
+        drain();
+        disable();
+        assert_eq!(dropped, 50);
     }
 
     #[test]

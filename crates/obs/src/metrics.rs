@@ -304,10 +304,17 @@ pub struct Metrics {
     /// a step frontier once (sub-trees answered from the per-climb memo are
     /// not re-counted).
     pub climb_candidates: ShardedCounter,
-    /// Member comparisons screened out by the aggregate-key pre-filter
-    /// before any full dominance test ran.
+    /// Member comparisons of the climb's step frontiers that the
+    /// aggregate-key pre-filter resolved without a component compare: on
+    /// the member scan (below the block-index crossover), members whose
+    /// cached key alone ruled dominance out; on a block-indexed format, the
+    /// lanes of key-skipped blocks. Always 0 under the default
+    /// one-per-format climb, which compares one member per candidate.
     pub climb_agg_key_skips: ShardedCounter,
-    /// Full component-wise dominance tests executed.
+    /// Component-wise dominance compares of the climb's step frontiers: on
+    /// the member scan, one per member compared (one per candidate whose
+    /// format is present under the default one-per-format climb); on a
+    /// block-indexed format, the lanes of screened blocks.
     pub climb_dominance_tests: ShardedCounter,
     /// Candidates rejected as dominated (or duplicate) by a frontier.
     pub climb_rejected: ShardedCounter,
@@ -315,8 +322,11 @@ pub struct Metrics {
     pub climb_admitted: ShardedCounter,
     /// Incumbent members evicted by an admitted candidate.
     pub climb_evicted: ShardedCounter,
-    /// Structure-of-arrays blocks screened by the Pareto dominance kernels
-    /// (blocks the aggregate-key range filter could not skip).
+    /// Structure-of-arrays blocks screened by the Pareto block kernels
+    /// (blocks the aggregate-key range filter could not skip). 0 unless
+    /// some frontier is past the block-index crossover
+    /// (`moqo_core::pareto::SOA_CROSSOVER` members × dimension): below it,
+    /// admission scans members and screens no blocks.
     pub pareto_blocks_screened: ShardedCounter,
     /// Candidates rejected by the ε-box archive rule that exact dominance
     /// would have admitted (precision-driven rejections).
@@ -388,6 +398,9 @@ pub struct Metrics {
     pub spans_recorded: Counter,
     /// Span records evicted because the tracing ring was full.
     pub spans_dropped: Counter,
+    /// Journal events overwritten because the journal ring was full (or
+    /// trimmed by a smaller capacity) before anyone drained them.
+    pub journal_dropped: Counter,
     /// Observed p99 time-to-first-frontier of the SLO monitor's sliding
     /// window, microseconds (0 until the monitor has samples).
     pub slo_ttff_p99_us: Gauge,
@@ -480,6 +493,7 @@ impl Metrics {
             cache_misses: Counter::new(),
             spans_recorded: Counter::new(),
             spans_dropped: Counter::new(),
+            journal_dropped: Counter::new(),
             slo_ttff_p99_us: Gauge::new(),
             slo_queue_p99_us: Gauge::new(),
             slo_shed_per_mille: Gauge::new(),
@@ -556,6 +570,7 @@ impl Metrics {
             ("cache.misses", self.cache_misses.get()),
             ("spans.recorded", self.spans_recorded.get()),
             ("spans.dropped", self.spans_dropped.get()),
+            ("journal.dropped", self.journal_dropped.get()),
             ("slo.ttff_p99_us", self.slo_ttff_p99_us.get()),
             ("slo.queue_p99_us", self.slo_queue_p99_us.get()),
             ("slo.shed_per_mille", self.slo_shed_per_mille.get()),
@@ -749,6 +764,7 @@ mod tests {
         assert!(names.contains(&"exec.tuples"));
         assert!(names.contains(&"spans.recorded"));
         assert!(names.contains(&"spans.dropped"));
+        assert!(names.contains(&"journal.dropped"));
         assert!(names.contains(&"slo.ttff_p99_us"));
         assert!(names.contains(&"slo.queue_p99_us"));
         assert!(names.contains(&"slo.shed_per_mille"));

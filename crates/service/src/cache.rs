@@ -19,12 +19,15 @@
 //!
 //! # Arena-backed storage & eviction story
 //!
-//! Cached plans live in one hash-consed `PlanArena` owned by the cache, so
-//! structurally shared partial plans published by different sessions (and
-//! different queries!) are stored once, and a cached plan's identity is the
-//! integer pair **`(context fingerprint, PlanId)`** — publishing a plan the
-//! cache already holds is rejected by one hash-set probe, before any
-//! dominance scan runs.
+//! Cached plans live in one hash-consed `PlanArena` per context, owned by
+//! the cache, so structurally shared partial plans published by different
+//! sessions (and different queries!) of a context are stored once, and a
+//! cached plan's identity is the integer pair **`(context fingerprint,
+//! PlanId)`** — publishing a plan the cache already holds is rejected by one
+//! hash-set probe, before any dominance scan runs. Contexts never share an
+//! arena: a node carries its cost, and two contexts cost the same structure
+//! differently (other statistics, other metrics — possibly another number
+//! of them, while an arena stores costs at one dimension).
 //!
 //! Of the two possible ownership designs — a shared epoch-swept arena that
 //! sessions intern into directly, versus per-session arenas with
@@ -35,10 +38,11 @@
 //! re-interning copy but would put an arena lock on every optimizer-internal
 //! plan construction and could never reclaim dead session plans; the
 //! per-session design keeps the hot path lock-free and bounds the shared
-//! arena by *published* (not explored) plans. Because the cache arena is
+//! arenas by *published* (not explored) plans. Because a context's arena is
 //! append-only while entries are LRU-evicted, it is rebuilt from the live
 //! roots (dropping unreachable nodes) whenever it has grown well past the
-//! live plan count — see `maybe_compact`.
+//! live plan count — see `Context::maybe_compact` — and dropped with the
+//! context's last entry.
 //!
 //! The cache is bounded by total stored plans; eviction is
 //! least-recently-used at entry (table-set) granularity.
@@ -104,9 +108,9 @@ pub struct CacheStats {
     /// Publishes rejected by `(context, PlanId)` identity — exact
     /// duplicates caught by one hash probe, no dominance scan.
     pub identity_rejects: u64,
-    /// Interned nodes currently in the cache arena (occupancy).
+    /// Interned nodes currently in the cache's arenas (occupancy).
     pub arena_nodes: usize,
-    /// Times the cache arena was compacted (rebuilt from live roots).
+    /// Times a context's arena was compacted (rebuilt from live roots).
     pub compactions: u64,
 }
 
@@ -121,7 +125,7 @@ impl CacheStats {
     }
 }
 
-/// A cached plan: its canonical [`PlanId`] in the cache arena plus pruning
+/// A cached plan: its canonical [`PlanId`] in its context's arena plus pruning
 /// metadata held inline, so publish-time admission checks read the dense
 /// `(cost, format)` pair and never touch the arena (the same metadata
 /// `moqo_core::pareto::ParetoSet` keeps in-optimizer).
@@ -136,20 +140,48 @@ struct Entry {
     last_used: u64,
 }
 
-struct CacheInner {
-    /// Two-level map: context fingerprint → table set → entry, so
-    /// warm-start lookups stay confined to one context's entries instead
-    /// of walking every cached context. (Global eviction still scans all
-    /// entries — once per overflowing publish, see `publish`.)
-    map: HashMap<u64, HashMap<TableSet, Entry>>,
-    /// The cache's hash-consed plan store: every cached plan's nodes,
-    /// shared across contexts and table sets.
+/// One context's entries, the arena their plans live in, and its identity
+/// index.
+#[derive(Default)]
+struct Context {
+    entries: HashMap<TableSet, Entry>,
     arena: PlanArena,
-    /// Identity index `(context, PlanId)` of every stored plan: because
-    /// ids are canonical per arena, an exact re-publish is one hash probe.
-    ids: FxHashSet<(u64, PlanId)>,
+    /// The `PlanId` of every stored plan: ids are canonical per arena, so
+    /// an exact re-publish is one hash probe.
+    ids: FxHashSet<PlanId>,
     /// Arena occupancy at the end of the last compaction (growth trigger).
     compacted_len: usize,
+}
+
+impl Context {
+    /// Rebuilds the arena from the live cached roots when it has grown well
+    /// past what those roots reach (entries were LRU-evicted or displaced
+    /// but their interned nodes are append-only). Amortized: runs at most
+    /// once per doubling of the arena, and remaps every stored id through
+    /// one memo. Returns whether it ran.
+    fn maybe_compact(&mut self) -> bool {
+        if self.arena.len() < 1024 || self.arena.len() < 2 * self.compacted_len.max(512) {
+            return false;
+        }
+        let mut fresh = PlanArena::new();
+        let mut memo: FxHashMap<PlanId, PlanId> = FxHashMap::default();
+        self.ids.clear();
+        for cached in self.entries.values_mut().flat_map(|e| &mut e.plans) {
+            cached.id = fresh.adopt(&self.arena, cached.id, &mut memo);
+            self.ids.insert(cached.id);
+        }
+        self.arena = fresh;
+        self.compacted_len = self.arena.len();
+        true
+    }
+}
+
+struct CacheInner {
+    /// Context fingerprint → its entries and arena, so warm-start lookups
+    /// stay confined to one context's entries instead of walking every
+    /// cached context. (Global eviction still scans all entries — once per
+    /// overflowing publish, see `publish`.)
+    map: HashMap<u64, Context>,
     compactions: u64,
     identity_rejects: u64,
     clock: u64,
@@ -158,32 +190,6 @@ struct CacheInner {
     hits: u64,
     published: u64,
     evicted: u64,
-}
-
-impl CacheInner {
-    /// Rebuilds the arena from the live cached roots when it has grown well
-    /// past what those roots reach (entries were LRU-evicted but their
-    /// interned nodes are append-only). Amortized: runs at most once per
-    /// doubling of the arena, and remaps every stored id through one memo.
-    fn maybe_compact(&mut self) {
-        if self.arena.len() < 1024 || self.arena.len() < 2 * self.compacted_len.max(512) {
-            return;
-        }
-        let mut fresh = PlanArena::new();
-        let mut memo: FxHashMap<PlanId, PlanId> = FxHashMap::default();
-        self.ids.clear();
-        for (ctx, entries) in self.map.iter_mut() {
-            for entry in entries.values_mut() {
-                for cached in entry.plans.iter_mut() {
-                    cached.id = fresh.adopt(&self.arena, cached.id, &mut memo);
-                    self.ids.insert((*ctx, cached.id));
-                }
-            }
-        }
-        self.arena = fresh;
-        self.compacted_len = self.arena.len();
-        self.compactions += 1;
-    }
 }
 
 /// The shared, bounded cross-query plan cache.
@@ -198,9 +204,6 @@ impl SharedPlanCache {
             config,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
-                arena: PlanArena::new(),
-                ids: FxHashSet::default(),
-                compacted_len: 0,
                 compactions: 0,
                 identity_rejects: 0,
                 clock: 0,
@@ -216,15 +219,14 @@ impl SharedPlanCache {
     /// Collects every cached plan for `context` whose table set is
     /// contained in `query` — the warm-start set for a new session. Only
     /// the matching context's entries are scanned; plans are exported from
-    /// the cache arena at the boundary (memoized per node).
+    /// the context's arena at the boundary (memoized per node).
     pub(crate) fn lookup(&self, context: u64, query: TableSet) -> Vec<PlanRef> {
         let mut inner = self.inner.lock().unwrap();
         inner.lookups += 1;
         inner.clock += 1;
         let clock = inner.clock;
         let mut out = Vec::new();
-        let CacheInner { map, arena, .. } = &mut *inner;
-        if let Some(entries) = map.get_mut(&context) {
+        if let Some(Context { entries, arena, .. }) = inner.map.get_mut(&context) {
             for (rel, entry) in entries.iter_mut() {
                 if rel.is_subset(query) {
                     entry.last_used = clock;
@@ -247,20 +249,22 @@ impl SharedPlanCache {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
         inner.clock += 1;
         let clock = inner.clock;
         let per_entry_cap = self.config.max_plans_per_entry;
         // One session's plans share most of their sub-trees (by `Arc`, its
         // arena's exports are memoized): walk each once per publish.
         let mut memo = ImportMemo::default();
+        let ctx = inner.map.entry(context).or_default();
         for plan in plans {
             let rel = plan.rel();
             // Compaction-on-cache-insert: re-intern the session's plan into
-            // the cache arena. The resulting id is canonical, so the
+            // the context's arena. The resulting id is canonical, so the
             // `(context, PlanId)` index catches an exact re-publish with
             // one probe — no dominance scan, no tree walk.
-            let id = inner.arena.import_memoized(&plan, &mut memo);
-            if inner.ids.contains(&(context, id)) {
+            let id = ctx.arena.import_memoized(&plan, &mut memo);
+            if ctx.ids.contains(&id) {
                 inner.identity_rejects += 1;
                 continue;
             }
@@ -272,44 +276,40 @@ impl SharedPlanCache {
             };
             let mut stored = false;
             let mut removed = 0usize;
-            {
-                let CacheInner { map, ids, .. } = &mut *inner;
-                let entries = map.entry(context).or_default();
-                let entry = entries.entry(rel).or_insert(Entry {
-                    plans: Vec::new(),
-                    last_used: clock,
-                });
-                entry.last_used = clock;
-                // Admission mirrors the optimizer-internal Pareto sets:
-                // the configured rule first gets a chance to reject the
-                // newcomer against every in-scope incumbent, then evicts
-                // the incumbents the newcomer displaces — so entries hold
-                // only mutually admissible plans (per output format for
-                // format-scoped rules), across *all* publishing sessions.
-                let rule = self.config.admission.rule;
-                let scoped = rule.format_scoped();
-                let rejected = entry.plans.iter().any(|p| {
-                    (!scoped || p.format == candidate.format)
-                        && rule.rejects(&p.cost, &candidate.cost)
-                });
-                if !rejected {
-                    let before = entry.plans.len();
-                    entry.plans.retain(|p| {
-                        let evict = (!scoped || p.format == candidate.format)
-                            && rule.evicts(&candidate.cost, &p.cost);
-                        if evict {
-                            ids.remove(&(context, p.id));
-                        }
-                        !evict
-                    });
-                    removed = before - entry.plans.len();
-                    // Cap guard (rare once dominance-pruned): keep the
-                    // established frontier, drop the newcomer.
-                    if entry.plans.len() < per_entry_cap {
-                        ids.insert((context, candidate.id));
-                        entry.plans.push(candidate);
-                        stored = true;
+            let entry = ctx.entries.entry(rel).or_insert(Entry {
+                plans: Vec::new(),
+                last_used: clock,
+            });
+            entry.last_used = clock;
+            // Admission mirrors the optimizer-internal Pareto sets: the
+            // configured rule first gets a chance to reject the newcomer
+            // against every in-scope incumbent, then evicts the incumbents
+            // the newcomer displaces — so entries hold only mutually
+            // admissible plans (per output format for format-scoped
+            // rules), across *all* publishing sessions.
+            let rule = self.config.admission.rule;
+            let scoped = rule.format_scoped();
+            let rejected = entry.plans.iter().any(|p| {
+                (!scoped || p.format == candidate.format) && rule.rejects(&p.cost, &candidate.cost)
+            });
+            if !rejected {
+                let before = entry.plans.len();
+                let ids = &mut ctx.ids;
+                entry.plans.retain(|p| {
+                    let evict = (!scoped || p.format == candidate.format)
+                        && rule.evicts(&candidate.cost, &p.cost);
+                    if evict {
+                        ids.remove(&p.id);
                     }
+                    !evict
+                });
+                removed = before - entry.plans.len();
+                // Cap guard (rare once dominance-pruned): keep the
+                // established frontier, drop the newcomer.
+                if entry.plans.len() < per_entry_cap {
+                    ids.insert(candidate.id);
+                    entry.plans.push(candidate);
+                    stored = true;
                 }
             }
             if stored {
@@ -327,8 +327,8 @@ impl SharedPlanCache {
             let mut recency: Vec<(u64, u64, TableSet)> = inner
                 .map
                 .iter()
-                .flat_map(|(ctx, entries)| {
-                    entries
+                .flat_map(|(ctx, c)| {
+                    c.entries
                         .iter()
                         .map(|(rel, entry)| (entry.last_used, *ctx, *rel))
                 })
@@ -339,22 +339,27 @@ impl SharedPlanCache {
                 let Some((_, ctx, rel)) = victims.next() else {
                     break;
                 };
-                let entries = inner.map.get_mut(&ctx).expect("victim context exists");
-                let entry = entries.remove(&rel).expect("victim entry exists");
-                if entries.is_empty() {
-                    inner.map.remove(&ctx);
-                }
+                let c = inner.map.get_mut(&ctx).expect("victim context exists");
+                let entry = c.entries.remove(&rel).expect("victim entry exists");
                 for p in &entry.plans {
-                    inner.ids.remove(&(ctx, p.id));
+                    c.ids.remove(&p.id);
+                }
+                if c.entries.is_empty() {
+                    // The context's arena goes with its last entry.
+                    inner.map.remove(&ctx);
                 }
                 inner.total_plans -= entry.plans.len();
                 inner.evicted += entry.plans.len() as u64;
             }
         }
-        // Entries (and whole contexts) may now reference far fewer nodes
-        // than the append-only arena holds; rebuild from live roots once
-        // the garbage has doubled the arena.
-        inner.maybe_compact();
+        // The published context's entries may now reference far fewer
+        // nodes than its append-only arena holds (no other arena grew);
+        // rebuild it from its live roots once the garbage has doubled it.
+        if let Some(c) = inner.map.get_mut(&context) {
+            if c.maybe_compact() {
+                inner.compactions += 1;
+            }
+        }
     }
 
     /// Current counters.
@@ -364,11 +369,11 @@ impl SharedPlanCache {
             lookups: inner.lookups,
             hits: inner.hits,
             plans: inner.total_plans,
-            entries: inner.map.values().map(HashMap::len).sum(),
+            entries: inner.map.values().map(|c| c.entries.len()).sum(),
             published: inner.published,
             evicted: inner.evicted,
             identity_rejects: inner.identity_rejects,
-            arena_nodes: inner.arena.len(),
+            arena_nodes: inner.map.values().map(|c| c.arena.len()).sum(),
             compactions: inner.compactions,
         }
     }
@@ -505,11 +510,11 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.plans, 1);
         assert_eq!(stats.identity_rejects, 2);
-        // The same structure under a different context is a fresh key.
+        // The same structure under a different context is a fresh key,
+        // stored in that context's own arena.
         cache.publish(2, vec![scan(&model, 0, 0)]);
         assert_eq!(cache.stats().plans, 2);
-        // ...and the arena stores the shared node once.
-        assert_eq!(cache.stats().arena_nodes, 1);
+        assert_eq!(cache.stats().arena_nodes, 2);
     }
 
     #[test]
@@ -545,17 +550,66 @@ mod tests {
         let inner = cache.inner.lock().unwrap();
         // 4 operand nodes + 3 roots, each interned by a miss: the second and
         // third plan found their operands in the memo, not in the arena.
-        let stats = inner.arena.stats();
+        let stats = inner.map[&1].arena.stats();
         assert_eq!((stats.misses, stats.dedup_hits), (7, 0));
         let mut reference = PlanArena::new();
         let expected: Vec<PlanId> = plans.iter().map(|p| reference.import(p)).collect();
         assert_eq!(reference.stats().dedup_hits, 8, "what a plain import pays");
-        let stored: Vec<PlanId> = inner.map[&1][&plans[0].rel()]
+        let stored: Vec<PlanId> = inner.map[&1].entries[&plans[0].rel()]
             .plans
             .iter()
             .map(|c| c.id)
             .collect();
         assert_eq!(stored, expected);
+    }
+
+    #[test]
+    fn garbage_triggers_arena_compaction_and_preserves_lookups() {
+        let model = StubModel::line(10, 2, 1);
+        let cache = SharedPlanCache::new(CacheConfig {
+            max_plans_per_entry: 8,
+            ..CacheConfig::default()
+        });
+        // Publish structurally distinct left-deep trees (the round's bits
+        // pick each leaf's scan operator → 1024 distinct shapes) under one
+        // context: every publish interns its tree, but dominance keeps at
+        // most 8 of them live, so the arena fills with garbage until it is
+        // compacted.
+        use moqo_core::model::{JoinOpId, ScanOpId};
+        let mut round = 0u16;
+        while cache.stats().compactions == 0 && round < 2000 {
+            let mut plan = Plan::scan(&model, TableId::new(0), ScanOpId(round & 1));
+            for leaf in 1..10usize {
+                let op = ScanOpId((round >> leaf) & 1);
+                let scan = Plan::scan(&model, TableId::new(leaf), op);
+                plan = Plan::join(&model, plan, scan, JoinOpId(0));
+            }
+            cache.publish(1, vec![plan]);
+            round += 1;
+        }
+        let stats = cache.stats();
+        assert!(stats.compactions >= 1, "compaction never ran");
+        assert!(stats.plans <= 8);
+        // Live plans survive compaction with valid ids: exporting them
+        // still yields structurally valid plans, and each is still known
+        // to the identity index.
+        let live = cache.lookup(1, TableSet::prefix(10));
+        assert_eq!(live.len(), stats.plans);
+        for plan in &live {
+            assert!(plan.validate(plan.rel()).is_ok());
+        }
+        cache.publish(1, live);
+        assert_eq!(
+            cache.stats().identity_rejects,
+            stats.identity_rejects + stats.plans as u64
+        );
+        // Compaction dropped the dead nodes: occupancy is bounded by the
+        // live plans' 19 nodes each, far below the total ever interned.
+        assert!(
+            stats.arena_nodes <= 19 * stats.plans,
+            "arena not compacted: {} nodes",
+            stats.arena_nodes
+        );
     }
 
     #[test]
@@ -567,12 +621,12 @@ mod tests {
             ..CacheConfig::default()
         });
         // Publish structurally distinct left-deep trees (the round's bits
-        // pick each leaf's scan operator → 1024 distinct shapes) to grow
-        // the arena past the compaction threshold while LRU-eviction keeps
-        // only 2 entries live.
+        // pick each leaf's scan operator → 1024 distinct shapes), each under
+        // its own context, while LRU eviction keeps only 2 entries live: an
+        // evicted context must take its arena with it.
         use moqo_core::model::{JoinOpId, ScanOpId};
-        let mut round = 0u16;
-        while cache.stats().compactions == 0 && round < 2000 {
+        let rounds = 2000u16;
+        for round in 0..rounds {
             let mut plan = Plan::scan(&model, TableId::new(0), ScanOpId(round & 1));
             for leaf in 1..10usize {
                 let op = ScanOpId((round >> leaf) & 1);
@@ -580,25 +634,41 @@ mod tests {
                 plan = Plan::join(&model, plan, scan, JoinOpId(0));
             }
             cache.publish(u64::from(round), vec![plan]);
-            round += 1;
         }
         let stats = cache.stats();
-        assert!(stats.compactions >= 1, "compaction never ran");
         assert!(stats.plans <= 2);
-        // Live plans survive compaction with valid ids: exporting them
-        // still yields structurally valid plans.
-        for ctx in (0..round as u64).rev() {
+        // The surviving contexts' plans export as structurally valid plans.
+        let mut live = 0;
+        for ctx in (0..u64::from(rounds)).rev() {
             for plan in cache.lookup(ctx, TableSet::prefix(10)) {
                 assert!(plan.validate(plan.rel()).is_ok());
+                live += 1;
             }
         }
-        // Compaction dropped the dead nodes: occupancy is bounded by the
-        // live plans' structure, far below the total ever interned.
+        assert_eq!(live, stats.plans);
+        // Occupancy is bounded by the live plans' structure, far below the
+        // total ever interned across all contexts.
         assert!(
-            cache.stats().arena_nodes < 128,
-            "arena not compacted: {} nodes",
-            cache.stats().arena_nodes
+            stats.arena_nodes < 128,
+            "evicted contexts kept their arenas: {} nodes",
+            stats.arena_nodes
         );
+    }
+
+    #[test]
+    fn contexts_of_different_dimensions_keep_their_own_costs() {
+        let (two, three) = (StubModel::line(3, 2, 1), StubModel::line(3, 3, 1));
+        let cache = SharedPlanCache::new(CacheConfig::default());
+        cache.publish(1, vec![scan(&two, 0, 0), scan(&two, 1, 0)]);
+        cache.publish(2, vec![scan(&three, 0, 0)]);
+        let stats = cache.stats();
+        assert_eq!((stats.plans, stats.arena_nodes), (3, 3));
+        for (context, model) in [(1, &two), (2, &three)] {
+            for plan in cache.lookup(context, TableSet::prefix(3)) {
+                let fresh = scan(model, plan.rel().iter().next().unwrap().index(), 0);
+                assert_eq!(plan.cost().as_slice(), fresh.cost().as_slice());
+            }
+        }
     }
 
     #[test]

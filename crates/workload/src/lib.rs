@@ -6,9 +6,10 @@
 //! table cardinalities drawn by **stratified sampling**, and join predicate
 //! selectivities drawn by either
 //!
-//! * [`SelectivityMethod::Steinbrunn`] — a wide log-uniform range per edge
-//!   (stand-in for Steinbrunn et al.'s distribution, which is not specified
-//!   in machine-readable form; documented in DESIGN.md §3), or
+//! * [`SelectivityMethod::Steinbrunn`] — a wide log-uniform range per edge,
+//!   from `1 / (|A|·|B|)` up to `min(1, 10 / max(|A|, |B|))`: a stand-in for
+//!   Steinbrunn et al.'s distribution, which the paper cites but does not
+//!   specify in machine-readable form, or
 //! * [`SelectivityMethod::MinMax`] — Bruno's MinMax method, implemented
 //!   exactly as the appendix describes: "each join has an output cardinality
 //!   between the cardinalities of the two input relations".

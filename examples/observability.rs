@@ -143,10 +143,6 @@ fn main() {
         ("climb.candidates", "mutations generated by the climb"),
         ("climb.rejected", "candidates screened out before admission"),
         (
-            "pareto.blocks_screened",
-            "SoA blocks the dominance kernel swept",
-        ),
-        (
             "pareto.eps_rejects",
             "candidates folded into an occupied ε-box",
         ),
@@ -161,6 +157,13 @@ fn main() {
         assert!(n > 0, "counter `{name}` stayed zero — seam not exercised");
         println!("  {name:<22} {n:>9}  ({explain})");
     }
+    // Every frontier here stays below `SOA_CROSSOVER` and is screened by
+    // its member scan, so the block kernel has nothing to count.
+    println!(
+        "  {:<22} {:>9}  (SoA blocks swept; 0 below the block-index crossover)",
+        "pareto.blocks_screened",
+        delta("pareto.blocks_screened")
+    );
     // Cache probes split into hit/miss counters; every admitted session
     // probes once, so the sum must cover the whole wave.
     let lookups = delta("cache.hits") + delta("cache.misses");

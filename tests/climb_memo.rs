@@ -57,10 +57,10 @@ fn memoised_climb_costs_less_than_memo_free_steps_and_moves_the_same() {
         let mut current = start2;
         let mut path = 0;
         loop {
-            let cost = *arena2.node(current).cost();
+            let cost = arena2.cost(current);
             let next = step(&mut arena2, current, &m, &mut scratch)
                 .into_iter()
-                .find(|&c| arena2.node(c).cost().strictly_dominates(&cost));
+                .find(|&c| arena2.cost(c).strictly_dominates(&cost));
             match next {
                 Some(better) => {
                     current = better;
