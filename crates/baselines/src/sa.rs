@@ -206,7 +206,6 @@ mod tests {
     use super::*;
     use moqo_core::model::testing::StubModel;
     use moqo_core::optimizer::{drive, Budget, NullObserver};
-    use moqo_core::random_plan::random_plan;
 
     #[test]
     fn anneals_and_archives_valid_plans() {
@@ -277,16 +276,18 @@ mod tests {
         let model = StubModel::line(4, 1, 1);
         let q = TableSet::prefix(4);
         let mut rng = StdRng::seed_from_u64(1);
+        let mut arena = PlanArena::new();
         for _ in 0..20 {
-            let a = random_plan(&model, q, &mut rng);
-            let b = random_plan(&model, q, &mut rng);
-            let dab = SimulatedAnnealing::<StubModel>::relative_delta(a.cost(), b.cost());
-            let dba = SimulatedAnnealing::<StubModel>::relative_delta(b.cost(), a.cost());
+            let a = random_plan_in(&mut arena, &model, q, &mut rng);
+            let b = random_plan_in(&mut arena, &model, q, &mut rng);
+            let (a, b) = (arena.cost(a), arena.cost(b));
+            let dab = SimulatedAnnealing::<StubModel>::relative_delta(&a, &b);
+            let dba = SimulatedAnnealing::<StubModel>::relative_delta(&b, &a);
             if dab.abs() > 1e-12 {
                 assert!(dab.signum() != dba.signum(), "dab={dab} dba={dba}");
             }
             // A strictly dominating move always has negative delta.
-            if b.cost().strictly_dominates(a.cost()) {
+            if b.strictly_dominates(&a) {
                 assert!(dab < 0.0);
             }
         }

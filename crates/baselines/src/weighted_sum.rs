@@ -13,12 +13,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use moqo_core::archive::Admission;
+use moqo_core::arena::{PlanArena, PlanId};
+use moqo_core::fxhash::FxHashMap;
 use moqo_core::model::CostModel;
-use moqo_core::mutations::all_neighbors;
+use moqo_core::mutations::{all_neighbors_in, MutationSet};
 use moqo_core::optimizer::{Optimizer, PlanExchange};
 use moqo_core::pareto::ParetoSet;
 use moqo_core::plan::PlanRef;
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::tables::TableSet;
 
 /// Number of weight vectors in the rotation schedule.
@@ -30,7 +32,12 @@ pub struct WeightedSum<M: CostModel> {
     query: TableSet,
     weights: Vec<Vec<f64>>,
     next_weight: usize,
-    archive: ParetoSet,
+    /// Holds the archived optima only.
+    arena: PlanArena,
+    /// Every neighbor of every climbing step is interned here; cleared at
+    /// the start of each step so that it does not grow with the run.
+    climb_arena: PlanArena,
+    archive: ParetoSet<PlanId>,
     rng: StdRng,
 }
 
@@ -46,6 +53,8 @@ impl<M: CostModel> WeightedSum<M> {
             model,
             query,
             next_weight: 0,
+            arena: PlanArena::new(),
+            climb_arena: PlanArena::new(),
             archive: ParetoSet::new(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -56,13 +65,14 @@ impl<M: CostModel> WeightedSum<M> {
         &self.weights
     }
 
-    /// Scalar hill climbing on `w · cost`.
-    fn scalar_climb(&mut self, mut plan: PlanRef, weights: &[f64]) -> PlanRef {
+    /// Scalar hill climbing on `w · cost` in the climb arena.
+    fn scalar_climb(&mut self, mut plan: PlanId, weights: &[f64]) -> PlanId {
+        let arena = &mut self.climb_arena;
         loop {
-            let current = plan.cost().weighted_sum(weights);
-            let better = all_neighbors(&plan, &self.model)
+            let current = arena.cost(plan).weighted_sum(weights);
+            let better = all_neighbors_in(arena, plan, &self.model, MutationSet::Bushy)
                 .into_iter()
-                .find(|nb| nb.cost().weighted_sum(weights) < current - 1e-12);
+                .find(|&nb| arena.cost(nb).weighted_sum(weights) < current - 1e-12);
             match better {
                 Some(nb) => plan = nb,
                 None => return plan,
@@ -125,14 +135,29 @@ impl<M: CostModel> Optimizer for WeightedSum<M> {
     fn step(&mut self) -> bool {
         let weights = self.weights[self.next_weight].clone();
         self.next_weight = (self.next_weight + 1) % self.weights.len();
-        let start = random_plan(&self.model, self.query, &mut self.rng);
+        self.climb_arena.clear();
+        let start = random_plan_in(
+            &mut self.climb_arena,
+            &self.model,
+            self.query,
+            &mut self.rng,
+        );
         let optimum = self.scalar_climb(start, &weights);
-        self.archive.insert(optimum, &Admission::cost_frontier());
+        let view = self.climb_arena.view(optimum);
+        let (arena, climb_arena) = (&mut self.arena, &self.climb_arena);
+        self.archive
+            .admit(&view.cost, view.format, &Admission::cost_frontier(), || {
+                arena.adopt(climb_arena, optimum, &mut FxHashMap::default())
+            });
         true
     }
 
     fn frontier(&self) -> Vec<PlanRef> {
-        self.archive.plans().to_vec()
+        self.archive
+            .plans()
+            .iter()
+            .map(|&id| self.arena.export(id))
+            .collect()
     }
 }
 
@@ -154,6 +179,35 @@ mod tests {
         }
         assert_eq!(weight_schedule(2).len(), WEIGHT_STEPS);
         assert!(weight_schedule(3).len() >= 10);
+    }
+
+    #[test]
+    fn frontier_is_pinned_bit_for_bit() {
+        // The archive's cost vectors, in archive order, as the optimizer
+        // produced them when it still climbed `Arc<Plan>` trees: the same
+        // random plans, the same neighbor order, the same moves.
+        let model = StubModel::line(6, 2, 3);
+        let q = TableSet::prefix(6);
+        let mut ws = WeightedSum::new(&model, q, 1);
+        drive(&mut ws, Budget::Iterations(15), &mut NullObserver);
+        let got: Vec<Vec<u64>> = ws
+            .frontier()
+            .iter()
+            .map(|p| p.cost().as_slice().iter().map(|c| c.to_bits()).collect())
+            .collect();
+        let pinned: Vec<Vec<u64>> = [
+            [56.727150774083434, 18.347408015763712],
+            [31.343742693440504, 37.40748254370278],
+            [31.254273362707725, 43.76474806279548],
+            [16.618065850337846, 74.45257439771906],
+            [75.19656549730068, 17.317061579608602],
+            [52.966608809885834, 23.13879671319305],
+            [39.40184702976254, 24.36466236553465],
+        ]
+        .iter()
+        .map(|c: &[f64; 2]| c.iter().map(|x| x.to_bits()).collect())
+        .collect();
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 use std::time::{Duration, Instant};
 
 use moqo_core::archive::ArchiveConfig;
-use moqo_core::climb::{naive_climb, pareto_climb, ClimbConfig};
-use moqo_core::mutations::random_neighbor;
+use moqo_core::arena::{PlanArena, PlanId};
+use moqo_core::climb::{naive_climb_in, pareto_climb_in, ClimbConfig, StepScratch};
+use moqo_core::mutations::random_neighbor_in;
 use moqo_core::optimizer::{drive, Budget, NullObserver};
-use moqo_core::plan::PlanRef;
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_cost::{ResourceCostModel, ResourceMetric};
 use moqo_metrics::ReferenceFrontier;
@@ -56,25 +56,31 @@ fn ablation_climb() {
     );
     for n in [10usize, 25, 50] {
         let (model, query) = model_for(n, 3);
-        let starts: Vec<PlanRef> = {
-            let mut rng = StdRng::seed_from_u64(17);
-            (0..8)
-                .map(|_| random_plan(&model, query, &mut rng))
-                .collect()
-        };
         let cfg = ClimbConfig::default();
-        let t0 = Instant::now();
-        let fast_steps: usize = starts
-            .iter()
-            .map(|p| pareto_climb(p.clone(), &model, &cfg).1.steps)
-            .sum();
-        let fast_time = t0.elapsed();
-        let t1 = Instant::now();
-        let naive_steps: usize = starts
-            .iter()
-            .map(|p| naive_climb(p.clone(), &model, &cfg).1.steps)
-            .sum();
-        let naive_time = t1.elapsed();
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
+        // Both climbers start from the same eight plans; the arena is
+        // cleared before each so the naive neighborhoods do not pile up.
+        let mut climbs = |naive: bool| {
+            let mut rng = StdRng::seed_from_u64(17);
+            let (mut steps, mut time) = (0usize, Duration::ZERO);
+            for _ in 0..8 {
+                arena.clear();
+                let start = random_plan_in(&mut arena, &model, query, &mut rng);
+                let t = Instant::now();
+                steps += if naive {
+                    naive_climb_in(&mut arena, start, &model, &cfg).1.steps
+                } else {
+                    pareto_climb_in(&mut arena, start, &model, &cfg, &mut scratch)
+                        .1
+                        .steps
+                };
+                time += t.elapsed();
+            }
+            (steps, time)
+        };
+        let (fast_steps, fast_time) = climbs(false);
+        let (naive_steps, naive_time) = climbs(true);
         println!(
             "{:>7} | {:>12?} {:>10} | {:>12?} {:>10} | {:>7.1}x",
             n,
@@ -168,17 +174,18 @@ fn ablation_alpha_schedule() {
 /// `patience` random neighbors per step and moves to the first dominating
 /// one.
 fn sampled_climb(
-    start: PlanRef,
+    arena: &mut PlanArena,
+    start: PlanId,
     model: &ResourceCostModel,
     rng: &mut StdRng,
     patience: usize,
-) -> (PlanRef, usize) {
+) -> (PlanId, usize) {
     let mut current = start;
     let mut steps = 0usize;
     'outer: loop {
         for _ in 0..patience {
-            if let Some(nb) = random_neighbor(&current, model, rng) {
-                if nb.cost().strictly_dominates(current.cost()) {
+            if let Some(nb) = random_neighbor_in(arena, current, model, rng) {
+                if arena.cost(nb).strictly_dominates(&arena.cost(current)) {
                     current = nb;
                     steps += 1;
                     continue 'outer;
@@ -201,12 +208,16 @@ fn ablation_sampling() {
         let mut exhaustive_mean = 0.0;
         let mut sampled_mean = 0.0;
         let runs = 6;
+        let cfg = ClimbConfig::default();
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         for _ in 0..runs {
-            let start = random_plan(&model, query, &mut rng);
-            let (e, _) = pareto_climb(start.clone(), &model, &ClimbConfig::default());
-            let (s, _) = sampled_climb(start, &model, &mut rng, 3 * n);
-            exhaustive_mean += e.cost().mean() / runs as f64;
-            sampled_mean += s.cost().mean() / runs as f64;
+            arena.clear();
+            let start = random_plan_in(&mut arena, &model, query, &mut rng);
+            let (e, _) = pareto_climb_in(&mut arena, start, &model, &cfg, &mut scratch);
+            let (s, _) = sampled_climb(&mut arena, start, &model, &mut rng, 3 * n);
+            exhaustive_mean += arena.cost(e).mean() / runs as f64;
+            sampled_mean += arena.cost(s).mean() / runs as f64;
         }
         println!("{n:>7} | {exhaustive_mean:>22.1} | {sampled_mean:>22.1}");
     }

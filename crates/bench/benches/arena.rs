@@ -1,10 +1,10 @@
-//! Micro-benchmarks of the hash-consed plan arena against `Arc<Plan>`
-//! trees: plan building, root-mutation enumeration, and structural
-//! equality — the three representation kernels under every RMQ iteration.
+//! Micro-benchmarks of the hash-consed plan arena: plan building,
+//! root-mutation enumeration, and re-interning a known plan stream — the
+//! representation kernels under every RMQ iteration.
 //!
 //! The deterministic perf-baseline harness (`cargo run -p moqo-bench --bin
-//! harness`) measures the same kernels with the same seeds and archives
-//! the numbers in `BENCH_rmq.json` (schema v2); this target exists for
+//! harness`) measures the build and mutate kernels with the same seeds and
+//! archives the numbers in `BENCH_rmq.json`; this target exists for
 //! interactive `cargo bench` exploration.
 
 use std::time::Duration;
@@ -14,9 +14,8 @@ use std::hint::black_box;
 
 use moqo_bench::{resource_model, resource_model_3d};
 use moqo_core::arena::{PlanArena, PlanId};
-use moqo_core::mutations::{root_mutations, root_mutations_in};
-use moqo_core::plan::PlanRef;
-use moqo_core::random_plan::{random_plan, random_plan_in};
+use moqo_core::mutations::{root_mutations_in, MutationSet};
+use moqo_core::random_plan::random_plan_in;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,16 +26,6 @@ fn bench_build(c: &mut Criterion) {
         .sample_size(20);
     for tables in [8usize, 12, 20] {
         let (model, query) = resource_model(tables);
-        group.bench_with_input(BenchmarkId::new("arc", tables), &tables, |b, _| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(31);
-                let mut plans = Vec::with_capacity(256);
-                for _ in 0..256 {
-                    plans.push(random_plan(&model, query, &mut rng));
-                }
-                black_box(plans.len())
-            })
-        });
         // One arena reused across iterations: the per-session steady state.
         let mut arena = PlanArena::new();
         group.bench_with_input(BenchmarkId::new("arena", tables), &tables, |b, _| {
@@ -61,33 +50,20 @@ fn bench_mutate(c: &mut Criterion) {
     // Three metrics: the many-objective configuration where candidate
     // costing is at its most expensive — the regime memoized costing wins.
     let (model, query) = resource_model_3d(12);
-    let plans: Vec<PlanRef> = {
+    let mut arena = PlanArena::new();
+    let ids: Vec<PlanId> = {
         let mut rng = StdRng::seed_from_u64(33);
         (0..256)
-            .map(|_| random_plan(&model, query, &mut rng))
+            .map(|_| random_plan_in(&mut arena, &model, query, &mut rng))
             .collect()
     };
-    let mut out_arc: Vec<PlanRef> = Vec::new();
-    group.bench_function("arc", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for p in &plans {
-                out_arc.clear();
-                root_mutations(p, &model, &mut out_arc);
-                total += out_arc.len();
-            }
-            black_box(total)
-        })
-    });
-    let mut arena = PlanArena::new();
-    let ids: Vec<PlanId> = plans.iter().map(|p| arena.import(p)).collect();
     let mut out_ids: Vec<PlanId> = Vec::new();
     group.bench_function("arena", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for &id in &ids {
                 out_ids.clear();
-                root_mutations_in(&mut arena, id, &model, &mut out_ids);
+                root_mutations_in(&mut arena, id, &model, MutationSet::Bushy, &mut out_ids);
                 total += out_ids.len();
             }
             black_box(total)

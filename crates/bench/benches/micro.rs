@@ -10,14 +10,15 @@ use std::hint::black_box;
 
 use moqo_baselines::nsga2::{Nsga2, Nsga2Params};
 use moqo_bench::resource_model as model_for;
+use moqo_core::arena::PlanArena;
 use moqo_core::cache::PlanCache;
-use moqo_core::climb::{naive_climb, pareto_climb, pareto_step, ClimbConfig};
+use moqo_core::climb::{naive_climb_in, pareto_climb_in, pareto_step_in, ClimbConfig, StepScratch};
 use moqo_core::cost::CostVector;
-use moqo_core::frontier::approximate_frontiers;
+use moqo_core::frontier::{approximate_frontiers_in, FrontierScratch};
 use moqo_core::mutations::MutationSet;
 use moqo_core::optimizer::Optimizer;
 use moqo_core::pareto::PrunePolicy;
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_metrics::epsilon_indicator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +31,13 @@ fn bench_random_plan(c: &mut Criterion) {
     for n in [10usize, 50, 100] {
         let (model, query) = model_for(n);
         let mut rng = StdRng::seed_from_u64(1);
+        // Cleared per plan, as the RMQ loop clears its climb arena.
+        let mut arena = PlanArena::new();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(random_plan(&model, query, &mut rng)))
+            b.iter(|| {
+                arena.clear();
+                black_box(random_plan_in(&mut arena, &model, query, &mut rng))
+            })
         });
     }
     group.finish();
@@ -45,14 +51,18 @@ fn bench_pareto_step(c: &mut Criterion) {
     for n in [10usize, 50, 100] {
         let (model, query) = model_for(n);
         let mut rng = StdRng::seed_from_u64(2);
-        let plan = random_plan(&model, query, &mut rng);
+        let mut arena = PlanArena::new();
+        let plan = random_plan_in(&mut arena, &model, query, &mut rng);
+        let mut scratch = StepScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                black_box(pareto_step(
-                    &plan,
+                black_box(pareto_step_in(
+                    &mut arena,
+                    plan,
                     &model,
                     PrunePolicy::OnePerFormat,
                     MutationSet::Bushy,
+                    &mut scratch,
                 ))
             })
         });
@@ -68,18 +78,22 @@ fn bench_climb_fast_vs_naive(c: &mut Criterion) {
     let cfg = ClimbConfig::default();
     for n in [10usize, 25] {
         let (model, query) = model_for(n);
+        let mut arena = PlanArena::new();
         group.bench_with_input(BenchmarkId::new("fast", n), &n, |b, _| {
             let mut rng = StdRng::seed_from_u64(3);
+            let mut scratch = StepScratch::default();
             b.iter(|| {
-                let p = random_plan(&model, query, &mut rng);
-                black_box(pareto_climb(p, &model, &cfg))
+                arena.clear();
+                let p = random_plan_in(&mut arena, &model, query, &mut rng);
+                black_box(pareto_climb_in(&mut arena, p, &model, &cfg, &mut scratch))
             })
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             let mut rng = StdRng::seed_from_u64(3);
             b.iter(|| {
-                let p = random_plan(&model, query, &mut rng);
-                black_box(naive_climb(p, &model, &cfg))
+                arena.clear();
+                let p = random_plan_in(&mut arena, &model, query, &mut rng);
+                black_box(naive_climb_in(&mut arena, p, &model, &cfg))
             })
         });
     }
@@ -94,15 +108,19 @@ fn bench_frontier_approximation(c: &mut Criterion) {
     for n in [10usize, 50] {
         let (model, query) = model_for(n);
         let mut rng = StdRng::seed_from_u64(4);
-        let plan = random_plan(&model, query, &mut rng);
+        let mut arena = PlanArena::new();
+        let plan = random_plan_in(&mut arena, &model, query, &mut rng);
+        let mut scratch = FrontierScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut cache = PlanCache::new();
-                approximate_frontiers(
-                    &plan,
+                approximate_frontiers_in(
+                    &mut arena,
+                    plan,
                     &model,
                     &mut cache,
                     &moqo_core::Admission::approx(2.0),
+                    &mut scratch,
                 );
                 black_box(cache.total_plans())
             })

@@ -731,9 +731,6 @@ fn main() {
                 for key in [
                     "insert_approx_bucketed_vs_linear",
                     "insert_climb_bucketed_vs_linear",
-                    "plan_build_arena_vs_arc",
-                    "plan_mutate_arena_vs_arc",
-                    "plan_eq_arena_vs_arc",
                     "dominance_soa_vs_scalar_d8",
                 ] {
                     match (f64_field(bs, key), f64_field(cs, key)) {

@@ -33,10 +33,11 @@ use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::cost::CostVector;
 use moqo_core::model::testing::StubModel;
 use moqo_core::model::OutputFormat;
+use moqo_core::mutations::{root_mutations_in, MutationSet};
 use moqo_core::optimizer::{Budget, ConvergencePoint, PlanExchange};
 use moqo_core::pareto::{LinearParetoSet, ParetoSet, PrunePolicy};
-use moqo_core::plan::{PlanKind, PlanRef};
-use moqo_core::random_plan::{random_plan, random_plan_in};
+use moqo_core::plan::PlanRef;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_metrics::hypervolume::hypervolume;
@@ -91,7 +92,12 @@ use rand::SeedableRng;
 /// v9 (additive over v8): the `admit_cached_shape_d{2,3}` micro kernels —
 /// admission into the shape of almost every cached table set (two output
 /// formats, at most 8 members).
-const SCHEMA_VERSION: u32 = 9;
+/// v10 (removes from v9): the `Arc<Plan>` plan kernels `plan_build_arc`,
+/// `plan_mutate_arc` and `plan_eq_arc`, `plan_eq_arena` (an integer compare
+/// with nothing left to compare against), and the three
+/// `plan_*_arena_vs_arc` speedups: the optimizer core has no `Arc<Plan>`
+/// path left to time.
+const SCHEMA_VERSION: u32 = 10;
 
 #[derive(Serialize)]
 struct Baseline {
@@ -261,12 +267,6 @@ struct MicroResult {
 struct Speedups {
     insert_approx_bucketed_vs_linear: f64,
     insert_climb_bucketed_vs_linear: f64,
-    /// Hash-consed arena vs `Arc<Plan>` on the same kernels (>1 = arena
-    /// faster). `plan_build`: 1024 random plans; `plan_mutate`: all root
-    /// mutations of each of the 1024 plans; `plan_eq`: structural equality.
-    plan_build_arena_vs_arc: f64,
-    plan_mutate_arena_vs_arc: f64,
-    plan_eq_arena_vs_arc: f64,
     /// `ParetoSet` archive screening (block SoA kernel at this size) vs the
     /// plain scalar member loop on the same d=8 stream (schema v5; > 1
     /// means the set is faster).
@@ -445,29 +445,6 @@ fn time_ns_per_op(
         ops_per_round,
         rounds,
         ns_per_op: best,
-    }
-}
-
-/// Structural equality of two `Arc<Plan>` trees — the deep comparison the
-/// arena replaces with a `PlanId` integer compare.
-fn deep_eq(a: &PlanRef, b: &PlanRef) -> bool {
-    match (a.kind(), b.kind()) {
-        (PlanKind::Scan { table: ta, op: oa }, PlanKind::Scan { table: tb, op: ob }) => {
-            ta == tb && oa == ob
-        }
-        (
-            PlanKind::Join {
-                outer: ao,
-                inner: ai,
-                op: oa,
-            },
-            PlanKind::Join {
-                outer: bo,
-                inner: bi,
-                op: ob,
-            },
-        ) => oa == ob && deep_eq(ao, bo) && deep_eq(ai, bi),
-        _ => false,
     }
 }
 
@@ -720,28 +697,15 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
         std::hint::black_box(climb());
     }));
 
-    // 4. Plan representation: hash-consed arena vs Arc<Plan> trees, on the
-    // paper-shaped kernels the arena was built for. All three pairs run the
-    // 1024-candidate stream of a 12-table cycle workload.
+    // 4. Plan representation: the hash-consed arena on the paper-shaped
+    // kernels it was built for, both on the 1024-plan stream of a 12-table
+    // cycle workload.
     let (pmodel, pquery) = resource_model(12);
     const PLAN_STREAM: u64 = 1024;
 
     // 4a. Build: 1024 uniform random plans. The arena is created once and
     // reused across rounds — the per-session steady state, where repeated
-    // subplans are intern hits instead of fresh Arc allocations.
-    out.push(time_ns_per_op(
-        "plan_build_arc",
-        rounds,
-        PLAN_STREAM,
-        || {
-            let mut rng = StdRng::seed_from_u64(31);
-            let mut plans = Vec::with_capacity(PLAN_STREAM as usize);
-            for _ in 0..PLAN_STREAM {
-                plans.push(random_plan(&pmodel, pquery, &mut rng));
-            }
-            std::hint::black_box(plans.len());
-        },
-    ));
+    // subplans are intern hits.
     let mut build_arena = PlanArena::new();
     out.push(time_ns_per_op(
         "plan_build_arena",
@@ -763,52 +727,32 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
     };
 
     // 4b. Mutate: enumerate every root mutation (operator changes,
-    // commutativity, rotations, exchanges) of each plan in the same
-    // 1024-candidate stream — the transformation-rule kernel under every
-    // climbing step. The Arc path costs and allocates a fresh tree root
-    // per candidate every time; the arena path interns each candidate once
-    // and afterwards answers it with a hash probe returning the cached
-    // properties (memoized costing via hash-consing).
-    let mutate_stream: Vec<PlanRef> = {
+    // commutativity, rotations, exchanges) of each plan in a 1024-plan
+    // stream — the transformation-rule kernel under every climbing step.
+    // Each candidate is interned once and afterwards answered with a hash
+    // probe returning the cached properties (memoized costing via
+    // hash-consing).
+    let mut mutate_arena = PlanArena::new();
+    let mutate_ids: Vec<_> = {
         let mut rng = StdRng::seed_from_u64(33);
         (0..PLAN_STREAM)
-            .map(|_| random_plan(&pmodel, pquery, &mut rng))
+            .map(|_| random_plan_in(&mut mutate_arena, &pmodel, pquery, &mut rng))
             .collect()
     };
-    let mutate_rounds = rounds.min(10);
-    let mut arc_muts: Vec<PlanRef> = Vec::new();
-    out.push(time_ns_per_op(
-        "plan_mutate_arc",
-        mutate_rounds,
-        PLAN_STREAM,
-        || {
-            let mut total = 0usize;
-            for plan in &mutate_stream {
-                arc_muts.clear();
-                moqo_core::mutations::root_mutations(plan, &pmodel, &mut arc_muts);
-                total += arc_muts.len();
-            }
-            std::hint::black_box(total);
-        },
-    ));
-    let mut mutate_arena = PlanArena::new();
-    let mutate_ids: Vec<_> = mutate_stream
-        .iter()
-        .map(|p| mutate_arena.import(p))
-        .collect();
     let mut arena_muts: Vec<moqo_core::arena::PlanId> = Vec::new();
     out.push(time_ns_per_op(
         "plan_mutate_arena",
-        mutate_rounds,
+        rounds.min(10),
         PLAN_STREAM,
         || {
             let mut total = 0usize;
             for &id in &mutate_ids {
                 arena_muts.clear();
-                moqo_core::mutations::root_mutations_in(
+                root_mutations_in(
                     &mut mutate_arena,
                     id,
                     &pmodel,
+                    MutationSet::Bushy,
                     &mut arena_muts,
                 );
                 total += arena_muts.len();
@@ -816,34 +760,6 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
             std::hint::black_box(total);
         },
     ));
-
-    // 4c. Equality/hash: structural comparison of adjacent plans in the
-    // stream — a deep tree walk for Arc, an integer compare for PlanIds.
-    let eq_plans: Vec<PlanRef> = {
-        let mut rng = StdRng::seed_from_u64(35);
-        // Few tables → frequent structural collisions keep the comparison
-        // honest (equal pairs must walk the whole Arc tree).
-        let (m, q) = resource_model(6);
-        (0..PLAN_STREAM)
-            .map(|_| random_plan(&m, q, &mut rng))
-            .collect()
-    };
-    let mut eq_arena = PlanArena::new();
-    let eq_ids: Vec<_> = eq_plans.iter().map(|p| eq_arena.import(p)).collect();
-    out.push(time_ns_per_op("plan_eq_arc", rounds, PLAN_STREAM, || {
-        let mut n = 0usize;
-        for w in eq_plans.windows(2) {
-            n += usize::from(deep_eq(&w[0], &w[1]));
-        }
-        std::hint::black_box(n);
-    }));
-    out.push(time_ns_per_op("plan_eq_arena", rounds, PLAN_STREAM, || {
-        let mut n = 0usize;
-        for w in eq_ids.windows(2) {
-            n += usize::from(w[0] == w[1]);
-        }
-        std::hint::black_box(n);
-    }));
 
     let ns = |name: &str| {
         out.iter()
@@ -854,9 +770,6 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
     let speedups = Speedups {
         insert_approx_bucketed_vs_linear: ns("insert_approx_linear") / ns("insert_approx_bucketed"),
         insert_climb_bucketed_vs_linear: ns("insert_climb_linear") / ns("insert_climb_bucketed"),
-        plan_build_arena_vs_arc: ns("plan_build_arc") / ns("plan_build_arena"),
-        plan_mutate_arena_vs_arc: ns("plan_mutate_arc") / ns("plan_mutate_arena"),
-        plan_eq_arena_vs_arc: ns("plan_eq_arc") / ns("plan_eq_arena"),
         dominance_soa_vs_scalar_d8: ns("dominance_screen_scalar_d8")
             / ns("dominance_screen_soa_d8"),
     };
@@ -1506,12 +1419,6 @@ fn main() {
     eprintln!(
         "  insert_climb  speedup (bucketed vs linear): {:.2}x",
         speedups.insert_climb_bucketed_vs_linear
-    );
-    eprintln!(
-        "  plan_build  speedup (arena vs Arc): {:.2}x   plan_mutate: {:.2}x   plan_eq: {:.2}x",
-        speedups.plan_build_arena_vs_arc,
-        speedups.plan_mutate_arena_vs_arc,
-        speedups.plan_eq_arena_vs_arc
     );
     eprintln!(
         "  dominance_screen speedup (SoA vs scalar, d=8): {:.2}x",

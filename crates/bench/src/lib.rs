@@ -35,7 +35,7 @@ pub fn resource_model(n: usize) -> (ResourceCostModel, TableSet) {
 
 /// The three-metric variant of [`resource_model`] (time/buffer/disk): the
 /// paper's many-objective configuration, used where heavier cost vectors
-/// matter (e.g. the arena-vs-Arc mutate kernel).
+/// matter (e.g. the arena mutate kernel).
 pub fn resource_model_3d(n: usize) -> (ResourceCostModel, TableSet) {
     let (catalog, query) = WorkloadSpec {
         tables: n,

@@ -44,9 +44,9 @@
 //! dropped wholesale with their session — eviction is free because nothing
 //! outlives the optimizer. State that must survive a session (result plans,
 //! the service's cross-query cache) crosses the boundary through
-//! [`PlanArena::export`]/[`PlanArena::import`] (the legacy `Arc<Plan>`
-//! conversion path) or [`PlanArena::adopt`] (direct arena-to-arena
-//! re-interning, used by the service cache's compaction).
+//! [`PlanArena::export`]/[`PlanArena::import`] (the `Arc<Plan>` boundary
+//! format) or [`PlanArena::adopt`] (direct arena-to-arena re-interning,
+//! used by the service cache's compaction).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -459,7 +459,7 @@ impl PlanArena {
     /// Checks structural validity of the plan rooted at `id` against
     /// `query`, mirroring [`Plan::validate`].
     pub fn validate(&self, id: PlanId, query: TableSet) -> Result<(), PlanError> {
-        // The legacy validator implements the full rule set; export shares
+        // `Plan::validate` implements the full rule set; export shares
         // structure, so validation cost matches an in-arena traversal.
         self.export(id).validate(query)
     }
@@ -488,10 +488,11 @@ impl PlanArena {
     }
 
     /// Exports the plan rooted at `id` as a shared [`PlanRef`] tree — the
-    /// legacy conversion path that keeps `exec`, the figure harness, and
-    /// every other `Arc<Plan>` consumer working. Exports are memoized per
-    /// node, so shared subtrees are built once and repeated anytime-frontier
-    /// snapshots cost one hash probe per plan.
+    /// boundary format in which optimizer results, warm starts and exchanged
+    /// plans leave an arena and which `exec`, the figure harness and the
+    /// metrics consume. Exports are memoized per node, so shared subtrees
+    /// are built once and repeated anytime-frontier snapshots cost one hash
+    /// probe per plan.
     pub fn export(&self, id: PlanId) -> PlanRef {
         if let Some(hit) = self.export_memo.borrow().get(&id) {
             return hit.clone();
@@ -508,7 +509,7 @@ impl PlanArena {
     }
 
     /// Imports an `Arc<Plan>` tree, re-interning every node (the inverse of
-    /// [`Self::export`]; warm starts and differential tests enter here).
+    /// [`Self::export`]; warm starts enter here).
     /// Shared or repeated subtrees collapse onto their canonical ids. The
     /// plan's cached properties are trusted — it must stem from the same
     /// cost model the arena is used with.
@@ -600,7 +601,7 @@ impl PlanArena {
 mod tests {
     use super::*;
     use crate::model::testing::StubModel;
-    use crate::random_plan::{random_plan, random_plan_in};
+    use crate::random_plan::random_plan_in;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -644,21 +645,21 @@ mod tests {
     }
 
     #[test]
-    fn node_properties_match_arc_plans() {
+    fn exported_plans_match_their_nodes() {
         let m = StubModel::line(5, 2, 9);
         let q = TableSet::prefix(5);
         let mut arena = PlanArena::new();
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let id = random_plan_in(&mut arena, &m, q, &mut rng_a);
-            let arc = random_plan(&m, q, &mut rng_b);
-            assert_eq!(arena.cost(id).as_slice(), arc.cost().as_slice());
-            assert_eq!(arena.node(id).rel(), arc.rel());
-            assert_eq!(arena.node(id).format(), arc.format());
-            assert_eq!(arena.node_count(id), arc.node_count());
-            assert_eq!(arena.depth(id), arc.depth());
-            assert_eq!(arena.display(id, &m), arc.display(&m));
+            let id = random_plan_in(&mut arena, &m, q, &mut rng);
+            let plan = arena.export(id);
+            assert_eq!(arena.cost(id).as_slice(), plan.cost().as_slice());
+            assert_eq!(arena.node(id).rel(), plan.rel());
+            assert_eq!(arena.node(id).format(), plan.format());
+            assert_eq!(arena.node_count(id), plan.node_count());
+            assert_eq!(arena.depth(id), plan.depth());
+            assert_eq!(arena.is_left_deep(id), plan.is_left_deep());
+            assert_eq!(arena.display(id, &m), plan.display(&m));
         }
     }
 
@@ -776,14 +777,23 @@ mod tests {
     }
 
     #[test]
-    fn left_deep_detection_matches_arc() {
-        use crate::random_plan::{random_left_deep_plan, random_left_deep_plan_in};
+    fn left_deep_detection() {
+        use crate::random_plan::random_left_deep_plan_in;
         let m = StubModel::line(6, 2, 1);
         let q = TableSet::prefix(6);
         let mut arena = PlanArena::new();
         let id = random_left_deep_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(4));
         assert!(arena.is_left_deep(id));
-        let arc = random_left_deep_plan(&m, q, &mut StdRng::seed_from_u64(4));
-        assert_eq!(arena.display(id, &m), arc.display(&m));
+        // (T0 ⋈ T1) ⋈ (T2 ⋈ T3) has a join inner.
+        let s: Vec<PlanId> = (0..4)
+            .map(|t| arena.scan(&m, TableId::new(t), ScanOpId(0)))
+            .collect();
+        let (l, r) = (
+            arena.join(&m, s[0], s[1], JoinOpId(0)),
+            arena.join(&m, s[2], s[3], JoinOpId(0)),
+        );
+        let bushy = arena.join(&m, l, r, JoinOpId(0));
+        assert!(arena.is_left_deep(l));
+        assert!(!arena.is_left_deep(bushy));
     }
 }

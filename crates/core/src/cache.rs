@@ -26,21 +26,20 @@
 //! finished session's publisher.
 
 use crate::archive::Admission;
+use crate::arena::{PlanArena, PlanId};
 use crate::cost::CostVector;
 use crate::fxhash::FxHashMap;
 use crate::model::OutputFormat;
 use crate::pareto::{ParetoSet, ScreenCounters};
-use crate::plan::PlanRef;
 use crate::tables::TableSet;
 
 /// Plan cache: intermediate result (table set) → pruned partial plans.
 ///
-/// Generic over the stored plan handle `P`, like [`ParetoSet`]: the RMQ
-/// main loop keys a `PlanCache<PlanId>` over its session arena (cache hits
-/// and insertions move `Copy` integers), while `PlanCache<PlanRef>` (the
-/// default) serves `Arc<Plan>` consumers and tests.
+/// Generic over the stored plan handle `P`, like [`ParetoSet`]. The
+/// optimizers key a `PlanCache<PlanId>` (the default) over their session
+/// arena, so cache hits and insertions move `Copy` integers.
 #[derive(Debug)]
-pub struct PlanCache<P = PlanRef> {
+pub struct PlanCache<P = PlanId> {
     map: FxHashMap<TableSet, Entry<P>>,
     /// Table sets whose `fresh` count is non-zero, each listed once, in the
     /// order they first changed (see the module docs).
@@ -277,23 +276,17 @@ impl<P> Drop for CacheSlot<'_, P> {
     }
 }
 
-impl PlanCache<PlanRef> {
-    /// Inserts `plan` into the frontier of its own table set under the
-    /// given admission (Algorithm 3's `Prune` for approximate rules).
-    /// Returns `true` iff the plan was kept.
-    pub fn insert(&mut self, plan: PlanRef, admission: &Admission) -> bool {
-        let rel = plan.rel();
-        let cost = *plan.cost();
-        let format = plan.format();
-        self.insert_with(rel, &cost, format, admission, move || plan)
-    }
-
+impl PlanCache<PlanId> {
     /// Debug check: every stored plan is filed under its own table set and
-    /// every per-set frontier satisfies the Pareto-set invariant.
-    pub fn check_invariant(&self) -> bool {
-        self.map
-            .iter()
-            .all(|(rel, e)| e.set.check_invariant() && e.set.iter().all(|p| p.rel() == *rel))
+    /// carries its arena cost, and every per-set frontier satisfies the
+    /// Pareto-set invariant.
+    pub fn check_invariant(&self, arena: &PlanArena) -> bool {
+        self.map.iter().all(|(rel, e)| {
+            e.set.check_invariant_meta()
+                && e.set.iter().zip(e.set.costs()).all(|(&id, cost)| {
+                    arena.node(id).rel() == *rel && arena.cost(id).as_slice() == cost.as_slice()
+                })
+        })
     }
 }
 
@@ -302,11 +295,35 @@ mod tests {
     use super::*;
     use crate::model::testing::StubModel;
     use crate::model::{JoinOpId, ScanOpId};
-    use crate::plan::Plan;
     use crate::tables::TableId;
 
-    fn model() -> StubModel {
-        StubModel::line(3, 2, 7)
+    /// Scans of T0 and T1 and their joins under each of the three join
+    /// operators (ops 0 and 1 share format 0, op 2 has format 1).
+    struct Fixture {
+        arena: PlanArena,
+        s0: PlanId,
+        s1: PlanId,
+        joins: [PlanId; 3],
+    }
+
+    fn fixture() -> Fixture {
+        let m = StubModel::line(3, 2, 7);
+        let mut arena = PlanArena::new();
+        let s0 = arena.scan(&m, TableId::new(0), ScanOpId(0));
+        let s1 = arena.scan(&m, TableId::new(1), ScanOpId(0));
+        let joins = [0, 1, 2].map(|op| arena.join(&m, s0, s1, JoinOpId(op)));
+        Fixture {
+            arena,
+            s0,
+            s1,
+            joins,
+        }
+    }
+
+    /// Offers `id` to the frontier of its own table set.
+    fn insert(cache: &mut PlanCache, arena: &PlanArena, id: PlanId, admission: &Admission) -> bool {
+        let v = arena.view(id);
+        cache.insert_with(v.rel, &v.cost, v.format, admission, || id)
     }
 
     #[test]
@@ -320,58 +337,45 @@ mod tests {
 
     #[test]
     fn insert_files_plans_under_their_rel() {
-        let m = model();
+        let f = fixture();
         let mut cache = PlanCache::new();
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let j = Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(0));
         let exact = Admission::exact();
-        assert!(cache.insert(s0.clone(), &exact));
-        assert!(cache.insert(s1, &exact));
-        assert!(cache.insert(j.clone(), &exact));
+        assert!(insert(&mut cache, &f.arena, f.s0, &exact));
+        assert!(insert(&mut cache, &f.arena, f.s1, &exact));
+        assert!(insert(&mut cache, &f.arena, f.joins[0], &exact));
         assert_eq!(cache.num_table_sets(), 3);
-        assert_eq!(cache.frontier(j.rel()).len(), 1);
-        assert_eq!(cache.frontier(s0.rel()).len(), 1);
-        assert!(cache.check_invariant());
+        assert_eq!(cache.frontier(TableSet::prefix(2)), &[f.joins[0]]);
+        assert_eq!(cache.frontier(f.arena.node(f.s0).rel()), &[f.s0]);
+        assert!(cache.check_invariant(&f.arena));
     }
 
     #[test]
     fn coarse_alpha_caps_frontier_growth() {
-        let m = model();
-        let mut cache = PlanCache::new();
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
+        let f = fixture();
         // With a huge alpha, at most one plan per output format survives
         // per table set, regardless of how many tradeoffs we insert.
-        for op in 0..3u16 {
-            cache.insert(
-                Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op)),
-                &Admission::approx(1e12),
-            );
+        let mut cache = PlanCache::new();
+        for &j in &f.joins {
+            insert(&mut cache, &f.arena, j, &Admission::approx(1e12));
         }
-        // Ops 0 and 1 share format 0, op 2 has format 1.
         assert!(cache.frontier(TableSet::prefix(2)).len() <= 2);
 
         // With alpha = 1, the two incomparable format-0 plans both survive.
         let mut fine = PlanCache::new();
-        for op in 0..3u16 {
-            fine.insert(
-                Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op)),
-                &Admission::exact(),
-            );
+        for &j in &f.joins {
+            insert(&mut fine, &f.arena, j, &Admission::exact());
         }
         assert_eq!(fine.frontier(TableSet::prefix(2)).len(), 3);
     }
 
     #[test]
     fn counters_track_keeps_and_rejections() {
-        let m = model();
+        let f = fixture();
         let mut cache = PlanCache::new();
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        assert!(cache.insert(s0.clone(), &Admission::exact()));
+        assert!(insert(&mut cache, &f.arena, f.s0, &Admission::exact()));
         // The original weakly dominates the duplicate (equal cost), so
         // SigBetter rejects the re-insertion.
-        assert!(!cache.insert(s0, &Admission::exact()));
+        assert!(!insert(&mut cache, &f.arena, f.s0, &Admission::exact()));
         let (kept, rejected) = cache.counters();
         assert_eq!((kept, rejected), (1, 1));
         assert_eq!(cache.total_plans(), 1);
@@ -379,70 +383,61 @@ mod tests {
 
     #[test]
     fn change_list_names_each_changed_set_once_with_its_fresh_suffix() {
-        let m = model();
+        let f = fixture();
         let mut cache = PlanCache::new();
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let join = |op| Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op));
         let exact = Admission::exact();
-        cache.insert(s0.clone(), &exact);
-        cache.insert(join(0), &exact);
+        let (scan_rel, join_rel) = (f.arena.node(f.s0).rel(), TableSet::prefix(2));
+        insert(&mut cache, &f.arena, f.s0, &exact);
+        insert(&mut cache, &f.arena, f.joins[0], &exact);
         // A rejected duplicate changes nothing.
-        cache.insert(s0.clone(), &exact);
+        insert(&mut cache, &f.arena, f.s0, &exact);
         let changed: Vec<_> = cache
             .changed_sets()
             .map(|(rel, set, from)| (rel, set.len(), from))
             .collect();
-        assert_eq!(changed, vec![(s0.rel(), 1, 0), (join(0).rel(), 1, 0)]);
+        assert_eq!(changed, vec![(scan_rel, 1, 0), (join_rel, 1, 0)]);
         cache.clear_changed();
         assert_eq!(cache.changed_sets().count(), 0);
         // Two more admissions to one set: listed once, suffix of two.
-        cache.insert(join(1), &exact);
-        cache.insert(join(2), &exact);
+        insert(&mut cache, &f.arena, f.joins[1], &exact);
+        insert(&mut cache, &f.arena, f.joins[2], &exact);
         let changed: Vec<_> = cache
             .changed_sets()
             .map(|(rel, set, from)| (rel, set.len(), from))
             .collect();
-        assert_eq!(changed, vec![(join(0).rel(), 3, 1)]);
+        assert_eq!(changed, vec![(join_rel, 3, 1)]);
     }
 
     #[test]
     fn absorbing_slots_stay_off_the_change_list_but_keep_a_suffix_whole() {
-        let m = model();
-        let mut cache: PlanCache = PlanCache::new();
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let joins: Vec<_> = (0..3u16)
-            .map(|op| Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op)))
-            .collect();
-        let rel = joins[0].rel();
+        let f = fixture();
+        let mut cache = PlanCache::new();
+        let rel = TableSet::prefix(2);
         let exact = Admission::exact();
-        let absorb = |cache: &mut PlanCache, p: &PlanRef| {
+        let absorb = |cache: &mut PlanCache, id: PlanId| {
+            let v = f.arena.view(id);
             cache
-                .slot_absorbing(p.rel())
-                .insert_with(p.cost(), p.format(), &exact, || p.clone())
+                .slot_absorbing(v.rel)
+                .insert_with(&v.cost, v.format, &exact, || id)
         };
-        assert!(absorb(&mut cache, &joins[0]));
+        assert!(absorb(&mut cache, f.joins[0]));
         assert_eq!(cache.changed_sets().count(), 0);
         // An own admission behind the absorbed plan: a suffix of one.
-        assert!(cache.insert(joins[1].clone(), &exact));
+        assert!(insert(&mut cache, &f.arena, f.joins[1], &exact));
         let from = |cache: &PlanCache| cache.changed_sets().map(|(_, _, from)| from).next();
         assert_eq!(from(&cache), Some(1));
         // An arrival behind a pending admission must not push it out of the
         // suffix.
-        assert!(absorb(&mut cache, &joins[2]));
+        assert!(absorb(&mut cache, f.joins[2]));
         assert_eq!(from(&cache), Some(1));
         assert_eq!(cache.frontier(rel).len(), 3);
     }
 
     #[test]
     fn clear_empties_cache() {
-        let m = model();
+        let f = fixture();
         let mut cache = PlanCache::new();
-        cache.insert(
-            Plan::scan(&m, TableId::new(0), ScanOpId(0)),
-            &Admission::exact(),
-        );
+        insert(&mut cache, &f.arena, f.s0, &Admission::exact());
         cache.clear();
         assert_eq!(cache.num_table_sets(), 0);
     }

@@ -15,20 +15,17 @@
 //!
 //! Both effects fall out of the recursive structure below: sub-plan
 //! frontiers are pruned per output format *before* being combined upward.
-//! The naive variant ([`naive_climb`]) is retained for the ablation
+//! The naive variant ([`naive_climb_in`]) is retained for the ablation
 //! experiments.
 //!
 //! # Hot-path discipline
 //!
 //! `ParetoStep` runs inside every climbing step, and most of the candidates
-//! it generates are rejected by pruning. Two formulations share this file.
-//! The `Arc<Plan>` one ([`pareto_step_with`], [`pareto_climb_with`]) is the
-//! reference: it costs each candidate through the model *first* and probes
-//! the frontier via [`ParetoSet::admit`], materializing the `Arc<Plan>` only
-//! on admission. The arena one ([`pareto_step_in`], [`pareto_climb_in`],
-//! [`pareto_climb_aborting_in`]) is what the optimizers run; it makes the
-//! same decisions in the same order and, on top, does each piece of work
-//! once:
+//! it generates are rejected by pruning. [`pareto_step_in`],
+//! [`pareto_climb_in`] and [`pareto_climb_aborting_in`] therefore cost each
+//! candidate *before* building it, probe the step frontier via
+//! [`ParetoSet::admit`], and intern a candidate's root into the
+//! [`PlanArena`] only on admission. On top, they do each piece of work once:
 //!
 //! * **an operand pair is costed once** — all its operators through one
 //!   [`CostModel::join_props_all`] call, which shares the pair's
@@ -47,6 +44,9 @@
 //!   ones intern their root into an arena that keeps its capacity over
 //!   [`PlanArena::clear`]. Growing any of these for a larger plan than seen
 //!   before is the only allocation left.
+//!
+//! The unit tests pin every step to the eager formulation that builds and
+//! interns each candidate before pruning it.
 
 use std::ops::Range;
 
@@ -54,12 +54,11 @@ use crate::archive::Admission;
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
 use crate::fxhash::FxHashMap;
 use crate::model::{CostModel, JoinOpId, PlanProps};
-use crate::mutations::{all_neighbors, MutationSet};
+use crate::mutations::{all_neighbors_in, MutationSet};
 use crate::optimizer::AbortCheck;
 use crate::pareto::{ParetoSet, PrunePolicy};
-use crate::plan::{Plan, PlanKind, PlanRef};
 
-/// Configuration for [`pareto_climb`].
+/// Configuration for [`pareto_climb_in`].
 #[derive(Clone, Copy, Debug)]
 pub struct ClimbConfig {
     /// How same-format incomparable mutations are pruned (see
@@ -94,20 +93,19 @@ pub struct ClimbStats {
 /// whole climb, and the RMQ main loop carries one across iterations.
 ///
 /// * **Buffers**: the operator lists queried from the cost model in the
-///   innermost candidate loops (`Arc` and arena paths) and the
-///   batch-costing output parallel to them (arena path). The recursion
-///   uses each transiently between recursive calls.
-/// * **The step frontier** (arena path): both recursive calls of a join
-///   node return before the node prunes its own candidates, so one
-///   [`ParetoSet`] is live at a time; each node clears it — buckets and
-///   blocks keep their capacity — before offering its candidates.
-/// * **The `ParetoStep` memo** (arena path): sub-plan [`PlanId`] → its step
-///   result, stored as a span of one flat id list. Hash-consing makes "same
-///   id" mean "same sub-plan" and the step is a pure function of the
-///   sub-plan (for a fixed model, policy and rule set), so a sub-tree the
-///   previous step left untouched is answered from the memo: none of its
-///   candidates is costed, probed or interned again. **Validity rule:** an
-///   entry holds only inside the arena that issued its ids, between two
+///   innermost candidate loops and the batch-costing output parallel to
+///   them. The recursion uses each transiently between recursive calls.
+/// * **The step frontier**: both recursive calls of a join node return
+///   before the node prunes its own candidates, so one [`ParetoSet`] is
+///   live at a time; each node clears it — buckets and blocks keep their
+///   capacity — before offering its candidates.
+/// * **The `ParetoStep` memo**: sub-plan [`PlanId`] → its step result,
+///   stored as a span of one flat id list. Hash-consing makes "same id"
+///   mean "same sub-plan" and the step is a pure function of the sub-plan
+///   (for a fixed model, policy and rule set), so a sub-tree the previous
+///   step left untouched is answered from the memo: none of its candidates
+///   is costed, probed or interned again. **Validity rule:** an entry holds
+///   only inside the arena that issued its ids, between two
 ///   [`PlanArena::clear`]s, under one [`ClimbConfig`]. Every climb
 ///   ([`pareto_climb_in`], [`pareto_climb_aborting_in`]) and every
 ///   stand-alone [`pareto_step_in`] therefore starts by dropping the memo;
@@ -149,112 +147,9 @@ impl StepScratch {
 /// sub-trees simultaneously. The set contains at most one plan per output
 /// format under the default [`PrunePolicy::OnePerFormat`]; the plan `p`
 /// itself (with possibly-improved sub-plans) is always a candidate.
-pub fn pareto_step<M>(
-    p: &PlanRef,
-    model: &M,
-    policy: PrunePolicy,
-    mutations: MutationSet,
-) -> Vec<PlanRef>
-where
-    M: CostModel + ?Sized,
-{
-    pareto_step_with(p, model, policy, mutations, &mut StepScratch::default())
-}
-
-/// [`pareto_step`] with caller-provided scratch buffers (the allocation-free
-/// steady-state entry point; see the module docs).
-pub fn pareto_step_with<M>(
-    p: &PlanRef,
-    model: &M,
-    policy: PrunePolicy,
-    mutations: MutationSet,
-    scratch: &mut StepScratch,
-) -> Vec<PlanRef>
-where
-    M: CostModel + ?Sized,
-{
-    let mut frontier = ParetoSet::new();
-    let admission = Admission::climb(policy);
-    match p.kind() {
-        PlanKind::Scan { table, op } => {
-            // Identity first, then the scan-operator mutations (identity
-            // first so OnePerFormat keeps the incumbent on ties).
-            frontier.insert(p.clone(), &admission);
-            for &alt in model.scan_ops(*table) {
-                if alt != *op {
-                    let props = model.scan_props(*table, alt);
-                    frontier.admit(&props.cost, props.format, &admission, || {
-                        Plan::scan_from_props(*table, alt, props)
-                    });
-                }
-            }
-        }
-        PlanKind::Join { outer, inner, op } => {
-            // Improve sub-plans by recursive calls (both complete before
-            // this level touches the scratch buffers again).
-            let outer_pareto = pareto_step_with(outer, model, policy, mutations, scratch);
-            let inner_pareto = pareto_step_with(inner, model, policy, mutations, scratch);
-            // Iterate over all improved sub-plan pairs.
-            for o in &outer_pareto {
-                // One view copy per operand pair, reused across operators.
-                let vo = o.view();
-                for i in &inner_pareto {
-                    let vi = i.view();
-                    scratch.ops.clear();
-                    model.join_ops(vo, vi, &mut scratch.ops);
-                    // The recombined plan (identity mutation at the root):
-                    // the original operator when applicable, else the first
-                    // applicable one — exactly `join_preferring`'s pick. A
-                    // model violating its non-empty contract skips the pair.
-                    let Some(root_op) = scratch
-                        .ops
-                        .iter()
-                        .find(|&&a| a == *op)
-                        .or_else(|| scratch.ops.first())
-                        .copied()
-                    else {
-                        continue;
-                    };
-                    let props = model.join_props(vo, vi, root_op);
-                    frontier.admit(&props.cost, props.format, &admission, || {
-                        Plan::join_from_props(o.clone(), i.clone(), root_op, props)
-                    });
-                    // Operator changes at the root.
-                    for &alt in &scratch.ops {
-                        if alt != root_op {
-                            let props = model.join_props(vo, vi, alt);
-                            frontier.admit(&props.cost, props.format, &admission, || {
-                                Plan::join_from_props(o.clone(), i.clone(), alt, props)
-                            });
-                        }
-                    }
-                    // Structural rules (commutativity, rotations,
-                    // exchanges), root allocation deferred to admission.
-                    mutations.visit_structural(
-                        o,
-                        i,
-                        root_op,
-                        model,
-                        &mut scratch.structural_ops,
-                        &mut |a, b, jop, props| {
-                            frontier.admit(&props.cost, props.format, &admission, || {
-                                Plan::join_from_props(a.clone(), b.clone(), jop, props)
-                            });
-                        },
-                    );
-                }
-            }
-        }
-    }
-    scratch.screen.absorb(&frontier.screen_counters());
-    frontier.into_plans()
-}
-
-/// Arena analogue of [`pareto_step_with`]: identical candidate enumeration
-/// order and pruning decisions, operating on interned [`PlanId`]s. Admitted
-/// candidates intern their root (an intern hit — the steady-state common
-/// case once a neighborhood has been visited — allocates nothing); rejected
-/// candidates touch neither the arena nor the heap.
+/// Admitted candidates intern their root (an intern hit — the steady-state
+/// common case once a neighborhood has been visited — allocates nothing);
+/// rejected candidates touch neither the arena nor the heap.
 ///
 /// A stand-alone step: it drops the scratch's memo first, so `scratch` may
 /// have served any arena before.
@@ -275,9 +170,9 @@ where
     scratch.memo_ids[step].to_vec()
 }
 
-/// The recursion behind [`pareto_step_in`] and the arena climbs: returns
-/// the step result of `p` as a span of `scratch.memo_ids`, from the memo
-/// when `p` was stepped before (see [`StepScratch`]).
+/// The recursion behind [`pareto_step_in`] and the climbs: returns the step
+/// result of `p` as a span of `scratch.memo_ids`, from the memo when `p`
+/// was stepped before (see [`StepScratch`]).
 fn step_in<M>(
     arena: &mut PlanArena,
     p: PlanId,
@@ -296,7 +191,8 @@ where
         PlanNodeKind::Scan { table, op } => {
             let frontier = &mut scratch.frontier;
             frontier.clear();
-            // Identity first, then the scan-operator mutations.
+            // Identity first (so OnePerFormat keeps the incumbent on ties),
+            // then the scan-operator mutations.
             let view = arena.view(p);
             frontier.admit(&view.cost, view.format, admission, || p);
             for &alt in model.scan_ops(table) {
@@ -331,7 +227,7 @@ where
                     model.join_ops(&vo, &vi, ops);
                     // The recombined plan keeps the original operator when
                     // applicable, else takes the first applicable one —
-                    // `join_preferring`'s pick. A model violating its
+                    // `join_preferring_in`'s pick. A model violating its
                     // non-empty contract skips the pair.
                     let Some(root) = ops
                         .iter()
@@ -392,51 +288,10 @@ where
     step
 }
 
-/// Climbs until `p` cannot be improved further (`ParetoClimb`): repeatedly
-/// computes `pareto_step` and moves to a mutation that strictly dominates
-/// the current plan, returning the local Pareto optimum and path statistics.
-pub fn pareto_climb<M>(start: PlanRef, model: &M, cfg: &ClimbConfig) -> (PlanRef, ClimbStats)
-where
-    M: CostModel + ?Sized,
-{
-    pareto_climb_with(start, model, cfg, &mut StepScratch::default())
-}
-
-/// [`pareto_climb`] with caller-provided scratch buffers, reused across all
-/// steps of the climb (and, by the RMQ main loop, across iterations).
-pub fn pareto_climb_with<M>(
-    start: PlanRef,
-    model: &M,
-    cfg: &ClimbConfig,
-    scratch: &mut StepScratch,
-) -> (PlanRef, ClimbStats)
-where
-    M: CostModel + ?Sized,
-{
-    let mut current = start;
-    let mut stats = ClimbStats::default();
-    while stats.steps < cfg.max_steps {
-        let mutations = pareto_step_with(&current, model, cfg.policy, cfg.mutations, scratch);
-        // Several mutations may strictly dominate the current plan without
-        // dominating each other; the paper arbitrarily selects one rather
-        // than branching (§4.2). We take the first found.
-        match mutations
-            .into_iter()
-            .find(|m| m.cost().strictly_dominates(current.cost()))
-        {
-            Some(better) => {
-                current = better;
-                stats.steps += 1;
-            }
-            None => break,
-        }
-    }
-    (current, stats)
-}
-
-/// Arena analogue of [`pareto_climb_with`]: same moves, same local optimum,
-/// same path statistics for a given start plan (see the seed-determinism
-/// test pinning arena and legacy climbs to identical outcomes).
+/// Climbs until `start` cannot be improved further (`ParetoClimb`):
+/// repeatedly computes `ParetoStep` and moves to a mutation that strictly
+/// dominates the current plan, returning the local Pareto optimum and path
+/// statistics.
 pub fn pareto_climb_in<M>(
     arena: &mut PlanArena,
     start: PlanId,
@@ -496,6 +351,9 @@ where
         }
         let step = step_in(arena, current, model, &admission, cfg.mutations, scratch);
         let current_cost = arena.cost(current);
+        // Several mutations may strictly dominate the current plan without
+        // dominating each other; the paper arbitrarily selects one rather
+        // than branching (§4.2). We take the first found.
         match scratch.memo_ids[step]
             .iter()
             .find(|&&m| arena.cost(m).strictly_dominates(&current_cost))
@@ -511,19 +369,26 @@ where
 }
 
 /// Naive hill climbing (§4.2's strawman, kept for ablations): every step
-/// enumerates all complete-plan neighbors (one mutation at one node each,
-/// quadratic work) and moves to the first strictly dominating neighbor.
-pub fn naive_climb<M>(start: PlanRef, model: &M, cfg: &ClimbConfig) -> (PlanRef, ClimbStats)
+/// enumerates all complete-plan neighbors under `cfg.mutations` (one
+/// mutation at one node each, quadratic work) and moves to the first
+/// strictly dominating neighbor. `cfg.policy` plays no part: nothing is
+/// pruned.
+pub fn naive_climb_in<M>(
+    arena: &mut PlanArena,
+    start: PlanId,
+    model: &M,
+    cfg: &ClimbConfig,
+) -> (PlanId, ClimbStats)
 where
     M: CostModel + ?Sized,
 {
     let mut current = start;
     let mut stats = ClimbStats::default();
     while stats.steps < cfg.max_steps {
-        let neighbors = all_neighbors(&current, model);
-        match neighbors
+        let current_cost = arena.cost(current);
+        match all_neighbors_in(arena, current, model, cfg.mutations)
             .into_iter()
-            .find(|m| m.cost().strictly_dominates(current.cost()))
+            .find(|&m| arena.cost(m).strictly_dominates(&current_cost))
         {
             Some(better) => {
                 current = better;
@@ -535,23 +400,40 @@ where
     (current, stats)
 }
 
-/// Whether `p` is a local Pareto optimum under the fast step with bushy
-/// mutations: no mutation returned by [`pareto_step`] strictly dominates it.
-pub fn is_local_optimum<M>(p: &PlanRef, model: &M, policy: PrunePolicy) -> bool
+/// Whether `p` is a local Pareto optimum of the climb `cfg` configures: no
+/// mutation returned by its `ParetoStep` (under `cfg.policy` and
+/// `cfg.mutations`) strictly dominates it — the condition on which
+/// [`pareto_climb_in`] stops before `cfg.max_steps`.
+pub fn is_local_optimum_in<M>(
+    arena: &mut PlanArena,
+    p: PlanId,
+    model: &M,
+    cfg: &ClimbConfig,
+) -> bool
 where
     M: CostModel + ?Sized,
 {
-    !pareto_step(p, model, policy, MutationSet::Bushy)
+    let cost = arena.cost(p);
+    let step = pareto_step_in(
+        arena,
+        p,
+        model,
+        cfg.policy,
+        cfg.mutations,
+        &mut StepScratch::default(),
+    );
+    !step
         .iter()
-        .any(|m| m.cost().strictly_dominates(p.cost()))
+        .any(|&m| arena.cost(m).strictly_dominates(&cost))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::testing::StubModel;
-    use crate::mutations::{join_preferring, root_mutations};
-    use crate::random_plan::random_plan;
+    use crate::mutations::{join_preferring_in, root_mutations_in};
+    use crate::optimizer::{AbortCheck, StopFlag};
+    use crate::random_plan::{random_left_deep_plan_in, random_plan_in};
     use crate::tables::TableSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -560,15 +442,100 @@ mod tests {
         (StubModel::line(n, dim, seed), TableSet::prefix(n))
     }
 
+    /// The eager formulation of `ParetoStep`: every candidate is built and
+    /// interned — the recombined plan by `join_preferring_in`, its
+    /// neighbors by `root_mutations_in` — and then offered, in order, to a
+    /// fresh frontier. `pareto_step_in` defers interning to admission,
+    /// costs an operand pair in one batch and reuses one frontier; it must
+    /// return exactly these ids.
+    fn eager_step(
+        arena: &mut PlanArena,
+        p: PlanId,
+        m: &StubModel,
+        policy: PrunePolicy,
+        mutations: MutationSet,
+    ) -> Vec<PlanId> {
+        let mut candidates = Vec::new();
+        match arena.node(p).kind() {
+            PlanNodeKind::Scan { .. } => {
+                candidates.push(p);
+                root_mutations_in(arena, p, m, mutations, &mut candidates);
+            }
+            PlanNodeKind::Join { outer, inner, op } => {
+                let outer_step = eager_step(arena, outer, m, policy, mutations);
+                let inner_step = eager_step(arena, inner, m, policy, mutations);
+                for &o in &outer_step {
+                    for &i in &inner_step {
+                        let Some(rebuilt) = join_preferring_in(arena, m, o, i, &[op]) else {
+                            continue;
+                        };
+                        candidates.push(rebuilt);
+                        root_mutations_in(arena, rebuilt, m, mutations, &mut candidates);
+                    }
+                }
+            }
+        }
+        let admission = Admission::climb(policy);
+        let mut frontier = ParetoSet::new();
+        for c in candidates {
+            let v = arena.view(c);
+            frontier.admit(&v.cost, v.format, &admission, || c);
+        }
+        frontier.into_plans()
+    }
+
+    #[test]
+    fn pareto_step_matches_materializing_reference() {
+        // Hash-consing makes equal ids equal plans, so the deferred step
+        // and the eager one must agree id for id, in order.
+        for (n, dim, mutations) in [
+            (5usize, 2usize, MutationSet::Bushy),
+            (7, 3, MutationSet::Bushy),
+            (9, 2, MutationSet::Bushy),
+            (7, 2, MutationSet::LeftDeep),
+            (9, 3, MutationSet::LeftDeep),
+        ] {
+            let (m, q) = setup(n, dim, 13);
+            let mut arena = PlanArena::new();
+            let mut scratch = StepScratch::default();
+            let mut rng = StdRng::seed_from_u64(21);
+            // Literal-policy step frontiers multiply up the tree: past seven
+            // tables one eager step takes minutes in a debug build.
+            let policies: &[PrunePolicy] = if n <= 7 {
+                &[PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable]
+            } else {
+                &[PrunePolicy::OnePerFormat]
+            };
+            for &policy in policies {
+                for _ in 0..8 {
+                    let p = match mutations {
+                        MutationSet::Bushy => random_plan_in(&mut arena, &m, q, &mut rng),
+                        MutationSet::LeftDeep => {
+                            random_left_deep_plan_in(&mut arena, &m, q, &mut rng)
+                        }
+                    };
+                    let fast = pareto_step_in(&mut arena, p, &m, policy, mutations, &mut scratch);
+                    let eager = eager_step(&mut arena, p, &m, policy, mutations);
+                    assert_eq!(
+                        fast, eager,
+                        "step diverged (n={n}, dim={dim}, {mutations:?}, {policy:?})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn pareto_step_returns_valid_plans() {
         let (m, q) = setup(6, 2, 3);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(1));
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(1));
+        let mut scratch = StepScratch::default();
         for policy in [PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable] {
-            let step = pareto_step(&p, &m, policy, MutationSet::Bushy);
+            let step = pareto_step_in(&mut arena, p, &m, policy, MutationSet::Bushy, &mut scratch);
             assert!(!step.is_empty());
-            for s in &step {
-                assert!(s.validate(q).is_ok());
+            for &s in &step {
+                assert!(arena.validate(s, q).is_ok());
             }
         }
     }
@@ -578,211 +545,74 @@ mod tests {
         // The identity combination guarantees a plan at least as good as p
         // is always among the candidates.
         let (m, q) = setup(8, 2, 5);
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..20 {
-            let p = random_plan(&m, q, &mut rng);
-            let step = pareto_step(&p, &m, PrunePolicy::OnePerFormat, MutationSet::Bushy);
+            let p = random_plan_in(&mut arena, &m, q, &mut rng);
+            let cost = arena.cost(p);
+            let step = pareto_step_in(
+                &mut arena,
+                p,
+                &m,
+                PrunePolicy::OnePerFormat,
+                MutationSet::Bushy,
+                &mut scratch,
+            );
             assert!(
-                step.iter().any(|s| s.cost().dominates(p.cost())
-                    || !p.cost().strictly_dominates(s.cost())),
+                step.iter()
+                    .any(|&s| arena.cost(s).dominates(&cost)
+                        || !cost.strictly_dominates(&arena.cost(s))),
                 "step lost all non-worse candidates"
             );
         }
     }
 
     #[test]
-    fn pareto_step_matches_materializing_reference() {
-        // The deferred-allocation step must produce exactly the plans the
-        // old insert-everything formulation produced: rebuild the reference
-        // per (outer, inner) pair with join_preferring + root_mutations and
-        // prune through a fresh ParetoSet.
-        fn reference_step(p: &PlanRef, m: &StubModel, policy: PrunePolicy) -> Vec<PlanRef> {
-            let mut frontier = ParetoSet::new();
-            let admission = Admission::climb(policy);
-            let mut scratch = Vec::new();
-            match p.kind() {
-                PlanKind::Scan { .. } => {
-                    frontier.insert(p.clone(), &admission);
-                    root_mutations(p, m, &mut scratch);
-                    for mutation in scratch.drain(..) {
-                        frontier.insert(mutation, &admission);
-                    }
-                }
-                PlanKind::Join { outer, inner, op } => {
-                    let outer_pareto = reference_step(outer, m, policy);
-                    let inner_pareto = reference_step(inner, m, policy);
-                    for o in &outer_pareto {
-                        for i in &inner_pareto {
-                            let Some(rebuilt) = join_preferring(m, o, i, &[*op]) else {
-                                continue;
-                            };
-                            scratch.clear();
-                            root_mutations(&rebuilt, m, &mut scratch);
-                            frontier.insert(rebuilt, &admission);
-                            for mutation in scratch.drain(..) {
-                                frontier.insert(mutation, &admission);
-                            }
-                        }
-                    }
-                }
-            }
-            frontier.into_plans()
-        }
-
-        let (m, q) = setup(7, 2, 13);
-        let mut rng = StdRng::seed_from_u64(21);
-        for policy in [PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable] {
-            for _ in 0..10 {
-                let p = random_plan(&m, q, &mut rng);
-                let fast: Vec<String> = pareto_step(&p, &m, policy, MutationSet::Bushy)
-                    .iter()
-                    .map(|s| s.display(&m))
-                    .collect();
-                let reference: Vec<String> = reference_step(&p, &m, policy)
-                    .iter()
-                    .map(|s| s.display(&m))
-                    .collect();
-                assert_eq!(fast, reference, "step diverged under {policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn arena_climb_matches_legacy_across_seeds_and_sizes() {
-        // Seed-determinism satellite: 3 seeds × 6 settings (up to n = 12,
-        // three metrics, climbs under both prune policies). The arena climb
-        // — with its step memo, reused frontier and batch costing — and the
-        // memo-free Arc climb must consume the RNG identically, make the
-        // same moves in the same order, and end on the same local optimum
-        // with the same final step frontier.
-        use crate::arena::PlanArena;
-        use crate::random_plan::random_plan_in;
-        let policies = [PrunePolicy::OnePerFormat, PrunePolicy::KeepIncomparable];
-        let (fast, literal) = (policies[0], policies[1]);
-        for (n, dim, climb_policy) in [
-            (6usize, 2usize, fast),
-            (9, 2, fast),
-            (12, 2, fast),
-            (12, 3, fast),
-            // Literal-policy step frontiers grow with every move: an n = 8
-            // climb takes ten seconds here and an n = 9 climb minutes, so
-            // these stay small.
-            (6, 2, literal),
-            (6, 3, literal),
-        ] {
-            for seed in [1u64, 2, 3] {
-                let at = format!("n={n}, dim={dim}, {climb_policy:?}, seed={seed}");
-                let (m, q) = setup(n, dim, 17);
-                let start_arc = random_plan(&m, q, &mut StdRng::seed_from_u64(seed));
-                let mut arena = PlanArena::new();
-                let start_id = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(seed));
-                assert_eq!(
-                    arena.display(start_id, &m),
-                    start_arc.display(&m),
-                    "random generation diverged ({at})"
-                );
-                let cfg = ClimbConfig {
-                    policy: climb_policy,
-                    ..ClimbConfig::default()
-                };
-                // The Arc climb, move by move.
-                let mut moves = vec![start_arc.clone()];
-                while let Some(better) = {
-                    let current = moves.last().unwrap();
-                    pareto_step(current, &m, cfg.policy, cfg.mutations)
-                        .into_iter()
-                        .find(|s| s.cost().strictly_dominates(current.cost()))
-                } {
-                    moves.push(better);
-                }
-                let opt_arc = moves.last().unwrap().clone();
-                let stats_arc = ClimbStats {
-                    steps: moves.len() - 1,
-                };
-
-                let mut scratch = StepScratch::default();
-                let (opt_id, stats_id) =
-                    pareto_climb_in(&mut arena, start_id, &m, &cfg, &mut scratch);
-                assert_eq!(stats_arc, stats_id, "path lengths diverged ({at})");
-                assert_eq!(
-                    arena.display(opt_id, &m),
-                    opt_arc.display(&m),
-                    "local optima diverged ({at})"
-                );
-                assert_eq!(arena.cost(opt_id).as_slice(), opt_arc.cost().as_slice());
-                // The arena climb cut short after k moves stands where
-                // the Arc climb stood after k moves.
-                for (k, expected) in moves.iter().enumerate() {
-                    let cut = ClimbConfig {
-                        max_steps: k,
-                        ..cfg
-                    };
-                    let (at_k, _) = pareto_climb_in(&mut arena, start_id, &m, &cut, &mut scratch);
-                    assert_eq!(
-                        arena.display(at_k, &m),
-                        expected.display(&m),
-                        "move {k} diverged ({at})"
-                    );
-                }
-                // Identical final frontiers from one more step at the optimum
-                // (a literal-policy step of an n = 12 plan takes a minute).
-                let affordable = if n <= 9 {
-                    &policies[..]
-                } else {
-                    &policies[..1]
-                };
-                for &policy in affordable {
-                    let legacy: Vec<String> = pareto_step(&opt_arc, &m, policy, MutationSet::Bushy)
-                        .iter()
-                        .map(|s| s.display(&m))
-                        .collect();
-                    let in_arena: Vec<String> = pareto_step_in(
-                        &mut arena,
-                        opt_id,
-                        &m,
-                        policy,
-                        MutationSet::Bushy,
-                        &mut scratch,
-                    )
-                    .iter()
-                    .map(|&s| arena.display(s, &m))
-                    .collect();
-                    assert_eq!(
-                        in_arena, legacy,
-                        "step frontier diverged under {policy:?} ({at})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arena_left_deep_climb_matches_legacy() {
-        use crate::arena::PlanArena;
-        use crate::random_plan::{random_left_deep_plan, random_left_deep_plan_in};
+    fn left_deep_climb_stays_left_deep_and_ends_on_a_local_optimum() {
         let (m, q) = setup(7, 2, 23);
         let cfg = ClimbConfig {
             mutations: MutationSet::LeftDeep,
             ..ClimbConfig::default()
         };
+        let mut arena = PlanArena::new();
         for seed in [5u64, 6] {
-            let start_arc = random_left_deep_plan(&m, q, &mut StdRng::seed_from_u64(seed));
-            let mut arena = PlanArena::new();
-            let start_id =
+            let start =
                 random_left_deep_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(seed));
-            let (opt_arc, stats_arc) = pareto_climb(start_arc, &m, &cfg);
-            let (opt_id, stats_id) =
-                pareto_climb_in(&mut arena, start_id, &m, &cfg, &mut StepScratch::default());
-            assert_eq!(stats_arc, stats_id);
-            assert_eq!(arena.display(opt_id, &m), opt_arc.display(&m));
-            assert!(arena.is_left_deep(opt_id));
+            let (opt, _) =
+                pareto_climb_in(&mut arena, start, &m, &cfg, &mut StepScratch::default());
+            assert!(arena.is_left_deep(opt));
+            assert!(is_local_optimum_in(&mut arena, opt, &m, &cfg));
+        }
+    }
+
+    #[test]
+    fn naive_left_deep_climb_stays_left_deep() {
+        // The naive climb walks the neighborhood of `cfg.mutations`: from a
+        // left-deep start under the left-deep rules it must never leave the
+        // left-deep space (on these seeds, climbing the bushy neighborhood
+        // instead ends on a bushy plan).
+        let (m, q) = setup(7, 2, 23);
+        let cfg = ClimbConfig {
+            mutations: MutationSet::LeftDeep,
+            ..ClimbConfig::default()
+        };
+        let mut arena = PlanArena::new();
+        for seed in [1u64, 5] {
+            let start =
+                random_left_deep_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(seed));
+            let (opt, stats) = naive_climb_in(&mut arena, start, &m, &cfg);
+            assert!(stats.steps > 0, "seed {seed}: the climb never moved");
+            assert!(
+                arena.is_left_deep(opt),
+                "seed {seed}: left the left-deep space: {}",
+                arena.display(opt, &m)
+            );
         }
     }
 
     #[test]
     fn aborting_climb_with_never_condition_matches_plain_climb() {
-        use crate::arena::PlanArena;
-        use crate::random_plan::random_plan_in;
         let (m, q) = setup(7, 2, 19);
         for seed in [1u64, 4, 9] {
             let mut a1 = PlanArena::new();
@@ -797,7 +627,7 @@ mod tests {
                 &m,
                 &cfg,
                 &mut StepScratch::default(),
-                &crate::optimizer::AbortCheck::never(),
+                &AbortCheck::never(),
             );
             assert!(!aborted);
             assert_eq!(st1, st2);
@@ -807,9 +637,6 @@ mod tests {
 
     #[test]
     fn aborting_climb_stops_before_the_first_step_when_flag_is_up() {
-        use crate::arena::PlanArena;
-        use crate::optimizer::StopFlag;
-        use crate::random_plan::random_plan_in;
         let (m, q) = setup(8, 2, 29);
         let mut arena = PlanArena::new();
         let start = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(2));
@@ -821,7 +648,7 @@ mod tests {
             &m,
             &ClimbConfig::default(),
             &mut StepScratch::default(),
-            &crate::optimizer::AbortCheck::new(flag, None),
+            &AbortCheck::new(flag, None),
         );
         assert!(aborted);
         assert_eq!(stats.steps, 0);
@@ -831,8 +658,16 @@ mod tests {
     #[test]
     fn one_per_format_bounds_step_size() {
         let (m, q) = setup(10, 3, 7);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(3));
-        let step = pareto_step(&p, &m, PrunePolicy::OnePerFormat, MutationSet::Bushy);
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(3));
+        let step = pareto_step_in(
+            &mut arena,
+            p,
+            &m,
+            PrunePolicy::OnePerFormat,
+            MutationSet::Bushy,
+            &mut StepScratch::default(),
+        );
         assert!(
             step.len() <= 2,
             "StubModel has 2 formats; got {} plans",
@@ -843,18 +678,19 @@ mod tests {
     #[test]
     fn climb_reaches_local_optimum() {
         let (m, q) = setup(7, 2, 11);
+        let cfg = ClimbConfig::default();
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(4);
         let mut scratch = StepScratch::default();
         for _ in 0..10 {
-            let start = random_plan(&m, q, &mut rng);
-            let (opt, stats) =
-                pareto_climb_with(start.clone(), &m, &ClimbConfig::default(), &mut scratch);
-            assert!(opt.validate(q).is_ok());
+            let start = random_plan_in(&mut arena, &m, q, &mut rng);
+            let (opt, stats) = pareto_climb_in(&mut arena, start, &m, &cfg, &mut scratch);
+            assert!(arena.validate(opt, q).is_ok());
             // The result must weakly improve on the start in the Pareto sense:
             // it is never strictly dominated by the start.
-            assert!(!start.cost().strictly_dominates(opt.cost()));
-            assert!(is_local_optimum(&opt, &m, PrunePolicy::OnePerFormat));
-            assert!(stats.steps < ClimbConfig::default().max_steps);
+            assert!(!arena.cost(start).strictly_dominates(&arena.cost(opt)));
+            assert!(is_local_optimum_in(&mut arena, opt, &m, &cfg));
+            assert!(stats.steps < cfg.max_steps);
         }
     }
 
@@ -863,12 +699,15 @@ mod tests {
         // Over several random starts, at least one climb must make a strict
         // improvement (otherwise climbing is vacuous on this model).
         let (m, q) = setup(9, 2, 13);
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         let mut rng = StdRng::seed_from_u64(5);
         let improved = (0..10)
             .filter(|_| {
-                let start = random_plan(&m, q, &mut rng);
-                let (opt, _) = pareto_climb(start.clone(), &m, &ClimbConfig::default());
-                opt.cost().strictly_dominates(start.cost())
+                let start = random_plan_in(&mut arena, &m, q, &mut rng);
+                let cfg = ClimbConfig::default();
+                let (opt, _) = pareto_climb_in(&mut arena, start, &m, &cfg, &mut scratch);
+                arena.cost(opt).strictly_dominates(&arena.cost(start))
             })
             .count();
         assert!(improved >= 5, "climbing improved only {improved}/10 starts");
@@ -882,21 +721,24 @@ mod tests {
         // the faster OnePerFormat policy, an improving mutation can be
         // displaced by an incomparable incumbent in its format slot, so the
         // fast policy only guarantees optimality w.r.t. its own pruned
-        // neighborhood — see `is_local_optimum` usage elsewhere.)
+        // neighborhood — see `is_local_optimum_in`.)
         let (m, q) = setup(6, 2, 17);
         let literal = ClimbConfig {
             policy: PrunePolicy::KeepIncomparable,
             ..ClimbConfig::default()
         };
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..5 {
-            let start = random_plan(&m, q, &mut rng);
-            let (fast, _) = pareto_climb(start.clone(), &m, &literal);
-            let (naive, _) = naive_climb(start, &m, &ClimbConfig::default());
-            for (name, opt) in [("literal", &fast), ("naive", &naive)] {
-                let improving = all_neighbors(opt, &m)
+            let start = random_plan_in(&mut arena, &m, q, &mut rng);
+            let (fast, _) = pareto_climb_in(&mut arena, start, &m, &literal, &mut scratch);
+            let (naive, _) = naive_climb_in(&mut arena, start, &m, &ClimbConfig::default());
+            for (name, opt) in [("literal", fast), ("naive", naive)] {
+                let cost = arena.cost(opt);
+                let improving = all_neighbors_in(&mut arena, opt, &m, MutationSet::Bushy)
                     .iter()
-                    .any(|nb| nb.cost().strictly_dominates(opt.cost()));
+                    .any(|&nb| arena.cost(nb).strictly_dominates(&cost));
                 assert!(!improving, "{name} climb ended in a non-optimum");
             }
         }
@@ -907,15 +749,18 @@ mod tests {
         // The multi-mutation step should generally need no more improving
         // moves than single-mutation climbing (it applies several at once).
         let (m, q) = setup(12, 2, 23);
+        let cfg = ClimbConfig::default();
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         let mut rng = StdRng::seed_from_u64(7);
         let mut fast_total = 0usize;
         let mut naive_total = 0usize;
         for _ in 0..10 {
-            let start = random_plan(&m, q, &mut rng);
-            fast_total += pareto_climb(start.clone(), &m, &ClimbConfig::default())
+            let start = random_plan_in(&mut arena, &m, q, &mut rng);
+            fast_total += pareto_climb_in(&mut arena, start, &m, &cfg, &mut scratch)
                 .1
                 .steps;
-            naive_total += naive_climb(start, &m, &ClimbConfig::default()).1.steps;
+            naive_total += naive_climb_in(&mut arena, start, &m, &cfg).1.steps;
         }
         assert!(
             fast_total <= naive_total,
@@ -926,12 +771,13 @@ mod tests {
     #[test]
     fn max_steps_is_respected() {
         let (m, q) = setup(10, 2, 29);
-        let start = random_plan(&m, q, &mut StdRng::seed_from_u64(8));
+        let mut arena = PlanArena::new();
+        let start = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(8));
         let cfg = ClimbConfig {
             max_steps: 1,
             ..ClimbConfig::default()
         };
-        let (_, stats) = pareto_climb(start, &m, &cfg);
+        let (_, stats) = pareto_climb_in(&mut arena, start, &m, &cfg, &mut StepScratch::default());
         assert!(stats.steps <= 1);
     }
 
@@ -940,9 +786,15 @@ mod tests {
         // With one metric, strict dominance is "strictly lower cost": the
         // climb must be monotonically decreasing.
         let (m, q) = setup(8, 1, 31);
-        let mut rng = StdRng::seed_from_u64(9);
-        let start = random_plan(&m, q, &mut rng);
-        let (opt, _) = pareto_climb(start.clone(), &m, &ClimbConfig::default());
-        assert!(opt.cost()[0] <= start.cost()[0]);
+        let mut arena = PlanArena::new();
+        let start = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(9));
+        let (opt, _) = pareto_climb_in(
+            &mut arena,
+            start,
+            &m,
+            &ClimbConfig::default(),
+            &mut StepScratch::default(),
+        );
+        assert!(arena.cost(opt)[0] <= arena.cost(start)[0]);
     }
 }

@@ -1,13 +1,13 @@
 //! `ApproximateFrontiers` (Algorithm 3): Pareto frontier approximation for
 //! every intermediate result of a locally optimal plan.
 //!
-//! Given the plan produced by hill climbing, the function traverses its join
-//! tree in post-order and approximates, for each intermediate result,
-//! the Pareto frontier over (a) every operator combination for that join
-//! order and (b) every non-dominated partial plan already cached for the
-//! same intermediate result — cached plans may use *different join orders*
-//! discovered in earlier iterations, which is how information is shared
-//! across iterations of the main loop (§4.3).
+//! Given the plan produced by hill climbing, [`approximate_frontiers_in`]
+//! traverses its join tree in post-order and approximates, for each
+//! intermediate result, the Pareto frontier over (a) every operator
+//! combination for that join order and (b) every non-dominated partial plan
+//! already cached for the same intermediate result — cached plans may use
+//! *different join orders* discovered in earlier iterations, which is how
+//! information is shared across iterations of the main loop (§4.3).
 //!
 //! The per-table-set frontiers are pruned under a caller-supplied
 //! [`Admission`] — typically per-metric approximate pruning whose factors
@@ -24,7 +24,6 @@ use crate::archive::Admission;
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
 use crate::cache::PlanCache;
 use crate::model::{CostModel, JoinOpId, PlanProps};
-use crate::plan::{Plan, PlanKind, PlanRef};
 use crate::tables::TableSet;
 
 /// Reusable buffers of the frontier approximation: the operand frontier
@@ -36,15 +35,14 @@ use crate::tables::TableSet;
 /// allocates only where an admitted plan grows a cached frontier or the
 /// arena. Nothing in here carries meaning from one call to the next.
 ///
-/// Generic over the plan handle like [`PlanCache`]: the arena traversal
-/// ([`approximate_frontiers_in`]) snapshots `Copy` [`PlanId`]s instead of
-/// bumping `Arc` refcounts.
+/// Generic over the plan handle like [`PlanCache`]; the traversal snapshots
+/// `Copy` [`PlanId`]s.
 #[derive(Debug)]
-pub struct FrontierScratch<P = PlanRef> {
+pub struct FrontierScratch<P = PlanId> {
     outer_plans: Vec<P>,
     inner_plans: Vec<P>,
     ops: Vec<JoinOpId>,
-    /// `CostModel::join_props_all` output, parallel to `ops` (arena path).
+    /// `CostModel::join_props_all` output, parallel to `ops`.
     props: Vec<PlanProps>,
 }
 
@@ -60,89 +58,17 @@ impl<P> Default for FrontierScratch<P> {
 }
 
 /// Approximates the Pareto frontiers of all intermediate results occurring
-/// in `p`, inserting the non-dominated partial plans into `cache` under the
-/// given admission (Algorithm 3, with the precision choice hoisted to the
-/// caller so the same code serves the ablation schedules and the ε-box
-/// archive policy).
-pub fn approximate_frontiers<M>(
-    p: &PlanRef,
-    model: &M,
-    cache: &mut PlanCache,
-    admission: &Admission,
-) where
-    M: CostModel + ?Sized,
-{
-    approximate_frontiers_with(p, model, cache, admission, &mut FrontierScratch::default())
-}
-
-/// [`approximate_frontiers`] with caller-provided scratch buffers.
+/// in `p`, inserting the non-dominated partial plans into `cache` (keyed
+/// into `arena`) under the given admission (Algorithm 3, with the precision
+/// choice hoisted to the caller so the same code serves the ablation
+/// schedules and the ε-box archive policy).
 ///
 /// Candidate partial plans are costed first and admission-tested against
-/// the cached frontier ([`PlanCache::insert_with`]); the `Arc<Plan>` is
-/// only allocated for the candidates that survive pruning, which under a
-/// coarse α is a small fraction of the operator combinations enumerated.
-pub fn approximate_frontiers_with<M>(
-    p: &PlanRef,
-    model: &M,
-    cache: &mut PlanCache,
-    admission: &Admission,
-    scratch: &mut FrontierScratch,
-) where
-    M: CostModel + ?Sized,
-{
-    match p.kind() {
-        PlanKind::Scan { table, .. } => {
-            let rel = TableSet::singleton(*table);
-            for &op in model.scan_ops(*table) {
-                let props = model.scan_props(*table, op);
-                cache.insert_with(rel, &props.cost, props.format, admission, || {
-                    Plan::scan_from_props(*table, op, props)
-                });
-            }
-        }
-        PlanKind::Join { outer, inner, .. } => {
-            // Approximate the operand frontiers first (post-order; both
-            // recursive calls finish before this level uses the scratch).
-            approximate_frontiers_with(outer, model, cache, admission, scratch);
-            approximate_frontiers_with(inner, model, cache, admission, scratch);
-            // Combine every cached outer/inner Pareto plan pair with every
-            // applicable join operator. The cached plans may stem from
-            // other join orders found in earlier iterations.
-            let FrontierScratch {
-                outer_plans,
-                inner_plans,
-                ops,
-                ..
-            } = scratch;
-            outer_plans.clear();
-            outer_plans.extend_from_slice(cache.frontier(outer.rel()));
-            inner_plans.clear();
-            inner_plans.extend_from_slice(cache.frontier(inner.rel()));
-            for o in outer_plans.iter() {
-                // Views are hoisted out of the candidate loops: one copy
-                // per operand pair, reused across every operator.
-                let vo = o.view();
-                for i in inner_plans.iter() {
-                    let vi = i.view();
-                    ops.clear();
-                    model.join_ops(vo, vi, ops);
-                    let rel = o.rel().union(i.rel());
-                    for &op in ops.iter() {
-                        let props = model.join_props(vo, vi, op);
-                        cache.insert_with(rel, &props.cost, props.format, admission, || {
-                            Plan::join_from_props(o.clone(), i.clone(), op, props)
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Arena analogue of [`approximate_frontiers_with`]: identical traversal
-/// order and pruning decisions over a `PlanCache<PlanId>` keyed into
-/// `arena`. Admitted candidates intern their root; rejected ones allocate
-/// nothing (and on an intern hit even admission is allocation-free).
+/// the cached frontier ([`CacheSlot::insert_with`](crate::cache::CacheSlot::insert_with));
+/// only the candidates that survive pruning intern their root, which under
+/// a coarse α is a small fraction of the operator combinations enumerated.
+/// Rejected candidates allocate nothing (and on an intern hit even
+/// admission is allocation-free).
 pub fn approximate_frontiers_in<M>(
     arena: &mut PlanArena,
     p: PlanId,
@@ -164,9 +90,13 @@ pub fn approximate_frontiers_in<M>(
             }
         }
         PlanNodeKind::Join { outer, inner, .. } => {
-            // Post-order: operand frontiers first.
+            // Post-order: operand frontiers first (both recursive calls
+            // finish before this level uses the scratch).
             approximate_frontiers_in(arena, outer, model, cache, admission, scratch);
             approximate_frontiers_in(arena, inner, model, cache, admission, scratch);
+            // Combine every cached outer/inner Pareto plan pair with every
+            // applicable join operator. The cached plans may stem from
+            // other join orders found in earlier iterations.
             let FrontierScratch {
                 outer_plans,
                 inner_plans,
@@ -193,8 +123,7 @@ pub fn approximate_frontiers_in<M>(
                     // session-sized arena the probe is a cache-missing hash
                     // lookup, measurably slower than recomputing
                     // L1-resident model math. Interning happens only on
-                    // admission (the rare path), where it replaces the old
-                    // Arc allocation.
+                    // admission (the rare path).
                     props.clear();
                     model.join_props_all(&vo, &vi, ops, props);
                     for (&op, &props) in ops.iter().zip(props.iter()) {
@@ -211,29 +140,43 @@ pub fn approximate_frontiers_in<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::climb::{pareto_climb, ClimbConfig};
+    use crate::climb::{pareto_climb_in, ClimbConfig, StepScratch};
     use crate::model::testing::StubModel;
-    use crate::random_plan::random_plan;
-    use crate::tables::TableSet;
+    use crate::random_plan::random_plan_in;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One traversal into a fresh cache.
+    fn approximate(
+        arena: &mut PlanArena,
+        p: PlanId,
+        m: &StubModel,
+        admission: &Admission,
+    ) -> PlanCache<PlanId> {
+        let mut cache = PlanCache::new();
+        let mut scratch = FrontierScratch::default();
+        approximate_frontiers_in(arena, p, m, &mut cache, admission, &mut scratch);
+        cache
+    }
 
     #[test]
     fn frontiers_cover_every_intermediate_result() {
         let m = StubModel::line(6, 2, 3);
         let q = TableSet::prefix(6);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(1));
-        let mut cache = PlanCache::new();
-        approximate_frontiers(&p, &m, &mut cache, &Admission::exact());
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(1));
+        let cache = approximate(&mut arena, p, &m, &Admission::exact());
         // Every node of p has a non-empty cached frontier.
-        p.visit_post_order(&mut |node| {
-            assert!(
-                !cache.frontier(node.rel()).is_empty(),
-                "no frontier for {}",
-                node.rel()
-            );
-        });
-        assert!(cache.check_invariant());
+        fn assert_covered(arena: &PlanArena, p: PlanId, cache: &PlanCache<PlanId>) {
+            let rel = arena.node(p).rel();
+            assert!(!cache.frontier(rel).is_empty(), "no frontier for {rel}");
+            if let PlanNodeKind::Join { outer, inner, .. } = arena.node(p).kind() {
+                assert_covered(arena, outer, cache);
+                assert_covered(arena, inner, cache);
+            }
+        }
+        assert_covered(&arena, p, &cache);
+        assert!(cache.check_invariant(&arena));
         // A plan with n tables has 2n-1 nodes but n leaf rels may repeat
         // only if tables repeat (they don't): distinct rel count = 2n-1.
         assert_eq!(cache.num_table_sets(), 11);
@@ -243,13 +186,13 @@ mod tests {
     fn cached_root_plans_are_valid_and_include_tradeoffs() {
         let m = StubModel::line(5, 2, 7);
         let q = TableSet::prefix(5);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(2));
-        let mut cache = PlanCache::new();
-        approximate_frontiers(&p, &m, &mut cache, &Admission::exact());
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(2));
+        let cache = approximate(&mut arena, p, &m, &Admission::exact());
         let frontier = cache.frontier(q);
         assert!(!frontier.is_empty());
-        for plan in frontier {
-            assert!(plan.validate(q).is_ok());
+        for &plan in frontier {
+            assert!(arena.validate(plan, q).is_ok());
         }
         // With exact pruning and StubModel's antagonistic operators, the
         // root frontier should retain more than one tradeoff.
@@ -264,11 +207,10 @@ mod tests {
     fn coarser_alpha_yields_no_larger_frontiers() {
         let m = StubModel::line(6, 3, 9);
         let q = TableSet::prefix(6);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(3));
-        let mut fine = PlanCache::new();
-        approximate_frontiers(&p, &m, &mut fine, &Admission::exact());
-        let mut coarse = PlanCache::new();
-        approximate_frontiers(&p, &m, &mut coarse, &Admission::approx(10.0));
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(3));
+        let fine = approximate(&mut arena, p, &m, &Admission::exact());
+        let coarse = approximate(&mut arena, p, &m, &Admission::approx(10.0));
         assert!(
             coarse.frontier(q).len() <= fine.frontier(q).len(),
             "coarse {} > fine {}",
@@ -285,19 +227,29 @@ mod tests {
         // the root frontier never regresses across iterations.
         let m = StubModel::line(6, 2, 11);
         let q = TableSet::prefix(6);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(4);
         let mut cache = PlanCache::new();
+        let mut scratch = FrontierScratch::default();
+        let mut climb_scratch = StepScratch::default();
         let cfg = ClimbConfig::default();
         let mut prev_len = 0usize;
         for _ in 0..5 {
-            let p = random_plan(&m, q, &mut rng);
-            let (opt, _) = pareto_climb(p, &m, &cfg);
-            approximate_frontiers(&opt, &m, &mut cache, &Admission::exact());
+            let p = random_plan_in(&mut arena, &m, q, &mut rng);
+            let (opt, _) = pareto_climb_in(&mut arena, p, &m, &cfg, &mut climb_scratch);
+            approximate_frontiers_in(
+                &mut arena,
+                opt,
+                &m,
+                &mut cache,
+                &Admission::exact(),
+                &mut scratch,
+            );
             let len = cache.frontier(q).len();
             assert!(len >= prev_len.min(len)); // never empty once filled
             prev_len = len;
             assert!(!cache.frontier(q).is_empty());
         }
-        assert!(cache.check_invariant());
+        assert!(cache.check_invariant(&arena));
     }
 }

@@ -25,11 +25,12 @@
 //!   ([`archive::Admission`]), and the per-iteration factor schedule
 //!   ([`archive::ArchiveConfig`]).
 //! * [`arena`] — the hash-consed plan arena ([`arena::PlanArena`] /
-//!   [`arena::PlanId`]): the optimizer-internal plan representation, where
-//!   structurally identical subplans are interned once and plan handles are
-//!   `Copy` integers.
+//!   [`arena::PlanId`]): the one plan representation every optimizer
+//!   computes on, where structurally identical subplans are interned once
+//!   and plan handles are `Copy` integers. Random plans, mutations, climbs
+//!   and frontier approximation all work on arena ids.
 //! * [`plan`] — immutable, `Arc`-shared bushy plan trees (`ScanPlan` /
-//!   `JoinPlan`); the exchange format at API boundaries
+//!   `JoinPlan`); only the exchange format at API boundaries
 //!   ([`arena::PlanArena::export`]/[`arena::PlanArena::import`]).
 //! * [`model`] — the [`model::CostModel`] trait through which the optimizer
 //!   sees operators, costs, cardinalities and output formats.
@@ -38,7 +39,7 @@
 //! * [`random_plan`] — uniform random bushy plans in `O(n)` (Lemma 1).
 //! * [`mutations`] — the standard bushy-plan transformation rules.
 //! * [`climb`] — `ParetoStep` / `ParetoClimb` (Algorithm 2) plus the naive
-//!   climbing variant used for ablations.
+//!   climbing variant used for ablations and the local-optimum check.
 //! * [`frontier`] — `ApproximateFrontiers` (Algorithm 3); the
 //!   `α(i) = 25 · 0.99^⌊i/25⌋` precision schedule lives in
 //!   [`archive::EpsSchedule`].

@@ -19,20 +19,19 @@
 //!
 //! All rules operate at the *root* of the given (sub-)plan and share its
 //! sub-trees; rebuilding whole-plan neighbors from inner-node mutations is
-//! the job of the callers ([`crate::climb`], [`random_neighbor`]).
+//! the job of the callers ([`crate::climb`], [`random_neighbor_in`],
+//! [`all_neighbors_in`]).
 
 use rand::Rng;
 
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
 use crate::model::{CostModel, JoinOpId, PlanProps, PlanView};
-use crate::plan::{Plan, PlanKind, PlanRef};
 
 /// Resolves the operator for joining `outer` and `inner`: the first entry
 /// of `preferred` that is applicable, falling back to the first applicable
 /// implementation. `ops` is a reusable scratch buffer; it is clobbered.
 /// Returns `None` if the model offers no applicable operator (contract
-/// violation; callers treat it as "rule not applicable"). Operands are
-/// [`PlanView`]s, so the `Arc<Plan>` and arena paths share this resolver.
+/// violation; callers treat it as "rule not applicable").
 fn resolve_op<M>(
     model: &M,
     outer: &PlanView,
@@ -56,21 +55,6 @@ where
 /// applicable and falling back to the first applicable implementation.
 /// Returns `None` if the model offers no applicable operator (contract
 /// violation; callers treat it as "rule not applicable").
-pub fn join_preferring<M>(
-    model: &M,
-    outer: &PlanRef,
-    inner: &PlanRef,
-    preferred: &[JoinOpId],
-) -> Option<PlanRef>
-where
-    M: CostModel + ?Sized,
-{
-    let mut ops = Vec::new();
-    let op = resolve_op(model, outer.view(), inner.view(), preferred, &mut ops)?;
-    Some(Plan::join(model, outer.clone(), inner.clone(), op))
-}
-
-/// Arena analogue of [`join_preferring`].
 pub fn join_preferring_in<M>(
     arena: &mut PlanArena,
     model: &M,
@@ -107,133 +91,31 @@ pub enum MutationSet {
     /// left join exchange `(A ⋈ B) ⋈ C → (A ⋈ C) ⋈ B` (an adjacent
     /// transposition of the join sequence). Adjacent transpositions plus
     /// the bottom swap generate every left-deep order, so the neighborhood
-    /// stays connected.
+    /// stays connected. Applied to a left-deep plan, every rule yields a
+    /// left-deep plan.
     LeftDeep,
 }
 
 impl MutationSet {
-    /// Appends the root mutations of `p` under this rule set to `out`.
-    pub fn emit<M>(self, p: &PlanRef, model: &M, out: &mut Vec<PlanRef>)
-    where
-        M: CostModel + ?Sized,
-    {
-        match self {
-            MutationSet::Bushy => root_mutations(p, model, out),
-            MutationSet::LeftDeep => left_deep_root_mutations(p, model, out),
-        }
-    }
-
     /// Enumerates the *structural* root candidates of the join
     /// `outer ⋈[root_op] inner` under this rule set — commutativity,
     /// rotations, and join exchanges, but not operator changes — without
-    /// materializing any candidate's root node. For each candidate, `f`
-    /// receives the operand plans, the resolved operator
-    /// (preferred-then-first-applicable, exactly as [`join_preferring`]
+    /// interning any candidate's root node. For each candidate, `f`
+    /// receives the arena, the operand plans, the resolved operator
+    /// (preferred-then-first-applicable, exactly as [`join_preferring_in`]
     /// picks it), and the root's precomputed [`PlanProps`]; the callback
-    /// decides whether to materialize, typically by probing a frontier via
-    /// `ParetoSet::insert_climb_with` so that *rejected candidates never
-    /// allocate*. Intermediate nodes a rotated sub-tree needs are still
-    /// built eagerly — only the candidate's root is deferred.
+    /// decides whether to intern, typically by probing a frontier via
+    /// `ParetoSet::admit` so that *rejected candidates touch neither the
+    /// arena nor the heap*. Intermediate nodes a rotated sub-tree needs are
+    /// still interned eagerly (an intern hit when the rotation was seen
+    /// before — the common steady-state case — allocates nothing); only the
+    /// candidate's root is deferred.
     ///
-    /// Candidates are visited in the same order [`root_mutations`] emits
-    /// them (commutativity, outer-child rules, inner-child rules), which
-    /// callers rely on for deterministic tie-breaking.
+    /// Candidates are visited in the order [`root_mutations_in`] emits them
+    /// (commutativity, outer-child rules, inner-child rules), which callers
+    /// rely on for deterministic tie-breaking.
     ///
     /// `ops` is a reusable operator scratch buffer; it is clobbered.
-    pub fn visit_structural<M>(
-        self,
-        outer: &PlanRef,
-        inner: &PlanRef,
-        root_op: JoinOpId,
-        model: &M,
-        ops: &mut Vec<JoinOpId>,
-        f: &mut impl FnMut(&PlanRef, &PlanRef, JoinOpId, PlanProps),
-    ) where
-        M: CostModel + ?Sized,
-    {
-        let mut candidate = |a: &PlanRef, b: &PlanRef, op: JoinOpId| {
-            // One closure so every rule costs its root the same way.
-            f(a, b, op, model.join_props(a.view(), b.view(), op));
-        };
-        // Intermediate nodes also resolve their operator through the shared
-        // scratch (same preferred-else-first pick as `join_preferring`,
-        // without its per-call Vec).
-        let build = |a: &PlanRef, b: &PlanRef, preferred: &[JoinOpId], ops: &mut Vec<JoinOpId>| {
-            let op = resolve_op(model, a.view(), b.view(), preferred, ops)?;
-            Some(Plan::join(model, a.clone(), b.clone(), op))
-        };
-        // Commutativity: B ⋈ A. The left-deep rule set only commutes the
-        // bottom-most join (scan outer keeps the tree left-deep).
-        let commute = match self {
-            MutationSet::Bushy => true,
-            MutationSet::LeftDeep => !outer.is_join(),
-        };
-        if commute {
-            if let Some(op) = resolve_op(model, inner.view(), outer.view(), &[root_op], ops) {
-                candidate(inner, outer, op);
-            }
-        }
-        // Rules consuming the outer child's structure.
-        if let PlanKind::Join {
-            outer: ll,
-            inner: lr,
-            op: lop,
-        } = outer.kind()
-        {
-            if self == MutationSet::Bushy {
-                // Right rotation: (LL ⋈ LR) ⋈ R → LL ⋈ (LR ⋈ R).
-                if let Some(new_inner) = build(lr, inner, &[root_op, *lop], ops) {
-                    if let Some(op) =
-                        resolve_op(model, ll.view(), new_inner.view(), &[*lop, root_op], ops)
-                    {
-                        candidate(ll, &new_inner, op);
-                    }
-                }
-            }
-            // Left join exchange: (LL ⋈ LR) ⋈ R → (LL ⋈ R) ⋈ LR (preserves
-            // left-deep shape, so both rule sets apply it).
-            if let Some(new_outer) = build(ll, inner, &[*lop, root_op], ops) {
-                if let Some(op) =
-                    resolve_op(model, new_outer.view(), lr.view(), &[root_op, *lop], ops)
-                {
-                    candidate(&new_outer, lr, op);
-                }
-            }
-        }
-        // Rules consuming the inner child's structure (bushy only).
-        if self == MutationSet::Bushy {
-            if let PlanKind::Join {
-                outer: rl,
-                inner: rr,
-                op: rop,
-            } = inner.kind()
-            {
-                // Left rotation: L ⋈ (RL ⋈ RR) → (L ⋈ RL) ⋈ RR.
-                if let Some(new_outer) = build(outer, rl, &[root_op, *rop], ops) {
-                    if let Some(op) =
-                        resolve_op(model, new_outer.view(), rr.view(), &[*rop, root_op], ops)
-                    {
-                        candidate(&new_outer, rr, op);
-                    }
-                }
-                // Right join exchange: L ⋈ (RL ⋈ RR) → RL ⋈ (L ⋈ RR).
-                if let Some(new_inner) = build(outer, rr, &[*rop, root_op], ops) {
-                    if let Some(op) =
-                        resolve_op(model, rl.view(), new_inner.view(), &[root_op, *rop], ops)
-                    {
-                        candidate(rl, &new_inner, op);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Arena analogue of [`MutationSet::visit_structural`]: identical rules,
-    /// identical candidate order, operands addressed by [`PlanId`].
-    /// Intermediate nodes a rotated sub-tree needs are interned into the
-    /// arena (an intern hit when the rotation was seen before — the common
-    /// steady-state case — allocates nothing). `f` receives the arena so an
-    /// admitted candidate can intern its root.
     #[allow(clippy::too_many_arguments)]
     pub fn visit_structural_in<M>(
         self,
@@ -255,9 +137,13 @@ impl MutationSet {
             op: JoinOpId,
             f: &mut impl FnMut(&mut PlanArena, PlanId, PlanId, JoinOpId, PlanProps),
         ) {
+            // One function so every rule costs its root the same way.
             let props = model.join_props(&arena.view(a), &arena.view(b), op);
             f(arena, a, b, op, props);
         }
+        // Intermediate nodes resolve their operator through the shared
+        // scratch (same preferred-else-first pick as `join_preferring_in`,
+        // without its per-call Vec).
         fn build<M: CostModel + ?Sized>(
             arena: &mut PlanArena,
             model: &M,
@@ -269,6 +155,8 @@ impl MutationSet {
             let op = resolve_op(model, &arena.view(a), &arena.view(b), preferred, ops)?;
             Some(arena.join(model, a, b, op))
         }
+        // Commutativity: B ⋈ A. The left-deep rule set only commutes the
+        // bottom-most join (scan outer keeps the tree left-deep).
         let commute = match self {
             MutationSet::Bushy => true,
             MutationSet::LeftDeep => !arena.node(outer).is_join(),
@@ -305,7 +193,8 @@ impl MutationSet {
                     }
                 }
             }
-            // Left join exchange: (LL ⋈ LR) ⋈ R → (LL ⋈ R) ⋈ LR.
+            // Left join exchange: (LL ⋈ LR) ⋈ R → (LL ⋈ R) ⋈ LR (preserves
+            // left-deep shape, so both rule sets apply it).
             if let Some(new_outer) = build(arena, model, ll, inner, &[lop, root_op], ops) {
                 if let Some(op) = resolve_op(
                     model,
@@ -355,71 +244,19 @@ impl MutationSet {
     }
 }
 
-/// Appends to `out` every neighbor obtainable by one transformation at the
-/// root of `p`. Sub-trees are shared, not copied. The plan `p` itself is
-/// *not* included.
-pub fn root_mutations<M>(p: &PlanRef, model: &M, out: &mut Vec<PlanRef>)
-where
-    M: CostModel + ?Sized,
-{
-    emit_root_mutations(MutationSet::Bushy, p, model, out)
-}
-
-/// Appends to `out` the left-deep-preserving root mutations of `p` (see
-/// [`MutationSet::LeftDeep`]). When `p` is left-deep, every emitted plan is
-/// left-deep as well.
-pub fn left_deep_root_mutations<M>(p: &PlanRef, model: &M, out: &mut Vec<PlanRef>)
-where
-    M: CostModel + ?Sized,
-{
-    emit_root_mutations(MutationSet::LeftDeep, p, model, out)
-}
-
-/// Shared materializing emitter behind [`root_mutations`] and
-/// [`left_deep_root_mutations`]: operator changes first, then the
-/// structural rules of [`MutationSet::visit_structural`], every candidate
-/// built eagerly. The pruning hot path in [`crate::climb`] does not go
-/// through here — it visits the same candidates unmaterialized.
-fn emit_root_mutations<M>(set: MutationSet, p: &PlanRef, model: &M, out: &mut Vec<PlanRef>)
-where
-    M: CostModel + ?Sized,
-{
-    match p.kind() {
-        PlanKind::Scan { table, op } => {
-            for &alt in model.scan_ops(*table) {
-                if alt != *op {
-                    out.push(Plan::scan(model, *table, alt));
-                }
-            }
-        }
-        PlanKind::Join { outer, inner, op } => {
-            // Operator change (always shape-preserving).
-            let mut ops = Vec::new();
-            model.join_ops(outer.view(), inner.view(), &mut ops);
-            for &alt in &ops {
-                if alt != *op {
-                    out.push(Plan::join(model, outer.clone(), inner.clone(), alt));
-                }
-            }
-            set.visit_structural(
-                outer,
-                inner,
-                *op,
-                model,
-                &mut ops,
-                &mut |a, b, jop, props| {
-                    out.push(Plan::join_from_props(a.clone(), b.clone(), jop, props));
-                },
-            );
-        }
-    }
-}
-
-/// Arena analogue of [`root_mutations`]: appends the [`PlanId`]s of every
-/// root mutation of `p` under the bushy rule set to `out` (same candidates,
-/// same order).
-pub fn root_mutations_in<M>(arena: &mut PlanArena, p: PlanId, model: &M, out: &mut Vec<PlanId>)
-where
+/// Appends to `out` every neighbor obtainable by one transformation of
+/// `mutations` at the root of `p`, interned into `arena`: operator changes
+/// first, then the structural rules of [`MutationSet::visit_structural_in`].
+/// Sub-trees are shared, not copied. The plan `p` itself is *not* included.
+/// The pruning hot path in [`crate::climb`] does not go through here — it
+/// visits the same candidates without interning the rejected ones.
+pub fn root_mutations_in<M>(
+    arena: &mut PlanArena,
+    p: PlanId,
+    model: &M,
+    mutations: MutationSet,
+    out: &mut Vec<PlanId>,
+) where
     M: CostModel + ?Sized,
 {
     match arena.node(p).kind() {
@@ -432,6 +269,7 @@ where
             }
         }
         PlanNodeKind::Join { outer, inner, op } => {
+            // Operator change (always shape-preserving).
             let mut ops = Vec::new();
             model.join_ops(&arena.view(outer), &arena.view(inner), &mut ops);
             for &alt in &ops {
@@ -440,7 +278,7 @@ where
                     out.push(id);
                 }
             }
-            MutationSet::Bushy.visit_structural_in(
+            mutations.visit_structural_in(
                 arena,
                 outer,
                 inner,
@@ -456,72 +294,10 @@ where
     }
 }
 
-/// Rebuilds `p` with the node at pre-order index `target` replaced by the
-/// result of `replace` applied to it; indices count `p` itself as 0.
-/// Returns `None` if `replace` declines or the index is out of range.
-fn rebuild_at<M, F>(p: &PlanRef, model: &M, target: usize, replace: &mut F) -> Option<PlanRef>
-where
-    M: CostModel + ?Sized,
-    F: FnMut(&PlanRef) -> Option<PlanRef>,
-{
-    fn rec<M, F>(
-        p: &PlanRef,
-        model: &M,
-        target: usize,
-        next: &mut usize,
-        replace: &mut F,
-    ) -> Option<Option<PlanRef>>
-    where
-        M: CostModel + ?Sized,
-        F: FnMut(&PlanRef) -> Option<PlanRef>,
-    {
-        let idx = *next;
-        *next += 1;
-        if idx == target {
-            return Some(replace(p));
-        }
-        if let PlanKind::Join { outer, inner, op } = p.kind() {
-            if let Some(new_outer) = rec(outer, model, target, next, replace) {
-                return Some(new_outer.and_then(|no| join_preferring(model, &no, inner, &[*op])));
-            }
-            if let Some(new_inner) = rec(inner, model, target, next, replace) {
-                return Some(new_inner.and_then(|ni| join_preferring(model, outer, &ni, &[*op])));
-            }
-        }
-        None
-    }
-    let mut next = 0;
-    rec(p, model, target, &mut next, replace).flatten()
-}
-
-/// Picks a uniformly random node of `root` and applies a uniformly random
-/// applicable transformation there, rebuilding the path to the root
-/// (operators along the rebuilt path are kept when applicable). Used by the
-/// simulated-annealing baseline, which moves to *one* random neighbor.
-///
-/// Returns `None` when the chosen node admits no transformation (e.g. a
-/// scan with a single scan operator).
-pub fn random_neighbor<M, R>(root: &PlanRef, model: &M, rng: &mut R) -> Option<PlanRef>
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    let target = rng.random_range(0..root.node_count());
-    let mut scratch = Vec::new();
-    rebuild_at(root, model, target, &mut |node| {
-        scratch.clear();
-        root_mutations(node, model, &mut scratch);
-        if scratch.is_empty() {
-            None
-        } else {
-            Some(scratch[rng.random_range(0..scratch.len())].clone())
-        }
-    })
-}
-
-/// Arena analogue of `rebuild_at`: rebuilds the plan rooted at `p` with the
-/// node at pre-order index `target` replaced by `replace`'s result,
-/// re-joining along the path with the original operators when applicable.
+/// Rebuilds the plan rooted at `p` with the node at pre-order index
+/// `target` (`p` itself is 0) replaced by `replace`'s result, re-joining
+/// along the path with the original operators when applicable. Returns
+/// `None` if `replace` declines or the index is out of range.
 fn rebuild_at_in<M, F>(
     arena: &mut PlanArena,
     p: PlanId,
@@ -568,8 +344,13 @@ where
     rec(arena, p, model, target, &mut next, replace).flatten()
 }
 
-/// Arena analogue of [`random_neighbor`] (same neighborhood distribution
-/// and RNG consumption; used by the arena-threaded SA baseline).
+/// Picks a uniformly random node of `root` and applies a uniformly random
+/// applicable bushy transformation there, rebuilding the path to the root
+/// (operators along the rebuilt path are kept when applicable). Used by the
+/// simulated-annealing baseline, which moves to *one* random neighbor.
+///
+/// Returns `None` when the chosen node admits no transformation (e.g. a
+/// scan with a single scan operator).
 pub fn random_neighbor_in<M, R>(
     arena: &mut PlanArena,
     root: PlanId,
@@ -584,7 +365,7 @@ where
     let mut scratch = Vec::new();
     rebuild_at_in(arena, root, model, target, &mut |arena, node| {
         scratch.clear();
-        root_mutations_in(arena, node, model, &mut scratch);
+        root_mutations_in(arena, node, model, MutationSet::Bushy, &mut scratch);
         if scratch.is_empty() {
             None
         } else {
@@ -593,27 +374,36 @@ where
     })
 }
 
-/// Enumerates **all** whole-plan neighbors of `root`: for every node, every
-/// root mutation at that node, rebuilt into a complete plan. This is the
-/// neighborhood used by the naive hill-climbing variant (§4.2) and has
-/// quadratic cost per step — kept for ablation experiments and tests.
-pub fn all_neighbors<M>(root: &PlanRef, model: &M) -> Vec<PlanRef>
+/// Enumerates **all** whole-plan neighbors of `root` under `mutations`: for
+/// every node in pre-order, every root mutation at that node, rebuilt into
+/// a complete plan. This is the neighborhood of the naive hill-climbing
+/// variant (§4.2) and of the weighted-sum baseline, and has quadratic cost
+/// per step.
+pub fn all_neighbors_in<M>(
+    arena: &mut PlanArena,
+    root: PlanId,
+    model: &M,
+    mutations: MutationSet,
+) -> Vec<PlanId>
 where
     M: CostModel + ?Sized,
 {
+    fn pre_order(arena: &PlanArena, p: PlanId, out: &mut Vec<PlanId>) {
+        out.push(p);
+        if let PlanNodeKind::Join { outer, inner, .. } = arena.node(p).kind() {
+            pre_order(arena, outer, out);
+            pre_order(arena, inner, out);
+        }
+    }
+    let mut nodes = Vec::new();
+    pre_order(arena, root, &mut nodes);
     let mut result = Vec::new();
-    let n = root.node_count();
     let mut muts = Vec::new();
-    for target in 0..n {
-        // Collect the mutations available at this node first.
+    for (target, &node) in nodes.iter().enumerate() {
         muts.clear();
-        let mut probe_idx = 0usize;
-        collect_at(root, target, &mut probe_idx, &mut |node| {
-            root_mutations(node, model, &mut muts)
-        });
-        for m in muts.drain(..) {
-            let mut replacement = Some(m);
-            if let Some(np) = rebuild_at(root, model, target, &mut |_| replacement.take()) {
+        root_mutations_in(arena, node, model, mutations, &mut muts);
+        for &m in &muts {
+            if let Some(np) = rebuild_at_in(arena, root, model, target, &mut |_, _| Some(m)) {
                 result.push(np);
             }
         }
@@ -621,123 +411,121 @@ where
     result
 }
 
-fn collect_at(p: &PlanRef, target: usize, next: &mut usize, f: &mut impl FnMut(&PlanRef)) {
-    let idx = *next;
-    *next += 1;
-    if idx == target {
-        f(p);
-        return;
-    }
-    if let PlanKind::Join { outer, inner, .. } = p.kind() {
-        collect_at(outer, target, next, f);
-        if *next <= target {
-            collect_at(inner, target, next, f);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::testing::StubModel;
-    use crate::random_plan::random_plan;
-    use crate::tables::TableSet;
+    use crate::model::{JoinOpId, ScanOpId};
+    use crate::random_plan::{random_left_deep_plan_in, random_plan_in};
+    use crate::tables::{TableId, TableSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(n: usize) -> (StubModel, PlanRef, TableSet) {
+    fn setup(n: usize) -> (StubModel, PlanArena, PlanId, TableSet) {
         let m = StubModel::line(n, 2, 3);
         let q = TableSet::prefix(n);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(11));
-        (m, p, q)
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(11));
+        (m, arena, p, q)
+    }
+
+    /// The operands of a join, `None` for a scan.
+    fn children(arena: &PlanArena, p: PlanId) -> Option<(PlanId, PlanId)> {
+        match arena.node(p).kind() {
+            PlanNodeKind::Join { outer, inner, .. } => Some((outer, inner)),
+            PlanNodeKind::Scan { .. } => None,
+        }
+    }
+
+    /// Whether `p` scans table `t`.
+    fn scans(arena: &PlanArena, p: PlanId, t: usize) -> bool {
+        arena.node(p).rel() == TableSet::singleton(TableId::new(t))
+    }
+
+    fn scan(arena: &mut PlanArena, m: &StubModel, t: usize) -> PlanId {
+        arena.scan(m, TableId::new(t), ScanOpId(0))
     }
 
     #[test]
     fn root_mutations_preserve_table_sets() {
-        let (m, p, q) = setup(6);
+        let (m, mut arena, p, q) = setup(6);
         let mut out = Vec::new();
-        root_mutations(&p, &m, &mut out);
+        root_mutations_in(&mut arena, p, &m, MutationSet::Bushy, &mut out);
         assert!(!out.is_empty());
-        for np in &out {
-            assert_eq!(np.rel(), q);
+        for &np in &out {
+            assert_eq!(arena.node(np).rel(), q);
             assert!(
-                np.validate(q).is_ok(),
+                arena.validate(np, q).is_ok(),
                 "invalid mutation {}",
-                np.display(&m)
+                arena.display(np, &m)
             );
         }
     }
 
     #[test]
     fn scan_mutations_switch_operators() {
-        let (m, _, _) = setup(2);
-        let t = crate::tables::TableId::new(0);
-        let scan = Plan::scan(&m, t, m.scan_ops(t)[0]);
+        let (m, mut arena, _, _) = setup(2);
+        let t = TableId::new(0);
+        let s = arena.scan(&m, t, m.scan_ops(t)[0]);
         let mut out = Vec::new();
-        root_mutations(&scan, &m, &mut out);
+        root_mutations_in(&mut arena, s, &m, MutationSet::Bushy, &mut out);
         assert_eq!(out.len(), 1, "StubModel has two scan ops");
-        assert!(!out[0].is_join());
-        assert_ne!(out[0].cost().as_slice(), scan.cost().as_slice());
+        assert!(!arena.node(out[0]).is_join());
+        assert_ne!(arena.cost(out[0]).as_slice(), arena.cost(s).as_slice());
     }
 
     #[test]
     fn join_mutations_include_commute_and_op_change() {
-        let (m, _, _) = setup(2);
-        use crate::model::{JoinOpId, ScanOpId};
-        use crate::tables::TableId;
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let j = Plan::join(&m, s0, s1, JoinOpId(0));
+        let (m, mut arena, _, _) = setup(2);
+        let (s0, s1) = (scan(&mut arena, &m, 0), scan(&mut arena, &m, 1));
+        let j = arena.join(&m, s0, s1, JoinOpId(0));
         let mut out = Vec::new();
-        root_mutations(&j, &m, &mut out);
+        root_mutations_in(&mut arena, j, &m, MutationSet::Bushy, &mut out);
         // 2 operator changes (ops 1, 2) + 1 commute = 3 (no rotations on a
         // two-scan join).
         assert_eq!(out.len(), 3);
         let commuted = out
             .iter()
-            .filter(|p| p.outer().unwrap().table() == Some(TableId::new(1)))
+            .filter(|&&p| scans(&arena, children(&arena, p).unwrap().0, 1))
             .count();
         assert!(commuted >= 1, "commutativity neighbor missing");
     }
 
     #[test]
     fn rotations_change_tree_shape() {
-        let (m, _, _) = setup(3);
-        use crate::model::{JoinOpId, ScanOpId};
-        use crate::tables::TableId;
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let s2 = Plan::scan(&m, TableId::new(2), ScanOpId(0));
+        let (m, mut arena, _, _) = setup(3);
+        let (s0, s1, s2) = (
+            scan(&mut arena, &m, 0),
+            scan(&mut arena, &m, 1),
+            scan(&mut arena, &m, 2),
+        );
         // (T0 ⋈ T1) ⋈ T2: right rotation must produce T0 ⋈ (T1 ⋈ T2).
-        let left = Plan::join(&m, s0, s1, JoinOpId(0));
-        let root = Plan::join(&m, left, s2, JoinOpId(0));
+        let left = arena.join(&m, s0, s1, JoinOpId(0));
+        let root = arena.join(&m, left, s2, JoinOpId(0));
         let mut out = Vec::new();
-        root_mutations(&root, &m, &mut out);
-        let rotated = out.iter().any(|p| {
-            p.outer().map(|o| !o.is_join()).unwrap_or(false)
-                && p.inner().map(|i| i.is_join()).unwrap_or(false)
-                && p.outer().unwrap().table() == Some(TableId::new(0))
+        root_mutations_in(&mut arena, root, &m, MutationSet::Bushy, &mut out);
+        let rotated = out.iter().any(|&p| {
+            let (o, i) = children(&arena, p).unwrap();
+            scans(&arena, o, 0) && arena.node(i).is_join()
         });
         assert!(rotated, "right rotation missing from neighborhood");
         // Left join exchange must produce (T0 ⋈ T2) ⋈ T1.
-        let exchanged = out.iter().any(|p| {
-            p.inner()
-                .map(|i| i.table() == Some(TableId::new(1)))
-                .unwrap_or(false)
-                && p.outer().map(|o| o.is_join()).unwrap_or(false)
+        let exchanged = out.iter().any(|&p| {
+            let (o, i) = children(&arena, p).unwrap();
+            scans(&arena, i, 1) && arena.node(o).is_join()
         });
         assert!(exchanged, "left join exchange missing from neighborhood");
     }
 
     #[test]
     fn random_neighbor_is_valid_and_differs() {
-        let (m, p, q) = setup(10);
+        let (m, mut arena, p, q) = setup(10);
         let mut rng = StdRng::seed_from_u64(19);
         let mut changed = 0;
         for _ in 0..50 {
-            if let Some(nb) = random_neighbor(&p, &m, &mut rng) {
-                assert!(nb.validate(q).is_ok());
-                if nb.display(&m) != p.display(&m) {
+            if let Some(nb) = random_neighbor_in(&mut arena, p, &m, &mut rng) {
+                assert!(arena.validate(nb, q).is_ok());
+                if nb != p {
                     changed += 1;
                 }
             }
@@ -747,11 +535,11 @@ mod tests {
 
     #[test]
     fn all_neighbors_are_valid_full_plans() {
-        let (m, p, q) = setup(6);
-        let neighbors = all_neighbors(&p, &m);
+        let (m, mut arena, p, q) = setup(6);
+        let neighbors = all_neighbors_in(&mut arena, p, &m, MutationSet::Bushy);
         assert!(!neighbors.is_empty());
-        for nb in &neighbors {
-            assert!(nb.validate(q).is_ok());
+        for &nb in &neighbors {
+            assert!(arena.validate(nb, q).is_ok());
         }
         // Neighborhood size grows with plan size: at least one mutation per
         // scan node (operator change) plus join mutations.
@@ -764,105 +552,95 @@ mod tests {
 
     #[test]
     fn all_neighbors_contains_root_mutations() {
-        let (m, p, _) = setup(5);
+        let (m, mut arena, p, _) = setup(5);
         let mut root_only = Vec::new();
-        root_mutations(&p, &m, &mut root_only);
-        let neighbors = all_neighbors(&p, &m);
+        root_mutations_in(&mut arena, p, &m, MutationSet::Bushy, &mut root_only);
+        let neighbors = all_neighbors_in(&mut arena, p, &m, MutationSet::Bushy);
+        // Hash-consing: the same plan is the same id.
         for rm in &root_only {
             assert!(
-                neighbors.iter().any(|nb| nb.display(&m) == rm.display(&m)),
-                "root mutation missing from all_neighbors"
+                neighbors.contains(rm),
+                "root mutation missing from all_neighbors_in"
             );
         }
     }
 
     #[test]
     fn left_deep_mutations_preserve_shape_and_tables() {
-        use crate::random_plan::random_left_deep_plan;
         let m = StubModel::line(7, 2, 5);
         let q = TableSet::prefix(7);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..10 {
-            let p = random_left_deep_plan(&m, q, &mut rng);
-            assert!(p.is_left_deep());
+            let p = random_left_deep_plan_in(&mut arena, &m, q, &mut rng);
+            assert!(arena.is_left_deep(p));
             let mut out = Vec::new();
-            left_deep_root_mutations(&p, &m, &mut out);
+            root_mutations_in(&mut arena, p, &m, MutationSet::LeftDeep, &mut out);
             assert!(!out.is_empty());
-            for np in &out {
-                assert_eq!(np.rel(), q);
+            // So is every whole-plan neighbor under the left-deep rules.
+            out.extend(all_neighbors_in(&mut arena, p, &m, MutationSet::LeftDeep));
+            for &np in &out {
+                assert_eq!(arena.node(np).rel(), q);
                 assert!(
-                    np.is_left_deep(),
+                    arena.is_left_deep(np),
                     "mutation broke shape: {}",
-                    np.display(&m)
+                    arena.display(np, &m)
                 );
-                assert!(np.validate(q).is_ok());
+                assert!(arena.validate(np, q).is_ok());
             }
         }
     }
 
     #[test]
     fn left_deep_exchange_swaps_last_two_tables() {
-        use crate::model::{JoinOpId, ScanOpId};
-        use crate::tables::TableId;
         let m = StubModel::line(3, 2, 3);
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let s2 = Plan::scan(&m, TableId::new(2), ScanOpId(0));
+        let mut arena = PlanArena::new();
+        let (s0, s1, s2) = (
+            scan(&mut arena, &m, 0),
+            scan(&mut arena, &m, 1),
+            scan(&mut arena, &m, 2),
+        );
         // (T0 ⋈ T1) ⋈ T2 → the exchange must yield (T0 ⋈ T2) ⋈ T1.
-        let bottom = Plan::join(&m, s0, s1, JoinOpId(0));
-        let root = Plan::join(&m, bottom, s2, JoinOpId(0));
+        let bottom = arena.join(&m, s0, s1, JoinOpId(0));
+        let root = arena.join(&m, bottom, s2, JoinOpId(0));
         let mut out = Vec::new();
-        left_deep_root_mutations(&root, &m, &mut out);
-        let exchanged = out.iter().any(|p| {
-            p.inner()
-                .map(|i| i.table() == Some(TableId::new(1)))
-                .unwrap_or(false)
-                && p.outer()
-                    .and_then(|o| o.inner())
-                    .map(|i| i.table() == Some(TableId::new(2)))
-                    .unwrap_or(false)
+        root_mutations_in(&mut arena, root, &m, MutationSet::LeftDeep, &mut out);
+        let exchanged = out.iter().any(|&p| {
+            let (o, i) = children(&arena, p).unwrap();
+            scans(&arena, i, 1) && children(&arena, o).is_some_and(|(_, oi)| scans(&arena, oi, 2))
         });
         assert!(exchanged, "left-deep exchange missing");
         // No mutation commutes the *root* (T2 cannot become the outer of a
         // left-deep root unless the other side is a scan).
-        for p in &out {
-            assert!(p.is_left_deep());
+        for &p in &out {
+            assert!(arena.is_left_deep(p));
         }
     }
 
     #[test]
     fn bottom_commute_is_the_only_left_deep_swap_at_depth_two() {
-        use crate::model::{JoinOpId, ScanOpId};
-        use crate::tables::TableId;
         let m = StubModel::line(2, 2, 3);
-        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
-        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
-        let j = Plan::join(&m, s0, s1, JoinOpId(0));
+        let mut arena = PlanArena::new();
+        let (s0, s1) = (scan(&mut arena, &m, 0), scan(&mut arena, &m, 1));
+        let j = arena.join(&m, s0, s1, JoinOpId(0));
         let mut out = Vec::new();
-        left_deep_root_mutations(&j, &m, &mut out);
+        root_mutations_in(&mut arena, j, &m, MutationSet::LeftDeep, &mut out);
         let commuted = out
             .iter()
-            .filter(|p| p.outer().unwrap().table() == Some(TableId::new(1)))
+            .filter(|&&p| scans(&arena, children(&arena, p).unwrap().0, 1))
             .count();
         assert!(commuted >= 1, "bottom commutativity missing");
     }
 
     #[test]
-    fn mutation_set_emit_dispatches() {
-        let (m, p, q) = setup(5);
+    fn left_deep_rules_are_a_subset_of_bushy_rules() {
+        let (m, mut arena, _, q) = setup(5);
+        let ld = random_left_deep_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(3));
         let mut bushy = Vec::new();
-        MutationSet::Bushy.emit(&p, &m, &mut bushy);
-        let mut root_only = Vec::new();
-        root_mutations(&p, &m, &mut root_only);
-        assert_eq!(bushy.len(), root_only.len());
-        // The left-deep set is a subset of the bushy rule applications in
-        // count (never more rules fire).
-        use crate::random_plan::random_left_deep_plan;
-        let ld = random_left_deep_plan(&m, q, &mut StdRng::seed_from_u64(3));
-        let mut ld_bushy = Vec::new();
-        MutationSet::Bushy.emit(&ld, &m, &mut ld_bushy);
-        let mut ld_only = Vec::new();
-        MutationSet::LeftDeep.emit(&ld, &m, &mut ld_only);
-        assert!(ld_only.len() <= ld_bushy.len());
+        root_mutations_in(&mut arena, ld, &m, MutationSet::Bushy, &mut bushy);
+        let mut left_deep = Vec::new();
+        root_mutations_in(&mut arena, ld, &m, MutationSet::LeftDeep, &mut left_deep);
+        assert!(left_deep.len() < bushy.len());
+        assert!(left_deep.iter().all(|id| bushy.contains(id)));
     }
 }

@@ -3,10 +3,11 @@
 //! A plan (§3) describes the join order and the operator implementation of
 //! every scan and join: `ScanPlan(q, op)` scans a single table,
 //! `JoinPlan(outer, inner, op)` joins the results of two sub-plans. Plans
-//! are immutable and shared via [`PlanRef`] (`Arc<Plan>`): plan mutations
-//! build a new root re-using untouched sub-trees, which makes the paper's
-//! "apply many transformations simultaneously" step (§4.2) and the
-//! sub-plan-sharing plan cache (§4.3, Theorem 5) cheap.
+//! are immutable and shared via [`PlanRef`] (`Arc<Plan>`). They are the
+//! format in which plans cross API boundaries — optimizer results, warm
+//! starts, the executor; the optimizers compute on the hash-consed
+//! [`crate::arena::PlanArena`] and build trees with
+//! [`crate::arena::PlanArena::export`].
 //!
 //! Every node caches derived properties — table set, cost vector, estimated
 //! output cardinality and pages, and output format — computed once at
@@ -62,11 +63,9 @@ impl Plan {
 
     /// Builds a scan plan from properties already computed by a cost model.
     ///
-    /// The pruning hot paths cost candidates *before* materializing them
-    /// (see `ParetoSet::insert_climb_with`); this constructor turns an
-    /// admitted candidate into a plan node without re-invoking the model.
-    /// `props` must come from `scan_props(table, op)` of the model the
-    /// surrounding optimization runs against.
+    /// [`crate::arena::PlanArena::export`] builds nodes this way, without
+    /// re-invoking the model. `props` must come from `scan_props(table, op)`
+    /// of the model the surrounding optimization runs against.
     pub fn scan_from_props(table: TableId, op: ScanOpId, props: PlanProps) -> PlanRef {
         debug_assert!(props.cost.is_valid(), "scan produced invalid cost");
         Arc::new(Plan {

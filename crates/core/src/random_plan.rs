@@ -13,7 +13,6 @@ use rand::Rng;
 
 use crate::arena::{PlanArena, PlanId};
 use crate::model::CostModel;
-use crate::plan::{Plan, PlanRef};
 use crate::tables::{TableId, TableSet};
 
 #[derive(Clone, Copy)]
@@ -22,11 +21,9 @@ enum RNode {
     Internal { left: usize, right: usize },
 }
 
-/// Draws the shared randomness of one uniform bushy plan: the shuffled
-/// table order and the Rémy tree shape. Both plan representations (the
-/// `Arc<Plan>` builder and the arena builder) consume the RNG through this
-/// one function, so a given seed yields the *same* plan on either path —
-/// the property the arena-vs-legacy differential tests pin down.
+/// Draws the randomness of one uniform bushy plan: the shuffled table
+/// order and the Rémy tree shape. Operators are drawn afterwards, leaf by
+/// leaf in tree order, so a given seed always yields the same plan.
 fn random_shape<R>(query: TableSet, rng: &mut R) -> (Vec<TableId>, Vec<RNode>, usize)
 where
     R: Rng + ?Sized,
@@ -84,27 +81,8 @@ where
     (tables, nodes, root)
 }
 
-/// Generates a uniform random bushy plan for `query` under `model`.
-///
-/// # Panics
-/// Panics if `query` is empty.
-pub fn random_plan<M, R>(model: &M, query: TableSet, rng: &mut R) -> PlanRef
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    let (tables, nodes, root) = random_shape(query, rng);
-    if tables.len() == 1 {
-        return random_scan(model, tables[0], rng);
-    }
-    // Assign the shuffled tables to leaves and build the plan bottom-up.
-    let mut next_table = 0usize;
-    build(model, &nodes, root, &tables, &mut next_table, rng)
-}
-
-/// [`random_plan`] building into a hash-consed arena: same distribution,
-/// same RNG consumption, but already-seen subplans are interned instead of
-/// reallocated.
+/// Generates a uniform random bushy plan for `query` under `model`,
+/// interned into `arena` (already-seen subplans are intern hits).
 ///
 /// # Panics
 /// Panics if `query` is empty.
@@ -124,32 +102,6 @@ where
     }
     let mut next_table = 0usize;
     build_in(arena, model, &nodes, root, &tables, &mut next_table, rng)
-}
-
-fn build<M, R>(
-    model: &M,
-    nodes: &[RNode],
-    idx: usize,
-    tables: &[TableId],
-    next_table: &mut usize,
-    rng: &mut R,
-) -> PlanRef
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    match nodes[idx] {
-        RNode::Leaf => {
-            let t = tables[*next_table];
-            *next_table += 1;
-            random_scan(model, t, rng)
-        }
-        RNode::Internal { left, right } => {
-            let outer = build(model, nodes, left, tables, next_table, rng);
-            let inner = build(model, nodes, right, tables, next_table, rng);
-            random_join(model, outer, inner, rng)
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -180,39 +132,7 @@ where
     }
 }
 
-/// Builds a scan of `table` with a uniformly chosen scan operator.
-pub fn random_scan<M, R>(model: &M, table: TableId, rng: &mut R) -> PlanRef
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    let ops = model.scan_ops(table);
-    assert!(!ops.is_empty(), "model must offer a scan operator");
-    let op = ops[rng.random_range(0..ops.len())];
-    Plan::scan(model, table, op)
-}
-
-/// Joins two plans with a uniformly chosen applicable join operator.
-///
-/// # Panics
-/// Panics if the model offers no applicable join operator (a violation of
-/// the [`CostModel`] contract).
-pub fn random_join<M, R>(model: &M, outer: PlanRef, inner: PlanRef, rng: &mut R) -> PlanRef
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    let mut ops = Vec::new();
-    model.join_ops(outer.view(), inner.view(), &mut ops);
-    assert!(
-        !ops.is_empty(),
-        "model must offer a join operator for every operand format pair"
-    );
-    let op = ops[rng.random_range(0..ops.len())];
-    Plan::join(model, outer, inner, op)
-}
-
-/// Arena analogue of [`random_scan`].
+/// Interns a scan of `table` with a uniformly chosen scan operator.
 pub fn random_scan_in<M, R>(arena: &mut PlanArena, model: &M, table: TableId, rng: &mut R) -> PlanId
 where
     M: CostModel + ?Sized,
@@ -224,7 +144,8 @@ where
     arena.scan(model, table, op)
 }
 
-/// Arena analogue of [`random_join`].
+/// Joins two interned plans with a uniformly chosen applicable join
+/// operator.
 ///
 /// # Panics
 /// Panics if the model offers no applicable join operator (a violation of
@@ -253,24 +174,6 @@ where
 /// Generates a random **left-deep** plan: the paper notes (§4.1) that the
 /// algorithm adapts to restricted join-order spaces by exchanging the random
 /// plan generator; this is the standard alternative space.
-pub fn random_left_deep_plan<M, R>(model: &M, query: TableSet, rng: &mut R) -> PlanRef
-where
-    M: CostModel + ?Sized,
-    R: Rng + ?Sized,
-{
-    let mut tables: Vec<TableId> = query.iter().collect();
-    assert!(!tables.is_empty(), "cannot plan an empty query");
-    tables.shuffle(rng);
-    let mut plan = random_scan(model, tables[0], rng);
-    for &t in &tables[1..] {
-        let scan = random_scan(model, t, rng);
-        plan = random_join(model, plan, scan, rng);
-    }
-    plan
-}
-
-/// Arena analogue of [`random_left_deep_plan`] (same distribution and RNG
-/// consumption).
 pub fn random_left_deep_plan_in<M, R>(
     arena: &mut PlanArena,
     model: &M,
@@ -295,29 +198,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PlanNodeKind;
     use crate::model::testing::StubModel;
-    use crate::plan::PlanKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn single_table_yields_scan() {
         let m = StubModel::line(1, 2, 1);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let p = random_plan(&m, TableSet::prefix(1), &mut rng);
-        assert!(!p.is_join());
-        assert!(p.validate(TableSet::prefix(1)).is_ok());
+        let p = random_plan_in(&mut arena, &m, TableSet::prefix(1), &mut rng);
+        assert!(!arena.node(p).is_join());
+        assert!(arena.validate(p, TableSet::prefix(1)).is_ok());
     }
 
     #[test]
     fn plans_are_structurally_valid() {
         let m = StubModel::line(12, 2, 1);
         let q = TableSet::prefix(12);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..50 {
-            let p = random_plan(&m, q, &mut rng);
-            assert!(p.validate(q).is_ok());
-            assert_eq!(p.node_count(), 2 * 12 - 1);
+            let p = random_plan_in(&mut arena, &m, q, &mut rng);
+            assert!(arena.validate(p, q).is_ok());
+            assert_eq!(arena.node_count(p), 2 * 12 - 1);
         }
     }
 
@@ -325,20 +230,22 @@ mod tests {
     fn subsets_of_tables_are_respected() {
         let m = StubModel::line(8, 2, 1);
         let q = TableSet::from_bits(0b1010_1010);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let p = random_plan(&m, q, &mut rng);
-        assert!(p.validate(q).is_ok());
-        assert_eq!(p.rel(), q);
+        let p = random_plan_in(&mut arena, &m, q, &mut rng);
+        assert!(arena.validate(p, q).is_ok());
+        assert_eq!(arena.node(p).rel(), q);
     }
 
     #[test]
     fn generation_is_deterministic_per_seed() {
         let m = StubModel::line(10, 2, 1);
         let q = TableSet::prefix(10);
-        let a = random_plan(&m, q, &mut StdRng::seed_from_u64(42));
-        let b = random_plan(&m, q, &mut StdRng::seed_from_u64(42));
-        assert_eq!(a.display(&m), b.display(&m));
-        assert_eq!(a.cost().as_slice(), b.cost().as_slice());
+        let (mut a, mut b) = (PlanArena::new(), PlanArena::new());
+        let pa = random_plan_in(&mut a, &m, q, &mut StdRng::seed_from_u64(42));
+        let pb = random_plan_in(&mut b, &m, q, &mut StdRng::seed_from_u64(42));
+        assert_eq!(a.display(pa, &m), b.display(pb, &m));
+        assert_eq!(a.cost(pa).as_slice(), b.cost(pb).as_slice());
     }
 
     #[test]
@@ -348,13 +255,14 @@ mod tests {
         // absorb all the mass).
         let m = StubModel::line(4, 1, 1);
         let q = TableSet::prefix(4);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(7);
         let mut shapes = std::collections::HashSet::new();
         let mut bushy = 0usize;
         for _ in 0..200 {
-            let p = random_plan(&m, q, &mut rng);
-            shapes.insert(shape_string(&p));
-            if p.depth() == 3 {
+            let p = random_plan_in(&mut arena, &m, q, &mut rng);
+            shapes.insert(shape_string(&arena, p));
+            if arena.depth(p) == 3 {
                 bushy += 1; // balanced shape: depth 3 instead of 4
             }
         }
@@ -362,11 +270,15 @@ mod tests {
         assert!(bushy > 10, "balanced shapes too rare: {bushy}/200");
     }
 
-    fn shape_string(p: &PlanRef) -> String {
-        match p.kind() {
-            PlanKind::Scan { .. } => "L".into(),
-            PlanKind::Join { outer, inner, .. } => {
-                format!("({}{})", shape_string(outer), shape_string(inner))
+    fn shape_string(arena: &PlanArena, p: PlanId) -> String {
+        match arena.node(p).kind() {
+            PlanNodeKind::Scan { .. } => "L".into(),
+            PlanNodeKind::Join { outer, inner, .. } => {
+                format!(
+                    "({}{})",
+                    shape_string(arena, outer),
+                    shape_string(arena, inner)
+                )
             }
         }
     }
@@ -375,13 +287,17 @@ mod tests {
     fn left_deep_plans_have_scan_inners() {
         let m = StubModel::line(9, 2, 1);
         let q = TableSet::prefix(9);
+        let mut arena = PlanArena::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let p = random_left_deep_plan(&m, q, &mut rng);
-        assert!(p.validate(q).is_ok());
+        let p = random_left_deep_plan_in(&mut arena, &m, q, &mut rng);
+        assert!(arena.validate(p, q).is_ok());
         let mut node = p;
-        while let PlanKind::Join { outer, inner, .. } = node.kind() {
-            assert!(!inner.is_join(), "left-deep plan has a join inner");
-            node = outer.clone();
+        while let PlanNodeKind::Join { outer, inner, .. } = arena.node(node).kind() {
+            assert!(
+                !arena.node(inner).is_join(),
+                "left-deep plan has a join inner"
+            );
+            node = outer;
         }
     }
 
@@ -391,8 +307,9 @@ mod tests {
         // table orders for a 10-table query.
         let m = StubModel::line(10, 2, 1);
         let q = TableSet::prefix(10);
-        let a = random_plan(&m, q, &mut StdRng::seed_from_u64(1));
-        let b = random_plan(&m, q, &mut StdRng::seed_from_u64(2));
-        assert_ne!(a.display(&m), b.display(&m));
+        let mut arena = PlanArena::new();
+        let a = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(1));
+        let b = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(2));
+        assert_ne!(arena.display(a, &m), arena.display(b, &m));
     }
 }

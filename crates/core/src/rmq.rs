@@ -5,11 +5,11 @@
 //! 1. **Random plan generation** — a uniform random bushy plan
 //!    ([`crate::random_plan`]);
 //! 2. **Local search** — multi-objective hill climbing to a local Pareto
-//!    optimum ([`crate::climb::pareto_climb`]);
+//!    optimum ([`crate::climb::pareto_climb_in`]);
 //! 3. **Frontier approximation** — approximate the Pareto frontier of every
 //!    intermediate result used by the locally optimal plan, sharing partial
 //!    plans across iterations through the plan cache
-//!    ([`crate::frontier::approximate_frontiers`]), with a precision that
+//!    ([`crate::frontier::approximate_frontiers_in`]), with a precision that
 //!    refines as iterations progress.
 //!
 //! The result plan set is the cached frontier of the full query table set,

@@ -263,10 +263,11 @@ impl CostModel for ResourceCostModel {
 mod tests {
     use super::*;
     use moqo_catalog::CatalogBuilder;
-    use moqo_core::climb::{pareto_climb, ClimbConfig};
+    use moqo_core::arena::{PlanArena, PlanNodeKind};
+    use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
     use moqo_core::optimizer::{drive, Budget, NullObserver};
     use moqo_core::plan::Plan;
-    use moqo_core::random_plan::random_plan;
+    use moqo_core::random_plan::random_plan_in;
     use moqo_core::rmq::{Rmq, RmqConfig};
     use moqo_core::tables::TableSet;
     use rand::rngs::StdRng;
@@ -361,11 +362,15 @@ mod tests {
         let m = ResourceCostModel::full(c);
         let q = TableSet::prefix(4);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut arena = PlanArena::new();
         for _ in 0..20 {
-            let p = random_plan(&m, q, &mut rng);
-            if let (Some(o), Some(i)) = (p.outer(), p.inner()) {
-                let children = o.cost().add(i.cost());
-                assert!(children.dominates(p.cost()), "join cheaper than inputs");
+            let p = random_plan_in(&mut arena, &m, q, &mut rng);
+            if let PlanNodeKind::Join { outer, inner, .. } = arena.node(p).kind() {
+                let children = arena.cost(outer).add(&arena.cost(inner));
+                assert!(
+                    children.dominates(&arena.cost(p)),
+                    "join cheaper than inputs"
+                );
             }
         }
     }
@@ -396,10 +401,17 @@ mod tests {
         let m = ResourceCostModel::full(c);
         let q = TableSet::prefix(6);
         let mut rng = StdRng::seed_from_u64(7);
-        let start = random_plan(&m, q, &mut rng);
-        let (opt, stats) = pareto_climb(start.clone(), &m, &ClimbConfig::default());
-        assert!(opt.validate(q).is_ok());
-        assert!(!start.cost().strictly_dominates(opt.cost()));
+        let mut arena = PlanArena::new();
+        let start = random_plan_in(&mut arena, &m, q, &mut rng);
+        let (opt, stats) = pareto_climb_in(
+            &mut arena,
+            start,
+            &m,
+            &ClimbConfig::default(),
+            &mut StepScratch::default(),
+        );
+        assert!(arena.validate(opt, q).is_ok());
+        assert!(!arena.cost(start).strictly_dominates(&arena.cost(opt)));
         assert!(stats.steps < 1_000);
     }
 
@@ -409,8 +421,9 @@ mod tests {
         let m = ResourceCostModel::new(c, &[ResourceMetric::Time]);
         assert_eq!(m.dim(), 1);
         let q = TableSet::prefix(3);
-        let p = random_plan(&m, q, &mut StdRng::seed_from_u64(1));
-        assert_eq!(p.cost().dim(), 1);
+        let mut arena = PlanArena::new();
+        let p = random_plan_in(&mut arena, &m, q, &mut StdRng::seed_from_u64(1));
+        assert_eq!(arena.cost(p).dim(), 1);
     }
 
     #[test]

@@ -475,8 +475,9 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::datagen::DataGenConfig;
+    use moqo_core::arena::PlanArena;
     use moqo_core::plan::{Plan, PlanRef};
-    use moqo_core::random_plan::random_plan;
+    use moqo_core::random_plan::random_plan_in;
     use moqo_cost::{ResourceCostModel, ResourceMetric};
     use moqo_workload::{GraphShape, SelectivityMethod, WorkloadSpec};
     use rand::rngs::StdRng;
@@ -595,8 +596,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let reference: Option<Vec<Vec<u32>>> = None;
         let mut reference = reference;
+        let mut arena = PlanArena::new();
         for _ in 0..12 {
-            let plan: PlanRef = random_plan(&model, query, &mut rng);
+            let id = random_plan_in(&mut arena, &model, query, &mut rng);
+            let plan: PlanRef = arena.export(id);
             let exec = execute(&plan, &catalog, &db).expect("execution succeeds");
             match &reference {
                 None => reference = Some(exec.result.tuples),

@@ -6,11 +6,12 @@
 //! of them.
 
 use moqo_baselines::{DpOptimizer, IterativeImprovement, Nsga2, SimulatedAnnealing};
-use moqo_core::climb::{pareto_climb, ClimbConfig};
+use moqo_core::arena::PlanArena;
+use moqo_core::climb::{is_local_optimum_in, pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::cost::{CostVector, MAX_COST_DIM};
 use moqo_core::model::{CostModel, JoinOpId, OutputFormat, PlanProps, PlanView, ScanOpId};
 use moqo_core::optimizer::{drive, Budget, NullObserver, Optimizer};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::{TableId, TableSet};
 use rand::rngs::StdRng;
@@ -232,12 +233,16 @@ fn ties_terminate_immediately_and_yield_one_plan() {
     let model = tie_model(6, 2);
     let q = TableSet::prefix(6);
     let mut rng = StdRng::seed_from_u64(1);
-    let start = random_plan(&model, q, &mut rng);
+    let mut arena = PlanArena::new();
+    let start = random_plan_in(&mut arena, &model, q, &mut rng);
     // No neighbor strictly dominates a tie, so the very first plan is a
     // local Pareto optimum and the climb must take zero improving steps.
-    let (opt, stats) = pareto_climb(start.clone(), &model, &ClimbConfig::default());
+    let cfg = ClimbConfig::default();
+    let (opt, stats) =
+        pareto_climb_in(&mut arena, start, &model, &cfg, &mut StepScratch::default());
     assert_eq!(stats.steps, 0, "ties admit no strict improvement");
-    assert_eq!(opt.cost(), start.cost());
+    assert_eq!(arena.cost(opt), arena.cost(start));
+    assert!(is_local_optimum_in(&mut arena, opt, &model, &cfg));
 
     // The frontier collapses to a single cost point.
     let mut rmq = Rmq::new(&model, q, RmqConfig::seeded(2));
@@ -362,10 +367,14 @@ fn sparse_dominance_shortens_climbs_at_high_dim() {
             max_dim_model(8)
         };
         let mut rng = StdRng::seed_from_u64(42);
+        let cfg = ClimbConfig::default();
+        let mut arena = PlanArena::new();
+        let mut scratch = StepScratch::default();
         let mut total = 0usize;
         for _ in 0..30 {
-            let p = random_plan(&model, q, &mut rng);
-            let (_, stats) = pareto_climb(p, &model, &ClimbConfig::default());
+            let p = random_plan_in(&mut arena, &model, q, &mut rng);
+            let (opt, stats) = pareto_climb_in(&mut arena, p, &model, &cfg, &mut scratch);
+            assert!(is_local_optimum_in(&mut arena, opt, &model, &cfg));
             total += stats.steps;
         }
         total as f64 / 30.0

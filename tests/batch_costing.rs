@@ -10,8 +10,9 @@ use std::sync::Arc;
 
 use common::CountingModel;
 
+use moqo_core::arena::PlanArena;
 use moqo_core::model::{CostModel, OutputFormat, PlanProps, PlanView};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::tables::{TableId, TableSet};
 use moqo_cost::{AqpCostModel, CloudCostModel, EnergyCostModel, ResourceCostModel, ResourceMetric};
 use moqo_workload::{GraphShape, SelectivityMethod, WorkloadSpec};
@@ -56,9 +57,10 @@ fn operand_views<M: CostModel>(model: &M, n: usize, mask: u32, seed: u64) -> (Pl
         *side = side.union(TableSet::singleton(TableId::new(t)));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let o = random_plan(model, outer, &mut rng);
-    let i = random_plan(model, inner, &mut rng);
-    (*o.view(), *i.view())
+    let mut arena = PlanArena::new();
+    let o = random_plan_in(&mut arena, model, outer, &mut rng);
+    let i = random_plan_in(&mut arena, model, inner, &mut rng);
+    (arena.view(o), arena.view(i))
 }
 
 /// The batch method over every applicable operator — and over each single

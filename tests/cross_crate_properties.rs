@@ -1,10 +1,13 @@
 //! Property-based tests spanning the whole stack: random workloads through
 //! the production cost models, optimizers, and quality metrics.
 
-use moqo_core::climb::{pareto_climb, ClimbConfig};
+use moqo_core::arena::{PlanArena, PlanNodeKind};
+use moqo_core::climb::{is_local_optimum_in, pareto_climb_in, ClimbConfig, StepScratch};
+use moqo_core::model::CostModel;
 use moqo_core::optimizer::{drive, Budget, NullObserver};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
+use moqo_core::TableSet;
 use moqo_cost::{AqpCostModel, CloudCostModel, EnergyCostModel, ResourceCostModel, ResourceMetric};
 use moqo_metrics::{pareto_filter, Preferences, ReferenceFrontier};
 use moqo_workload::{GraphShape, SelectivityMethod, WorkloadSpec};
@@ -28,12 +31,41 @@ fn arb_sel() -> impl Strategy<Value = SelectivityMethod> {
     ]
 }
 
+/// A random plan over `model` is valid and its costs are additive (its
+/// children's costs weakly dominate its own); the climb from it ends, within
+/// the step bound, on a valid plan the start does not strictly dominate,
+/// and that plan is a local Pareto optimum of the climb.
+fn random_plan_climbs_to_a_local_optimum<M: CostModel>(
+    model: &M,
+    query: TableSet,
+    seed: u64,
+) -> Result<(), String> {
+    let mut arena = PlanArena::new();
+    let plan = random_plan_in(&mut arena, model, query, &mut StdRng::seed_from_u64(seed));
+    prop_assert!(arena.validate(plan, query).is_ok());
+    let cost = arena.cost(plan);
+    prop_assert!(cost.is_valid());
+    if let PlanNodeKind::Join { outer, inner, .. } = arena.node(plan).kind() {
+        prop_assert!(arena.cost(outer).add(&arena.cost(inner)).dominates(&cost));
+    }
+    let cfg = ClimbConfig::default();
+    let (optimum, stats) =
+        pareto_climb_in(&mut arena, plan, model, &cfg, &mut StepScratch::default());
+    prop_assert!(arena.validate(optimum, query).is_ok());
+    prop_assert!(!cost.strictly_dominates(&arena.cost(optimum)));
+    prop_assert!(stats.steps < 5_000);
+    prop_assert!(
+        is_local_optimum_in(&mut arena, optimum, model, &cfg),
+        "the climb stopped on a plan its own step improves"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random plans over the resource model are valid, their costs are
-    /// additive (children weakly dominate the parent's cost), and climbing
-    /// never makes them strictly worse.
+    /// Random plans over the resource model are valid, additive, and climb
+    /// to a local Pareto optimum that is no worse than the start.
     #[test]
     fn resource_model_plans_behave(
         n in 2usize..12,
@@ -43,17 +75,7 @@ proptest! {
     ) {
         let (catalog, query) = WorkloadSpec { tables: n, shape, selectivity: sel, seed }.generate();
         let model = ResourceCostModel::full(catalog);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
-        let plan = random_plan(&model, query.tables(), &mut rng);
-        prop_assert!(plan.validate(query.tables()).is_ok());
-        prop_assert!(plan.cost().is_valid());
-        if let (Some(o), Some(i)) = (plan.outer(), plan.inner()) {
-            prop_assert!(o.cost().add(i.cost()).dominates(plan.cost()));
-        }
-        let (optimum, stats) = pareto_climb(plan.clone(), &model, &ClimbConfig::default());
-        prop_assert!(optimum.validate(query.tables()).is_ok());
-        prop_assert!(!plan.cost().strictly_dominates(optimum.cost()));
-        prop_assert!(stats.steps < 5_000);
+        random_plan_climbs_to_a_local_optimum(&model, query.tables(), seed ^ 0xF00D)?;
     }
 
     /// RMQ's frontier plans cover each other under the ε-indicator: the
@@ -90,11 +112,17 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         // Sample a bag of random plans; fastest and cheapest must differ
         // unless the frontier is degenerate.
-        let plans: Vec<_> = (0..30).map(|_| random_plan(&model, query.tables(), &mut rng)).collect();
-        let fastest = plans.iter().min_by(|a, b| a.cost()[0].total_cmp(&b.cost()[0])).unwrap();
-        let cheapest = plans.iter().min_by(|a, b| a.cost()[1].total_cmp(&b.cost()[1])).unwrap();
-        prop_assert!(fastest.cost()[0] <= cheapest.cost()[0] + 1e-9);
-        prop_assert!(cheapest.cost()[1] <= fastest.cost()[1] + 1e-9);
+        let mut arena = PlanArena::new();
+        let costs: Vec<_> = (0..30)
+            .map(|_| {
+                let plan = random_plan_in(&mut arena, &model, query.tables(), &mut rng);
+                arena.cost(plan)
+            })
+            .collect();
+        let fastest = costs.iter().min_by(|a, b| a[0].total_cmp(&b[0])).unwrap();
+        let cheapest = costs.iter().min_by(|a, b| a[1].total_cmp(&b[1])).unwrap();
+        prop_assert!(fastest[0] <= cheapest[0] + 1e-9);
+        prop_assert!(cheapest[1] <= fastest[1] + 1e-9);
     }
 
     /// Workload generation + catalog queries stay in sync for subqueries:
@@ -114,8 +142,7 @@ proptest! {
     }
 
     /// The AQP model upholds the CostModel contract on random workloads:
-    /// valid additive costs, sampled cardinalities within the exact-scan
-    /// bound, and climbs that terminate.
+    /// valid additive costs, and climbs that terminate on local optima.
     #[test]
     fn aqp_model_plans_behave(
         n in 2usize..10,
@@ -124,16 +151,7 @@ proptest! {
     ) {
         let (catalog, query) = WorkloadSpec { tables: n, shape, selectivity: SelectivityMethod::MinMax, seed }.generate();
         let model = AqpCostModel::new(catalog);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA9);
-        let plan = random_plan(&model, query.tables(), &mut rng);
-        prop_assert!(plan.validate(query.tables()).is_ok());
-        prop_assert!(plan.cost().is_valid());
-        if let (Some(o), Some(i)) = (plan.outer(), plan.inner()) {
-            prop_assert!(o.cost().add(i.cost()).dominates(plan.cost()));
-        }
-        let (optimum, stats) = pareto_climb(plan.clone(), &model, &ClimbConfig::default());
-        prop_assert!(!plan.cost().strictly_dominates(optimum.cost()));
-        prop_assert!(stats.steps < 5_000);
+        random_plan_climbs_to_a_local_optimum(&model, query.tables(), seed ^ 0xA9)?;
     }
 
     /// The energy model upholds the CostModel contract on random workloads.
@@ -145,15 +163,7 @@ proptest! {
     ) {
         let (catalog, query) = WorkloadSpec { tables: n, shape, selectivity: SelectivityMethod::Steinbrunn, seed }.generate();
         let model = EnergyCostModel::new(catalog);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xE6);
-        let plan = random_plan(&model, query.tables(), &mut rng);
-        prop_assert!(plan.validate(query.tables()).is_ok());
-        prop_assert!(plan.cost().is_valid());
-        if let (Some(o), Some(i)) = (plan.outer(), plan.inner()) {
-            prop_assert!(o.cost().add(i.cost()).dominates(plan.cost()));
-        }
-        let (optimum, _) = pareto_climb(plan.clone(), &model, &ClimbConfig::default());
-        prop_assert!(!plan.cost().strictly_dominates(optimum.cost()));
+        random_plan_climbs_to_a_local_optimum(&model, query.tables(), seed ^ 0xE6)?;
     }
 
     /// Preference selection returns Pareto-optimal plans: the weighted-sum
@@ -192,10 +202,12 @@ proptest! {
         let cross: f64 = query.tables().iter().map(|t| catalog.rows(t)).product();
         let model = AqpCostModel::new(catalog);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut arena = PlanArena::new();
         for _ in 0..5 {
-            let plan = random_plan(&model, query.tables(), &mut rng);
-            prop_assert!(plan.rows() <= cross * (1.0 + 1e-9));
-            prop_assert!(plan.rows() >= 1.0);
+            let plan = random_plan_in(&mut arena, &model, query.tables(), &mut rng);
+            let rows = arena.node(plan).rows();
+            prop_assert!(rows <= cross * (1.0 + 1e-9));
+            prop_assert!(rows >= 1.0);
         }
     }
 }

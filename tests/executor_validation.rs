@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use moqo_catalog::Catalog;
 use moqo_core::archive::ArchiveConfig;
+use moqo_core::arena::PlanArena;
 use moqo_core::optimizer::{drive, Budget, NullObserver};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_cost::{ResourceCostModel, ResourceMetric};
 use moqo_exec::{execute, DataGenConfig, Database};
@@ -76,9 +77,11 @@ fn pareto_plans_execute_and_agree() {
 fn modeled_time_rank_correlates_with_measured_work() {
     let (catalog, model, db, query) = setup(37, 5);
     let mut rng = StdRng::seed_from_u64(5);
+    let mut arena = PlanArena::new();
     let mut samples: Vec<(f64, u64)> = Vec::new();
     for _ in 0..16 {
-        let plan = random_plan(&model, query, &mut rng);
+        let id = random_plan_in(&mut arena, &model, query, &mut rng);
+        let plan = arena.export(id);
         if let Ok(exec) = execute(&plan, &catalog, &db) {
             samples.push((plan.cost()[0], exec.stats.tuples_processed));
         }
@@ -149,9 +152,11 @@ fn disk_metric_predicts_spills() {
     // plans with substantial modeled disk cost must spill.
     let (catalog, model, db, query) = setup(43, 4);
     let mut rng = StdRng::seed_from_u64(11);
+    let mut arena = PlanArena::new();
     let mut checked = 0;
     for _ in 0..20 {
-        let plan = random_plan(&model, query, &mut rng);
+        let id = random_plan_in(&mut arena, &model, query, &mut rng);
+        let plan = arena.export(id);
         let Ok(exec) = execute(&plan, &catalog, &db) else {
             continue;
         };

@@ -15,14 +15,14 @@ use moqo_baselines::dp::enumerate_all_plans;
 use moqo_baselines::nsga2::fast_non_dominated_sort;
 use moqo_baselines::DpOptimizer;
 use moqo_core::archive::ArchiveConfig;
+use moqo_core::arena::{PlanArena, PlanId, PlanNodeKind};
 use moqo_core::cache::PlanCache;
 use moqo_core::cost::CostVector;
-use moqo_core::frontier::approximate_frontiers;
+use moqo_core::frontier::{approximate_frontiers_in, FrontierScratch};
 use moqo_core::model::testing::StubModel;
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{drive, Budget, NullObserver, Optimizer};
-use moqo_core::plan::{Plan, PlanRef};
-use moqo_core::random_plan::random_plan;
+use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_metrics::hypervolume::hypervolume;
@@ -33,30 +33,34 @@ use rand::SeedableRng;
 
 /// Enumerates the restricted plan space of Algorithm 3 for `skeleton`: all
 /// plans sharing the skeleton's join tree shape/leaf assignment but using
-/// any operator combination (no cache substitution).
-fn restricted_space<M: CostModel + ?Sized>(skeleton: &PlanRef, model: &M) -> Vec<PlanRef> {
-    if let (Some(o), Some(i)) = (skeleton.outer(), skeleton.inner()) {
-        let outers = restricted_space(o, model);
-        let inners = restricted_space(i, model);
-        let mut out = Vec::new();
-        let mut ops = Vec::new();
-        for po in &outers {
-            for pi in &inners {
-                ops.clear();
-                model.join_ops(po.view(), pi.view(), &mut ops);
-                for &op in &ops {
-                    out.push(Plan::join(model, po.clone(), pi.clone(), op));
+/// any operator combination (no cache substitution), interned into `arena`.
+fn restricted_space<M: CostModel + ?Sized>(
+    arena: &mut PlanArena,
+    skeleton: PlanId,
+    model: &M,
+) -> Vec<PlanId> {
+    match arena.node(skeleton).kind() {
+        PlanNodeKind::Join { outer, inner, .. } => {
+            let outers = restricted_space(arena, outer, model);
+            let inners = restricted_space(arena, inner, model);
+            let mut out = Vec::new();
+            let mut ops = Vec::new();
+            for &po in &outers {
+                for &pi in &inners {
+                    ops.clear();
+                    model.join_ops(&arena.view(po), &arena.view(pi), &mut ops);
+                    for &op in &ops {
+                        out.push(arena.join(model, po, pi, op));
+                    }
                 }
             }
+            out
         }
-        out
-    } else {
-        let t = skeleton.table().expect("scan leaf");
-        model
-            .scan_ops(t)
+        PlanNodeKind::Scan { table, .. } => model
+            .scan_ops(table)
             .iter()
-            .map(|&op| Plan::scan(model, t, op))
-            .collect()
+            .map(|&op| arena.scan(model, table, op))
+            .collect(),
     }
 }
 
@@ -77,21 +81,30 @@ proptest! {
         let model = StubModel::line(n, 2, seed);
         let q = TableSet::prefix(n);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let skeleton = random_plan(&model, q, &mut rng);
+        let mut arena = PlanArena::new();
+        let skeleton = random_plan_in(&mut arena, &model, q, &mut rng);
         let mut cache = PlanCache::new();
-        approximate_frontiers(&skeleton, &model, &mut cache, &moqo_core::Admission::approx(alpha));
+        approximate_frontiers_in(
+            &mut arena,
+            skeleton,
+            &model,
+            &mut cache,
+            &moqo_core::Admission::approx(alpha),
+            &mut FrontierScratch::default(),
+        );
 
-        let frontier = cache.frontier(q);
+        let frontier: Vec<CostVector> = cache.frontier(q).iter().map(|&f| arena.cost(f)).collect();
         prop_assert!(!frontier.is_empty());
-        let bound = alpha.powi(skeleton.depth() as i32);
-        for candidate in restricted_space(&skeleton, &model) {
-            let covered = frontier.iter().any(|f| {
-                f.cost().approx_dominates(candidate.cost(), bound * (1.0 + 1e-12))
-            });
+        let bound = alpha.powi(arena.depth(skeleton) as i32);
+        for candidate in restricted_space(&mut arena, skeleton, &model) {
+            let cost = arena.cost(candidate);
+            let covered = frontier
+                .iter()
+                .any(|f| f.approx_dominates(&cost, bound * (1.0 + 1e-12)));
             prop_assert!(
                 covered,
                 "plan {:?} not covered within {bound} by cache frontier",
-                candidate.cost()
+                cost
             );
         }
     }
@@ -107,17 +120,26 @@ proptest! {
         let model = StubModel::line(n, 2, seed);
         let q = TableSet::prefix(n);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut arena = PlanArena::new();
         let mut cache = PlanCache::new();
+        let mut scratch = FrontierScratch::default();
         for r in 0..rounds {
-            let p = random_plan(&model, q, &mut rng);
+            let p = random_plan_in(&mut arena, &model, q, &mut rng);
             let alpha = [25.0, 4.0, 1.0][r % 3];
-            approximate_frontiers(&p, &model, &mut cache, &moqo_core::Admission::approx(alpha));
-            prop_assert!(cache.check_invariant(), "invariant broken at round {r}");
+            approximate_frontiers_in(
+                &mut arena,
+                p,
+                &model,
+                &mut cache,
+                &moqo_core::Admission::approx(alpha),
+                &mut scratch,
+            );
+            prop_assert!(cache.check_invariant(&arena), "invariant broken at round {r}");
         }
         // Every cached plan joins exactly the table set it is filed under.
         for (rel, plans) in cache.entries() {
-            for p in plans {
-                prop_assert_eq!(p.rel(), rel);
+            for &p in plans {
+                prop_assert_eq!(arena.node(p).rel(), rel);
             }
         }
     }

@@ -243,14 +243,19 @@ fn a_plan_for_a_live_table_set_is_admitted_at_once_as_before() {
     // Same decisions, same order: replay the arrivals, in arrival order and
     // under exact pruning, over a copy of each live frontier.
     let exact = Admission::exact();
-    let mut reference: PlanCache = PlanCache::new();
+    let mut reference: PlanCache<PlanRef> = PlanCache::new();
+    let mut offer = |plan: &PlanRef| {
+        reference.insert_with(plan.rel(), plan.cost(), plan.format(), &exact, || {
+            plan.clone()
+        })
+    };
     for plans in before.values() {
         for plan in plans {
-            assert!(reference.insert(plan.clone(), &exact), "fixture");
+            assert!(offer(plan), "fixture");
         }
     }
     for plan in export.iter().filter(|p| before.contains_key(&p.rel())) {
-        reference.insert(plan.clone(), &exact);
+        offer(plan);
     }
     assert!(kept_after > kept_before, "some arrival was admitted");
     for (rel, plans) in &cached(&rmq) {
