@@ -1,7 +1,10 @@
-//! Criterion micro-benchmarks of the optimizer's hot paths: random plan
-//! generation (Lemma 1: O(n)), one `ParetoStep` (Lemma 2: O(n)), full
-//! climbs (fast vs. naive — the §4.2 optimization), frontier approximation
-//! (Theorem 4), the ε-indicator, and one NSGA-II generation.
+//! Criterion micro-benchmarks of one `ParetoStep` (Lemma 2: O(n)), the
+//! ε-indicator, and one NSGA-II generation.
+//!
+//! Random plans, climbs and frontier approximation are timed per call, in
+//! the paper's workloads, by `benchmark/` (`core.random_plan.ns_per_call`,
+//! `core.climb.us_per_call`, `core.frontier.us_per_call`); fast vs. naive
+//! climbing is the `ablations` target's first table.
 
 use std::time::Duration;
 
@@ -11,10 +14,8 @@ use std::hint::black_box;
 use moqo_baselines::nsga2::{Nsga2, Nsga2Params};
 use moqo_bench::resource_model as model_for;
 use moqo_core::arena::PlanArena;
-use moqo_core::cache::PlanCache;
-use moqo_core::climb::{naive_climb_in, pareto_climb_in, pareto_step_in, ClimbConfig, StepScratch};
+use moqo_core::climb::{pareto_step_in, StepScratch};
 use moqo_core::cost::CostVector;
-use moqo_core::frontier::{approximate_frontiers_in, FrontierScratch};
 use moqo_core::mutations::MutationSet;
 use moqo_core::optimizer::Optimizer;
 use moqo_core::pareto::PrunePolicy;
@@ -22,26 +23,6 @@ use moqo_core::random_plan::random_plan_in;
 use moqo_metrics::epsilon_indicator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn bench_random_plan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("random_plan");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(30);
-    for n in [10usize, 50, 100] {
-        let (model, query) = model_for(n);
-        let mut rng = StdRng::seed_from_u64(1);
-        // Cleared per plan, as the RMQ loop clears its climb arena.
-        let mut arena = PlanArena::new();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                arena.clear();
-                black_box(random_plan_in(&mut arena, &model, query, &mut rng))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_pareto_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("pareto_step");
@@ -64,65 +45,6 @@ fn bench_pareto_step(c: &mut Criterion) {
                     MutationSet::Bushy,
                     &mut scratch,
                 ))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_climb_fast_vs_naive(c: &mut Criterion) {
-    let mut group = c.benchmark_group("climb");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .sample_size(10);
-    let cfg = ClimbConfig::default();
-    for n in [10usize, 25] {
-        let (model, query) = model_for(n);
-        let mut arena = PlanArena::new();
-        group.bench_with_input(BenchmarkId::new("fast", n), &n, |b, _| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut scratch = StepScratch::default();
-            b.iter(|| {
-                arena.clear();
-                let p = random_plan_in(&mut arena, &model, query, &mut rng);
-                black_box(pareto_climb_in(&mut arena, p, &model, &cfg, &mut scratch))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| {
-                arena.clear();
-                let p = random_plan_in(&mut arena, &model, query, &mut rng);
-                black_box(naive_climb_in(&mut arena, p, &model, &cfg))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_frontier_approximation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("approximate_frontiers");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-    for n in [10usize, 50] {
-        let (model, query) = model_for(n);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut arena = PlanArena::new();
-        let plan = random_plan_in(&mut arena, &model, query, &mut rng);
-        let mut scratch = FrontierScratch::default();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut cache = PlanCache::new();
-                approximate_frontiers_in(
-                    &mut arena,
-                    plan,
-                    &model,
-                    &mut cache,
-                    &moqo_core::Admission::approx(2.0),
-                    &mut scratch,
-                );
-                black_box(cache.total_plans())
             })
         });
     }
@@ -161,10 +83,7 @@ fn bench_nsga2_generation(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_random_plan,
     bench_pareto_step,
-    bench_climb_fast_vs_naive,
-    bench_frontier_approximation,
     bench_epsilon_indicator,
     bench_nsga2_generation
 );

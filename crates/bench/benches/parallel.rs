@@ -1,46 +1,18 @@
-//! Thread-scaling micro-benchmarks of the intra-query parallel optimizer:
-//! `ParRmq` live-mode rounds at 1/2/4/8 workers, plus the exchange
-//! machinery in isolation (publishing a frontier into a `SharedFrontier`).
+//! Micro-benchmarks of the intra-query exchange in isolation: publishing a
+//! frontier into a `SharedFrontier`, re-publishing it, and reading a
+//! snapshot.
 //!
-//! The deterministic perf-baseline harness (`cargo run -p moqo-bench --bin
-//! harness`) measures the same fixture with the same seeds and archives
-//! iters/s + hypervolume per thread count in `BENCH_rmq.json` (schema v3);
-//! this target exists for interactive `cargo bench` exploration.
+//! `ParRmq` thread scaling is recorded by the perf-baseline harness
+//! (`par_rmq[]` in `BENCH_rmq.json`).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use moqo_bench::resource_model;
-use moqo_core::optimizer::Budget;
 use moqo_core::rmq::{Rmq, RmqConfig};
-use moqo_parallel::{ParRmq, ParRmqConfig, SharedFrontier};
-
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_rmq_scaling");
-    group
-        .measurement_time(Duration::from_secs(4))
-        .sample_size(10);
-    let (model, query) = resource_model(20);
-    let model = Arc::new(model);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("live_40_iters", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let mut par =
-                        ParRmq::new(Arc::clone(&model), query, ParRmqConfig::seeded(42, t));
-                    par.optimize(Budget::Iterations(40));
-                    black_box(par.frontier().len())
-                })
-            },
-        );
-    }
-    group.finish();
-}
+use moqo_parallel::SharedFrontier;
 
 fn bench_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("shared_frontier");
@@ -76,5 +48,5 @@ fn bench_exchange(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_thread_scaling, bench_exchange);
+criterion_group!(benches, bench_exchange);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! required — nonzero activity on the named seams.
 //! Optionally also validates a causal span trace (`--trace`, the Chrome
 //! trace-event JSON `serve --trace-out` / `optimize --trace-out` write)
-//! and the anytime-convergence section of a schema-v7 bench baseline
+//! and the anytime-convergence section of a `BENCH_rmq.json` baseline
 //! (`--convergence`).
 //!
 //! Usage:
@@ -24,24 +24,23 @@
 
 use serde_json::Value;
 
+/// Reads and parses the JSON file `path`, recording a violation on failure.
+fn read_json(what: &str, path: &str, violations: &mut Vec<String>) -> Option<Value> {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {what} {path}: {e}"))
+        .and_then(|text| {
+            serde_json::from_str(&text).map_err(|e| format!("{what} {path} is not valid JSON: {e}"))
+        });
+    parsed.map_err(|e| violations.push(e)).ok()
+}
+
 /// Validates a Chrome trace-event JSON file: every event carries the
 /// writer's fields, complete (`"X"`) events are sorted by timestamp with
 /// nonnegative durations, and every nonzero parent reference resolves to a
 /// complete event in the file — the causal graph has no dangling edges.
 fn check_trace(path: &str, spans_min: u64, violations: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            violations.push(format!("cannot read trace {path}: {e}"));
-            return;
-        }
-    };
-    let trace: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            violations.push(format!("trace {path} is not valid JSON: {e}"));
-            return;
-        }
+    let Some(trace) = read_json("trace", path, violations) else {
+        return;
     };
     let Some(events) = trace.get("traceEvents").and_then(Value::as_array) else {
         violations.push(format!("trace {path}: missing `traceEvents` array"));
@@ -109,24 +108,13 @@ fn check_trace(path: &str, spans_min: u64, violations: &mut Vec<String>) {
     }
 }
 
-/// Validates the `convergence` section of a schema-v7 bench baseline:
+/// Validates the `convergence` section of a bench baseline:
 /// present and nonempty, strictly increasing iteration marks, and a
 /// nondecreasing hypervolume curve ending at `final_hypervolume` — the
 /// anytime guarantee, checked on the emitted artifact.
 fn check_convergence(path: &str, violations: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            violations.push(format!("cannot read baseline {path}: {e}"));
-            return;
-        }
-    };
-    let bench: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            violations.push(format!("baseline {path} is not valid JSON: {e}"));
-            return;
-        }
+    let Some(bench) = read_json("baseline", path, violations) else {
+        return;
     };
     if bench
         .get("schema_version")
@@ -182,9 +170,6 @@ fn check_convergence(path: &str, violations: &mut Vec<String>) {
             if p.get("frontier_size").and_then(Value::as_u64).is_none() {
                 violations.push(format!("{tag} @{iter}: missing u64 `frontier_size`"));
             }
-            if p.get("elapsed_ms").and_then(Value::as_f64).is_none() {
-                violations.push(format!("{tag} @{iter}: missing `elapsed_ms`"));
-            }
         }
         let final_hv = fixture
             .get("final_hypervolume")
@@ -204,6 +189,14 @@ const OBS_SCHEMA: u64 = 1;
 /// Counters every snapshot must carry, zero or not.
 const DROP_COUNTERS: [&str; 2] = ["spans.dropped", "journal.dropped"];
 
+/// Parses a count argument, exiting with usage status on garbage.
+fn number(arg: &str) -> u64 {
+    arg.parse().unwrap_or_else(|_| {
+        eprintln!("expected a number, got `{arg}`");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let mut path = None;
     let mut required: Vec<String> = Vec::new();
@@ -221,19 +214,9 @@ fn main() {
         };
         match arg.as_str() {
             "--require" => required.push(take("--require")),
-            "--events-min" => {
-                events_min = take("--events-min").parse().unwrap_or_else(|_| {
-                    eprintln!("--events-min must be a number");
-                    std::process::exit(2);
-                })
-            }
+            "--events-min" => events_min = number(&take("--events-min")),
+            "--spans-min" => spans_min = number(&take("--spans-min")),
             "--trace" => trace_path = Some(take("--trace")),
-            "--spans-min" => {
-                spans_min = take("--spans-min").parse().unwrap_or_else(|_| {
-                    eprintln!("--spans-min must be a number");
-                    std::process::exit(2);
-                })
-            }
             "--convergence" => convergence_path = Some(take("--convergence")),
             "--help" | "-h" => {
                 println!(
@@ -339,21 +322,15 @@ fn main() {
 
     if violations.is_empty() {
         let n_counters = counters.map_or(0, |c| c.len());
-        let extras = [
-            trace_path.as_deref().map(|t| format!("trace {t}")),
-            convergence_path
-                .as_deref()
-                .map(|b| format!("convergence {b}")),
-        ]
-        .into_iter()
-        .flatten()
-        .collect::<Vec<_>>()
-        .join(", ");
-        if extras.is_empty() {
-            eprintln!("obs_check: OK — {path} valid ({n_counters} counters)");
-        } else {
-            eprintln!("obs_check: OK — {path} valid ({n_counters} counters); {extras}");
-        }
+        let also = |what: &str, p: &Option<String>| {
+            p.as_ref()
+                .map_or(String::new(), |p| format!("; {what} {p}"))
+        };
+        eprintln!(
+            "obs_check: OK — {path} valid ({n_counters} counters){}{}",
+            also("trace", &trace_path),
+            also("convergence", &convergence_path)
+        );
     } else {
         eprintln!("obs_check: {} violation(s) in {path}:", violations.len());
         for v in &violations {
