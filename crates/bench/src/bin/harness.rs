@@ -264,9 +264,8 @@ struct ExecPoolRun {
 
 /// The oversubscribed mixed-width workload: `sessions` sessions
 /// alternating fan-out 1 and `wide_fan_out`, run once as root tasks on a
-/// shared `pool_workers`-wide work-stealing executor and once as one
-/// scoped OS thread per session (each wide session spawning private
-/// fan-out threads).
+/// shared `pool_workers`-wide executor and once as one scoped OS thread
+/// per session (each wide session spawning private fan-out threads).
 #[derive(Default, Serialize)]
 struct ExecPoolReport {
     sessions: usize,

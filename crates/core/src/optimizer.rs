@@ -165,7 +165,7 @@ impl AbortCheck {
 /// Cloning yields another handle onto the same counter. However claims
 /// interleave across threads, the number of **granted** iterations sums to
 /// exactly `total` — the property that makes `Budget::Iterations` exact
-/// and scheduling-independent under both scoped threads and a work-stealing
+/// and scheduling-independent under both scoped threads and a shared
 /// executor. [`claim_batch`](ClaimCounter::claim_batch) grants up to a whole
 /// climb batch per atomic operation, so batch-granular executors pay one
 /// fetch-add per batch instead of one per iteration.

@@ -172,7 +172,7 @@ fn optimize_and_report<M: CostModel + Clone + Send + 'static>(model: &M, opts: &
     let query = moqo_core::TableSet::prefix(model.num_tables());
     // Root the whole run in one Session span: fanned-out climb batches
     // inherit it as their parent through the ambient span the executor
-    // propagates across worker threads and steals.
+    // propagates to whichever worker thread runs them.
     let mut session = spans::begin(spans::SpanKind::Session, spans::SpanId::NONE);
     let prev = session.as_ref().map(|s| spans::set_current(s.id()));
     let mut frontier: Vec<PlanRef> = if opts.parallel > 1 {

@@ -453,8 +453,9 @@ fn run_single_service(opts: &Options) {
         }
     }
     // Executor and adaptive-exchange visibility: climb batches executed,
-    // how many ran on a worker other than their session's (steals +
-    // donations), and where the exchange backoff sits now.
+    // how many ran on a thread other than their session's waiting one
+    // (steals: a pool worker's loop took them; donations: another
+    // session's helper ran them), and where the exchange backoff sits now.
     let obs = moqo_obs::ObsSnapshot::capture();
     println!(
         "  exec pool       {} batches, {} steals, {} donations",

@@ -26,7 +26,7 @@
 //!   exposition dump.
 //! * [`mod@spans`] — causal span tracing: begin/end records for session
 //!   slices, climb batches, exchange operations, and cache lookups, with
-//!   parent links that survive work stealing, exportable as Chrome
+//!   parent links that survive cross-worker batches, exportable as Chrome
 //!   trace-event JSON (Perfetto-loadable). Same disabled-path discipline
 //!   as the journal: one relaxed load per site when off.
 //!

@@ -370,10 +370,11 @@ pub struct Metrics {
     /// Current exchange backoff level of the most recent adaptive-exchange
     /// decision (`0` = base period; level `k` = period `base << k`).
     pub exchange_backoff_level: Gauge,
-    /// Climb batches executed by the work-stealing executor (every task
+    /// Climb batches executed by the shared executor (every task
     /// invocation runs at most one batch).
     pub exec_pool_batches: ShardedCounter,
-    /// Tasks an idle pool worker stole from another worker's deque.
+    /// Group tasks a pool worker's loop took from the run queue: batches
+    /// that ran on a thread other than their group's waiting helper.
     pub exec_pool_steals: Counter,
     /// Batches a waiting helper donated to a *foreign* task group while
     /// its own group drained (idle-wait work conservation).

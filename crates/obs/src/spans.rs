@@ -11,11 +11,11 @@
 //! JSON that Perfetto / `chrome://tracing` load directly.
 //!
 //! Parent links cross threads: the ambient current span id is thread-local
-//! (see [`current`] / [`set_current`]), and the work-stealing executor
-//! captures it at spawn and restores it around every task invocation — so
-//! a climb batch stolen by an idle worker still parents to the session
-//! span that spawned it. Steals and donations themselves appear as instant
-//! records linking the stealing worker to the victim.
+//! (see [`current`] / [`set_current`]), and the shared executor captures
+//! it at spawn and restores it around every task invocation — so a climb
+//! batch run by another worker still parents to the session span that
+//! spawned it. Donations themselves appear as instant records parented to
+//! the donated batch's session.
 //!
 //! ```
 //! use moqo_obs::spans;
@@ -57,9 +57,6 @@ pub enum SpanKind {
     ExchangeAbsorb,
     /// A cross-query plan-cache lookup.
     CacheLookup,
-    /// Instant: an idle worker stole a task. `arg` packs the 1-based pool
-    /// worker indices as `(stealer + 1) << 32 | (victim + 1)`.
-    Steal,
     /// Instant: a waiting helper ran a foreign batch (arg = owning group).
     Donation,
 }
@@ -74,14 +71,13 @@ impl SpanKind {
             SpanKind::ExchangePublish => "exchange_publish",
             SpanKind::ExchangeAbsorb => "exchange_absorb",
             SpanKind::CacheLookup => "cache_lookup",
-            SpanKind::Steal => "steal",
             SpanKind::Donation => "donation",
         }
     }
 
     /// Whether this kind is a zero-duration instant record.
     pub fn is_instant(self) -> bool {
-        matches!(self, SpanKind::Steal | SpanKind::Donation)
+        self == SpanKind::Donation
     }
 }
 
@@ -123,9 +119,9 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// End, nanoseconds since the trace epoch (== `start_ns` for instants).
     pub end_ns: u64,
-    /// Kind-specific argument: packed stealer/victim pool-worker indices
-    /// for steals, owning group for donations, plans returned for cache
-    /// lookups, plans offered / absorbed for exchange spans; 0 otherwise.
+    /// Kind-specific argument: owning group for donations, plans returned
+    /// for cache lookups, plans offered / absorbed for exchange spans; 0
+    /// otherwise.
     pub arg: u64,
 }
 
@@ -246,7 +242,7 @@ pub fn current() -> SpanId {
 
 /// Sets the calling thread's ambient span id; returns the previous value
 /// so scopes can restore it. Executors call this around task invocations
-/// so stolen work keeps its spawner's causal parent.
+/// so work run on another thread keeps its spawner's causal parent.
 #[inline]
 pub fn set_current(span: SpanId) -> SpanId {
     SpanId(CURRENT.with(|c| c.replace(span.0)))
@@ -301,7 +297,7 @@ fn push_finished(span: Span) {
     push(record);
 }
 
-/// Records a zero-duration instant (steal/donation link) if tracing is
+/// Records a zero-duration instant (a donation link) if tracing is
 /// enabled. `parent` of [`SpanId::NONE`] adopts the ambient span.
 #[inline]
 pub fn instant(kind: SpanKind, parent: SpanId, arg: u64) {
@@ -357,8 +353,8 @@ fn write_ts_us(out: &mut String, ns: u64) {
 
 /// Renders records as Chrome trace-event JSON (the JSON Object Format:
 /// `{"traceEvents": [...]}`), loadable by Perfetto and `chrome://tracing`.
-/// Spans become complete (`"ph":"X"`) events on `tid` = worker id; steals
-/// and donations become thread-scoped instants (`"ph":"i"`). Events are
+/// Spans become complete (`"ph":"X"`) events on `tid` = worker id;
+/// donations become thread-scoped instants (`"ph":"i"`). Events are
 /// sorted by start timestamp, and every event carries its `id`/`parent`
 /// pair in `args` so causality survives the flat format.
 pub fn write_chrome_trace(records: &[SpanRecord], out: &mut String) {
@@ -422,7 +418,7 @@ mod tests {
         let span = begin(SpanKind::Batch, SpanId::NONE);
         assert!(span.is_none());
         finish(span);
-        instant(SpanKind::Steal, SpanId::NONE, 3);
+        instant(SpanKind::Donation, SpanId::NONE, 3);
         assert!(records().is_empty());
         assert_eq!(metrics().spans_recorded.get(), before);
     }
@@ -438,7 +434,7 @@ mod tests {
         assert!(!sid.is_none());
         let prev = set_current(sid);
         let batch = begin(SpanKind::Batch, SpanId::NONE);
-        instant(SpanKind::Steal, SpanId::NONE, 2);
+        instant(SpanKind::Donation, SpanId::NONE, 2);
         finish(batch);
         set_current(prev);
         finish(session);
@@ -448,11 +444,11 @@ mod tests {
         assert_eq!(recs.len(), 3);
         let session_rec = recs.iter().find(|r| r.kind == SpanKind::Session).unwrap();
         let batch_rec = recs.iter().find(|r| r.kind == SpanKind::Batch).unwrap();
-        let steal_rec = recs.iter().find(|r| r.kind == SpanKind::Steal).unwrap();
+        let donation_rec = recs.iter().find(|r| r.kind == SpanKind::Donation).unwrap();
         assert_eq!(session_rec.parent, 0);
         assert_eq!(batch_rec.parent, session_rec.id);
-        assert_eq!(steal_rec.parent, session_rec.id);
-        assert_eq!(steal_rec.arg, 2);
+        assert_eq!(donation_rec.parent, session_rec.id);
+        assert_eq!(donation_rec.arg, 2);
         assert!(recs.iter().all(|r| r.session == 7));
         assert!(batch_rec.end_ns >= batch_rec.start_ns);
         assert!(session_rec.end_ns >= batch_rec.end_ns);

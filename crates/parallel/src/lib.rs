@@ -13,12 +13,12 @@
 //! structure. Approximation-precision guarantees are unchanged: every plan
 //! still enters a frontier through the paper's `SigBetter` pruning rule.
 //!
-//! ## The work-stealing executor
+//! ## The shared executor
 //!
-//! The crate also hosts [`ExecPool`], the shared work-stealing executor
-//! whose unit of work is a **climb batch** (see the [`pool`] module docs
-//! for the deque/steal diagram). [`ParRmq::optimize`] runs in one of two
-//! modes depending on where it is called:
+//! The crate also hosts [`ExecPool`], the shared executor whose unit of
+//! work is a **climb batch** and which schedules from one run queue (see
+//! the [`pool`] module docs for its two lanes). [`ParRmq::optimize`] runs
+//! in one of two modes depending on where it is called:
 //!
 //! * **Standalone** (not on a pool worker): the classic PR 4 shape — one
 //!   scoped OS thread per worker, joined before the call returns.
@@ -26,10 +26,10 @@
 //!   [`ExecPool::current`]): the fan-out becomes a group of resumable
 //!   batch tasks on the *shared* pool. The calling thread waits by
 //!   helping — running its own batches and donating spare capacity to
-//!   other sessions' batches — and idle pool workers steal batches, so a
-//!   wide session never holds threads it is not using. This is how the
-//!   optimization service schedules every session (fan-out ≥ 1) through
-//!   one executor instead of nested private thread pools.
+//!   other sessions' batches — and idle pool workers take batches from the
+//!   queue, so a wide session never holds threads it is not using. This is
+//!   how the optimization service schedules every session (fan-out ≥ 1)
+//!   through one executor instead of nested private thread pools.
 //!
 //! In pooled mode the *effective* fan-out is elastic: the service grants a
 //! width per scheduled slice via [`PlanExchange::set_effective_fan_out`]
@@ -47,8 +47,8 @@
 //! * [`Budget::Time`] / [`Budget::Deadline`] are honored by wall clock with
 //!   a shared [`StopFlag`]: the first worker to observe the deadline raises
 //!   the flag, and every climber checks it once per hill-climbing step
-//!   (see [`Rmq::iterate_aborting`]) — so all workers (including stolen
-//!   batches on foreign pool threads) wind down within one climb step of
+//!   (see [`Rmq::iterate_aborting`]) — so all workers (including batches
+//!   running on other pool threads) wind down within one climb step of
 //!   the deadline instead of one full iteration.
 //!
 //! ## Adaptive exchange and partial-plan sharing
@@ -119,12 +119,12 @@
 //! [`ParRmq::frontier`] reduces them in worker order through exact
 //! `SigBetter` pruning — producing a frontier **bit-identical to the
 //! sequential union of the per-worker runs**, regardless of thread
-//! scheduling. On the pool, deterministic batches are **unstealable**
-//! (pinned to their deque; only their own session's waiting thread runs
-//! them), the exchange period stays fixed, and the effective fan-out is
-//! always the configured width — the mode is the differential oracle, so
-//! its schedule must stay inert. The differential test suite pins the
-//! equivalence against literally-sequential reference runs.
+//! scheduling. On the pool, deterministic batches are ordinary batch tasks:
+//! any worker may run them, since each worker's RNG stream and iteration
+//! share are fixed up front. The exchange period stays fixed, and the
+//! effective fan-out is always the configured width. The differential test
+//! suite pins the equivalence against literally-sequential reference runs,
+//! on scoped threads and on the pool.
 //!
 //! ## When to prefer `ParRmq` over per-session parallelism
 //!
@@ -186,8 +186,8 @@ pub struct ParRmqConfig {
     /// [`AdaptiveExchange`]). Ignored (no exchange) in deterministic mode.
     pub exchange_period: u64,
     /// Deterministic reduction mode: no mid-run exchange, static iteration
-    /// split, no stealing, frontier bit-identical to the sequential union
-    /// of the per-worker runs (see the crate docs).
+    /// split, frontier bit-identical to the sequential union of the
+    /// per-worker runs (see the crate docs).
     pub deterministic: bool,
 }
 
@@ -316,7 +316,7 @@ fn run_chunk<M: CostModel>(
             let completed = match plan {
                 // Deadline iterations run guarded: the abort condition is
                 // re-checked inside the climb, bounding overshoot to one
-                // step — also on pool threads running stolen batches.
+                // step — on whichever pool thread runs the batch.
                 WorkPlan::Until(abort) => worker.rmq.iterate_aborting(abort).is_some(),
                 _ => {
                     worker.rmq.iterate();
@@ -395,19 +395,24 @@ fn flush_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     }
 }
 
-/// The scoped-thread worker body (standalone mode): iterate until the plan
-/// is exhausted, then flush ([`flush_point`]). Returns iterations completed.
-fn run_worker<M: CostModel>(
+/// One climb batch of worker `w`, the body both dispatch paths share: up
+/// to `max_iters` iterations under a batch span made ambient for the
+/// exchange spans inside it, then the flush ([`flush_point`]) once the plan
+/// is exhausted. Returns whether it is.
+fn run_batch<M: CostModel>(
+    w: usize,
     worker: &mut Worker<M>,
-    mut plan: WorkPlan,
+    plan: &mut WorkPlan,
+    max_iters: u64,
     exchange: Option<&ExchangeCtx<'_>>,
-) -> u64 {
+) -> bool {
+    // Journal events carry the worker id (1-based; 0 = unset).
+    moqo_obs::ctx::set_worker(w as u32 + 1);
     let mut span = spans::begin(SpanKind::Batch, SpanId::NONE);
-    // Make the batch span ambient so exchange spans inside the chunk
-    // parent to it (restored below; elided entirely when tracing is off).
+    // Restored below; elided entirely when tracing is off.
     let prev = span.as_ref().map(|s| spans::set_current(s.id()));
-    let (done, _) = run_chunk(worker, &mut plan, u64::MAX, exchange);
-    if let Some(ex) = exchange {
+    let (done, finished) = run_chunk(worker, plan, max_iters, exchange);
+    if let (true, Some(ex)) = (finished, exchange) {
         flush_point(worker, ex);
     }
     if let Some(prev) = prev {
@@ -417,7 +422,7 @@ fn run_worker<M: CostModel>(
         s.set_arg(done);
     }
     spans::finish(span);
-    done
+    finished
 }
 
 /// The parallel RMQ optimizer (see the crate docs).
@@ -542,17 +547,22 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         }
     }
 
-    /// Standalone execution: one scoped OS thread per active worker.
-    fn optimize_scoped(&mut self, budget: Budget, start: Instant) {
-        let cfg = self.cfg;
-        let active = if cfg.deterministic {
-            cfg.workers
+    /// Workers active in the next round: the granted width in live mode,
+    /// the configured width in deterministic mode.
+    fn width(&self) -> usize {
+        if self.cfg.deterministic {
+            self.cfg.workers
         } else {
             self.effective_workers
-        };
-        let mut plans = self.make_plans(budget, start, active);
-        let shared = Arc::clone(&self.shared);
-        let adaptive = Arc::clone(&self.adaptive);
+        }
+    }
+
+    /// Standalone execution: one scoped OS thread per active worker.
+    fn optimize_scoped(&mut self, budget: Budget, start: Instant) {
+        let active = self.width();
+        let det = self.cfg.deterministic;
+        let plans = self.make_plans(budget, start, active);
+        let (shared, adaptive) = (&*self.shared, &*self.adaptive);
         // Scoped threads start with an empty ambient span; hand them the
         // caller's so their batch spans parent to the enclosing session.
         let parent_span = spans::current();
@@ -560,24 +570,19 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             let handles: Vec<_> = self
                 .workers
                 .iter_mut()
-                .take(active)
-                .zip(plans.drain(..))
+                .zip(plans)
                 .enumerate()
-                .map(|(w, (worker, plan))| {
+                .map(|(w, (worker, mut plan))| {
                     let worker = worker.as_mut().expect("worker checked in");
-                    let (shared, adaptive) = (&shared, &adaptive);
                     s.spawn(move || {
-                        // Tag the thread's observability context so journal
-                        // events carry the worker id (1-based; 0 = unset).
-                        moqo_obs::ctx::set_worker(w as u32 + 1);
                         spans::set_current(parent_span);
                         let ex = ExchangeCtx {
                             shared,
                             adaptive,
                             wide: active > 1,
                         };
-                        let exchange = (!cfg.deterministic).then_some(&ex);
-                        run_worker(worker, plan, exchange);
+                        let exchange = (!det).then_some(&ex);
+                        run_batch(w, worker, &mut plan, u64::MAX, exchange);
                     })
                 })
                 .collect();
@@ -589,63 +594,33 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
 
     /// Pooled execution: the fan-out becomes a group of resumable batch
     /// tasks on the shared executor; the calling (pool-worker) thread waits
-    /// by helping. Deterministic batches are pinned (unstealable).
+    /// by helping.
     fn optimize_pooled(&mut self, pool: &PoolHandle, budget: Budget, start: Instant) {
-        let cfg = self.cfg;
-        let active = if cfg.deterministic {
-            cfg.workers
-        } else {
-            self.effective_workers
-        };
-        let mut plans = self.make_plans(budget, start, active);
-        let spec = if cfg.deterministic {
-            TaskSpec::pinned_batch()
-        } else {
-            TaskSpec::batch()
-        };
-        let batch = cfg.batch.max(1);
+        let active = self.width();
+        let det = self.cfg.deterministic;
+        let batch = self.cfg.batch.max(1);
+        let plans = self.make_plans(budget, start, active);
         let checked_in: Arc<Mutex<Vec<Option<Worker<M>>>>> =
             Arc::new(Mutex::new((0..active).map(|_| None).collect()));
         let group = pool.group();
-        for (w, plan) in plans.drain(..).enumerate() {
+        for (w, mut plan) in plans.into_iter().enumerate() {
             let mut slot = self.workers[w].take();
-            let mut plan = plan;
             let checked_in = Arc::clone(&checked_in);
             let shared = Arc::clone(&self.shared);
             let adaptive = Arc::clone(&self.adaptive);
-            let det = cfg.deterministic;
-            pool.spawn_in(&group, spec, move || {
+            pool.spawn_in(&group, TaskSpec::batch(), move || {
                 let worker = slot.as_mut().expect("worker moved into this task");
-                moqo_obs::ctx::set_worker(w as u32 + 1);
-                // One batch span per invocation: the executor installed the
-                // spawner's ambient span, so even a stolen batch parents to
-                // the session that fanned it out.
-                let mut span = spans::begin(SpanKind::Batch, SpanId::NONE);
-                let prev = span.as_ref().map(|s| spans::set_current(s.id()));
                 let ex = ExchangeCtx {
                     shared: &shared,
                     adaptive: &adaptive,
                     wide: active > 1,
                 };
                 let exchange = (!det).then_some(&ex);
-                let (done, finished) = run_chunk(worker, &mut plan, batch, exchange);
-                if let Some(s) = span.as_mut() {
-                    s.set_arg(done);
-                }
-                if !finished {
-                    if let Some(prev) = prev {
-                        spans::set_current(prev);
-                    }
-                    spans::finish(span);
+                // The executor installed the spawner's ambient span, so the
+                // batch span parents to the session on any worker.
+                if !run_batch(w, worker, &mut plan, batch, exchange) {
                     return TaskStatus::Yield;
                 }
-                if !det {
-                    flush_point(worker, &ex);
-                }
-                if let Some(prev) = prev {
-                    spans::set_current(prev);
-                }
-                spans::finish(span);
                 checked_in.lock().unwrap()[w] = slot.take();
                 TaskStatus::Done
             });
@@ -768,12 +743,7 @@ impl<M: CostModel + Clone + Send + 'static> Optimizer for ParRmq<M> {
     /// the active workers (claimed dynamically in live mode, split
     /// statically over the full width in deterministic mode).
     fn step(&mut self) -> bool {
-        let width = if self.cfg.deterministic {
-            self.cfg.workers
-        } else {
-            self.effective_workers
-        };
-        let round = self.cfg.batch.max(1) * width as u64;
+        let round = self.cfg.batch.max(1) * self.width() as u64;
         self.optimize(Budget::Iterations(round));
         true
     }

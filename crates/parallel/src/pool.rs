@@ -1,55 +1,50 @@
-//! The shared work-stealing executor: one pool for every session and every
-//! intra-query worker.
+//! The shared executor: one pool for every session and every intra-query
+//! worker, scheduling from one run queue.
 //!
 //! The unit of work is a **climb batch**: a task is a resumable closure
 //! that runs at most one batch of hill-climbing iterations per invocation
 //! and returns [`TaskStatus::Yield`] (more work left) or
-//! [`TaskStatus::Done`]. Scheduling is classic work stealing adapted to the
-//! crate's `#![deny(unsafe_code)]` policy — per-worker deques are
-//! `Mutex<VecDeque>` rather than Chase–Lev arrays, which is the right
-//! trade here because tasks are batch-granular (hundreds of microseconds to
-//! milliseconds), so queue operations are far off the hot path:
+//! [`TaskStatus::Done`]. A batch takes hundreds of microseconds to
+//! milliseconds, so every queued task sits behind one mutex and every
+//! waiting thread parks on one condvar; queue operations are far off the
+//! hot path:
 //!
 //! ```text
-//!            submit()                 spawn_in() from a pool worker
-//!               │                            │
-//!               ▼                            ▼
-//!          ┌─────────┐   pop-front   ┌──────────────┐
-//!          │injector │──────────────▶│ worker deque │◀─ yield re-push
-//!          └─────────┘               └──────┬───────┘   (own back)
-//!               ▲                           │ steal-on-idle
-//!               │                           ▼
-//!        external threads          other idle workers
+//!      spawn() from outside        yield, or spawn() on a pool worker
+//!               │                                │
+//!               ▼                                ▼
+//!         ┌───────────┐                  ┌───────────────┐
+//!         │fresh lane │                  │ resident lane │
+//!         └─────┬─────┘                  └───────┬───────┘
+//!               └──────── one Mutex<Queues> ─────┘
+//!                  │                        │
+//!       pool workers: fresh,       helpers (help_until): own group,
+//!       then resident              then helpable foreign tasks
 //! ```
 //!
-//! * A pool worker takes, in order: the **injector** (global FIFO — new
-//!   sessions are admitted oldest-first), its **own deque** (front;
-//!   yielded tasks re-enter at the back, so a worker round-robins its
-//!   resident tasks), and finally **steals** the oldest *stealable* task
-//!   from another worker's deque (`exec_pool.steals`).
+//! * A pool worker takes the oldest **fresh** task (new sessions are
+//!   admitted oldest-first), else the oldest **resident** one. A yielded
+//!   task re-enters at the back of the resident lane, so the workers
+//!   round-robin the resident tasks. A worker that takes a group task
+//!   counts `exec_pool.steals`: that batch runs on a thread other than its
+//!   group's waiting helper.
 //! * A thread that must wait for a [`TaskGroup`] (e.g. a `ParRmq` round
 //!   fanned out as sub-tasks) never blocks idle: [`PoolHandle::help_until`]
 //!   runs its own group's tasks first and otherwise **donates** batches to
 //!   foreign groups (`exec_pool.donations`), so a waiting wide session is
-//!   itself a worker.
-//! * Tasks submitted with `stealable: false` (deterministic-mode `ParRmq`
-//!   splits) never migrate between worker deques; only their own group's
-//!   helper may claim them from afar. Determinism never *depends* on this —
-//!   per-worker RNG streams are thread-independent — but it keeps the
-//!   deterministic mode's scheduling inert, as its differential-oracle role
-//!   demands.
+//!   itself a worker. With nothing to claim it parks on the pool's condvar
+//!   until a task is queued or its group's last task completes.
 //!
 //! Worker threads advertise the pool through a thread local;
 //! [`ExecPool::current`] is how `ParRmq` discovers it is being stepped *on*
 //! the pool (by the optimization service) and routes its fan-out through
 //! shared workers instead of spawning private scoped threads.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use moqo_obs::metrics;
 use moqo_obs::spans::{self, SpanId, SpanKind};
@@ -66,9 +61,6 @@ pub enum TaskStatus {
 /// Scheduling attributes of a task.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskSpec {
-    /// Whether idle workers may steal the task off another worker's deque.
-    /// Deterministic-mode splits set `false` to keep scheduling inert.
-    pub stealable: bool,
     /// Whether a helper waiting on a *different* group may run the task as
     /// a donation. Leaf batch tasks set `true`; tasks that may themselves
     /// wait on a group (session slices) must set `false`, which bounds the
@@ -77,56 +69,54 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// A leaf climb-batch task: stealable and donation-eligible.
+    /// A leaf climb-batch task: donation-eligible.
     pub fn batch() -> Self {
-        TaskSpec {
-            stealable: true,
-            helpable: true,
-        }
-    }
-
-    /// A deterministic-mode batch: pinned to its deque, claimable only by
-    /// its own group's helper.
-    pub fn pinned_batch() -> Self {
-        TaskSpec {
-            stealable: false,
-            helpable: false,
-        }
+        TaskSpec { helpable: true }
     }
 
     /// A top-level task that may itself fan out and wait on a group (a
-    /// service session slice): stealable between workers, but never run
-    /// inside another task's helping wait.
+    /// service session slice): never run inside another task's helping
+    /// wait.
     pub fn root() -> Self {
-        TaskSpec {
-            stealable: true,
-            helpable: false,
-        }
+        TaskSpec { helpable: false }
     }
 }
 
 struct Task {
     run: Box<dyn FnMut() -> TaskStatus + Send>,
     spec: TaskSpec,
-    /// Group membership: `0` = none. Kept separately from `group` so
-    /// helpers can match without touching the `Arc`.
-    group_id: u64,
     group: Option<Arc<GroupInner>>,
     /// The spawner's ambient span, captured at submission when tracing is
     /// enabled ([`SpanId::NONE`] otherwise). The executor re-installs it as
     /// the running thread's ambient span around every invocation, so spans
-    /// begun inside a stolen or donated batch still parent to the session
-    /// that spawned the work — causality survives migration.
+    /// begun inside a batch still parent to the session that spawned the
+    /// work, whichever thread runs it.
     span: SpanId,
 }
 
-/// The spawner's ambient span when tracing is on; the disabled path is the
-/// one relaxed load of [`spans::enabled`].
-fn spawn_span() -> SpanId {
-    if spans::enabled() {
-        spans::current()
-    } else {
-        SpanId::NONE
+impl Task {
+    fn new(
+        run: impl FnMut() -> TaskStatus + Send + 'static,
+        spec: TaskSpec,
+        group: Option<Arc<GroupInner>>,
+    ) -> Self {
+        // The disabled path is the one relaxed load of `spans::enabled`.
+        let span = if spans::enabled() {
+            spans::current()
+        } else {
+            SpanId::NONE
+        };
+        Task {
+            run: Box::new(run),
+            spec,
+            group,
+            span,
+        }
+    }
+
+    /// The owning group's id; `0` = none.
+    fn group_id(&self) -> u64 {
+        self.group.as_ref().map_or(0, |g| g.id)
     }
 }
 
@@ -134,17 +124,6 @@ struct GroupInner {
     id: u64,
     /// Tasks spawned into the group that have not yet reported `Done`.
     remaining: AtomicUsize,
-    lock: Mutex<()>,
-    cond: Condvar,
-}
-
-impl GroupInner {
-    fn complete_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock().unwrap();
-            self.cond.notify_all();
-        }
-    }
 }
 
 /// A completion latch over a set of tasks spawned with
@@ -162,187 +141,127 @@ impl TaskGroup {
     pub fn is_done(&self) -> bool {
         self.inner.remaining.load(Ordering::Acquire) == 0
     }
-
-    /// Briefly parks the calling thread until the group *may* be done (a
-    /// completion notification or a short timeout). Used between helping
-    /// attempts; never a substitute for [`PoolHandle::help_until`].
-    fn wait_brief(&self) {
-        let guard = self.inner.lock.lock().unwrap();
-        if !self.is_done() {
-            let _ = self
-                .inner
-                .cond
-                .wait_timeout(guard, Duration::from_micros(200))
-                .unwrap();
-        }
-    }
 }
 
 thread_local! {
     /// The pool whose worker loop is running on this thread, if any.
     static CURRENT_POOL: RefCell<Option<Weak<PoolInner>>> = const { RefCell::new(None) };
-    /// This thread's worker index within [`CURRENT_POOL`].
-    static CURRENT_WORKER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// Every queued task, behind the pool's one lock.
+struct Queues {
+    /// Tasks spawned from outside the pool, oldest first.
+    fresh: VecDeque<Task>,
+    /// Yielded tasks and tasks spawned on a pool worker, oldest first.
+    resident: VecDeque<Task>,
+    shutdown: bool,
+}
+
+impl Queues {
+    /// A pool worker's next task: the oldest fresh one, else the oldest
+    /// resident one.
+    fn pop(&mut self) -> Option<Task> {
+        self.fresh.pop_front().or_else(|| self.resident.pop_front())
+    }
+
+    /// The oldest task matching `pred`, fresh lane first.
+    fn take(&mut self, pred: impl Fn(&Task) -> bool) -> Option<Task> {
+        for lane in [&mut self.fresh, &mut self.resident] {
+            if let Some(pos) = lane.iter().position(&pred) {
+                return lane.remove(pos);
+            }
+        }
+        None
+    }
+}
+
+/// Tasks never run under the queue lock, so only a panic inside this
+/// module's own short critical sections could poison it.
+const POISONED: &str = "a panic inside the pool's queue lock";
+
 struct PoolInner {
-    /// Per-worker deques (resident tasks; steal targets).
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Global FIFO for external submissions and helper re-queues.
-    injector: Mutex<VecDeque<Task>>,
-    /// Parking condvar, paired with the injector mutex.
-    park: Condvar,
-    /// Tasks currently sitting in the injector or any deque. Pushers bump
-    /// it *before* notifying; parkers re-check it under the injector lock,
-    /// which closes the missed-wakeup race.
-    pending: AtomicUsize,
-    shutdown: AtomicBool,
+    queues: Mutex<Queues>,
+    /// Parks idle workers and helpers with nothing to claim. Notified on
+    /// every push, on every group's last completion, and at shutdown.
+    wake: Condvar,
+    workers: usize,
     next_group: AtomicU64,
 }
 
 impl PoolInner {
-    fn push_task(&self, task: Task, prefer: Option<usize>) {
-        match prefer {
-            Some(w) if w < self.deques.len() => {
-                self.deques[w].lock().unwrap().push_back(task);
-            }
-            _ => {
-                self.injector.lock().unwrap().push_back(task);
-            }
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        // Notify under the injector lock so a parker that checked `pending`
-        // before our increment is already inside `wait` and gets woken.
-        let _guard = self.injector.lock().unwrap();
-        self.park.notify_one();
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().expect(POISONED)
     }
 
-    fn take_pending(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
+    /// Parks the caller until the next wake; returns the re-taken lock.
+    fn park<'a>(&self, queues: MutexGuard<'a, Queues>) -> MutexGuard<'a, Queues> {
+        self.wake.wait(queues).expect(POISONED)
     }
 
-    /// Next task for pool worker `me`: injector, own deque, then steal.
-    fn next_task(&self, me: usize) -> Option<Task> {
-        if let Some(task) = self.injector.lock().unwrap().pop_front() {
-            self.take_pending();
-            return Some(task);
-        }
-        if let Some(task) = self.deques[me].lock().unwrap().pop_front() {
-            self.take_pending();
-            return Some(task);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            let mut deque = self.deques[victim].lock().unwrap();
-            if let Some(pos) = deque.iter().position(|t| t.spec.stealable) {
-                let task = deque.remove(pos).expect("position is in range");
-                drop(deque);
-                self.take_pending();
-                metrics().exec_pool_steals.incr();
-                // Link the migration into the stolen task's causal tree:
-                // arg packs (stealer + 1) << 32 | (victim + 1), pool-worker
-                // indices 1-based so 0 keeps meaning "unknown".
-                spans::instant(
-                    SpanKind::Steal,
-                    task.span,
-                    ((me as u64 + 1) << 32) | (victim as u64 + 1),
-                );
-                return Some(task);
+    fn push(&self, task: Task, resident: bool) {
+        {
+            let mut queues = self.lock();
+            if resident {
+                queues.resident.push_back(task);
+            } else {
+                queues.fresh.push_back(task);
             }
         }
-        None
+        // Every parked thread re-checks: a woken helper may be unable to
+        // claim the task (a root task, or its own group just finished), so
+        // waking only one could strand the task while a worker sleeps.
+        self.wake.notify_all();
     }
 
-    /// Next task for a helper waiting on group `gid`: its own group's tasks
-    /// from anywhere first (work conservation — not a steal), then any
-    /// donation-eligible foreign task. Returns the task and whether running
-    /// it is a donation.
-    fn claim_for_helper(&self, gid: u64) -> Option<(Task, bool)> {
-        let take = |queue: &Mutex<VecDeque<Task>>, pred: &dyn Fn(&Task) -> bool| {
-            let mut queue = queue.lock().unwrap();
-            let pos = queue.iter().position(pred)?;
-            queue.remove(pos)
-        };
-        let own: &dyn Fn(&Task) -> bool = &|t: &Task| t.group_id == gid;
-        for queue in std::iter::once(&self.injector).chain(self.deques.iter()) {
-            if let Some(task) = take(queue, own) {
-                self.take_pending();
-                return Some((task, false));
-            }
+    /// Credits `group` with one finished task; the last one wakes its
+    /// parked helper. Taking the lock first orders the wake after any
+    /// helper's check-then-park, so the wake cannot be lost.
+    fn complete(&self, group: &GroupInner) {
+        if group.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            drop(self.lock());
+            self.wake.notify_all();
         }
-        let foreign: &dyn Fn(&Task) -> bool = &|t: &Task| t.spec.helpable;
-        for queue in std::iter::once(&self.injector).chain(self.deques.iter()) {
-            if let Some(task) = take(queue, foreign) {
-                self.take_pending();
-                return Some((task, true));
-            }
-        }
-        None
     }
 
-    /// Runs one task invocation; re-queues on yield (to `requeue_to`'s
-    /// deque when given, else the injector), credits the group on done.
-    fn run_task(&self, mut task: Task, requeue_to: Option<usize>) {
+    /// Runs one task invocation; re-queues it on yield, credits its group
+    /// on done.
+    fn run(&self, mut task: Task) {
         metrics().exec_pool_batches.incr();
         // Re-install the spawner's ambient span for the invocation so
-        // spans begun inside the task parent correctly even after a steal
-        // or donation; restore the runner's own ambient span afterwards.
-        let prev = if spans::enabled() {
-            Some(spans::set_current(task.span))
-        } else {
-            None
-        };
+        // spans begun inside the task parent correctly on any thread;
+        // restore the runner's own ambient span afterwards.
+        let prev = spans::enabled().then(|| spans::set_current(task.span));
         let status = (task.run)();
         if let Some(prev) = prev {
             spans::set_current(prev);
         }
         match status {
-            TaskStatus::Yield => self.push_task(task, requeue_to),
+            TaskStatus::Yield => self.push(task, true),
             TaskStatus::Done => {
                 if let Some(group) = task.group.take() {
-                    group.complete_one();
+                    self.complete(&group);
                 }
             }
         }
     }
 
-    fn worker_loop(self: &Arc<Self>, me: usize) {
+    fn worker_loop(self: &Arc<Self>) {
         CURRENT_POOL.with(|c| *c.borrow_mut() = Some(Arc::downgrade(self)));
-        CURRENT_WORKER.with(|c| c.set(Some(me)));
+        let mut queues = self.lock();
         loop {
-            if let Some(task) = self.next_task(me) {
-                self.run_task(task, Some(me));
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
+            if let Some(task) = queues.pop() {
+                drop(queues);
+                if task.group.is_some() {
+                    metrics().exec_pool_steals.incr();
+                }
+                self.run(task);
+                queues = self.lock();
+            } else if queues.shutdown {
                 return;
-            }
-            let guard = self.injector.lock().unwrap();
-            if self.pending.load(Ordering::SeqCst) == 0 && !self.shutdown.load(Ordering::Acquire) {
-                // Timed, not indefinite: belt-and-braces against any wakeup
-                // path this module grows later.
-                let _ = self
-                    .park
-                    .wait_timeout(guard, Duration::from_millis(10))
-                    .unwrap();
+            } else {
+                queues = self.park(queues);
             }
         }
-    }
-
-    /// Pops any queued task (shutdown drain).
-    fn pop_any(&self) -> Option<Task> {
-        if let Some(task) = self.injector.lock().unwrap().pop_front() {
-            self.take_pending();
-            return Some(task);
-        }
-        for deque in &self.deques {
-            if let Some(task) = deque.lock().unwrap().pop_front() {
-                self.take_pending();
-                return Some(task);
-            }
-        }
-        None
     }
 }
 
@@ -355,13 +274,13 @@ pub struct PoolHandle {
 impl PoolHandle {
     /// Number of pool worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.deques.len()
+        self.inner.workers
     }
 
-    /// Tasks currently queued (injector + deques), excluding tasks being
-    /// executed right now.
+    /// Tasks currently queued, excluding tasks being executed right now.
     pub fn queued_tasks(&self) -> usize {
-        self.inner.pending.load(Ordering::SeqCst)
+        let queues = self.inner.lock();
+        queues.fresh.len() + queues.resident.len()
     }
 
     /// Creates an empty task group.
@@ -370,32 +289,26 @@ impl PoolHandle {
             inner: Arc::new(GroupInner {
                 id: self.inner.next_group.fetch_add(1, Ordering::Relaxed) + 1,
                 remaining: AtomicUsize::new(0),
-                lock: Mutex::new(()),
-                cond: Condvar::new(),
             }),
         }
     }
 
-    /// Submits a free-standing resumable task (no group). When called from
-    /// a pool worker the task lands on that worker's deque (locality);
-    /// otherwise it enters the global injector.
-    pub fn spawn(&self, spec: TaskSpec, run: impl FnMut() -> TaskStatus + Send + 'static) {
-        self.inner.push_task(
-            Task {
-                run: Box::new(run),
-                spec,
-                group_id: 0,
-                group: None,
-                span: spawn_span(),
-            },
-            current_worker_of(&self.inner),
-        );
+    /// Whether the calling thread is one of this pool's workers, whose
+    /// spawns enter the resident lane.
+    fn on_pool(&self) -> bool {
+        ExecPool::current().is_some_and(|p| Arc::ptr_eq(&p.inner, &self.inner))
     }
 
-    /// Submits a task into `group`; the group completes when every spawned
-    /// task has returned [`TaskStatus::Done`]. Spawned from a pool worker,
-    /// the task lands on that worker's own deque (steal targets for idle
-    /// workers); otherwise it enters the injector.
+    /// Submits a free-standing resumable task (no group): into the fresh
+    /// lane from outside the pool, into the resident lane from a pool
+    /// worker.
+    pub fn spawn(&self, spec: TaskSpec, run: impl FnMut() -> TaskStatus + Send + 'static) {
+        self.inner.push(Task::new(run, spec, None), self.on_pool());
+    }
+
+    /// Submits a task into `group`, queued like [`PoolHandle::spawn`]; the
+    /// group completes when every spawned task has returned
+    /// [`TaskStatus::Done`].
     pub fn spawn_in(
         &self,
         group: &TaskGroup,
@@ -403,16 +316,8 @@ impl PoolHandle {
         run: impl FnMut() -> TaskStatus + Send + 'static,
     ) {
         group.inner.remaining.fetch_add(1, Ordering::AcqRel);
-        self.inner.push_task(
-            Task {
-                run: Box::new(run),
-                spec,
-                group_id: group.inner.id,
-                group: Some(Arc::clone(&group.inner)),
-                span: spawn_span(),
-            },
-            current_worker_of(&self.inner),
-        );
+        let task = Task::new(run, spec, Some(Arc::clone(&group.inner)));
+        self.inner.push(task, self.on_pool());
     }
 
     /// Waits for `group` to complete by **helping**: the calling thread
@@ -420,35 +325,28 @@ impl PoolHandle {
     /// groups when its own group's tasks are all in flight elsewhere. This
     /// is the only wait primitive — it keeps a saturated pool deadlock-free
     /// (a worker waiting on sub-tasks executes them) and turns waiting wide
-    /// sessions into extra workers.
+    /// sessions into extra workers. With nothing to claim, the thread parks
+    /// until a task is queued or the group's last task completes.
     pub fn help_until(&self, group: &TaskGroup) {
+        let gid = group.inner.id;
+        let mut queues = self.inner.lock();
         while !group.is_done() {
-            match self.inner.claim_for_helper(group.inner.id) {
-                Some((task, donation)) => {
-                    if donation {
-                        metrics().exec_pool_donations.incr();
-                        spans::instant(SpanKind::Donation, task.span, task.group_id);
-                    }
-                    self.inner.run_task(task, current_worker_of(&self.inner));
-                }
-                None => group.wait_brief(),
+            let claimed = match queues.take(|t| t.group_id() == gid) {
+                Some(task) => Some((task, false)),
+                None => queues.take(|t| t.spec.helpable).map(|t| (t, true)),
+            };
+            let Some((task, donation)) = claimed else {
+                queues = self.inner.park(queues);
+                continue;
+            };
+            drop(queues);
+            if donation {
+                metrics().exec_pool_donations.incr();
+                spans::instant(SpanKind::Donation, task.span, task.group_id());
             }
+            self.inner.run(task);
+            queues = self.inner.lock();
         }
-    }
-}
-
-/// Returns the calling thread's worker index if it is a worker of `inner`.
-fn current_worker_of(inner: &Arc<PoolInner>) -> Option<usize> {
-    let ours = CURRENT_POOL.with(|c| {
-        c.borrow()
-            .as_ref()
-            .and_then(Weak::upgrade)
-            .is_some_and(|p| Arc::ptr_eq(&p, inner))
-    });
-    if ours {
-        CURRENT_WORKER.with(Cell::get)
-    } else {
-        None
     }
 }
 
@@ -465,11 +363,13 @@ impl ExecPool {
     /// or [`ExecPool::shutdown`] (admission tests, manual draining).
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(PoolInner {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            park: Condvar::new(),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
+            queues: Mutex::new(Queues {
+                fresh: VecDeque::new(),
+                resident: VecDeque::new(),
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+            workers,
             next_group: AtomicU64::new(0),
         });
         let threads = (0..workers)
@@ -477,7 +377,7 @@ impl ExecPool {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("moqo-exec-{i}"))
-                    .spawn(move || inner.worker_loop(i))
+                    .spawn(move || inner.worker_loop())
                     .expect("spawn pool worker")
             })
             .collect();
@@ -506,31 +406,20 @@ impl ExecPool {
         })
     }
 
-    /// Shuts the pool down: workers finish draining the queues and exit;
+    /// Shuts the pool down: workers finish draining the queue and exit;
     /// any tasks left behind (or submitted to a zero-worker pool) are run
     /// to completion inline. Tasks are responsible for observing their
     /// external shutdown signals and finishing promptly once asked.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.inner.injector.lock().unwrap();
-            self.inner.park.notify_all();
-        }
+        self.inner.lock().shutdown = true;
+        self.inner.wake.notify_all();
         for thread in self.threads.lock().unwrap().drain(..) {
             let _ = thread.join();
         }
-        while let Some(mut task) = self.inner.pop_any() {
-            loop {
-                match (task.run)() {
-                    TaskStatus::Yield => continue,
-                    TaskStatus::Done => {
-                        if let Some(group) = task.group.take() {
-                            group.complete_one();
-                        }
-                        break;
-                    }
-                }
-            }
+        loop {
+            let next = self.inner.lock().pop();
+            let Some(task) = next else { break };
+            self.inner.run(task);
         }
     }
 }
@@ -544,7 +433,8 @@ impl Drop for ExecPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::time::{Duration, Instant};
 
     fn delta(read: impl Fn() -> u64, body: impl FnOnce()) -> u64 {
         let before = read();
@@ -552,16 +442,14 @@ mod tests {
         read().saturating_sub(before)
     }
 
-    /// Spin-waits (yielding) until `done` holds, with a generous timeout —
-    /// used where a task must run on a pool worker, so the test thread
-    /// cannot help without perturbing placement.
+    /// Spin-waits (yielding) until `done` holds, failing after 10 s — used
+    /// where a task must run on a pool worker, so the test thread cannot
+    /// help without perturbing placement, and so a lost wakeup fails the
+    /// test instead of hanging it.
     fn spin_until(done: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while !done() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "pool made no progress"
-            );
+            assert!(Instant::now() < deadline, "pool made no progress");
             std::thread::yield_now();
         }
     }
@@ -613,26 +501,30 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_batches() {
-        // One worker busy-holds the pool's attention with a long task while
-        // batches pile onto its deque; the other worker must steal them.
-        // The test thread never helps — placement must stay on the pool.
+    fn a_busy_workers_group_batches_run_on_the_idle_worker() {
+        // A root task spawns batches into the resident lane and then spins
+        // without helping, so the other worker's loop must take them. The
+        // test thread never helps — placement must stay on the pool.
         let pool = ExecPool::new(2);
         let handle = pool.handle();
+        let elsewhere = Arc::new(AtomicU32::new(0));
         let steals = delta(
             || metrics().exec_pool_steals.get(),
             || {
                 let done = Arc::new(AtomicBool::new(false));
-                // A root task that, once running on some worker, spawns its
-                // sub-tasks (landing on that worker's own deque) and then
-                // spins without helping until everything else finished —
-                // forcing the other worker to steal.
                 let inner_handle = handle.clone();
                 let inner_group = handle.group();
-                let done_in = Arc::clone(&done);
+                let (done_in, elsewhere_in) = (Arc::clone(&done), Arc::clone(&elsewhere));
                 handle.spawn(TaskSpec::root(), move || {
+                    let root = std::thread::current().id();
                     for _ in 0..6 {
-                        inner_handle.spawn_in(&inner_group, TaskSpec::batch(), || TaskStatus::Done);
+                        let elsewhere = Arc::clone(&elsewhere_in);
+                        inner_handle.spawn_in(&inner_group, TaskSpec::batch(), move || {
+                            if std::thread::current().id() != root {
+                                elsewhere.fetch_add(1, Ordering::SeqCst);
+                            }
+                            TaskStatus::Done
+                        });
                     }
                     while !inner_group.is_done() {
                         std::hint::spin_loop();
@@ -643,25 +535,133 @@ mod tests {
                 spin_until(|| done.load(Ordering::SeqCst));
             },
         );
-        assert!(steals > 0, "the idle worker must have stolen batches");
+        assert_eq!(elsewhere.load(Ordering::SeqCst), 6);
+        assert!(steals > 0, "the idle worker's loop must have taken batches");
         pool.shutdown();
     }
 
     #[test]
-    fn unstealable_tasks_stay_put_but_helpers_claim_them() {
-        let pool = ExecPool::new(1);
+    fn a_parked_helper_wakes_when_its_groups_last_task_completes_elsewhere() {
+        // The root task on one worker fans out one batch, waits until the
+        // other worker is running it, then parks in `help_until` with
+        // nothing to claim. Only the batch's completion can wake it.
+        let pool = ExecPool::new(2);
         let handle = pool.handle();
-        let group = handle.group();
-        let ran = Arc::new(AtomicU32::new(0));
-        for _ in 0..3 {
-            let ran = Arc::clone(&ran);
-            handle.spawn_in(&group, TaskSpec::pinned_batch(), move || {
-                ran.fetch_add(1, Ordering::SeqCst);
+        let (started, release, done) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (started_in, release_in, done_in) = (
+            Arc::clone(&started),
+            Arc::clone(&release),
+            Arc::clone(&done),
+        );
+        let inner_handle = handle.clone();
+        handle.spawn(TaskSpec::root(), move || {
+            let group = inner_handle.group();
+            let (started, release) = (Arc::clone(&started_in), Arc::clone(&release_in));
+            inner_handle.spawn_in(&group, TaskSpec::batch(), move || {
+                started.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 TaskStatus::Done
             });
+            while !started_in.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            inner_handle.help_until(&group);
+            done_in.store(true, Ordering::SeqCst);
+            TaskStatus::Done
+        });
+        spin_until(|| started.load(Ordering::SeqCst));
+        // Parking is not observable from here: the sleep makes a parked
+        // root the likely case when the batch completes. A root that has
+        // not parked yet finds the group done and passes too.
+        std::thread::sleep(Duration::from_millis(50));
+        release.store(true, Ordering::SeqCst);
+        spin_until(|| done.load(Ordering::SeqCst));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_task_spawned_while_every_worker_is_parked_runs() {
+        let pool = ExecPool::new(2);
+        let handle = pool.handle();
+        for _ in 0..3 {
+            // Idle long enough for both workers to park.
+            std::thread::sleep(Duration::from_millis(20));
+            let ran = Arc::new(AtomicBool::new(false));
+            let ran_in = Arc::clone(&ran);
+            handle.spawn(TaskSpec::root(), move || {
+                ran_in.store(true, Ordering::SeqCst);
+                TaskStatus::Done
+            });
+            spin_until(|| ran.load(Ordering::SeqCst));
         }
-        handle.help_until(&group);
-        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn queued_tasks_never_exceeds_outstanding_tasks() {
+        // Two spawners and two workers churn yielding tasks while a third
+        // thread samples `queued_tasks()`. A task is counted as spawned
+        // before it is queued and as finished after it left the queue, so
+        // reading `finished`, then the queue, then `spawned` bounds the
+        // sample by the tasks outstanding.
+        const PER_SPAWNER: u64 = 2000;
+        let pool = ExecPool::new(2);
+        let handle = pool.handle();
+        let spawned = Arc::new(AtomicU64::new(0));
+        let finished = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let sampler = {
+            let (handle, spawned, finished, stop) = (
+                handle.clone(),
+                Arc::clone(&spawned),
+                Arc::clone(&finished),
+                Arc::clone(&stop),
+            );
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let f = finished.load(Ordering::SeqCst);
+                    let queued = handle.queued_tasks() as u64;
+                    let s = spawned.load(Ordering::SeqCst);
+                    assert!(queued <= s - f, "{queued} queued, {} outstanding", s - f);
+                }
+            })
+        };
+        let spawners: Vec<_> = (0..2)
+            .map(|_| {
+                let (handle, spawned, finished) =
+                    (handle.clone(), Arc::clone(&spawned), Arc::clone(&finished));
+                std::thread::spawn(move || {
+                    for i in 0..PER_SPAWNER {
+                        let finished = Arc::clone(&finished);
+                        let mut left = 1 + i % 3;
+                        spawned.fetch_add(1, Ordering::SeqCst);
+                        handle.spawn(TaskSpec::root(), move || {
+                            left -= 1;
+                            if left > 0 {
+                                return TaskStatus::Yield;
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                            TaskStatus::Done
+                        });
+                    }
+                })
+            })
+            .collect();
+        for s in spawners {
+            s.join().unwrap();
+        }
+        spin_until(|| finished.load(Ordering::SeqCst) == 2 * PER_SPAWNER);
+        stop.store(true, Ordering::SeqCst);
+        sampler
+            .join()
+            .expect("the sampled queue length stayed bounded");
+        assert_eq!(handle.queued_tasks(), 0);
         pool.shutdown();
     }
 
@@ -688,13 +688,11 @@ mod tests {
     }
 
     #[test]
-    fn span_causality_survives_stealing() {
-        // An oversubscribed scenario: the root session task occupies one of
-        // the two workers and spins without helping, so every batch it
-        // spawned onto its own deque must be *stolen* by the other worker.
-        // Causality contract: batch spans begun on the stealing worker
-        // still parent to the session span, and every steal instant links
-        // into the session's tree with a stealer/victim pair.
+    fn span_causality_survives_cross_worker_batches() {
+        // The root session task occupies one of the two workers and spins
+        // without helping, so every batch it spawned must run on the other
+        // worker. Causality contract: those batch spans still parent to
+        // the session span.
         spans::set_capacity(1024);
         spans::drain();
         spans::enable();
@@ -734,26 +732,12 @@ mod tests {
             .iter()
             .filter(|r| r.kind == SpanKind::Batch)
             .collect();
-        assert_eq!(batches.len(), 6, "every stolen batch must record a span");
+        assert_eq!(batches.len(), 6, "every batch must record a span");
         for b in &batches {
             assert_eq!(
                 b.parent, session,
-                "a stolen batch must still parent to its session span"
+                "a batch run on another worker must still parent to its session span"
             );
-        }
-        let steals: Vec<_> = records
-            .iter()
-            .filter(|r| r.kind == SpanKind::Steal && r.parent == session)
-            .collect();
-        assert!(
-            !steals.is_empty(),
-            "the idle worker must have stolen session batches"
-        );
-        for s in steals {
-            let stealer = (s.arg >> 32) as u32;
-            let victim = (s.arg & 0xffff_ffff) as u32;
-            assert!(stealer >= 1 && victim >= 1, "packed 1-based indices");
-            assert_ne!(stealer, victim, "a steal links two distinct workers");
         }
     }
 

@@ -2,7 +2,7 @@
 //! contract (differential against literally-sequential reference runs),
 //! seed-determinism pins, deadline enforcement across threads, and the
 //! same contracts when sessions run as climb batches on the shared
-//! work-stealing executor.
+//! executor.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,10 +120,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Differential, executor edition: deterministic mode pins its climb
-    /// batches (no stealing), so running the session as a pool task must
-    /// produce the same bit-identical sequential union as the scoped
-    /// path — across seeds, fan-outs, and pool widths (including a pool
+    /// Differential, executor edition: deterministic batches are ordinary
+    /// pool tasks that any worker or helper may run, and running the
+    /// session as a pool task must still produce the same bit-identical
+    /// sequential union as the scoped path — across seeds, fan-outs, and pool widths (including a pool
     /// narrower than the fan-out, which forces batch queueing).
     #[test]
     fn deterministic_mode_on_the_pool_equals_sequential_union(
@@ -285,7 +285,7 @@ fn deadline_overruns_are_bounded_on_eight_workers() {
 fn deadline_is_bounded_on_an_oversubscribed_pool() {
     // The deadline satellite, executor edition: 8 sessions × fan-out 2 on
     // a 4-worker pool — four times as many climb batches as workers, so
-    // batches queue, get stolen, and get donated. Every batch checks the
+    // batches queue, run on other workers, and get donated. Every batch checks the
     // deadline per iteration, so the whole oversubscribed mix must still
     // land within 2× of a 50 ms deadline.
     let pool = ExecPool::new(4);
@@ -336,10 +336,10 @@ fn deadline_is_bounded_on_an_oversubscribed_pool() {
 }
 
 #[test]
-fn stop_flag_cancels_stolen_batches_on_the_pool() {
+fn stop_flag_cancels_batches_on_other_workers() {
     // Fan-out 4 on a 2-worker pool: the session's root task cannot run all
     // four climb batches itself, so at least some execute on the other
-    // worker via stealing or donation. Raising the stop flag must cancel
+    // worker, taken from the queue or donated. Raising the stop flag must cancel
     // those remotely-executing batches too — the run ends promptly even
     // though the deadline is half a minute out.
     let pool = ExecPool::new(2);

@@ -8,10 +8,10 @@
 //!
 //! * [`OptimizationService`] — a long-running scheduler running many
 //!   concurrent sessions cooperatively: every session is a resumable task
-//!   on one shared **work-stealing executor** (`moqo-parallel`'s
-//!   `ExecPool`), sliced round-robin; fanned-out sessions spread their
-//!   climb batches over the *same* pool, so idle workers steal work from
-//!   wide sessions instead of sitting behind per-session thread pools.
+//!   on one shared **executor** (`moqo-parallel`'s `ExecPool`, one run
+//!   queue), sliced round-robin; fanned-out sessions spread their climb
+//!   batches over the *same* pool, so idle workers pick up work from wide
+//!   sessions instead of sitting behind per-session thread pools.
 //! * [`SessionHandle`] — the client view: on-demand frontier snapshots,
 //!   epoch-numbered improvement notifications, a streaming
 //!   [`updates`](SessionHandle::updates) subscription, cancellation.
@@ -272,7 +272,7 @@ impl OptimizationService {
         }
         // Identity and causal root first: the session span opened here is
         // the parent every slice, climb batch, and exchange span of this
-        // session links back to, across executor steals and donations.
+        // session links back to, whichever worker or helper runs the work.
         let now = Instant::now();
         let id = SessionId(self.core.next_id.fetch_add(1, Ordering::Relaxed));
         ctx::set_session(id.0);

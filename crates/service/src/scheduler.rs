@@ -1,5 +1,5 @@
 //! The cooperative scheduler: every session is a resumable task on the
-//! shared work-stealing executor.
+//! shared executor.
 //!
 //! Each session becomes one recurring [`ExecPool`] task
 //! ([`session_tick`]): every invocation runs one bounded **slice** of its
@@ -15,7 +15,8 @@
 //! Because slices execute *on* pool workers, fanned-out optimizers
 //! (`ParRmq`) detect the ambient pool and spread their climb batches over
 //! the same workers instead of spawning private threads — idle workers
-//! steal the batches, and the session's waiting thread helps. Worker-slot
+//! take the batches from the pool's one run queue, and the session's
+//! waiting thread helps. Worker-slot
 //! accounting is **elastic**: slots are acquired per scheduled slice at
 //! whatever width is available ([`acquire_width`]) and released the moment
 //! the slice ends, so a session between slices holds nothing and a wide
@@ -91,9 +92,9 @@ pub(crate) struct ActiveSession {
     pub fan_out: usize,
     /// The session's causal root span (open from admission to
     /// finalization; `None` while tracing is disabled). Every slice span —
-    /// and, through the ambient span the executor propagates across
-    /// steals, every climb-batch and exchange span the session's work
-    /// produces — parents back to it.
+    /// and, through the ambient span the executor propagates to whichever
+    /// worker runs a batch, every climb-batch and exchange span the
+    /// session's work produces — parents back to it.
     pub span: Option<Span>,
 }
 
@@ -240,7 +241,7 @@ pub(crate) fn run_slice(core: &ServiceCore, sess: &mut ActiveSession) -> Option<
     };
     // The slice span parents to the session's root span; installing it as
     // the ambient span means every climb batch the optimizer spawns onto
-    // the pool inherits it — even when another worker steals the batch.
+    // the pool inherits it — even when another worker runs the batch.
     let mut slice_span = spans::begin(SpanKind::Slice, spans::id_of(&sess.span));
     let prev_span = slice_span.as_ref().map(|s| spans::set_current(s.id()));
     let slice_start = Instant::now();
