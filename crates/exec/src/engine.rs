@@ -133,7 +133,6 @@ fn flush_obs(stats: &ExecStats) {
     m.exec_runs.incr();
     m.exec_tuples.add(stats.tuples_processed);
     m.exec_spilled_rows.add(stats.spilled_rows);
-    m.exec_inner_rescans.add(stats.inner_rescans);
     m.exec_peak_buffer_rows.record(stats.peak_buffer_rows);
     if journal::enabled(Target::Exec, Level::Info) {
         let (tuples, spilled) = (stats.tuples_processed, stats.spilled_rows);

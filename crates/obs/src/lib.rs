@@ -59,6 +59,7 @@
 pub mod ctx;
 pub mod journal;
 pub mod metrics;
+mod ring;
 pub mod snapshot;
 pub mod spans;
 

@@ -2,10 +2,10 @@
 //! and fixed-bucket histograms, all `const`-constructible so the global
 //! registry lives in a `static` with zero initialization cost.
 //!
-//! Naming follows the conventional dotted scheme (`climb.rejected`,
-//! `exchange.merged`, …); [`Metrics::counters`] and
-//! [`Metrics::histograms`] enumerate every registered metric with its
-//! name, which is what [`crate::snapshot::ObsSnapshot`] exports.
+//! Every metric is declared once, in the `metrics!` invocation below, with
+//! a dotted name (`layer.quantity`); [`Metrics::counters`] and
+//! [`Metrics::histograms`] enumerate them with those names, which is what
+//! [`crate::snapshot::ObsSnapshot`] exports.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -289,338 +289,167 @@ impl Default for Histogram {
     }
 }
 
-/// The global metrics registry: every counter and histogram the
-/// instrumented crates bump, each with a stable dotted name.
-///
-/// `climb.*` counters are flushed once per RMQ iteration from plain
-/// per-iteration tallies (see `moqo-core`'s screening counters), so their
-/// values are deterministic for a seeded run — the bench harness pins them
-/// in its `obs` section to hard-pin hot-path behavior.
-#[derive(Debug)]
-pub struct Metrics {
-    /// RMQ iterations completed (aborted iterations are not counted).
-    pub rmq_iterations: ShardedCounter,
-    /// Candidates probed by the climb loop: each is costed and offered to
-    /// a step frontier once (sub-trees answered from the per-climb memo are
-    /// not re-counted).
-    pub climb_candidates: ShardedCounter,
-    /// Member comparisons of the climb's step frontiers that the
-    /// aggregate-key pre-filter resolved without a component compare: on
-    /// the member scan (below the block-index crossover), members whose
-    /// cached key alone ruled dominance out; on a block-indexed format, the
-    /// lanes of key-skipped blocks. Always 0 under the default
-    /// one-per-format climb, which compares one member per candidate.
-    pub climb_agg_key_skips: ShardedCounter,
-    /// Component-wise dominance compares of the climb's step frontiers: on
-    /// the member scan, one per member compared (one per candidate whose
-    /// format is present under the default one-per-format climb); on a
-    /// block-indexed format, the lanes of screened blocks.
-    pub climb_dominance_tests: ShardedCounter,
-    /// Candidates rejected as dominated (or duplicate) by a frontier.
-    pub climb_rejected: ShardedCounter,
-    /// Candidates admitted into a frontier.
-    pub climb_admitted: ShardedCounter,
-    /// Incumbent members evicted by an admitted candidate.
-    pub climb_evicted: ShardedCounter,
-    /// Structure-of-arrays blocks screened by the Pareto block kernels
-    /// (blocks the aggregate-key range filter could not skip). 0 unless
-    /// some frontier is past the block-index crossover
-    /// (`moqo_core::pareto::SOA_CROSSOVER` members × dimension): below it,
-    /// admission scans members and screens no blocks.
-    pub pareto_blocks_screened: ShardedCounter,
-    /// Candidates rejected by the ε-box archive rule that exact dominance
-    /// would have admitted (precision-driven rejections).
-    pub pareto_eps_rejects: ShardedCounter,
-    /// Current query-frontier (archive) size of the most recently flushed
-    /// optimizer iteration.
-    pub pareto_archive_size: Gauge,
-    /// Plan-arena intern requests that allocated a new node.
-    pub arena_interns: ShardedCounter,
-    /// Plan-arena intern requests answered by an existing node.
-    pub arena_dedup_hits: ShardedCounter,
-    /// Warm-start plans an optimizer parked: accepted for a table set it had
-    /// not touched yet, at the cost of one `Arc` clone (`Rmq::warm_start`).
-    /// Flushed per iteration, so a session that never iterates adds nothing.
-    pub warm_parked: ShardedCounter,
-    /// Parked plans offered to the plan cache because a climbed plan
-    /// contained their table set. `warm.imported / warm.parked` is how much
-    /// of the warm start this traffic ever used.
-    pub warm_imported: ShardedCounter,
-    /// Shared-frontier publish calls.
-    pub exchange_publishes: Counter,
-    /// Plans offered to the shared frontier across all publishes.
-    pub exchange_offered: Counter,
-    /// Offered plans that were admitted (merged) into the global frontier.
-    pub exchange_merged: Counter,
-    /// Snapshot epoch bumps (one per publish that admitted anything).
-    pub exchange_epochs: Counter,
-    /// Plans workers accepted out of the shared frontier's delta log —
-    /// admitted into a live cache frontier at once, or parked until the
-    /// worker touches their table set (`Rmq::warm_start`): full-query and
-    /// sub-query survivors that *another* worker published since the
-    /// absorber last looked (a worker never reads its own entries back).
-    pub exchange_absorbed: Counter,
-    /// Sub-query (partial-plan) frontier members offered to the shared
-    /// frontier's table-set-keyed partial exchange. A worker offers a
-    /// member once — at the first publish after its cache admitted it — so
-    /// this tracks admissions, not cache size × publishes.
-    pub exchange_partial_offered: Counter,
-    /// Offered partial plans admitted into a shared sub-query frontier.
-    pub exchange_partial_merged: Counter,
-    /// Current exchange backoff level of the most recent adaptive-exchange
-    /// decision (`0` = base period; level `k` = period `base << k`).
-    pub exchange_backoff_level: Gauge,
-    /// Climb batches executed by the shared executor (every task
-    /// invocation runs at most one batch).
-    pub exec_pool_batches: ShardedCounter,
-    /// Group tasks a pool worker's loop took from the run queue: batches
-    /// that ran on a thread other than their group's waiting helper.
-    pub exec_pool_steals: Counter,
-    /// Batches a waiting helper donated to a *foreign* task group while
-    /// its own group drained (idle-wait work conservation).
-    pub exec_pool_donations: Counter,
-    /// Sessions admitted by the service.
-    pub service_submitted: Counter,
-    /// Submissions rejected: live-session bound reached.
-    pub service_rejected_queue_full: Counter,
-    /// Submissions rejected: worker-slot bound would be exceeded.
-    pub service_rejected_no_slots: Counter,
-    /// Submissions rejected: service shutting down.
-    pub service_rejected_shutdown: Counter,
-    /// Sessions that finished (any done reason).
-    pub service_completed: Counter,
-    /// Finished sessions that were cancelled or aborted by shutdown.
-    pub service_cancelled: Counter,
-    /// Cross-query cache lookups that returned warm-start plans.
-    pub cache_hits: Counter,
-    /// Cross-query cache lookups that returned nothing.
-    pub cache_misses: Counter,
-    /// Span records pushed into the tracing ring (spans and instants).
-    pub spans_recorded: Counter,
-    /// Span records evicted because the tracing ring was full.
-    pub spans_dropped: Counter,
-    /// Journal events overwritten because the journal ring was full (or
-    /// trimmed by a smaller capacity) before anyone drained them.
-    pub journal_dropped: Counter,
-    /// Observed p99 time-to-first-frontier of the SLO monitor's sliding
-    /// window, microseconds (0 until the monitor has samples).
-    pub slo_ttff_p99_us: Gauge,
-    /// Observed p99 queue delay of the SLO monitor's sliding window,
-    /// microseconds.
-    pub slo_queue_p99_us: Gauge,
-    /// Observed shed (rejection) rate of the SLO monitor, per mille of
-    /// submissions.
-    pub slo_shed_per_mille: Gauge,
-    /// Bitmask of currently breached SLO targets (bit 0 = TTFF, bit 1 =
-    /// queue delay, bit 2 = shed rate); 0 when all targets hold.
-    pub slo_breached: Gauge,
-    /// Transitions of any SLO target from holding to breached.
-    pub slo_breaches: Counter,
-    /// Requests offered to the front door (admitted, coalesced, or shed).
-    pub frontdoor_offered: Counter,
-    /// Requests the front door coalesced onto an in-flight identical
-    /// optimization (same tenant, context fingerprint, and table set).
-    pub frontdoor_coalesced: Counter,
-    /// Sessions admitted at a degraded tier (coarser ε-box precision
-    /// and/or a reduced budget) instead of being shed.
-    pub frontdoor_degraded: Counter,
-    /// Requests the front door shed outright (quota exhaustion or a
-    /// saturated shard), after the degradation ladder ran out.
-    pub frontdoor_shed: Counter,
-    /// Shed requests attributable to per-tenant quota exhaustion.
-    pub frontdoor_quota_rejected: Counter,
-    /// Highest degradation level currently active on any shard (0 full,
-    /// 1 coarse ε, 2 reduced budget).
-    pub frontdoor_degrade_level: Gauge,
-    /// Executed physical plans.
-    pub exec_runs: Counter,
-    /// Tuples processed by execution engine operators.
-    pub exec_tuples: Counter,
-    /// Rows spilled by blocking operators under their memory grant.
-    pub exec_spilled_rows: Counter,
-    /// Inner-side rescans performed by nested-loop-style operators.
-    pub exec_inner_rescans: Counter,
-    /// Nanoseconds spent waiting for the shared-frontier merge mutex
-    /// (sampled: every 8th publish).
-    pub exchange_mutex_wait_ns: Histogram,
-    /// Queue delay in microseconds: submission to first optimizer step.
-    pub service_queue_delay_us: Histogram,
-    /// Scheduling-slice duration in microseconds (per-session step timing
-    /// at slice granularity — the sampled clock that avoids a per-step
-    /// `Instant::now`).
-    pub service_slice_us: Histogram,
-    /// Plans accepted from the cross-query cache per session at submit:
-    /// admitted at once plus parked (`Rmq::warm_start`); 0 on a cache miss.
-    pub service_warm_start_depth: Histogram,
-    /// Peak buffered rows per executed plan.
-    pub exec_peak_buffer_rows: Histogram,
-}
-
-impl Metrics {
-    const fn new() -> Self {
-        Metrics {
-            rmq_iterations: ShardedCounter::new(),
-            climb_candidates: ShardedCounter::new(),
-            climb_agg_key_skips: ShardedCounter::new(),
-            climb_dominance_tests: ShardedCounter::new(),
-            climb_rejected: ShardedCounter::new(),
-            climb_admitted: ShardedCounter::new(),
-            climb_evicted: ShardedCounter::new(),
-            pareto_blocks_screened: ShardedCounter::new(),
-            pareto_eps_rejects: ShardedCounter::new(),
-            pareto_archive_size: Gauge::new(),
-            arena_interns: ShardedCounter::new(),
-            arena_dedup_hits: ShardedCounter::new(),
-            warm_parked: ShardedCounter::new(),
-            warm_imported: ShardedCounter::new(),
-            exchange_publishes: Counter::new(),
-            exchange_offered: Counter::new(),
-            exchange_merged: Counter::new(),
-            exchange_epochs: Counter::new(),
-            exchange_absorbed: Counter::new(),
-            exchange_partial_offered: Counter::new(),
-            exchange_partial_merged: Counter::new(),
-            exchange_backoff_level: Gauge::new(),
-            exec_pool_batches: ShardedCounter::new(),
-            exec_pool_steals: Counter::new(),
-            exec_pool_donations: Counter::new(),
-            service_submitted: Counter::new(),
-            service_rejected_queue_full: Counter::new(),
-            service_rejected_no_slots: Counter::new(),
-            service_rejected_shutdown: Counter::new(),
-            service_completed: Counter::new(),
-            service_cancelled: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            spans_recorded: Counter::new(),
-            spans_dropped: Counter::new(),
-            journal_dropped: Counter::new(),
-            slo_ttff_p99_us: Gauge::new(),
-            slo_queue_p99_us: Gauge::new(),
-            slo_shed_per_mille: Gauge::new(),
-            slo_breached: Gauge::new(),
-            slo_breaches: Counter::new(),
-            frontdoor_offered: Counter::new(),
-            frontdoor_coalesced: Counter::new(),
-            frontdoor_degraded: Counter::new(),
-            frontdoor_shed: Counter::new(),
-            frontdoor_quota_rejected: Counter::new(),
-            frontdoor_degrade_level: Gauge::new(),
-            exec_runs: Counter::new(),
-            exec_tuples: Counter::new(),
-            exec_spilled_rows: Counter::new(),
-            exec_inner_rescans: Counter::new(),
-            exchange_mutex_wait_ns: Histogram::new(),
-            service_queue_delay_us: Histogram::new(),
-            service_slice_us: Histogram::new(),
-            service_warm_start_depth: Histogram::new(),
-            exec_peak_buffer_rows: Histogram::new(),
+/// Declares the registry once: each metric is a one-line doc, its field,
+/// its type and its dotted name. The field becomes a `Metrics` member (with
+/// the doc as its rustdoc), and the name its entry in [`Metrics::counters`]
+/// or [`Metrics::histograms`] and in README's metric table.
+macro_rules! metrics {
+    (
+        counters { $(#[doc = $doc:literal] $field:ident: $ty:ident = $name:literal,)* }
+        histograms { $(#[doc = $hdoc:literal] $hfield:ident = $hname:literal,)* }
+    ) => {
+        /// The global metrics registry: every counter, gauge and histogram
+        /// the instrumented crates bump, each with a stable dotted name.
+        ///
+        /// `climb.*` counters are flushed once per RMQ iteration from plain
+        /// per-iteration tallies (see `moqo-core`'s screening counters), so
+        /// their values are deterministic for a seeded run — the bench
+        /// harness pins them in its `obs` section to hard-pin hot-path
+        /// behavior.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $(#[doc = $doc] pub $field: $ty,)*
+            $(#[doc = $hdoc] pub $hfield: Histogram,)*
         }
-    }
 
-    /// Every counter with its dotted name, in registration order.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("rmq.iterations", self.rmq_iterations.get()),
-            ("climb.candidates", self.climb_candidates.get()),
-            ("climb.agg_key_skips", self.climb_agg_key_skips.get()),
-            ("climb.dominance_tests", self.climb_dominance_tests.get()),
-            ("climb.rejected", self.climb_rejected.get()),
-            ("climb.admitted", self.climb_admitted.get()),
-            ("climb.evicted", self.climb_evicted.get()),
-            ("pareto.blocks_screened", self.pareto_blocks_screened.get()),
-            ("pareto.eps_rejects", self.pareto_eps_rejects.get()),
-            ("pareto.archive_size", self.pareto_archive_size.get()),
-            ("arena.interns", self.arena_interns.get()),
-            ("arena.dedup_hits", self.arena_dedup_hits.get()),
-            ("warm.parked", self.warm_parked.get()),
-            ("warm.imported", self.warm_imported.get()),
-            ("exchange.publishes", self.exchange_publishes.get()),
-            ("exchange.offered", self.exchange_offered.get()),
-            ("exchange.merged", self.exchange_merged.get()),
-            ("exchange.epochs", self.exchange_epochs.get()),
-            ("exchange.absorbed", self.exchange_absorbed.get()),
-            (
-                "exchange.partial_offered",
-                self.exchange_partial_offered.get(),
-            ),
-            (
-                "exchange.partial_merged",
-                self.exchange_partial_merged.get(),
-            ),
-            ("exchange.backoff_level", self.exchange_backoff_level.get()),
-            ("exec_pool.batches", self.exec_pool_batches.get()),
-            ("exec_pool.steals", self.exec_pool_steals.get()),
-            ("exec_pool.donations", self.exec_pool_donations.get()),
-            ("service.submitted", self.service_submitted.get()),
-            (
-                "service.rejected_queue_full",
-                self.service_rejected_queue_full.get(),
-            ),
-            (
-                "service.rejected_no_slots",
-                self.service_rejected_no_slots.get(),
-            ),
-            (
-                "service.rejected_shutdown",
-                self.service_rejected_shutdown.get(),
-            ),
-            ("service.completed", self.service_completed.get()),
-            ("service.cancelled", self.service_cancelled.get()),
-            ("cache.hits", self.cache_hits.get()),
-            ("cache.misses", self.cache_misses.get()),
-            ("spans.recorded", self.spans_recorded.get()),
-            ("spans.dropped", self.spans_dropped.get()),
-            ("journal.dropped", self.journal_dropped.get()),
-            ("slo.ttff_p99_us", self.slo_ttff_p99_us.get()),
-            ("slo.queue_p99_us", self.slo_queue_p99_us.get()),
-            ("slo.shed_per_mille", self.slo_shed_per_mille.get()),
-            ("slo.breached", self.slo_breached.get()),
-            ("slo.breaches", self.slo_breaches.get()),
-            ("frontdoor.offered", self.frontdoor_offered.get()),
-            ("frontdoor.coalesced", self.frontdoor_coalesced.get()),
-            ("frontdoor.degraded", self.frontdoor_degraded.get()),
-            ("frontdoor.shed", self.frontdoor_shed.get()),
-            (
-                "frontdoor.quota_rejected",
-                self.frontdoor_quota_rejected.get(),
-            ),
-            (
-                "frontdoor.degrade_level",
-                self.frontdoor_degrade_level.get(),
-            ),
-            ("exec.runs", self.exec_runs.get()),
-            ("exec.tuples", self.exec_tuples.get()),
-            ("exec.spilled_rows", self.exec_spilled_rows.get()),
-            ("exec.inner_rescans", self.exec_inner_rescans.get()),
-        ]
-    }
+        impl Metrics {
+            const fn new() -> Self {
+                Metrics { $($field: $ty::new(),)* $($hfield: Histogram::new(),)* }
+            }
 
-    /// Every histogram with its dotted name, in registration order.
-    pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        vec![
-            (
-                "exchange.mutex_wait_ns",
-                self.exchange_mutex_wait_ns.snapshot(),
-            ),
-            (
-                "service.queue_delay_us",
-                self.service_queue_delay_us.snapshot(),
-            ),
-            ("service.slice_us", self.service_slice_us.snapshot()),
-            (
-                "service.warm_start_depth",
-                self.service_warm_start_depth.snapshot(),
-            ),
-            (
-                "exec.peak_buffer_rows",
-                self.exec_peak_buffer_rows.snapshot(),
-            ),
-        ]
+            /// Every counter and gauge with its dotted name, in declaration
+            /// order.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($name, self.$field.get()),)*]
+            }
+
+            /// Every histogram with its dotted name, in declaration order.
+            pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
+                vec![$(($hname, self.$hfield.snapshot()),)*]
+            }
+        }
+
+        /// `(dotted name, type, doc)` of every metric, in declaration order.
+        #[cfg(test)]
+        const DECLARED: &[(&str, &str, &str)] =
+            &[$(($name, stringify!($ty), $doc),)* $(($hname, "Histogram", $hdoc),)*];
+    };
+}
+
+metrics! {
+    counters {
+        /// RMQ iterations completed (aborted iterations are not counted).
+        rmq_iterations: ShardedCounter = "rmq.iterations",
+        /// Candidates the climb costed and offered to a step frontier (memo-answered sub-trees are not re-counted).
+        climb_candidates: ShardedCounter = "climb.candidates",
+        /// Step-frontier member compares the aggregate-key pre-filter settled without a component compare.
+        climb_agg_key_skips: ShardedCounter = "climb.agg_key_skips",
+        /// Component-wise dominance compares of the climb's step frontiers (members, or lanes of screened blocks).
+        climb_dominance_tests: ShardedCounter = "climb.dominance_tests",
+        /// Candidates rejected as dominated (or duplicate) by a frontier.
+        climb_rejected: ShardedCounter = "climb.rejected",
+        /// Candidates admitted into a frontier.
+        climb_admitted: ShardedCounter = "climb.admitted",
+        /// Incumbent members evicted by an admitted candidate.
+        climb_evicted: ShardedCounter = "climb.evicted",
+        /// Structure-of-arrays blocks the Pareto block kernels screened; 0 while every set is below `SOA_CROSSOVER`.
+        pareto_blocks_screened: ShardedCounter = "pareto.blocks_screened",
+        /// Candidates the ε-box archive rule rejected that exact dominance would have admitted.
+        pareto_eps_rejects: ShardedCounter = "pareto.eps_rejects",
+        /// Query-frontier (archive) size at the most recently flushed iteration.
+        pareto_archive_size: Gauge = "pareto.archive_size",
+        /// Plan-arena intern requests that allocated a new node.
+        arena_interns: ShardedCounter = "arena.interns",
+        /// Plan-arena intern requests answered by an existing node.
+        arena_dedup_hits: ShardedCounter = "arena.dedup_hits",
+        /// Warm-start plans an optimizer parked for a table set it had not touched yet (`Rmq::warm_start`).
+        warm_parked: ShardedCounter = "warm.parked",
+        /// Parked plans offered to the plan cache once a climbed plan contained their table set.
+        warm_imported: ShardedCounter = "warm.imported",
+        /// Shared-frontier publish calls.
+        exchange_publishes: Counter = "exchange.publishes",
+        /// Plans offered to the shared frontier across all publishes.
+        exchange_offered: Counter = "exchange.offered",
+        /// Offered plans admitted (merged) into the global frontier.
+        exchange_merged: Counter = "exchange.merged",
+        /// Snapshot epoch bumps: publishes that admitted anything.
+        exchange_epochs: Counter = "exchange.epochs",
+        /// Plans a worker accepted (admitted or parked) from other workers' shared-frontier entries.
+        exchange_absorbed: Counter = "exchange.absorbed",
+        /// Sub-query frontier members offered to the partial exchange, once per cache admission.
+        exchange_partial_offered: Counter = "exchange.partial_offered",
+        /// Offered partial plans admitted into a shared sub-query frontier.
+        exchange_partial_merged: Counter = "exchange.partial_merged",
+        /// The adaptive exchange's current backoff level (publish period = base << level).
+        exchange_backoff_level: Gauge = "exchange.backoff_level",
+        /// Climb batches the shared executor ran (at most one per task invocation).
+        exec_pool_batches: ShardedCounter = "exec_pool.batches",
+        /// Batches a pool worker's loop took off the run queue instead of their group's waiting helper.
+        exec_pool_steals: Counter = "exec_pool.steals",
+        /// Batches a waiting helper ran for a foreign task group while its own group drained.
+        exec_pool_donations: Counter = "exec_pool.donations",
+        /// Sessions admitted by the service.
+        service_submitted: Counter = "service.submitted",
+        /// Submissions rejected: live-session bound reached.
+        service_rejected_queue_full: Counter = "service.rejected_queue_full",
+        /// Submissions rejected: worker-slot bound would be exceeded.
+        service_rejected_no_slots: Counter = "service.rejected_no_slots",
+        /// Submissions rejected: service shutting down.
+        service_rejected_shutdown: Counter = "service.rejected_shutdown",
+        /// Cross-query cache lookups that returned warm-start plans.
+        cache_hits: Counter = "cache.hits",
+        /// Cross-query cache lookups that returned nothing.
+        cache_misses: Counter = "cache.misses",
+        /// Span records pushed into the tracing ring (spans and instants).
+        spans_recorded: Counter = "spans.recorded",
+        /// Span records the tracing ring evicted before anyone drained them.
+        spans_dropped: Counter = "spans.dropped",
+        /// Journal events the journal ring evicted (or a smaller capacity trimmed) before anyone drained them.
+        journal_dropped: Counter = "journal.dropped",
+        /// p99 time-to-first-frontier of the SLO monitor's sliding window, µs (0 until it has samples).
+        slo_ttff_p99_us: Gauge = "slo.ttff_p99_us",
+        /// p99 queue delay of the SLO monitor's sliding window, µs.
+        slo_queue_p99_us: Gauge = "slo.queue_p99_us",
+        /// The SLO monitor's shed (rejection) rate, per mille of submissions.
+        slo_shed_per_mille: Gauge = "slo.shed_per_mille",
+        /// Bitmask of breached SLO targets (1 TTFF, 2 queue delay, 4 shed rate); 0 while all hold.
+        slo_breached: Gauge = "slo.breached",
+        /// Transitions of any SLO target from holding to breached.
+        slo_breaches: Counter = "slo.breaches",
+        /// Requests offered to the front door (admitted, coalesced or shed).
+        frontdoor_offered: Counter = "frontdoor.offered",
+        /// Requests coalesced onto an in-flight identical optimization (tenant, context and table set).
+        frontdoor_coalesced: Counter = "frontdoor.coalesced",
+        /// Sessions admitted at a degraded tier (coarser ε and/or a smaller budget) instead of shed.
+        frontdoor_degraded: Counter = "frontdoor.degraded",
+        /// Requests shed outright (quota or saturated shard) after the degradation ladder ran out.
+        frontdoor_shed: Counter = "frontdoor.shed",
+        /// Shed requests attributable to per-tenant quota exhaustion.
+        frontdoor_quota_rejected: Counter = "frontdoor.quota_rejected",
+        /// Highest degradation level active on any shard (0 full, 1 coarse ε, 2 reduced budget).
+        frontdoor_degrade_level: Gauge = "frontdoor.degrade_level",
+        /// Executed physical plans.
+        exec_runs: Counter = "exec.runs",
+        /// Tuples processed by execution-engine operators.
+        exec_tuples: Counter = "exec.tuples",
+        /// Rows spilled by blocking operators under their memory grant.
+        exec_spilled_rows: Counter = "exec.spilled_rows",
+    }
+    histograms {
+        /// Nanoseconds waiting for the shared-frontier merge mutex (sampled: every 8th publish).
+        exchange_mutex_wait_ns = "exchange.mutex_wait_ns",
+        /// Queue delay, µs: submission to first optimizer step.
+        service_queue_delay_us = "service.queue_delay_us",
+        /// Scheduling-slice duration, µs (the sampled clock that avoids a per-step `Instant::now`).
+        service_slice_us = "service.slice_us",
+        /// Plans accepted from the cross-query cache per session at submit (admitted plus parked; 0 on a miss).
+        service_warm_start_depth = "service.warm_start_depth",
+        /// Peak buffered rows per executed plan.
+        exec_peak_buffer_rows = "exec.peak_buffer_rows",
     }
 }
 
-static METRICS: Metrics = Metrics::new();
+pub(crate) static METRICS: Metrics = Metrics::new();
 
 /// The process-global metrics registry. Counters are monotone for the
 /// process lifetime; consumers wanting per-phase numbers take before/after
@@ -780,5 +609,21 @@ mod tests {
         let hists: Vec<&str> = metrics().histograms().iter().map(|(n, _)| *n).collect();
         assert!(hists.contains(&"service.queue_delay_us"));
         assert!(hists.contains(&"exchange.mutex_wait_ns"));
+    }
+
+    #[test]
+    fn the_readme_metric_table_matches_the_registry() {
+        // One row per metric, in declaration order.
+        let rows: Vec<String> = DECLARED
+            .iter()
+            .map(|(name, ty, doc)| format!("| `{name}` | {ty} | {} |", doc.trim()))
+            .collect();
+        let table = rows.join("\n");
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+        assert!(
+            readme.unwrap().contains(&table),
+            "README's metric table should be:\n{table}"
+        );
     }
 }

@@ -33,14 +33,14 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::ctx;
-use crate::metrics::metrics;
+use crate::metrics::METRICS;
+use crate::ring::Ring;
 
 /// What a span (or instant) covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,11 +166,9 @@ static ENABLED: AtomicU32 = AtomicU32::new(0);
 /// Next span id; ids are never reused and never 0.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Ring capacity; 0 means "not yet resolved" (env var or default).
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
 /// The ring. Only locked on the enabled path at finish time.
-static RING: Mutex<VecDeque<SpanRecord>> = Mutex::new(VecDeque::new());
+static RING: Ring<SpanRecord> =
+    Ring::new("MOQO_SPAN_CAPACITY", SPAN_CAPACITY, &METRICS.spans_dropped);
 
 thread_local! {
     /// Ambient current span id: the parent for spans begun on this thread.
@@ -209,29 +207,13 @@ pub fn disable() {
 /// The effective ring capacity: the last [`set_capacity`] value, else
 /// `MOQO_SPAN_CAPACITY`, else [`SPAN_CAPACITY`].
 pub fn capacity() -> usize {
-    let cap = CAPACITY.load(Ordering::Relaxed);
-    if cap != 0 {
-        return cap;
-    }
-    let cap = std::env::var("MOQO_SPAN_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(SPAN_CAPACITY);
-    CAPACITY.store(cap, Ordering::Relaxed);
-    cap
+    RING.capacity()
 }
 
 /// Overrides the ring capacity (clamped to at least 1) and trims the ring
 /// if it already holds more.
 pub fn set_capacity(spans: usize) {
-    let cap = spans.max(1);
-    CAPACITY.store(cap, Ordering::Relaxed);
-    let mut ring = RING.lock().unwrap();
-    while ring.len() > cap {
-        ring.pop_front();
-        metrics().spans_dropped.incr();
-    }
+    RING.set_capacity(spans);
 }
 
 /// The calling thread's ambient span id (the default parent).
@@ -325,24 +307,19 @@ fn push_instant(kind: SpanKind, parent: SpanId, arg: u64) {
 }
 
 fn push(record: SpanRecord) {
-    let mut ring = RING.lock().unwrap();
-    if ring.len() >= capacity() {
-        ring.pop_front();
-        metrics().spans_dropped.incr();
-    }
-    ring.push_back(record);
-    metrics().spans_recorded.incr();
+    RING.push(record);
+    METRICS.spans_recorded.incr();
 }
 
 /// Copies the current ring contents (oldest finish first) without
 /// draining.
 pub fn records() -> Vec<SpanRecord> {
-    RING.lock().unwrap().iter().copied().collect()
+    RING.records()
 }
 
 /// Removes and returns the current ring contents (oldest finish first).
 pub fn drain() -> Vec<SpanRecord> {
-    RING.lock().unwrap().drain(..).collect()
+    RING.drain()
 }
 
 fn write_ts_us(out: &mut String, ns: u64) {
@@ -357,7 +334,8 @@ fn write_ts_us(out: &mut String, ns: u64) {
 /// donations become thread-scoped instants (`"ph":"i"`). Events are
 /// sorted by start timestamp, and every event carries its `id`/`parent`
 /// pair in `args` so causality survives the flat format.
-pub fn write_chrome_trace(records: &[SpanRecord], out: &mut String) {
+pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
+    let mut out = String::with_capacity(64 + records.len() * 160);
     let mut sorted: Vec<&SpanRecord> = records.iter().collect();
     sorted.sort_by_key(|r| (r.start_ns, r.id));
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -371,12 +349,12 @@ pub fn write_chrome_trace(records: &[SpanRecord], out: &mut String) {
             r.kind.name(),
             if r.kind.is_instant() { 'i' } else { 'X' }
         );
-        write_ts_us(out, r.start_ns);
+        write_ts_us(&mut out, r.start_ns);
         if r.kind.is_instant() {
             out.push_str(",\"s\":\"t\"");
         } else {
             out.push_str(",\"dur\":");
-            write_ts_us(out, r.end_ns.saturating_sub(r.start_ns));
+            write_ts_us(&mut out, r.end_ns.saturating_sub(r.start_ns));
         }
         let _ = write!(
             out,
@@ -386,18 +364,13 @@ pub fn write_chrome_trace(records: &[SpanRecord], out: &mut String) {
         );
     }
     out.push_str("]}");
-}
-
-/// [`write_chrome_trace`] into a fresh string.
-pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 160);
-    write_chrome_trace(records, &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::metrics;
     use std::sync::{Mutex as TestMutex, OnceLock};
 
     /// The span switch and ring are process-global; tests serialize here

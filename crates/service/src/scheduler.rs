@@ -362,11 +362,6 @@ pub(crate) fn finalize(core: &ServiceCore, mut sess: ActiveSession, reason: Done
         s.set_arg(steps);
     }
     spans::finish(sess.span.take());
-    let m = metrics();
-    m.service_completed.incr();
-    if aborted {
-        m.service_cancelled.incr();
-    }
     if journal::enabled(Target::Service, Level::Info) {
         ctx::set_session(sess.id.0);
         let reason_str = match reason {
