@@ -264,8 +264,9 @@ struct ExecPoolRun {
 
 /// The oversubscribed mixed-width workload: `sessions` sessions
 /// alternating fan-out 1 and `wide_fan_out`, run once as root tasks on a
-/// shared `pool_workers`-wide executor and once as one scoped OS thread
-/// per session (each wide session spawning private fan-out threads).
+/// shared `pool_workers`-wide executor and once as one OS thread per
+/// session, each fanning out on its own private pool. That second arm
+/// keeps the field name `scoped`, so baselines stay comparable.
 #[derive(Default, Serialize)]
 struct ExecPoolReport {
     sessions: usize,
@@ -273,8 +274,9 @@ struct ExecPoolReport {
     wide_fan_out: usize,
     iterations_per_session: u64,
     pooled: ExecPoolRun,
+    /// One OS thread per session, each on its private pool.
     scoped: ExecPoolRun,
-    /// Pooled over scoped iters/sec (> 1 means the executor wins).
+    /// Pooled over scoped iters/sec (> 1 means the shared executor wins).
     pooled_vs_scoped_iters_per_sec: f64,
     /// `exec_pool.*` registry deltas around the pooled run.
     pool_batches: u64,
@@ -778,7 +780,7 @@ fn exec_pool_run(started: Instant, results: &[(Duration, u64)]) -> ExecPoolRun {
 
 /// The oversubscribed mixed-width workload: 16 sessions (8 in quick
 /// mode), fan-out alternating 1 and 4, on a 4-worker shared executor vs
-/// one OS thread per session with private scoped fan-out threads.
+/// one OS thread per session, each fanning out on its private pool.
 fn run_exec_pool(quick: bool) -> ExecPoolReport {
     use moqo_parallel::{ExecPool, TaskSpec, TaskStatus};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -796,8 +798,8 @@ fn run_exec_pool(quick: bool) -> ExecPoolReport {
     // Session `i` of a run started at `started`: a short first slice bounds
     // the time-to-first-frontier (one climb round per worker), then the
     // rest of the budget runs out; TTFF includes queueing delay. On a pool
-    // worker `ParRmq` fans out on the shared executor, off-pool on private
-    // scoped threads.
+    // worker `ParRmq` fans out on the shared executor, off-pool on its
+    // private pool.
     let session = move |i: usize, started: Instant| {
         let model = Arc::clone(&model);
         move || {
@@ -813,8 +815,8 @@ fn run_exec_pool(quick: bool) -> ExecPoolReport {
         }
     };
 
-    // Scoped baseline first, so it cannot touch the executor counters the
-    // pooled run is measured by.
+    // Private-pool baseline first, so its pools' counters stay out of the
+    // deltas the pooled run is measured by.
     let started = Instant::now();
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..sessions)
@@ -841,7 +843,7 @@ fn run_exec_pool(quick: bool) -> ExecPoolReport {
         });
     }
     // The bench thread never helps: helping would run sessions off the
-    // pool and silently fall back to the scoped path.
+    // shared pool, on private pools of their own.
     while finished.load(Ordering::SeqCst) < sessions {
         std::thread::yield_now();
     }

@@ -17,11 +17,11 @@
 //!   and per-metric ε are instances; restricted F-dominance (flexible
 //!   skylines) slots in here without touching the archive kernels.
 //! * [`AdmissionRule`] / [`Admission`] — the complete admission decision
-//!   (rule + optional capacity), passed to
+//!   (the pruning rule), passed to
 //!   [`ParetoSet::admit`](crate::pareto::ParetoSet::admit).
 //! * [`EpsSchedule`] / [`ArchiveConfig`] — the per-iteration schedule of
 //!   factors (folding in the old `AlphaSchedule` semantics, including the
-//!   `≥ 1` clamp) plus the archive policy and capacity.
+//!   `≥ 1` clamp) plus the archive policy.
 //!
 //! # ε-Pareto archives
 //!
@@ -322,69 +322,54 @@ impl AdmissionRule {
     }
 }
 
-/// A complete admission decision: the pruning rule plus an optional hard
-/// capacity. At capacity, a candidate that evicts nobody is rejected (the
-/// established archive wins — deterministic and order-stable).
+/// A complete admission decision: the pruning rule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Admission {
     /// The pruning rule.
     pub rule: AdmissionRule,
-    /// Hard archive-size bound (`None` = unbounded).
-    pub capacity: Option<usize>,
 }
 
 impl Admission {
-    /// Hill-climb pruning under `policy`, unbounded.
+    /// Hill-climb pruning under `policy`.
     pub fn climb(policy: PrunePolicy) -> Self {
         Admission {
             rule: AdmissionRule::Climb(policy),
-            capacity: None,
         }
     }
 
-    /// Uniform scalar-α approximate pruning, unbounded.
+    /// Uniform scalar-α approximate pruning.
     pub fn approx(alpha: f64) -> Self {
         Admission {
             rule: AdmissionRule::Approx(EpsFactors::uniform(alpha)),
-            capacity: None,
         }
     }
 
-    /// Per-metric approximate pruning, unbounded.
+    /// Per-metric approximate pruning.
     #[inline]
     pub fn approx_per_metric(factors: EpsFactors) -> Self {
         Admission {
             rule: AdmissionRule::Approx(factors),
-            capacity: None,
         }
     }
 
-    /// Exact approximate pruning (`α = 1` everywhere), unbounded.
+    /// Exact approximate pruning (`α = 1` everywhere).
     #[inline]
     pub fn exact() -> Self {
         Admission::approx_per_metric(EpsFactors::exact())
     }
 
-    /// ε-Pareto box archive with the given per-metric factors, unbounded.
+    /// ε-Pareto box archive with the given per-metric factors.
     pub fn eps_box(factors: EpsFactors) -> Self {
         Admission {
             rule: AdmissionRule::EpsBox(factors),
-            capacity: None,
         }
     }
 
-    /// Exact format-blind cost-frontier admission, unbounded.
+    /// Exact format-blind cost-frontier admission.
     pub fn cost_frontier() -> Self {
         Admission {
             rule: AdmissionRule::CostFrontier,
-            capacity: None,
         }
-    }
-
-    /// The same admission with a hard capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
     }
 
     /// The largest scalar α this admission is at most as coarse as
@@ -459,7 +444,7 @@ pub enum ArchivePolicy {
     EpsBox,
 }
 
-/// Archive configuration: policy, per-metric ε schedule, and capacity —
+/// Archive configuration: policy and per-metric ε schedule —
 /// everything the optimizer needs to derive the [`Admission`] of an
 /// iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -468,8 +453,6 @@ pub struct ArchiveConfig {
     pub policy: ArchivePolicy,
     /// The per-iteration factor schedule.
     pub eps: EpsSchedule,
-    /// Hard archive-size bound (`None` = unbounded).
-    pub capacity: Option<usize>,
 }
 
 impl Default for ArchiveConfig {
@@ -486,7 +469,6 @@ impl ArchiveConfig {
         ArchiveConfig {
             policy: ArchivePolicy::Approx,
             eps: EpsSchedule::paper(),
-            capacity: None,
         }
     }
 
@@ -495,7 +477,6 @@ impl ArchiveConfig {
         ArchiveConfig {
             policy: ArchivePolicy::Approx,
             eps: EpsSchedule::Fixed(EpsFactors::exact()),
-            capacity: None,
         }
     }
 
@@ -504,7 +485,6 @@ impl ArchiveConfig {
         ArchiveConfig {
             policy: ArchivePolicy::Approx,
             eps: EpsSchedule::Fixed(EpsFactors::uniform(alpha)),
-            capacity: None,
         }
     }
 
@@ -513,14 +493,7 @@ impl ArchiveConfig {
         ArchiveConfig {
             policy: ArchivePolicy::EpsBox,
             eps: EpsSchedule::Fixed(factors),
-            capacity: None,
         }
-    }
-
-    /// The same configuration with a hard capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
     }
 
     /// The [`Admission`] of the given iteration.
@@ -530,10 +503,7 @@ impl ArchiveConfig {
             ArchivePolicy::Approx => AdmissionRule::Approx(factors),
             ArchivePolicy::EpsBox => AdmissionRule::EpsBox(factors),
         };
-        Admission {
-            rule,
-            capacity: self.capacity,
-        }
+        Admission { rule }
     }
 }
 
@@ -616,7 +586,6 @@ mod tests {
             1.0
         );
         assert_eq!(Admission::cost_frontier().max_factor(), 1.0);
-        assert_eq!(Admission::exact().with_capacity(8).capacity, Some(8));
     }
 
     #[test]
@@ -700,10 +669,9 @@ mod tests {
         assert_eq!(adm.max_factor(), 25.0);
         assert!(matches!(adm.rule, AdmissionRule::Approx(_)));
 
-        let cfg = ArchiveConfig::eps_box(EpsFactors::uniform(1.5)).with_capacity(100);
+        let cfg = ArchiveConfig::eps_box(EpsFactors::uniform(1.5));
         let adm = cfg.admission(17);
         assert!(matches!(adm.rule, AdmissionRule::EpsBox(_)));
-        assert_eq!(adm.capacity, Some(100));
 
         assert_eq!(ArchiveConfig::exact().admission(9).max_factor(), 1.0);
         assert_eq!(ArchiveConfig::fixed(2.5).admission(9).max_factor(), 2.5);

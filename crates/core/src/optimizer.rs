@@ -165,8 +165,8 @@ impl AbortCheck {
 /// Cloning yields another handle onto the same counter. However claims
 /// interleave across threads, the number of **granted** iterations sums to
 /// exactly `total` — the property that makes `Budget::Iterations` exact
-/// and scheduling-independent under both scoped threads and a shared
-/// executor. [`claim_batch`](ClaimCounter::claim_batch) grants up to a whole
+/// and scheduling-independent on any executor, however many threads it
+/// runs. [`claim_batch`](ClaimCounter::claim_batch) grants up to a whole
 /// climb batch per atomic operation, so batch-granular executors pay one
 /// fetch-add per batch instead of one per iteration.
 #[derive(Clone, Debug)]

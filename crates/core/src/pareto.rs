@@ -163,8 +163,8 @@ pub struct ScreenCounters {
     /// member scan (one per probe on the one-per-format path), and the
     /// lanes of screened blocks on an indexed format.
     pub dominance_tests: u64,
-    /// Candidates rejected (dominated, α-covered, box-covered, duplicate,
-    /// or refused at capacity).
+    /// Candidates rejected (dominated, α-covered, box-covered, or
+    /// duplicate).
     pub rejected: u64,
     /// Candidates admitted.
     pub admitted: u64,
@@ -610,20 +610,16 @@ impl<P> ParetoSet<P> {
     }
 
     /// The unified admission entry point: offers a candidate described by
-    /// its cost and output format alone, under the given [`Admission`]
-    /// (rule + capacity). `make` is invoked — and the plan materialized —
-    /// **only if the candidate is admitted**; the materialized plan must
-    /// have exactly the given cost and format. Returns `true` iff the
-    /// candidate was inserted.
+    /// its cost and output format alone, under the given [`Admission`].
+    /// `make` is invoked — and the plan materialized — **only if the
+    /// candidate is admitted**; the materialized plan must have exactly the
+    /// given cost and format. Returns `true` iff the candidate was inserted.
     ///
     /// This replaces the former `insert_climb_with` / `insert_approx_with`
     /// / `insert_cost_frontier_with` trio: the rule is data, not an entry
     /// point, so every consumer (climb, frontier approximation, caches,
     /// merges, baselines, the service's cross-query cache) funnels through
     /// one screening kernel.
-    ///
-    /// At capacity, a candidate that evicts nobody is rejected — the
-    /// established archive wins, which is deterministic and order-stable.
     pub fn admit(
         &mut self,
         cost: &CostVector,
@@ -634,7 +630,7 @@ impl<P> ParetoSet<P> {
         self.screen.probes += 1;
         let rejected = match &admission.rule {
             AdmissionRule::Climb(PrunePolicy::OnePerFormat) => {
-                return self.admit_one_per_format(cost, format, admission, make)
+                return self.admit_one_per_format(cost, format, make)
             }
             // Weak dominance (`m ⪯ c`) folds the strict-domination and
             // exact-duplicate rejections of Algorithm 2 into one bound.
@@ -653,11 +649,7 @@ impl<P> ParetoSet<P> {
             }
             AdmissionRule::EpsBox(eps) => self.reject_or_evict_boxed(eps, format, cost),
         };
-        if rejected
-            || admission
-                .capacity
-                .is_some_and(|cap| self.plans.len() >= cap)
-        {
+        if rejected {
             self.screen.rejected += 1;
             return false;
         }
@@ -672,17 +664,9 @@ impl<P> ParetoSet<P> {
         &mut self,
         cost: &CostVector,
         format: OutputFormat,
-        admission: &Admission,
         make: impl FnOnce() -> P,
     ) -> bool {
         let Some(idx) = self.meta.iter().position(|m| m.format == format) else {
-            if admission
-                .capacity
-                .is_some_and(|cap| self.plans.len() >= cap)
-            {
-                self.screen.rejected += 1;
-                return false;
-            }
             self.screen.admitted += 1;
             self.push(make(), Meta::of(cost, format));
             return true;
@@ -1110,12 +1094,6 @@ impl LinearParetoSet {
                     false
                 }
             } else {
-                if admission
-                    .capacity
-                    .is_some_and(|cap| self.plans.len() >= cap)
-                {
-                    return false;
-                }
                 self.plans.push(new_plan);
                 true
             };
@@ -1132,12 +1110,6 @@ impl LinearParetoSet {
         }
         self.plans
             .retain(|p| !(in_scope(p) && rule.evicts(new_plan.cost(), p.cost())));
-        if admission
-            .capacity
-            .is_some_and(|cap| self.plans.len() >= cap)
-        {
-            return false;
-        }
         self.plans.push(new_plan);
         true
     }
@@ -1373,27 +1345,6 @@ mod tests {
         let set: ParetoSet = plans.into_iter().collect();
         assert_eq!(set.len(), 3);
         assert!(set.check_invariant());
-    }
-
-    #[test]
-    fn capacity_rejects_when_full_unless_candidate_evicts() {
-        let adm = Admission::exact().with_capacity(2);
-        let mut set = ParetoSet::new();
-        assert!(set.insert(synthetic_plan(&[1.0, 8.0], 0), &adm));
-        assert!(set.insert(synthetic_plan(&[8.0, 1.0], 0), &adm));
-        // A third incomparable tradeoff is refused at capacity.
-        assert!(!set.insert(synthetic_plan(&[4.0, 4.0], 0), &adm));
-        assert_eq!(set.len(), 2);
-        // A dominating candidate still displaces a member.
-        assert!(set.insert(synthetic_plan(&[0.5, 4.0], 0), &adm));
-        assert_eq!(set.len(), 2);
-        assert!(set.check_invariant());
-        // One-per-format admission honors capacity on fresh formats.
-        let capped = Admission::climb(PrunePolicy::OnePerFormat).with_capacity(1);
-        let mut set = ParetoSet::new();
-        assert!(set.insert(synthetic_plan(&[1.0, 1.0], 0), &capped));
-        assert!(!set.insert(synthetic_plan(&[1.0, 1.0], 1), &capped));
-        assert_eq!(set.len(), 1);
     }
 
     #[test]
@@ -1738,7 +1689,6 @@ mod tests {
                 decay: 0.5,
                 period: 4,
             },
-            capacity: None,
         };
         let mut set = ParetoSet::new();
         for i in 0..32u64 {
@@ -1914,11 +1864,10 @@ mod tests {
             assert_matches_linear_with(stream, |_| *adm)
         }
 
-        /// Every rule, unbounded and at two capacities: one past the
-        /// crossover, one far below it.
-        fn every_rule(dim: usize) -> Vec<Admission> {
+        /// Every rule.
+        fn every_rule(dim: usize) -> [Admission; 8] {
             let factors: Vec<f64> = (0..dim).map(|k| 1.0 + (k % 2) as f64).collect();
-            let rules = [
+            [
                 Admission::climb(PrunePolicy::OnePerFormat),
                 Admission::climb(PrunePolicy::KeepIncomparable),
                 Admission::exact(),
@@ -1927,12 +1876,7 @@ mod tests {
                 Admission::eps_box(EpsFactors::exact()),
                 Admission::eps_box(EpsFactors::uniform(1.5)),
                 Admission::cost_frontier(),
-            ];
-            let big = 3 * SOA_CROSSOVER.div_ceil(dim) / 2;
-            rules
-                .iter()
-                .flat_map(|&adm| [adm, adm.with_capacity(big), adm.with_capacity(3)])
-                .collect()
+            ]
         }
 
         /// Every rule of [`every_rule`] over a crossing stream.
@@ -2020,12 +1964,6 @@ mod tests {
                 assert_matches_linear(&stream, &adm)?;
             }
 
-            /// Capacity-bounded admission matches the linear oracle.
-            #[test]
-            fn capacity_matches_linear(stream in arb_stream(), cap in 1usize..6) {
-                assert_matches_linear(&stream, &Admission::exact().with_capacity(cap))?;
-            }
-
             /// ε=0 (exact factors) archive == exact pruning at d = 2.
             #[test]
             fn exact_eps_box_matches_exact_archive_d2(stream in arb_stream_d(2)) {
@@ -2048,8 +1986,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
 
-            /// Every rule, with and without capacity, over streams that
-            /// carry two formats past the crossover and back, at d = 2.
+            /// Every rule over streams that carry two formats past the
+            /// crossover and back, at d = 2.
             #[test]
             fn every_rule_matches_linear_across_the_crossover_d2(stream in CrossingStream { dim: 2 }) {
                 assert_crossing_matches_linear(2, &stream)?;
@@ -2073,16 +2011,11 @@ mod tests {
             fn eps_box_with_changing_factors_matches_linear(
                 stream in CrossingStream { dim: 3 },
                 cuts in proptest::collection::vec(0usize..400, 3),
-                capacity in prop_oneof![Just(None), Just(Some(40usize))],
             ) {
                 let schedule = [2.0, 1.25, 1.0, 3.0];
                 assert_matches_linear_with(&stream, |i| {
                     let phase = cuts.iter().filter(|&&cut| cut <= i).count();
-                    let adm = Admission::eps_box(EpsFactors::uniform(schedule[phase]));
-                    match capacity {
-                        Some(cap) => adm.with_capacity(cap),
-                        None => adm,
-                    }
+                    Admission::eps_box(EpsFactors::uniform(schedule[phase]))
                 })?;
             }
         }

@@ -61,7 +61,7 @@ pub struct RmqConfig {
     pub climb: ClimbConfig,
     /// Archive configuration for the frontier approximation: admission
     /// policy (per-metric approximate pruning or the ε-Pareto box archive),
-    /// per-iteration precision schedule, and optional capacity.
+    /// and per-iteration precision schedule.
     pub archive: ArchiveConfig,
     /// Whether the plan cache is shared across iterations (§4.3). Disabling
     /// this is the cache ablation: each iteration approximates frontiers in

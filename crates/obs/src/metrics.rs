@@ -382,7 +382,7 @@ metrics! {
         exchange_partial_merged: Counter = "exchange.partial_merged",
         /// The adaptive exchange's current backoff level (publish period = base << level).
         exchange_backoff_level: Gauge = "exchange.backoff_level",
-        /// Climb batches the shared executor ran (at most one per task invocation).
+        /// Climb batches any `ExecPool` ran, shared or private (at most one per task invocation).
         exec_pool_batches: ShardedCounter = "exec_pool.batches",
         /// Batches a pool worker's loop took off the run queue instead of their group's waiting helper.
         exec_pool_steals: Counter = "exec_pool.steals",

@@ -13,30 +13,24 @@
 //! structure. Approximation-precision guarantees are unchanged: every plan
 //! still enters a frontier through the paper's `SigBetter` pruning rule.
 //!
-//! ## The shared executor
+//! ## One executor
 //!
-//! The crate also hosts [`ExecPool`], the shared executor whose unit of
-//! work is a **climb batch** and which schedules from one run queue (see
-//! the [`pool`] module docs for its two lanes). [`ParRmq::optimize`] runs
-//! in one of two modes depending on where it is called:
+//! The crate also hosts [`ExecPool`], the executor whose unit of work is a
+//! **climb batch** (see the [`pool`] module docs). [`ParRmq::optimize`]
+//! turns each active worker into a resumable batch task of one task group
+//! and waits by helping — running its own batches, or donating to other
+//! sessions' — while idle pool workers take batches from the queue. On a
+//! pool worker ([`ExecPool::current`]) the batches go to that shared pool:
+//! this is how the optimization service runs every session through one
+//! executor. Anywhere else they go to a private pool of `workers − 1`
+//! threads, built by the first such call and kept, with the caller as the
+//! last worker. A batch's panic (say, from the cost model) is re-raised by
+//! `optimize` once the round's other batches are done.
 //!
-//! * **Standalone** (not on a pool worker): the classic PR 4 shape — one
-//!   scoped OS thread per worker, joined before the call returns.
-//! * **Pooled** (called from a pool worker thread, detected via
-//!   [`ExecPool::current`]): the fan-out becomes a group of resumable
-//!   batch tasks on the *shared* pool. The calling thread waits by
-//!   helping — running its own batches and donating spare capacity to
-//!   other sessions' batches — and idle pool workers take batches from the
-//!   queue, so a wide session never holds threads it is not using. This is
-//!   how the optimization service schedules every session (fan-out ≥ 1)
-//!   through one executor instead of nested private thread pools.
-//!
-//! In pooled mode the *effective* fan-out is elastic: the service grants a
-//! width per scheduled slice via [`PlanExchange::set_effective_fan_out`]
-//! (clamped to `1..=workers`), and only that many workers climb during the
-//! slice. Correctness never depends on the granted width — iteration
-//! budgets are claimed from a shared [`ClaimCounter`], so totals stay
-//! exact at any width.
+//! The *effective* fan-out is elastic: the service grants a width per
+//! slice via [`PlanExchange::set_effective_fan_out`] (clamped to
+//! `1..=workers`). Iteration budgets are claimed from a shared
+//! [`ClaimCounter`], so totals stay exact at any width.
 //!
 //! ## Execution model
 //!
@@ -119,22 +113,21 @@
 //! [`ParRmq::frontier`] reduces them in worker order through exact
 //! `SigBetter` pruning — producing a frontier **bit-identical to the
 //! sequential union of the per-worker runs**, regardless of thread
-//! scheduling. On the pool, deterministic batches are ordinary batch tasks:
-//! any worker may run them, since each worker's RNG stream and iteration
-//! share are fixed up front. The exchange period stays fixed, and the
+//! scheduling. Deterministic batches are ordinary batch tasks: any thread
+//! may run them, since each worker's RNG stream and iteration share are
+//! fixed up front. The exchange period stays fixed, and the
 //! effective fan-out is always the configured width. The differential test
 //! suite pins the equivalence against literally-sequential reference runs,
-//! on scoped threads and on the pool.
+//! on the private pool and on shared pools of several widths.
 //!
 //! ## When to prefer `ParRmq` over per-session parallelism
 //!
 //! The optimization service already parallelizes *across* sessions; fan a
 //! single session out with `ParRmq` when one query's time-to-frontier
 //! matters more than aggregate throughput — a latency-critical query under
-//! a tight deadline. On the shared pool the old caveat about wasted
-//! duplicate exploration under saturation is softened: a wide session
-//! shrinks to its granted width, and its batches only occupy workers that
-//! would otherwise idle.
+//! a tight deadline. On a saturated shared pool a wide session shrinks to
+//! its granted width, and its batches only occupy workers that would
+//! otherwise idle.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -168,15 +161,16 @@ use moqo_obs::spans::{self, SpanId, SpanKind};
 pub struct ParRmqConfig {
     /// Worker count (≥ 1). Worker `w` runs an independent RMQ seeded
     /// `base.seed ⊕ w`, so worker 0 reproduces the sequential run. This is
-    /// the *maximum* fan-out; in pooled live mode the effective width per
-    /// round may be lower (see [`PlanExchange::set_effective_fan_out`]).
+    /// the *maximum* fan-out; in live mode the effective width per round
+    /// may be lower (see [`PlanExchange::set_effective_fan_out`]). Called
+    /// off any pool, the optimizer runs `workers − 1` threads of its own.
     pub workers: usize,
     /// Per-worker RMQ configuration (seed, climb rules, α schedule, plan
     /// space). The seed is the *base* of the per-worker seed derivation.
     pub base: RmqConfig,
     /// Iterations per worker per [`Optimizer::step`] round — also the
-    /// climb-batch granularity on the shared executor: pooled tasks yield
-    /// back to the pool after this many iterations, and iteration budgets
+    /// climb-batch granularity on the executor: batch tasks yield back to
+    /// the pool after this many iterations, and iteration budgets
     /// are claimed from the shared counter in chunks of this size.
     pub batch: u64,
     /// Live-mode **base** exchange period: every worker publishes its
@@ -252,7 +246,7 @@ struct Worker<M: CostModel> {
 }
 
 /// How a worker decides whether to run its next iterations. Owned (no
-/// borrows) so pooled tasks can carry their plan across yields.
+/// borrows) so batch tasks can carry their plan across yields.
 enum WorkPlan {
     /// Run exactly this many more iterations (deterministic split).
     Fixed(u64),
@@ -395,10 +389,9 @@ fn flush_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     }
 }
 
-/// One climb batch of worker `w`, the body both dispatch paths share: up
-/// to `max_iters` iterations under a batch span made ambient for the
-/// exchange spans inside it, then the flush ([`flush_point`]) once the plan
-/// is exhausted. Returns whether it is.
+/// One climb batch of worker `w`: up to `max_iters` iterations under a
+/// batch span made ambient for the exchange spans inside it, then the flush
+/// ([`flush_point`]) once the plan is exhausted. Returns whether it is.
 fn run_batch<M: CostModel>(
     w: usize,
     worker: &mut Worker<M>,
@@ -428,13 +421,13 @@ fn run_batch<M: CostModel>(
 /// The parallel RMQ optimizer (see the crate docs).
 ///
 /// Generic over how each worker holds the cost model: `M` is cloned once
-/// per worker. Pooled execution moves workers into `'static` tasks, so `M`
-/// must be owned — pass the model by value or behind an `Arc`.
+/// per worker. Batch tasks own their workers (`'static`), so `M` must be
+/// owned — pass the model by value or behind an `Arc`.
 pub struct ParRmq<M: CostModel + Clone + Send + 'static> {
     query: TableSet,
     cfg: ParRmqConfig,
-    /// Worker slots; `None` only while a pooled round has the worker
-    /// checked out on the executor.
+    /// Worker slots; `None` only while a round has the worker checked out
+    /// on the executor.
     workers: Vec<Option<Worker<M>>>,
     shared: Arc<SharedFrontier>,
     adaptive: Arc<AdaptiveExchange>,
@@ -442,6 +435,9 @@ pub struct ParRmq<M: CostModel + Clone + Send + 'static> {
     rounds: u64,
     /// Live-mode fan-out granted for the next round (1..=cfg.workers).
     effective_workers: usize,
+    /// The pool of `cfg.workers − 1` threads that runs rounds called off
+    /// any pool; built by the first such round.
+    private_pool: Option<ExecPool>,
 }
 
 impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
@@ -483,6 +479,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             stop: StopFlag::new(),
             rounds: 0,
             effective_workers: cfg.workers,
+            private_pool: None,
         }
     }
 
@@ -516,10 +513,15 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
     }
 
     /// Runs the workers until `budget` is exhausted (see the crate docs for
-    /// how each budget kind is honored across workers and for the
-    /// standalone vs. pooled dispatch). `Budget::Time` counts from this
-    /// call's entry. May be called repeatedly; worker state (caches,
-    /// arenas, RNG streams) persists across calls.
+    /// how each budget kind is honored across workers and for which pool
+    /// runs them). `Budget::Time` counts from this call's entry. May be
+    /// called repeatedly; worker state (caches, arenas, RNG streams)
+    /// persists across calls.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a worker's batch (e.g. from the cost model).
+    /// The panicking worker is lost with its task: a caller that catches
+    /// the panic must drop the `ParRmq`, whose workers are not checked in.
     pub fn optimize(&mut self, budget: Budget) -> ParRunStats {
         let start = Instant::now();
         self.stop.clear();
@@ -528,10 +530,12 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             .iter()
             .map(|w| w.as_ref().expect("worker checked in").iterations)
             .collect();
-        match ExecPool::current() {
-            Some(pool) => self.optimize_pooled(&pool, budget, start),
-            None => self.optimize_scoped(budget, start),
-        }
+        let pool = ExecPool::current().unwrap_or_else(|| {
+            self.private_pool
+                .get_or_insert_with(|| ExecPool::new(self.cfg.workers - 1))
+                .handle()
+        });
+        self.optimize_pooled(&pool, budget, start);
         self.rounds += 1;
         let per_worker: Vec<u64> = self
             .workers
@@ -557,44 +561,8 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         }
     }
 
-    /// Standalone execution: one scoped OS thread per active worker.
-    fn optimize_scoped(&mut self, budget: Budget, start: Instant) {
-        let active = self.width();
-        let det = self.cfg.deterministic;
-        let plans = self.make_plans(budget, start, active);
-        let (shared, adaptive) = (&*self.shared, &*self.adaptive);
-        // Scoped threads start with an empty ambient span; hand them the
-        // caller's so their batch spans parent to the enclosing session.
-        let parent_span = spans::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .zip(plans)
-                .enumerate()
-                .map(|(w, (worker, mut plan))| {
-                    let worker = worker.as_mut().expect("worker checked in");
-                    s.spawn(move || {
-                        spans::set_current(parent_span);
-                        let ex = ExchangeCtx {
-                            shared,
-                            adaptive,
-                            wide: active > 1,
-                        };
-                        let exchange = (!det).then_some(&ex);
-                        run_batch(w, worker, &mut plan, u64::MAX, exchange);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("ParRmq worker panicked");
-            }
-        });
-    }
-
-    /// Pooled execution: the fan-out becomes a group of resumable batch
-    /// tasks on the shared executor; the calling (pool-worker) thread waits
-    /// by helping.
+    /// The fan-out as a group of resumable batch tasks on `pool`; the
+    /// calling thread waits by helping.
     fn optimize_pooled(&mut self, pool: &PoolHandle, budget: Budget, start: Instant) {
         let active = self.width();
         let det = self.cfg.deterministic;
@@ -861,6 +829,9 @@ mod tests {
         let cfg = ParRmqConfig::seeded(9, 1).deterministic();
         let mut par = ParRmq::new(m.clone(), TableSet::prefix(6), cfg);
         par.optimize(Budget::Iterations(20));
+        // One worker runs on the calling thread alone.
+        let private = par.private_pool.as_ref().map(|p| p.handle().workers());
+        assert_eq!(private, Some(0));
         let mut seq = Rmq::new(&m, TableSet::prefix(6), RmqConfig::seeded(9));
         for _ in 0..20 {
             seq.iterate();
@@ -918,17 +889,21 @@ mod tests {
     fn pooled_mode_runs_rounds_on_the_shared_executor() {
         let pool = ExecPool::new(2);
         let handle = pool.handle();
-        let result: Arc<Mutex<Option<(u64, usize, bool)>>> = Arc::new(Mutex::new(None));
+        type Outcome = (u64, usize, bool, bool);
+        let result: Arc<Mutex<Option<Outcome>>> = Arc::new(Mutex::new(None));
         let out = Arc::clone(&result);
         // Plain spawn + polling: the test thread must not help, or the
-        // session could run here (off-pool) and take the scoped path.
+        // session could run here (off-pool) on a private pool.
         handle.spawn(TaskSpec::root(), move || {
             let on_pool = ExecPool::current().is_some();
             let mut cfg = ParRmqConfig::seeded(6, 3);
             cfg.batch = 4;
             let mut par = ParRmq::new(model(6), TableSet::prefix(6), cfg);
             let stats = par.optimize(Budget::Iterations(25));
-            *out.lock().unwrap() = Some((stats.iterations, par.frontier().len(), on_pool));
+            par.step();
+            // A private pool, once built, is kept: one look covers both.
+            let private = par.private_pool.is_some();
+            *out.lock().unwrap() = Some((stats.iterations, par.frontier().len(), on_pool, private));
             TaskStatus::Done
         });
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -936,8 +911,9 @@ mod tests {
             assert!(Instant::now() < deadline, "pooled session made no progress");
             std::thread::yield_now();
         }
-        let (iterations, frontier, on_pool) = result.lock().unwrap().expect("session ran");
+        let (iterations, frontier, on_pool, private) = result.lock().unwrap().expect("session ran");
         assert!(on_pool, "the session must have run on a pool worker");
+        assert!(!private, "a pooled session must not build its own");
         assert_eq!(iterations, 25, "pooled budgets stay exact");
         assert!(frontier > 0);
         pool.shutdown();

@@ -34,14 +34,19 @@
 //!   foreign groups (`exec_pool.donations`), so a waiting wide session is
 //!   itself a worker. With nothing to claim it parks on the pool's condvar
 //!   until a task is queued or its group's last task completes.
+//! * A group task that panics completes its group with the panic payload:
+//!   the pool thread that ran it carries on, and the group's waiter
+//!   re-raises the payload once the rest of the group has finished.
 //!
 //! Worker threads advertise the pool through a thread local;
 //! [`ExecPool::current`] is how `ParRmq` discovers it is being stepped *on*
-//! the pool (by the optimization service) and routes its fan-out through
-//! shared workers instead of spawning private scoped threads.
+//! a pool (by the optimization service) and fans out through that pool's
+//! shared workers instead of its own private one.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
@@ -124,6 +129,9 @@ struct GroupInner {
     id: u64,
     /// Tasks spawned into the group that have not yet reported `Done`.
     remaining: AtomicUsize,
+    /// The payload of the group's first panicking task, re-raised by
+    /// [`PoolHandle::help_until`].
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 /// A completion latch over a set of tasks spawned with
@@ -175,9 +183,9 @@ impl Queues {
     }
 }
 
-/// Tasks never run under the queue lock, so only a panic inside this
-/// module's own short critical sections could poison it.
-const POISONED: &str = "a panic inside the pool's queue lock";
+/// Tasks never run under the pool's locks, so only a panic inside this
+/// module's own short critical sections could poison one.
+const POISONED: &str = "a panic inside one of the pool's locks";
 
 struct PoolInner {
     queues: Mutex<Queues>,
@@ -224,14 +232,24 @@ impl PoolInner {
     }
 
     /// Runs one task invocation; re-queues it on yield, credits its group
-    /// on done.
+    /// on done. A group task that panics is done: its payload is kept for
+    /// the group's waiter, and the running thread survives. A groupless
+    /// task's panic unwinds the running thread.
     fn run(&self, mut task: Task) {
         metrics().exec_pool_batches.incr();
         // Re-install the spawner's ambient span for the invocation so
         // spans begun inside the task parent correctly on any thread;
         // restore the runner's own ambient span afterwards.
         let prev = spans::enabled().then(|| spans::set_current(task.span));
-        let status = (task.run)();
+        let status = match &task.group {
+            Some(group) => {
+                panic::catch_unwind(AssertUnwindSafe(&mut task.run)).unwrap_or_else(|payload| {
+                    group.panic.lock().expect(POISONED).get_or_insert(payload);
+                    TaskStatus::Done
+                })
+            }
+            None => (task.run)(),
+        };
         if let Some(prev) = prev {
             spans::set_current(prev);
         }
@@ -289,6 +307,7 @@ impl PoolHandle {
             inner: Arc::new(GroupInner {
                 id: self.inner.next_group.fetch_add(1, Ordering::Relaxed) + 1,
                 remaining: AtomicUsize::new(0),
+                panic: Mutex::new(None),
             }),
         }
     }
@@ -327,6 +346,10 @@ impl PoolHandle {
     /// (a worker waiting on sub-tasks executes them) and turns waiting wide
     /// sessions into extra workers. With nothing to claim, the thread parks
     /// until a task is queued or the group's last task completes.
+    ///
+    /// # Panics
+    /// Re-raises the payload of the group's first panicking task, once
+    /// every task of the group has completed.
     pub fn help_until(&self, group: &TaskGroup) {
         let gid = group.inner.id;
         let mut queues = self.inner.lock();
@@ -346,6 +369,10 @@ impl PoolHandle {
             }
             self.inner.run(task);
             queues = self.inner.lock();
+        }
+        drop(queues);
+        if let Some(payload) = group.inner.panic.lock().expect(POISONED).take() {
+            panic::resume_unwind(payload);
         }
     }
 }
@@ -396,7 +423,7 @@ impl ExecPool {
 
     /// The pool whose worker loop is running on the calling thread, if any
     /// — how `ParRmq` detects it is being stepped on shared workers and
-    /// fans out through them instead of private scoped threads.
+    /// fans out through them instead of its private pool.
     pub fn current() -> Option<PoolHandle> {
         CURRENT_POOL.with(|c| {
             c.borrow()
@@ -477,6 +504,42 @@ mod tests {
         assert!(group.is_done());
         // Every task ran all three of its batches.
         assert_eq!(total.load(Ordering::SeqCst), 24);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_group_task_reaches_its_waiter_and_the_worker_survives() {
+        let pool = ExecPool::new(1);
+        let handle = pool.handle();
+        let group = handle.group();
+        let started = Arc::new(AtomicBool::new(false));
+        let started_in = Arc::clone(&started);
+        handle.spawn_in(&group, TaskSpec::batch(), move || {
+            started_in.store(true, Ordering::SeqCst);
+            panic!("the batch failed");
+        });
+        // The worker has taken the task, so the waiter cannot run it and
+        // must learn of the panic from the group.
+        spin_until(|| started.load(Ordering::SeqCst));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = handle.clone();
+        let waiter = std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| waiter.help_until(&group)));
+            let message = outcome.err().map(|p| p.downcast_ref::<&str>().copied());
+            tx.send(message).unwrap();
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the waiter must not hang on a panicked group");
+        assert_eq!(message, Some(Some("the batch failed")));
+        waiter.join().unwrap();
+        let ran = Arc::new(AtomicBool::new(false));
+        let ran_in = Arc::clone(&ran);
+        handle.spawn(TaskSpec::root(), move || {
+            ran_in.store(true, Ordering::SeqCst);
+            TaskStatus::Done
+        });
+        spin_until(|| ran.load(Ordering::SeqCst));
         pool.shutdown();
     }
 

@@ -1,27 +1,29 @@
 //! Integration tests of the parallel optimizer: the deterministic-reduction
 //! contract (differential against literally-sequential reference runs),
 //! seed-determinism pins, deadline enforcement across threads, and the
-//! same contracts when sessions run as climb batches on the shared
-//! executor.
+//! same contracts when sessions run as climb batches on a shared executor
+//! rather than on their private one.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use moqo_core::archive::Admission;
 use moqo_core::model::testing::StubModel;
+use moqo_core::model::{CostModel, JoinOpId, PlanProps, PlanView, ScanOpId};
 use moqo_core::optimizer::Budget;
 use moqo_core::pareto::ParetoSet;
 use moqo_core::plan::PlanRef;
 use moqo_core::rmq::{Rmq, RmqConfig};
-use moqo_core::tables::TableSet;
+use moqo_core::tables::{TableId, TableSet};
 use moqo_parallel::{ExecPool, ParRmq, ParRmqConfig, TaskSpec, TaskStatus};
 use proptest::prelude::*;
 
 /// Runs `f` as a root task on a fresh `workers`-wide executor and returns
 /// its result. The test thread never helps — placement stays on pool
 /// workers, so `f` observes `ExecPool::current()` and `ParRmq::optimize`
-/// takes its pooled path.
+/// fans out on this pool instead of a private one.
 fn run_on_pool<T: Send + 'static>(workers: usize, f: impl FnOnce() -> T + Send + 'static) -> T {
     let pool = ExecPool::new(workers);
     let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
@@ -97,21 +99,32 @@ fn det_frontier(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Differential: the parallel merged frontier in deterministic mode
-    /// equals the sequential `ParetoSet` union — same survivors, same
-    /// costs, same order — across seeds, query sizes, and 2–8 workers.
+    /// Differential: the merged frontier in deterministic mode equals the
+    /// sequential `ParetoSet` union — same survivors, same costs, same
+    /// order — across seeds, query sizes, 2–8 workers, and placements.
+    /// `pool_width` 0 runs the session standalone on its private pool;
+    /// 1–4 runs it as a root task on a shared pool that wide, which for
+    /// a pool narrower than the fan-out forces batch queueing.
+    /// Deterministic batches are ordinary pool tasks that any worker or
+    /// helper may run.
     #[test]
     fn deterministic_mode_equals_sequential_union(
         seed in 0u64..1000,
         tables in 3usize..8,
         workers in 2usize..=8,
+        pool_width in 0usize..=4,
         iters in 4u64..16,
     ) {
         let model = StubModel::line(tables, 2, 17);
         let query = TableSet::prefix(tables);
-        let par = det_frontier(&model, query, seed, workers, iters);
+        let par = if pool_width == 0 {
+            det_frontier(&model, query, seed, workers, iters)
+        } else {
+            let model = model.clone();
+            run_on_pool(pool_width, move || det_frontier(&model, query, seed, workers, iters))
+        };
         let reference = sequential_union(&model, query, seed, workers, iters);
         prop_assert_eq!(rendered(&model, &par), rendered(&model, &reference));
     }
@@ -119,32 +132,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Differential, executor edition: deterministic batches are ordinary
-    /// pool tasks that any worker or helper may run, and running the
-    /// session as a pool task must still produce the same bit-identical
-    /// sequential union as the scoped path — across seeds, fan-outs, and pool widths (including a pool
-    /// narrower than the fan-out, which forces batch queueing).
-    #[test]
-    fn deterministic_mode_on_the_pool_equals_sequential_union(
-        seed in 0u64..1000,
-        workers in 2usize..=6,
-        pool_workers in 1usize..=4,
-        iters in 4u64..16,
-    ) {
-        let model = StubModel::line(6, 2, 17);
-        let query = TableSet::prefix(6);
-        let pooled_model = model.clone();
-        let par = run_on_pool(pool_workers, move || {
-            let cfg = ParRmqConfig::seeded(seed, workers).deterministic();
-            let mut par = ParRmq::new(pooled_model, query, cfg);
-            let stats = par.optimize(Budget::Iterations(iters));
-            assert_eq!(stats.iterations, iters);
-            par.frontier()
-        });
-        let reference = sequential_union(&model, query, seed, workers, iters);
-        prop_assert_eq!(rendered(&model, &par), rendered(&model, &reference));
-    }
 
     /// Iteration budgets are exact on the pool in live mode too: workers
     /// pull quotas from one shared claim counter, so awkward totals that
@@ -336,47 +323,119 @@ fn deadline_is_bounded_on_an_oversubscribed_pool() {
 }
 
 #[test]
-fn stop_flag_cancels_batches_on_other_workers() {
-    // Fan-out 4 on a 2-worker pool: the session's root task cannot run all
-    // four climb batches itself, so at least some execute on the other
-    // worker, taken from the queue or donated. Raising the stop flag must cancel
-    // those remotely-executing batches too — the run ends promptly even
-    // though the deadline is half a minute out.
-    let pool = ExecPool::new(2);
-    let model = StubModel::line(9, 2, 13);
-    let query = TableSet::prefix(9);
-    let par = ParRmq::new(model, query, ParRmqConfig::seeded(4, 4));
-    let flag = par.stop_handle();
-    let result: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let started = Instant::now();
-    let mut par = Some(par);
-    pool.handle().spawn(TaskSpec::root(), move || {
-        let mut par = par.take().expect("session task runs once");
-        let stats = par.optimize(Budget::Deadline(Instant::now() + Duration::from_secs(30)));
-        *slot.lock().unwrap() = Some(stats.iterations);
-        TaskStatus::Done
-    });
-    // Let the climbers get going, then raise the flag — repeatedly, so the
-    // signal sticks even if optimize() entry (which clears the flag) races
-    // with the first stop().
-    std::thread::sleep(Duration::from_millis(40));
-    let iterations = loop {
-        flag.stop();
-        if let Some(iters) = result.lock().unwrap().take() {
-            break iters;
-        }
+fn stop_handle_cancels_a_long_deadline_promptly() {
+    // Fan-out 4, standalone (three batches run on the private pool's
+    // threads) and as a root task on a 2-worker shared pool (some batches
+    // run on the other worker, taken from the queue or donated). Raising
+    // the flag from another thread must cancel every batch long before
+    // the (distant) deadline.
+    for pool_width in [0usize, 2] {
+        let model = StubModel::line(9, 2, 13);
+        let mut par = ParRmq::new(model, TableSet::prefix(9), ParRmqConfig::seeded(4, 4));
+        let flag = par.stop_handle();
+        let done = Arc::new(AtomicBool::new(false));
+        let canceller = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                // Arm after optimize() has cleared the flag: once when
+                // standalone, until the run ends when the root task may
+                // start late on the pool.
+                std::thread::sleep(Duration::from_millis(40));
+                flag.stop();
+                while pool_width > 0 && !done.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(10));
+                    flag.stop();
+                }
+            })
+        };
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs(30);
+        let mut optimize = move || par.optimize(Budget::Deadline(deadline)).iterations;
+        let iterations = if pool_width == 0 {
+            optimize()
+        } else {
+            run_on_pool(pool_width, optimize)
+        };
+        done.store(true, Ordering::SeqCst);
+        canceller.join().unwrap();
         assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "stop() must cancel batches running on other workers"
+            started.elapsed() < Duration::from_secs(5),
+            "stop() must end the run long before the deadline (pool width {pool_width})"
         );
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "stop() must end the run long before the deadline"
-    );
-    assert!(iterations > 0, "the session ran before being cancelled");
+        assert!(iterations > 0, "the session ran before being cancelled");
+    }
+}
+
+/// A stub model whose clones share one join-costing allowance and panic
+/// once it is spent.
+#[derive(Clone)]
+struct PanickingModel {
+    inner: StubModel,
+    costings_left: Arc<AtomicI64>,
+}
+
+impl CostModel for PanickingModel {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn metric_name(&self, k: usize) -> &str {
+        self.inner.metric_name(k)
+    }
+    fn num_tables(&self) -> usize {
+        self.inner.num_tables()
+    }
+    fn scan_ops(&self, table: TableId) -> &[ScanOpId] {
+        self.inner.scan_ops(table)
+    }
+    fn join_ops(&self, outer: &PlanView, inner: &PlanView, out: &mut Vec<JoinOpId>) {
+        self.inner.join_ops(outer, inner, out)
+    }
+    fn scan_props(&self, table: TableId, op: ScanOpId) -> PlanProps {
+        self.inner.scan_props(table, op)
+    }
+    fn join_props(&self, outer: &PlanView, inner: &PlanView, op: JoinOpId) -> PlanProps {
+        if self.costings_left.fetch_sub(1, Ordering::Relaxed) <= 0 {
+            panic!("the cost model failed");
+        }
+        self.inner.join_props(outer, inner, op)
+    }
+    fn scan_op_name(&self, op: ScanOpId) -> String {
+        self.inner.scan_op_name(op)
+    }
+    fn join_op_name(&self, op: JoinOpId) -> String {
+        self.inner.join_op_name(op)
+    }
+    fn num_formats(&self) -> usize {
+        self.inner.num_formats()
+    }
+}
+
+#[test]
+fn a_panicking_cost_model_fails_a_standalone_optimize_promptly() {
+    // Every worker's batches end in a panic once the shared allowance is
+    // spent; `optimize` must re-raise it instead of hanging its caller.
+    for workers in [2usize, 4] {
+        let model = PanickingModel {
+            inner: StubModel::line(8, 2, 5),
+            costings_left: Arc::new(AtomicI64::new(2_000)),
+        };
+        let mut par = ParRmq::new(model, TableSet::prefix(8), ParRmqConfig::seeded(3, workers));
+        let (tx, rx) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                par.optimize(Budget::Iterations(1_000_000))
+            }));
+            tx.send(outcome.is_err()).unwrap();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("optimize on {workers} workers hung on a panicked batch"));
+        assert!(
+            panicked,
+            "optimize on {workers} workers must re-raise the panic"
+        );
+        caller.join().unwrap();
+    }
 }
 
 #[test]
@@ -392,26 +451,4 @@ fn time_budget_counts_from_call_entry() {
         "budget ended too early"
     );
     assert!(elapsed <= Duration::from_millis(300), "budget ran far over");
-}
-
-#[test]
-fn stop_handle_cancels_a_long_deadline_promptly() {
-    // Raise the flag from another thread mid-run: the workers must wind
-    // down long before the (distant) deadline.
-    let model = StubModel::line(9, 2, 13);
-    let query = TableSet::prefix(9);
-    let mut par = ParRmq::new(model, query, ParRmqConfig::seeded(4, 4));
-    let flag = par.stop_handle();
-    let started = Instant::now();
-    let canceller = std::thread::spawn(move || {
-        // Arm well after optimize() has started (and cleared the flag).
-        std::thread::sleep(Duration::from_millis(40));
-        flag.stop();
-    });
-    par.optimize(Budget::Deadline(started + Duration::from_secs(30)));
-    canceller.join().unwrap();
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "stop() must end the run long before the deadline"
-    );
 }
