@@ -26,7 +26,7 @@ use moqo_core::arena::{PlanArena, PlanId};
 use moqo_core::fxhash::FxHashMap;
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::{Plan, PlanRef};
 use moqo_core::tables::{TableId, TableSet};
 
@@ -114,6 +114,7 @@ impl<M: CostModel> DpOptimizer<M> {
     fn process_subset(&mut self, mask: u128) {
         let arena = &mut self.arena;
         let model = &self.model;
+        let mut screen = ScreenCounters::default();
         if mask.count_ones() == 1 {
             let t = self.tables[mask.trailing_zeros() as usize];
             // Cost each scan candidate first; intern on admission only
@@ -123,7 +124,7 @@ impl<M: CostModel> DpOptimizer<M> {
             let mut entry = self.frontiers.remove(&mask).unwrap_or_default();
             for &op in model.scan_ops(t) {
                 let props = model.scan_props(t, op);
-                entry.admit(&props.cost, props.format, &admission, || {
+                entry.admit(&props.cost, props.format, &admission, &mut screen, || {
                     arena.scan_from_props(t, op, props)
                 });
                 self.plans_costed += 1;
@@ -152,7 +153,7 @@ impl<M: CostModel> DpOptimizer<M> {
                     model.join_ops(&arena.view(o), &arena.view(i), &mut ops);
                     for &op in &ops {
                         let props = model.join_props(&arena.view(o), &arena.view(i), op);
-                        result.admit(&props.cost, props.format, &admission, || {
+                        result.admit(&props.cost, props.format, &admission, &mut screen, || {
                             arena.join_from_props(o, i, op, props)
                         });
                         self.plans_costed += 1;

@@ -16,7 +16,7 @@ use moqo_core::arena::{PlanArena, PlanId};
 use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::random_plan::random_plan_in;
 use moqo_core::tables::TableSet;
@@ -79,10 +79,9 @@ impl<M: CostModel> Optimizer for IterativeImprovement<M> {
             &mut self.scratch,
         );
         let view = self.arena.view(optimum);
+        let (frontier, tally) = (Admission::CostFrontier, &mut ScreenCounters::default());
         self.archive
-            .admit(&view.cost, view.format, &Admission::cost_frontier(), || {
-                optimum
-            });
+            .admit(&view.cost, view.format, &frontier, tally, || optimum);
         self.iterations += 1;
         true
     }

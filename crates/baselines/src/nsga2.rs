@@ -24,7 +24,7 @@ use moqo_core::arena::{PlanArena, PlanId};
 use moqo_core::cost::CostVector;
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::{TableId, TableSet};
 
@@ -367,9 +367,10 @@ impl<M: CostModel> Optimizer for Nsga2<M> {
         // Rank-0 members of the current population, cost-deduplicated,
         // exported from the arena at the API boundary.
         let mut set: ParetoSet<PlanId> = ParetoSet::new();
+        let (frontier, tally) = (Admission::CostFrontier, &mut ScreenCounters::default());
         for ind in self.population.iter().filter(|i| i.rank == 0) {
             let format = self.arena.node(ind.plan).format();
-            set.admit(&ind.cost, format, &Admission::cost_frontier(), || ind.plan);
+            set.admit(&ind.cost, format, &frontier, tally, || ind.plan);
         }
         set.into_plans()
             .into_iter()

@@ -26,7 +26,7 @@ use moqo_core::cost::CostVector;
 use moqo_core::model::CostModel;
 use moqo_core::mutations::random_neighbor_in;
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::random_plan::random_plan_in;
 use moqo_core::tables::TableSet;
@@ -88,10 +88,7 @@ impl<M: CostModel> SimulatedAnnealing<M> {
         let mut arena = PlanArena::new();
         let current = random_plan_in(&mut arena, &model, query, &mut rng);
         let mut archive: ParetoSet<PlanId> = ParetoSet::new();
-        let view = arena.view(current);
-        archive.admit(&view.cost, view.format, &Admission::cost_frontier(), || {
-            current
-        });
+        archive_plan(&mut archive, &arena, current);
         SimulatedAnnealing {
             model,
             query,
@@ -112,9 +109,7 @@ impl<M: CostModel> SimulatedAnnealing<M> {
     /// optimizer's arena (the `Arc<Plan>` boundary conversion).
     pub fn restart_from(&mut self, plan: PlanRef, temperature: f64) {
         let id = self.arena.import(&plan);
-        let view = self.arena.view(id);
-        self.archive
-            .admit(&view.cost, view.format, &Admission::cost_frontier(), || id);
+        archive_plan(&mut self.archive, &self.arena, id);
         self.current = id;
         self.temperature = temperature;
     }
@@ -145,6 +140,20 @@ impl<M: CostModel> SimulatedAnnealing<M> {
     }
 }
 
+/// Offers arena plan `id` to the cost-frontier archive (nobody reads its
+/// screening tallies).
+fn archive_plan(archive: &mut ParetoSet<PlanId>, arena: &PlanArena, id: PlanId) {
+    let view = arena.view(id);
+    let tally = &mut ScreenCounters::default();
+    archive.admit(
+        &view.cost,
+        view.format,
+        &Admission::cost_frontier(),
+        tally,
+        || id,
+    );
+}
+
 /// Served without plan exchange: the no-op [`PlanExchange`] defaults
 /// apply (nothing to absorb or export, fan-out 1).
 impl<M: CostModel + Send> PlanExchange for SimulatedAnnealing<M> {}
@@ -158,10 +167,7 @@ impl<M: CostModel> Optimizer for SimulatedAnnealing<M> {
         if self.temperature < self.params.frozen {
             // Frozen: restart from a fresh random plan at full temperature.
             self.current = random_plan_in(&mut self.arena, &self.model, self.query, &mut self.rng);
-            let view = self.arena.view(self.current);
-            let id = self.current;
-            self.archive
-                .admit(&view.cost, view.format, &Admission::cost_frontier(), || id);
+            archive_plan(&mut self.archive, &self.arena, self.current);
             self.temperature = self.params.initial_temperature;
         }
         let moves = self.params.moves_per_table * self.query.len().max(1);
@@ -179,11 +185,7 @@ impl<M: CostModel> Optimizer for SimulatedAnnealing<M> {
                 delta <= 0.0 || self.rng.random::<f64>() < (-delta / self.temperature).exp();
             if accept {
                 self.current = candidate;
-                let format = self.arena.node(candidate).format();
-                self.archive
-                    .admit(&candidate_cost, format, &Admission::cost_frontier(), || {
-                        candidate
-                    });
+                archive_plan(&mut self.archive, &self.arena, candidate);
                 self.accepted += 1;
             }
         }

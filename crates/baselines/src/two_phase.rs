@@ -19,7 +19,7 @@
 use moqo_core::archive::Admission;
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
 
@@ -119,8 +119,9 @@ impl<M: CostModel> Optimizer for TwoPhase<M> {
     fn frontier(&self) -> Vec<PlanRef> {
         // Union of both phases' archives, Pareto-filtered.
         let mut all = ParetoSet::new();
+        let mut screen = ScreenCounters::default();
         for p in self.ii.frontier().into_iter().chain(self.sa.frontier()) {
-            all.insert(p, &Admission::cost_frontier());
+            all.insert(p, &Admission::cost_frontier(), &mut screen);
         }
         all.into_plans()
     }

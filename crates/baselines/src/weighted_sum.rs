@@ -18,7 +18,7 @@ use moqo_core::fxhash::FxHashMap;
 use moqo_core::model::CostModel;
 use moqo_core::mutations::{all_neighbors_in, MutationSet};
 use moqo_core::optimizer::{Optimizer, PlanExchange};
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::random_plan::random_plan_in;
 use moqo_core::tables::TableSet;
@@ -145,8 +145,9 @@ impl<M: CostModel> Optimizer for WeightedSum<M> {
         let optimum = self.scalar_climb(start, &weights);
         let view = self.climb_arena.view(optimum);
         let (arena, climb_arena) = (&mut self.arena, &self.climb_arena);
+        let (frontier, tally) = (Admission::CostFrontier, &mut ScreenCounters::default());
         self.archive
-            .admit(&view.cost, view.format, &Admission::cost_frontier(), || {
+            .admit(&view.cost, view.format, &frontier, tally, || {
                 arena.adopt(climb_arena, optimum, &mut FxHashMap::default())
             });
         true

@@ -35,7 +35,7 @@ use moqo_core::cost::CostVector;
 use moqo_core::model::{OutputFormat, PlanProps, ScanOpId};
 use moqo_core::mutations::{root_mutations_in, MutationSet};
 use moqo_core::optimizer::{Budget, ConvergencePoint, PlanExchange};
-use moqo_core::pareto::{LinearParetoSet, ParetoSet, PrunePolicy};
+use moqo_core::pareto::{LinearParetoSet, ParetoSet, PrunePolicy, ScreenCounters};
 use moqo_core::plan::{Plan, PlanRef};
 use moqo_core::random_plan::random_plan_in;
 use moqo_core::rmq::{Rmq, RmqConfig};
@@ -44,6 +44,7 @@ use moqo_cost::{ResourceCostModel, ResourceMetric};
 use moqo_frontdoor::{
     Admitted, DegradationConfig, FrontDoor, FrontDoorConfig, FrontRequest, FrontdoorError,
 };
+use moqo_harness::stats::median_usize;
 use moqo_metrics::hypervolume::hypervolume;
 use moqo_parallel::{ParRmq, ParRmqConfig};
 use rand::rngs::StdRng;
@@ -364,9 +365,10 @@ const CACHED_SHAPE_SETS: usize = 256;
 fn admit_cached_shape(stream: &[CostVector]) -> Vec<ParetoSet<u32>> {
     let adm = Admission::approx(2.0);
     let mut sets: Vec<ParetoSet<u32>> = (0..CACHED_SHAPE_SETS).map(|_| ParetoSet::new()).collect();
+    let mut screen = ScreenCounters::default();
     for (i, cost) in stream.iter().enumerate() {
         let format = OutputFormat((i / CACHED_SHAPE_SETS % 2) as u8);
-        sets[i % CACHED_SHAPE_SETS].admit(cost, format, &adm, || i as u32);
+        sets[i % CACHED_SHAPE_SETS].admit(cost, format, &adm, &mut screen, || i as u32);
     }
     sets
 }
@@ -380,10 +382,10 @@ fn run_eps_archive(quick: bool) -> EpsArchiveReport {
     let costs = anti_correlated_costs(stream_len, dim, 23);
     let archive_of = |admission: &Admission| {
         let mut set: ParetoSet<u32> = ParetoSet::new();
+        let mut screen = ScreenCounters::default();
         for c in &costs {
-            set.admit(c, OutputFormat(0), admission, || 0u32);
+            set.admit(c, OutputFormat(0), admission, &mut screen, || 0u32);
         }
-        let screen = set.take_screen_counters();
         (set.len(), screen.eps_rejects)
     };
     let (exact_size, _) = archive_of(&Admission::exact());
@@ -434,8 +436,9 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
         let name = format!("insert_{kind}_bucketed");
         out.push(time_ns_per_op(&name, rounds, ops, || {
             let mut set = ParetoSet::new();
+            let mut screen = ScreenCounters::default();
             for p in &stream {
-                set.insert(p.clone(), &admission);
+                set.insert(p.clone(), &admission, &mut screen);
             }
             std::hint::black_box(set.len());
         }));
@@ -477,8 +480,9 @@ fn run_micro(quick: bool) -> (Vec<MicroResult>, Speedups, ArenaReport) {
         let name = format!("dominance_screen_soa_d{dim}");
         out.push(time_ns_per_op(&name, rounds, ops, || {
             let mut set: ParetoSet<u32> = ParetoSet::new();
+            let (exact, mut screen) = (Admission::exact(), ScreenCounters::default());
             for c in &costs {
-                set.admit(c, OutputFormat(0), &Admission::exact(), || 0u32);
+                set.admit(c, OutputFormat(0), &exact, &mut screen, || 0u32);
             }
             std::hint::black_box(set.len());
         }));
@@ -685,7 +689,7 @@ fn run_rmq(quick: bool) -> (Vec<RmqResult>, Vec<ObsFixture>, Vec<ConvergenceFixt
             metrics: ResourceMetric::ALL.len(),
             seed,
             checkpoints,
-            median_path_length: rmq.stats().median_path_length().unwrap_or(0.0),
+            median_path_length: median_usize(&rmq.stats().path_lengths).unwrap_or(0.0),
             cache_table_sets: rmq.cache().num_table_sets(),
             cache_plans: rmq.cache().total_plans(),
             arena_nodes: rmq.arena().stats().nodes,

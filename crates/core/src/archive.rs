@@ -1,27 +1,17 @@
-//! The redesigned archive / admission API: per-metric approximation
-//! factors, the pluggable [`Dominance`] relation, ε-Pareto box archives,
-//! and the per-iteration [`EpsSchedule`] that generalizes the old scalar
-//! `AlphaSchedule`.
-//!
-//! Historically [`crate::pareto::ParetoSet`] grew three insertion entry
-//! points (`insert_climb_with` / `insert_approx_with` /
-//! `insert_cost_frontier_with`), each hard-coding one pruning rule. This
-//! module replaces the trio with a single data-driven admission contract:
+//! The archive / admission API: per-metric approximation factors,
+//! ε-Pareto box archives, the one [`Admission`] rule every Pareto-set
+//! insertion goes through, and the per-iteration [`EpsSchedule`].
 //!
 //! * [`EpsFactors`] — one approximation factor per cost metric
 //!   (`α_k ≥ 1`; a scalar α is the uniform special case). The factors
-//!   define both the α-dominance *bound* (`bound_of`) and the ε-Pareto
-//!   *box* of a cost vector (`box_key`).
-//! * [`Dominance`] — the relation seam: anything that can turn a
-//!   candidate cost into a rejection bound. Exact dominance, scalar α,
-//!   and per-metric ε are instances; restricted F-dominance (flexible
-//!   skylines) slots in here without touching the archive kernels.
-//! * [`AdmissionRule`] / [`Admission`] — the complete admission decision
-//!   (the pruning rule), passed to
-//!   [`ParetoSet::admit`](crate::pareto::ParetoSet::admit).
+//!   define both the α-dominance *bound* (`bound_of`: a member covers a
+//!   candidate iff it weakly dominates the bound) and the ε-Pareto *box*
+//!   of a cost vector (`box_key`).
+//! * [`Admission`] — the complete admission decision (the pruning rule),
+//!   passed to [`ParetoSet::admit`](crate::pareto::ParetoSet::admit).
 //! * [`EpsSchedule`] / [`ArchiveConfig`] — the per-iteration schedule of
-//!   factors (folding in the old `AlphaSchedule` semantics, including the
-//!   `≥ 1` clamp) plus the archive policy.
+//!   factors (every emitted factor clamped to `≥ 1`) plus the archive
+//!   policy.
 //!
 //! # ε-Pareto archives
 //!
@@ -203,57 +193,10 @@ impl BoxKey {
     }
 }
 
-/// The dominance-relation seam: anything that can turn a candidate's cost
-/// into a **rejection bound** — a member rejects the candidate iff the
-/// member's cost weakly dominates the bound.
-///
-/// Exact dominance ([`Exact`]) and per-metric α-dominance ([`EpsFactors`])
-/// are the built-in instances; restricted F-dominance over a constrained
-/// family of scoring functions (flexible skylines, ROADMAP item on
-/// preference-constrained frontiers) is the intended future instance —
-/// it only needs a `bound_of`, not new archive kernels.
-pub trait Dominance {
-    /// The rejection bound of `candidate`: a member `m` covers (rejects)
-    /// the candidate iff `m ⪯ bound_of(candidate)` component-wise.
-    fn bound_of(&self, candidate: &CostVector) -> CostVector;
-
-    /// Whether `member` covers `candidate` under this relation.
-    #[inline]
-    fn covers(&self, member: &CostVector, candidate: &CostVector) -> bool {
-        member.dominates(&self.bound_of(candidate))
-    }
-
-    /// Sound aggregate-key screen: `covers(m, c)` implies
-    /// `m.agg_key() <= key_bound(c)` (see [`CostVector::agg_key`]).
-    #[inline]
-    fn key_bound(&self, candidate: &CostVector) -> f64 {
-        self.bound_of(candidate).agg_key()
-    }
-}
-
-/// Exact weak Pareto dominance as a [`Dominance`] relation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Exact;
-
-impl Dominance for Exact {
-    #[inline]
-    fn bound_of(&self, candidate: &CostVector) -> CostVector {
-        *candidate
-    }
-}
-
-impl Dominance for EpsFactors {
-    #[inline]
-    fn bound_of(&self, candidate: &CostVector) -> CostVector {
-        EpsFactors::bound_of(self, candidate)
-    }
-}
-
-/// One archive admission rule — the pruning semantics previously spread
-/// over the `insert_climb_with` / `insert_approx_with` /
-/// `insert_cost_frontier_with` trio, plus the new ε-Pareto box rule.
+/// One archive admission rule: how a [`ParetoSet`](crate::pareto::ParetoSet)
+/// decides whether a candidate enters and which members it evicts.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AdmissionRule {
+pub enum Admission {
     /// Hill-climb pruning (Algorithm 2's `Prune`) under a [`PrunePolicy`]:
     /// same-format members reject via weak dominance (strict dominance or
     /// exact duplicate), admission evicts strictly dominated same-format
@@ -275,19 +218,61 @@ pub enum AdmissionRule {
     CostFrontier,
 }
 
-impl AdmissionRule {
+impl Admission {
+    /// Hill-climb pruning under `policy`.
+    pub fn climb(policy: PrunePolicy) -> Self {
+        Admission::Climb(policy)
+    }
+
+    /// Uniform scalar-α approximate pruning.
+    pub fn approx(alpha: f64) -> Self {
+        Admission::Approx(EpsFactors::uniform(alpha))
+    }
+
+    /// Per-metric approximate pruning.
+    #[inline]
+    pub fn approx_per_metric(factors: EpsFactors) -> Self {
+        Admission::Approx(factors)
+    }
+
+    /// Exact approximate pruning (`α = 1` everywhere).
+    #[inline]
+    pub fn exact() -> Self {
+        Admission::Approx(EpsFactors::exact())
+    }
+
+    /// ε-Pareto box archive with the given per-metric factors.
+    pub fn eps_box(factors: EpsFactors) -> Self {
+        Admission::EpsBox(factors)
+    }
+
+    /// Exact format-blind cost-frontier admission.
+    pub fn cost_frontier() -> Self {
+        Admission::CostFrontier
+    }
+
+    /// The largest scalar α this admission is at most as coarse as
+    /// (1 for exact rules) — the number reported as `last_alpha` in
+    /// optimizer stats.
+    pub fn max_factor(&self) -> f64 {
+        match self {
+            Admission::Climb(_) | Admission::CostFrontier => 1.0,
+            Admission::Approx(eps) | Admission::EpsBox(eps) => eps.max(),
+        }
+    }
+
     /// Reference predicate: whether a member (of the rule's comparison
     /// scope — same format, or any member for [`CostFrontier`
-    /// ](AdmissionRule::CostFrontier)) rejects the candidate. This is the
+    /// ](Admission::CostFrontier)) rejects the candidate. This is the
     /// scalar one-pair form the block kernels of
     /// [`crate::pareto::ParetoSet`] are differentially tested against; the
     /// service's cross-query cache uses it directly.
     #[inline]
     pub fn rejects(&self, member: &CostVector, candidate: &CostVector) -> bool {
         match self {
-            AdmissionRule::Climb(_) | AdmissionRule::CostFrontier => member.dominates(candidate),
-            AdmissionRule::Approx(eps) => eps.covers(member, candidate),
-            AdmissionRule::EpsBox(eps) => {
+            Admission::Climb(_) | Admission::CostFrontier => member.dominates(candidate),
+            Admission::Approx(eps) => member.dominates(&eps.bound_of(candidate)),
+            Admission::EpsBox(eps) => {
                 let mb = eps.box_key(member);
                 let cb = eps.box_key(candidate);
                 mb.dominates(&cb) && (mb != cb || !candidate.strictly_dominates(member))
@@ -300,13 +285,11 @@ impl AdmissionRule {
     #[inline]
     pub fn evicts(&self, candidate: &CostVector, member: &CostVector) -> bool {
         match self {
-            AdmissionRule::Climb(_) | AdmissionRule::CostFrontier => {
-                candidate.strictly_dominates(member)
-            }
+            Admission::Climb(_) | Admission::CostFrontier => candidate.strictly_dominates(member),
             // Equal-cost members reject first, so weak dominance never
             // evicts an equal member in a reachable state.
-            AdmissionRule::Approx(_) => candidate.dominates(member),
-            AdmissionRule::EpsBox(eps) => {
+            Admission::Approx(_) => candidate.dominates(member),
+            Admission::EpsBox(eps) => {
                 let cb = eps.box_key(candidate);
                 let mb = eps.box_key(member);
                 cb.dominates(&mb) && (cb != mb || candidate.strictly_dominates(member))
@@ -318,74 +301,12 @@ impl AdmissionRule {
     /// format-blind cost frontier).
     #[inline]
     pub fn format_scoped(&self) -> bool {
-        !matches!(self, AdmissionRule::CostFrontier)
+        !matches!(self, Admission::CostFrontier)
     }
 }
 
-/// A complete admission decision: the pruning rule.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Admission {
-    /// The pruning rule.
-    pub rule: AdmissionRule,
-}
-
-impl Admission {
-    /// Hill-climb pruning under `policy`.
-    pub fn climb(policy: PrunePolicy) -> Self {
-        Admission {
-            rule: AdmissionRule::Climb(policy),
-        }
-    }
-
-    /// Uniform scalar-α approximate pruning.
-    pub fn approx(alpha: f64) -> Self {
-        Admission {
-            rule: AdmissionRule::Approx(EpsFactors::uniform(alpha)),
-        }
-    }
-
-    /// Per-metric approximate pruning.
-    #[inline]
-    pub fn approx_per_metric(factors: EpsFactors) -> Self {
-        Admission {
-            rule: AdmissionRule::Approx(factors),
-        }
-    }
-
-    /// Exact approximate pruning (`α = 1` everywhere).
-    #[inline]
-    pub fn exact() -> Self {
-        Admission::approx_per_metric(EpsFactors::exact())
-    }
-
-    /// ε-Pareto box archive with the given per-metric factors.
-    pub fn eps_box(factors: EpsFactors) -> Self {
-        Admission {
-            rule: AdmissionRule::EpsBox(factors),
-        }
-    }
-
-    /// Exact format-blind cost-frontier admission.
-    pub fn cost_frontier() -> Self {
-        Admission {
-            rule: AdmissionRule::CostFrontier,
-        }
-    }
-
-    /// The largest scalar α this admission is at most as coarse as
-    /// (1 for exact rules) — the number reported as `last_alpha` in
-    /// optimizer stats.
-    pub fn max_factor(&self) -> f64 {
-        match self.rule {
-            AdmissionRule::Climb(_) | AdmissionRule::CostFrontier => 1.0,
-            AdmissionRule::Approx(eps) | AdmissionRule::EpsBox(eps) => eps.max(),
-        }
-    }
-}
-
-/// A schedule of per-metric approximation factors over RMQ iterations —
-/// the generalization of the old scalar `AlphaSchedule`. Every emitted
-/// component is clamped to `≥ 1`, whatever the parameters.
+/// A schedule of per-metric approximation factors over RMQ iterations.
+/// Every emitted component is clamped to `≥ 1`, whatever the parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EpsSchedule {
     /// `start · decayᵖ` per metric, where `p = ⌊iteration / period⌋`.
@@ -499,11 +420,10 @@ impl ArchiveConfig {
     /// The [`Admission`] of the given iteration.
     pub fn admission(&self, iteration: u64) -> Admission {
         let factors = self.eps.factors(iteration);
-        let rule = match self.policy {
-            ArchivePolicy::Approx => AdmissionRule::Approx(factors),
-            ArchivePolicy::EpsBox => AdmissionRule::EpsBox(factors),
-        };
-        Admission { rule }
+        match self.policy {
+            ArchivePolicy::Approx => Admission::Approx(factors),
+            ArchivePolicy::EpsBox => Admission::EpsBox(factors),
+        }
     }
 }
 
@@ -544,8 +464,9 @@ mod tests {
     fn per_metric_bound_scales_each_axis_independently() {
         let eps = EpsFactors::per_metric(&[4.0, 1.0]);
         // 3x worse in metric 0 is covered; 1.1x worse in metric 1 is not.
-        assert!(eps.covers(&cv(&[3.0, 1.0]), &cv(&[1.0, 1.0])));
-        assert!(!eps.covers(&cv(&[1.0, 1.1]), &cv(&[1.0, 1.0])));
+        let adm = Admission::Approx(eps);
+        assert!(adm.rejects(&cv(&[3.0, 1.0]), &cv(&[1.0, 1.0])));
+        assert!(!adm.rejects(&cv(&[1.0, 1.1]), &cv(&[1.0, 1.0])));
     }
 
     #[test]
@@ -593,8 +514,8 @@ mod tests {
         // The degenerate ε-archive: all-ones factors box each exact value,
         // so reject/evict decisions coincide with exact pruning wherever
         // the pair of states is reachable (equal costs reject first).
-        let exact = AdmissionRule::Approx(EpsFactors::exact());
-        let boxed = AdmissionRule::EpsBox(EpsFactors::exact());
+        let exact = Admission::Approx(EpsFactors::exact());
+        let boxed = Admission::EpsBox(EpsFactors::exact());
         let pts = [
             cv(&[1.0, 2.0]),
             cv(&[2.0, 1.0]),
@@ -624,10 +545,10 @@ mod tests {
 
     #[test]
     fn geometric_schedule_never_yields_factors_below_one() {
-        // The adversarial clamp invariant carried over from the old scalar
-        // `AlphaSchedule`: whatever the parameters (sub-1 starts, zero
-        // decay, zero period, astronomical iteration counts), every emitted
-        // factor component is >= 1, keeping `approx_dominates` sound.
+        // The adversarial clamp invariant: whatever the parameters (sub-1
+        // starts, zero decay, zero period, astronomical iteration counts),
+        // every emitted factor component is >= 1, keeping
+        // `approx_dominates` sound.
         let schedules = [
             EpsSchedule::paper(),
             EpsSchedule::Geometric {
@@ -667,11 +588,11 @@ mod tests {
         let cfg = ArchiveConfig::paper();
         let adm = cfg.admission(0);
         assert_eq!(adm.max_factor(), 25.0);
-        assert!(matches!(adm.rule, AdmissionRule::Approx(_)));
+        assert!(matches!(adm, Admission::Approx(_)));
 
         let cfg = ArchiveConfig::eps_box(EpsFactors::uniform(1.5));
         let adm = cfg.admission(17);
-        assert!(matches!(adm.rule, AdmissionRule::EpsBox(_)));
+        assert!(matches!(adm, Admission::EpsBox(_)));
 
         assert_eq!(ArchiveConfig::exact().admission(9).max_factor(), 1.0);
         assert_eq!(ArchiveConfig::fixed(2.5).admission(9).max_factor(), 2.5);
@@ -689,8 +610,8 @@ mod tests {
         fn uniform_bound_equals_scalar_alpha(a in arb_cost(4), b in arb_cost(4),
                                              alpha in 1.0f64..100.0) {
             let eps = EpsFactors::uniform(alpha);
-            prop_assert_eq!(eps.covers(&a, &b), a.approx_dominates(&b, alpha));
-            prop_assert_eq!(eps.key_bound(&b), b.scaled_agg_key(alpha));
+            prop_assert_eq!(Admission::Approx(eps).rejects(&a, &b), a.approx_dominates(&b, alpha));
+            prop_assert_eq!(eps.bound_of(&b).agg_key(), b.scaled_agg_key(alpha));
         }
 
         /// Box keys are monotone: weak dominance implies box dominance for

@@ -46,8 +46,8 @@ pub struct PlanCache<P = PlanId> {
     changed: Vec<TableSet>,
     insertions: u64,
     rejections: u64,
-    /// Screening tallies drained from the per-table-set frontiers whenever
-    /// a [`CacheSlot`] closes (see [`PlanCache::take_screen_counters`]).
+    /// Screening tallies of every admission to the per-table-set frontiers
+    /// (see [`PlanCache::take_screen_counters`]).
     screen: ScreenCounters,
 }
 
@@ -98,7 +98,7 @@ impl<P> PlanCache<P> {
     /// The cached frontier for `rel` as the underlying [`ParetoSet`]
     /// (members plus inline cost metadata), `None` if the table set was
     /// never seen. The batch-merge entry point of the parallel optimizer:
-    /// [`ParetoSet::merge_with`] reads candidate costs from here without
+    /// [`ParetoSet::merge_from`] reads candidate costs from here without
     /// re-deriving them from plan handles.
     #[inline]
     pub fn frontier_set(&self, rel: TableSet) -> Option<&ParetoSet<P>> {
@@ -126,8 +126,7 @@ impl<P> PlanCache<P> {
     /// entry point of the frontier approximation, which offers every
     /// operator of every operand pair of a join node to one table set: the
     /// session-sized map is probed once here, not once per candidate, and
-    /// the frontier's screening tallies are drained once, when the slot is
-    /// dropped — as is the change list's one branch.
+    /// the change list's one branch runs once, when the slot is dropped.
     pub fn slot(&mut self, rel: TableSet) -> CacheSlot<'_, P> {
         self.open(rel, true)
     }
@@ -197,9 +196,8 @@ impl<P> PlanCache<P> {
     }
 
     /// Returns and resets the screening tallies accumulated across all
-    /// per-table-set frontiers — the cache-side analogue of
-    /// [`ParetoSet::take_screen_counters`], flushed to the `moqo-obs`
-    /// registry at iteration granularity by the RMQ loop.
+    /// per-table-set frontiers, flushed to the `moqo-obs` registry at
+    /// iteration granularity by the RMQ loop.
     pub fn take_screen_counters(&mut self) -> ScreenCounters {
         std::mem::take(&mut self.screen)
     }
@@ -212,7 +210,7 @@ impl<P> PlanCache<P> {
     /// Iterates over `(table set, frontier set)` entries in unspecified
     /// order — the batch-merge view: unlike [`entries`](PlanCache::entries)
     /// it exposes the [`ParetoSet`]s themselves (inline cost metadata
-    /// included), so a consumer can [`ParetoSet::merge_with`] a whole
+    /// included), so a consumer can [`ParetoSet::merge_from`] a whole
     /// sub-query frontier without re-deriving candidate costs. Used by the
     /// parallel optimizer to exchange partial-plan frontiers.
     pub fn entry_sets(&self) -> impl Iterator<Item = (TableSet, &ParetoSet<P>)> {
@@ -253,7 +251,10 @@ impl<P> CacheSlot<'_, P> {
         admission: &Admission,
         make: impl FnOnce() -> P,
     ) -> bool {
-        let kept = self.entry.set.admit(cost, format, admission, make);
+        let kept = self
+            .entry
+            .set
+            .admit(cost, format, admission, self.screen, make);
         if kept {
             *self.insertions += 1;
         } else {
@@ -265,7 +266,6 @@ impl<P> CacheSlot<'_, P> {
 
 impl<P> Drop for CacheSlot<'_, P> {
     fn drop(&mut self) {
-        self.screen.absorb(&self.entry.set.take_screen_counters());
         let admitted = (*self.insertions - self.opened_at) as usize;
         if admitted > 0 && (self.marks || self.entry.fresh > 0) {
             if self.entry.fresh == 0 {

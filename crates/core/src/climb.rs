@@ -121,8 +121,8 @@ pub struct StepScratch {
     memo: FxHashMap<PlanId, Range<usize>>,
     /// The memoized step results, back to back; `memo` holds the spans.
     memo_ids: Vec<PlanId>,
-    /// Screening tallies drained from the step frontier of every recursion
-    /// node this scratch served. Sub-trees answered from the memo screen
+    /// Screening tallies of the step frontier at every recursion node this
+    /// scratch served. Sub-trees answered from the memo screen
     /// nothing and add nothing. Pure observation — never read by the climb
     /// itself; the RMQ loop takes the accumulated total once per iteration
     /// and flushes it to the global `moqo-obs` registry.
@@ -189,16 +189,18 @@ where
     }
     match arena.node(p).kind() {
         PlanNodeKind::Scan { table, op } => {
-            let frontier = &mut scratch.frontier;
+            let StepScratch {
+                frontier, screen, ..
+            } = scratch;
             frontier.clear();
             // Identity first (so OnePerFormat keeps the incumbent on ties),
             // then the scan-operator mutations.
             let view = arena.view(p);
-            frontier.admit(&view.cost, view.format, admission, || p);
+            frontier.admit(&view.cost, view.format, admission, screen, || p);
             for &alt in model.scan_ops(table) {
                 if alt != op {
                     let props = model.scan_props(table, alt);
-                    frontier.admit(&props.cost, props.format, admission, || {
+                    frontier.admit(&props.cost, props.format, admission, screen, || {
                         arena.scan_from_props(table, alt, props)
                     });
                 }
@@ -215,6 +217,7 @@ where
                 props: pair_props,
                 frontier,
                 memo_ids,
+                screen,
                 ..
             } = scratch;
             frontier.clear();
@@ -245,12 +248,12 @@ where
                     pair_props.clear();
                     model.join_props_all(&vo, &vi, ops, pair_props);
                     let props = pair_props[root];
-                    frontier.admit(&props.cost, props.format, admission, || {
+                    frontier.admit(&props.cost, props.format, admission, screen, || {
                         arena.join_from_props(o, i, root_op, props)
                     });
                     for (&alt, &props) in ops.iter().zip(pair_props.iter()) {
                         if alt != root_op {
-                            frontier.admit(&props.cost, props.format, admission, || {
+                            frontier.admit(&props.cost, props.format, admission, screen, || {
                                 arena.join_from_props(o, i, alt, props)
                             });
                         }
@@ -264,7 +267,7 @@ where
                         model,
                         structural_ops,
                         &mut |arena, a, b, jop, props| {
-                            frontier.admit(&props.cost, props.format, admission, || {
+                            frontier.admit(&props.cost, props.format, admission, screen, || {
                                 arena.join_from_props(a, b, jop, props)
                             });
                         },
@@ -278,10 +281,8 @@ where
         frontier,
         memo,
         memo_ids,
-        screen,
         ..
     } = scratch;
-    screen.absorb(&frontier.take_screen_counters());
     let step = memo_ids.len()..memo_ids.len() + frontier.len();
     memo_ids.extend_from_slice(frontier.plans());
     memo.insert(p, step.clone());
@@ -477,9 +478,10 @@ mod tests {
         }
         let admission = Admission::climb(policy);
         let mut frontier = ParetoSet::new();
+        let mut screen = crate::pareto::ScreenCounters::default();
         for c in candidates {
             let v = arena.view(c);
-            frontier.admit(&v.cost, v.format, &admission, || c);
+            frontier.admit(&v.cost, v.format, &admission, &mut screen, || c);
         }
         frontier.into_plans()
     }

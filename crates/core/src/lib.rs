@@ -19,11 +19,10 @@
 //!   paper's formal model (§3).
 //! * [`cost`] — cost vectors and the Pareto-dominance relations (`⪯`, `≺`,
 //!   `⪯_α`) of §3.
-//! * [`archive`] — the archive / admission API: the pluggable
-//!   [`archive::Dominance`] relation, per-metric approximation factors and
-//!   ε-Pareto boxes ([`archive::EpsFactors`]), admission rules
-//!   ([`archive::Admission`]), and the per-iteration factor schedule
-//!   ([`archive::ArchiveConfig`]).
+//! * [`archive`] — the archive / admission API: per-metric approximation
+//!   factors and ε-Pareto boxes ([`archive::EpsFactors`]), the one
+//!   admission rule enum ([`archive::Admission`]), and the per-iteration
+//!   factor schedule ([`archive::ArchiveConfig`]).
 //! * [`arena`] — the hash-consed plan arena ([`arena::PlanArena`] /
 //!   [`arena::PlanId`]): the one plan representation every optimizer
 //!   computes on, where structurally identical subplans are interned once

@@ -1,10 +1,10 @@
 //! Pareto-set maintenance: the paper's `Prune` functions behind the
 //! unified admission API of [`crate::archive`].
 //!
-//! The pruning rules (encoded as [`AdmissionRule`]s and applied through the
+//! The pruning rules (encoded as [`Admission`]s and applied through the
 //! single entry point [`ParetoSet::admit`]):
 //!
-//! * **Climb pruning** (Alg. 2, [`AdmissionRule::Climb`]):
+//! * **Climb pruning** (Alg. 2, [`Admission::Climb`]):
 //!   `Better(p1, p2) = SameOutput ∧ p1 ≺ p2`. A new plan is inserted unless
 //!   an existing plan with the same output format strictly dominates it;
 //!   inserting removes the same-format plans it strictly dominates. The
@@ -17,20 +17,20 @@
 //!   incomparable (matching the complexity analysis); the literal
 //!   [`PrunePolicy::KeepIncomparable`] follows the pseudo-code exactly.
 //!
-//! * **Approximate pruning** (Alg. 3, [`AdmissionRule::Approx`]):
+//! * **Approximate pruning** (Alg. 3, [`Admission::Approx`]):
 //!   `SigBetter(p1, p2, α) = SameOutput ∧ p1 ⪯_α p2`, generalized to a
 //!   per-metric factor vector ([`EpsFactors`]). A new plan is inserted only
 //!   if no stored same-format plan α-approximately dominates it; insertion
 //!   removes stored plans the new plan weakly dominates. This keeps the
 //!   per-table-set frontier size polynomially bounded (Lemma 6).
 //!
-//! * **ε-Pareto box archive** ([`AdmissionRule::EpsBox`], Trummer & Koch
+//! * **ε-Pareto box archive** ([`Admission::EpsBox`], Trummer & Koch
 //!   2014): at most one occupant per non-dominated per-format precision
 //!   box, so the archive size is bounded by the precision target rather
 //!   than the true frontier cardinality — the many-objective (d = 6–10)
 //!   scaling mode.
 //!
-//! * **Cost frontier** ([`AdmissionRule::CostFrontier`]): the exact
+//! * **Cost frontier** ([`Admission::CostFrontier`]): the exact
 //!   format-blind cost-Pareto frontier, for result archives.
 //!
 //! # Hot-path representation
@@ -104,14 +104,14 @@
 //! The flat-`Vec` implementation that dereferences every member is
 //! retained as [`LinearParetoSet`] for differential tests and the `pruning`
 //! micro-benchmark; it admits through the scalar reference predicates
-//! [`AdmissionRule::rejects`] / [`AdmissionRule::evicts`], and both
+//! [`Admission::rejects`] / [`Admission::evicts`], and both
 //! implementations make identical keep/evict decisions and store survivors
 //! in the same order.
 
-use crate::archive::{Admission, AdmissionRule, BoxKey, EpsFactors};
+use crate::archive::{Admission, BoxKey, EpsFactors};
 use crate::cost::{CostVector, MAX_COST_DIM};
 use crate::model::OutputFormat;
-use crate::plan::{Plan, PlanRef};
+use crate::plan::PlanRef;
 
 pub use crate::archive::PrunePolicy;
 
@@ -126,31 +126,19 @@ pub const LANES: usize = 8;
 /// array.
 pub const SOA_CROSSOVER: usize = 256;
 
-/// `Better(p1, p2)` of Algorithm 2: same output format and strictly
-/// dominating cost.
-#[inline]
-pub fn better(p1: &Plan, p2: &Plan) -> bool {
-    p1.same_output(p2) && p1.cost().strictly_dominates(p2.cost())
-}
-
-/// `SigBetter(p1, p2, α)` of Algorithm 3: same output format and
-/// α-approximately dominating cost.
-#[inline]
-pub fn sig_better(p1: &Plan, p2: &Plan, alpha: f64) -> bool {
-    p1.same_output(p2) && p1.cost().approx_dominates(p2.cost(), alpha)
-}
-
-/// Screening tallies accumulated by a [`ParetoSet`]'s admission paths:
-/// how much work the two-stage screen (aggregate-key pre-filter, then
-/// component-wise compares) did, and how candidates fared.
+/// Screening tallies of [`ParetoSet`] admissions: how much work the
+/// two-stage screen (aggregate-key pre-filter, then component-wise
+/// compares) did, and how candidates fared.
 ///
-/// The fields are plain `u64`s bumped inline — no atomics, no
-/// allocation — so counting is free relative to the dominance arithmetic
-/// it measures. Callers on instrumented paths harvest them with
-/// [`ParetoSet::take_screen_counters`] and flush the totals to the global
-/// `moqo-obs` registry at iteration granularity; because the tallies are
-/// pure observations (they never influence pruning, ordering, or RNG
-/// state), they are bit-for-bit deterministic for a seeded run.
+/// The caller owns the accumulator and passes it to every
+/// [`ParetoSet::admit`] (and [`merge_from`](ParetoSet::merge_from) /
+/// [`insert`](ParetoSet::insert)), which adds its tallies into it; a set
+/// holds nothing but its members. The fields are plain `u64`s — no
+/// atomics, no allocation — so counting is free relative to the dominance
+/// arithmetic it measures. Instrumented callers flush the totals to the
+/// global `moqo-obs` registry at iteration granularity; because the
+/// tallies are pure observations (they never influence pruning, ordering,
+/// or RNG state), they are bit-for-bit deterministic for a seeded run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScreenCounters {
     /// Candidates offered to the set (admission probes).
@@ -451,7 +439,7 @@ fn retain_members<P>(
 /// A pruned set of plans over the same table set.
 ///
 /// Invariant: no member strictly dominates another member with the same
-/// output format (every [`AdmissionRule`] preserves this — the ε-box rule
+/// output format (every [`Admission`] preserves this — the ε-box rule
 /// included, because box keys are monotone under dominance).
 ///
 /// Members are stored in insertion order (evictions compact in place) in
@@ -477,8 +465,6 @@ pub struct ParetoSet<P = PlanRef> {
     index: Vec<BlockIndex>,
     /// The members' ε-boxes, parallel to `meta`, once an ε-box probe asked.
     boxes: Option<Box<BoxCache>>,
-    /// Screening tallies (observational only; see [`ScreenCounters`]).
-    screen: ScreenCounters,
 }
 
 impl<P> Default for ParetoSet<P> {
@@ -488,7 +474,6 @@ impl<P> Default for ParetoSet<P> {
             meta: Vec::new(),
             index: Vec::new(),
             boxes: None,
-            screen: ScreenCounters::default(),
         }
     }
 }
@@ -610,50 +595,50 @@ impl<P> ParetoSet<P> {
     }
 
     /// The unified admission entry point: offers a candidate described by
-    /// its cost and output format alone, under the given [`Admission`].
-    /// `make` is invoked — and the plan materialized — **only if the
-    /// candidate is admitted**; the materialized plan must have exactly the
-    /// given cost and format. Returns `true` iff the candidate was inserted.
+    /// its cost and output format alone, under the given [`Admission`],
+    /// adding the screen's tallies into `screen`. `make` is invoked — and
+    /// the plan materialized — **only if the candidate is admitted**; the
+    /// materialized plan must have exactly the given cost and format.
+    /// Returns `true` iff the candidate was inserted.
     ///
-    /// This replaces the former `insert_climb_with` / `insert_approx_with`
-    /// / `insert_cost_frontier_with` trio: the rule is data, not an entry
-    /// point, so every consumer (climb, frontier approximation, caches,
-    /// merges, baselines, the service's cross-query cache) funnels through
-    /// one screening kernel.
+    /// The rule is data, not an entry point, so every consumer (climb,
+    /// frontier approximation, caches, merges, baselines, the service's
+    /// cross-query cache) funnels through one screening kernel.
     pub fn admit(
         &mut self,
         cost: &CostVector,
         format: OutputFormat,
         admission: &Admission,
+        screen: &mut ScreenCounters,
         make: impl FnOnce() -> P,
     ) -> bool {
-        self.screen.probes += 1;
-        let rejected = match &admission.rule {
-            AdmissionRule::Climb(PrunePolicy::OnePerFormat) => {
-                return self.admit_one_per_format(cost, format, make)
+        screen.probes += 1;
+        let rejected = match admission {
+            Admission::Climb(PrunePolicy::OnePerFormat) => {
+                return self.admit_one_per_format(cost, format, screen, make)
             }
             // Weak dominance (`m ⪯ c`) folds the strict-domination and
             // exact-duplicate rejections of Algorithm 2 into one bound.
-            AdmissionRule::Climb(_) => {
-                self.reject_or_evict(Some(format), cost, |k, c| EXACT.bound_component(k, c))
-            }
+            Admission::Climb(_) => self.reject_or_evict(Some(format), cost, screen, |k, c| {
+                EXACT.bound_component(k, c)
+            }),
             // `m ⪯ bound_of(c)` is per-metric α-dominance, computed with
             // exactly the arithmetic of `approx_dominates` (and the bound's
             // key matches `scaled_agg_key` for uniform factors), so
             // decisions are bit-identical to the scalar-α predicate.
-            AdmissionRule::Approx(eps) => {
-                self.reject_or_evict(Some(format), cost, |k, c| eps.bound_component(k, c))
+            Admission::Approx(eps) => {
+                self.reject_or_evict(Some(format), cost, screen, |k, c| eps.bound_component(k, c))
             }
-            AdmissionRule::CostFrontier => {
-                self.reject_or_evict(None, cost, |k, c| EXACT.bound_component(k, c))
+            Admission::CostFrontier => {
+                self.reject_or_evict(None, cost, screen, |k, c| EXACT.bound_component(k, c))
             }
-            AdmissionRule::EpsBox(eps) => self.reject_or_evict_boxed(eps, format, cost),
+            Admission::EpsBox(eps) => self.reject_or_evict_boxed(eps, format, cost, screen),
         };
         if rejected {
-            self.screen.rejected += 1;
+            screen.rejected += 1;
             return false;
         }
-        self.screen.admitted += 1;
+        screen.admitted += 1;
         self.push(make(), Meta::of(cost, format));
         true
     }
@@ -664,16 +649,17 @@ impl<P> ParetoSet<P> {
         &mut self,
         cost: &CostVector,
         format: OutputFormat,
+        screen: &mut ScreenCounters,
         make: impl FnOnce() -> P,
     ) -> bool {
         let Some(idx) = self.meta.iter().position(|m| m.format == format) else {
-            self.screen.admitted += 1;
+            screen.admitted += 1;
             self.push(make(), Meta::of(cost, format));
             return true;
         };
-        self.screen.dominance_tests += 1;
+        screen.dominance_tests += 1;
         if !cost.strictly_dominates(&self.meta[idx].cost) {
-            self.screen.rejected += 1;
+            screen.rejected += 1;
             return false;
         }
         let meta = Meta::of(cost, format);
@@ -685,8 +671,8 @@ impl<P> ParetoSet<P> {
         }
         self.meta[idx] = meta;
         self.plans[idx] = make();
-        self.screen.admitted += 1;
-        self.screen.evicted += 1;
+        screen.admitted += 1;
+        screen.evicted += 1;
         true
     }
 
@@ -708,6 +694,7 @@ impl<P> ParetoSet<P> {
         &mut self,
         scope: Option<OutputFormat>,
         cost: &CostVector,
+        screen: &mut ScreenCounters,
         bound: impl Fn(usize, f64) -> f64,
     ) -> bool {
         let c = cost.as_slice();
@@ -722,7 +709,8 @@ impl<P> ParetoSet<P> {
             for (k, (slot, &x)) in bounds.iter_mut().zip(c).enumerate() {
                 *slot = bound(k, x);
             }
-            return self.reject_or_evict_indexed(scope, &bounds[..c.len()], bound_key, cost);
+            let bounds = &bounds[..c.len()];
+            return self.reject_or_evict_indexed(scope, bounds, bound_key, cost, screen);
         }
         // Tallies stay in registers through the member loop.
         let (mut skips, mut tests) = (0, 0);
@@ -741,19 +729,23 @@ impl<P> ParetoSet<P> {
                 .enumerate()
                 .all(|(k, (a, &x))| *a <= bound(k, x))
         });
-        self.screen.agg_key_skips += skips;
-        self.screen.dominance_tests += tests;
+        screen.agg_key_skips += skips;
+        screen.dominance_tests += tests;
         if !covered {
-            self.evict_dominated(scope, cost);
+            self.evict_dominated(scope, cost, screen);
         }
         covered
     }
 
     /// The eviction half of [`Self::reject_or_evict`] on the member scan.
     #[inline(never)]
-    fn evict_dominated(&mut self, scope: Option<OutputFormat>, cost: &CostVector) {
+    fn evict_dominated(
+        &mut self,
+        scope: Option<OutputFormat>,
+        cost: &CostVector,
+        screen: &mut ScreenCounters,
+    ) {
         let key = cost.agg_key();
-        let screen = &mut self.screen;
         let evicted = retain_members(
             &mut self.plans,
             &mut self.meta,
@@ -770,7 +762,7 @@ impl<P> ParetoSet<P> {
                 cost.dominates(&m.cost)
             },
         );
-        self.after_eviction(evicted);
+        self.after_eviction(evicted, screen);
     }
 
     /// [`Self::reject_or_evict`] for an indexed set: screens the block
@@ -782,10 +774,11 @@ impl<P> ParetoSet<P> {
         bound: &[f64],
         bound_key: f64,
         cost: &CostVector,
+        screen: &mut ScreenCounters,
     ) -> bool {
         let in_scope = |ix: &BlockIndex| scope.is_none_or(|f| ix.format == f);
         for ix in &self.index {
-            if in_scope(ix) && ix.covers(bound, bound_key, &mut self.screen) {
+            if in_scope(ix) && ix.covers(bound, bound_key, screen) {
                 return true;
             }
         }
@@ -793,7 +786,7 @@ impl<P> ParetoSet<P> {
         let mut dead = Vec::new();
         for ix in &self.index {
             if in_scope(ix) {
-                ix.harvest_dominated(cost, key, &mut dead, &mut self.screen);
+                ix.harvest_dominated(cost, key, &mut dead, screen);
             }
         }
         if !dead.is_empty() {
@@ -806,7 +799,7 @@ impl<P> ParetoSet<P> {
                 self.boxes.as_deref_mut(),
                 |i, _, _| dead.binary_search(&(i as u32)).is_ok(),
             );
-            self.after_eviction(evicted);
+            self.after_eviction(evicted, screen);
         }
         false
     }
@@ -820,11 +813,11 @@ impl<P> ParetoSet<P> {
         eps: &EpsFactors,
         format: OutputFormat,
         cost: &CostVector,
+        screen: &mut ScreenCounters,
     ) -> bool {
         let cbox = eps.box_key(cost);
         self.ensure_boxes(eps);
         let boxes = self.boxes.as_deref().expect("box cache is live");
-        let screen = &mut self.screen;
         for (m, mbox) in self.meta.iter().zip(&boxes.keys) {
             if m.format != format {
                 continue;
@@ -848,70 +841,50 @@ impl<P> ParetoSet<P> {
                     && (cbox != *mbox || cost.strictly_dominates(&m.cost))
             },
         );
-        self.after_eviction(evicted);
+        self.after_eviction(evicted, screen);
         false
     }
 
-    fn after_eviction(&mut self, evicted: usize) {
+    fn after_eviction(&mut self, evicted: usize, screen: &mut ScreenCounters) {
         if evicted > 0 {
-            self.screen.evicted += evicted as u64;
+            screen.evicted += evicted as u64;
             if !self.index.is_empty() {
                 self.reindex();
             }
         }
     }
 
-    /// Merges every member of `other` into `self` under the given
-    /// admission, in `other`'s storage order. The candidate's cost and
-    /// format come from `other`'s inline metadata; `adopt` translates the
-    /// foreign handle into `self`'s handle type and runs **only for
-    /// admitted members** (rejected candidates cost one screening probe and
-    /// nothing else). Returns the number of members inserted.
+    /// Merges `other`'s members at and past index `start` into `self` under
+    /// the given admission, in `other`'s storage order, adding the screen's
+    /// tallies into `screen`. The candidate's cost and format come from
+    /// `other`'s inline metadata; `adopt` translates the foreign handle
+    /// into `self`'s handle type and runs **only for admitted members**
+    /// (rejected candidates cost one screening probe and nothing else).
+    /// Returns the number of members inserted.
     ///
+    /// Members are stored in insertion order, so a `start` past 0 merges
+    /// the plans `other` admitted most recently — what a delta exchange
+    /// offers (see [`PlanCache::changed_sets`](crate::cache::PlanCache::changed_sets)).
     /// This is the frontier-merge entry point of the parallel optimizer:
-    /// worker frontiers (`ParetoSet<PlanId>` over private arenas) batch-merge
+    /// worker frontiers (`ParetoSet<PlanId>` over private arenas) merge
     /// into a shared global frontier, with `adopt` re-interning each
     /// surviving plan into the shared arena
     /// ([`PlanArena::adopt`](crate::arena::PlanArena::adopt)).
-    pub fn merge_with<Q>(
-        &mut self,
-        other: &ParetoSet<Q>,
-        admission: &Admission,
-        adopt: impl FnMut(&Q) -> P,
-    ) -> usize {
-        self.merge_from(other, 0, admission, adopt)
-    }
-
-    /// [`ParetoSet::merge_with`] restricted to `other`'s members at and past
-    /// index `start`. Members are stored in insertion order, so this merges
-    /// the plans `other` admitted most recently — what a delta exchange
-    /// offers (see [`PlanCache::changed_sets`](crate::cache::PlanCache::changed_sets)).
     pub fn merge_from<Q>(
         &mut self,
         other: &ParetoSet<Q>,
         start: usize,
         admission: &Admission,
+        screen: &mut ScreenCounters,
         mut adopt: impl FnMut(&Q) -> P,
     ) -> usize {
         let mut inserted = 0;
         for (plan, meta) in other.plans[start..].iter().zip(&other.meta[start..]) {
-            if self.admit(&meta.cost, meta.format, admission, || adopt(plan)) {
+            if self.admit(&meta.cost, meta.format, admission, screen, || adopt(plan)) {
                 inserted += 1;
             }
         }
         inserted
-    }
-
-    /// Screening tallies accumulated by this set's admissions so far.
-    pub fn screen_counters(&self) -> ScreenCounters {
-        self.screen
-    }
-
-    /// Returns and resets the screening tallies — the harvest point for
-    /// instrumented callers that aggregate per-step counters (the climb
-    /// scratch) and flush them at iteration granularity.
-    pub fn take_screen_counters(&mut self) -> ScreenCounters {
-        std::mem::take(&mut self.screen)
     }
 
     /// Consumes the set, returning the plans.
@@ -1008,10 +981,15 @@ impl ParetoSet<PlanRef> {
     /// `true` iff the plan was inserted. (Prefer [`admit`](Self::admit)
     /// on paths where rejected candidates should not allocate.)
     #[inline]
-    pub fn insert(&mut self, new_plan: PlanRef, admission: &Admission) -> bool {
+    pub fn insert(
+        &mut self,
+        new_plan: PlanRef,
+        admission: &Admission,
+        screen: &mut ScreenCounters,
+    ) -> bool {
         let cost = *new_plan.cost();
         let format = new_plan.format();
-        self.admit(&cost, format, admission, move || new_plan)
+        self.admit(&cost, format, admission, screen, move || new_plan)
     }
 
     /// Debug check of the full set invariant: the handle-independent checks
@@ -1032,18 +1010,18 @@ impl FromIterator<PlanRef> for ParetoSet {
     /// Collects plans into an exact cost-Pareto frontier (format-agnostic).
     fn from_iter<I: IntoIterator<Item = PlanRef>>(iter: I) -> Self {
         let mut set = ParetoSet::new();
-        let admission = Admission::cost_frontier();
+        let mut screen = ScreenCounters::default();
         for p in iter {
-            set.insert(p, &admission);
+            set.insert(p, &Admission::CostFrontier, &mut screen);
         }
         set
     }
 }
 
-/// The pre-bucketing reference implementation: a flat `Vec<PlanRef>` with
+/// The reference implementation: a flat `Vec<PlanRef>` with
 /// O(n·d) dominance scans per admission that dereference every member's
 /// `Arc<Plan>`, deciding through the scalar reference predicates
-/// [`AdmissionRule::rejects`] / [`AdmissionRule::evicts`].
+/// [`Admission::rejects`] / [`Admission::evicts`].
 ///
 /// Kept for two purposes only: differential tests proving the
 /// bucketed-SoA set makes identical decisions, and the `pruning`
@@ -1085,7 +1063,7 @@ impl LinearParetoSet {
     /// plans — the oracle the bucketed [`ParetoSet::admit`] is
     /// differentially tested against.
     pub fn admit(&mut self, new_plan: PlanRef, admission: &Admission) -> bool {
-        if admission.rule == AdmissionRule::Climb(PrunePolicy::OnePerFormat) {
+        if *admission == Admission::Climb(PrunePolicy::OnePerFormat) {
             return if let Some(idx) = self.plans.iter().position(|p| p.same_output(&new_plan)) {
                 if new_plan.cost().strictly_dominates(self.plans[idx].cost()) {
                     self.plans[idx] = new_plan;
@@ -1098,18 +1076,17 @@ impl LinearParetoSet {
                 true
             };
         }
-        let rule = &admission.rule;
-        let scoped = rule.format_scoped();
+        let scoped = admission.format_scoped();
         let in_scope = |p: &PlanRef| !scoped || p.same_output(&new_plan);
         if self
             .plans
             .iter()
-            .any(|p| in_scope(p) && rule.rejects(p.cost(), new_plan.cost()))
+            .any(|p| in_scope(p) && admission.rejects(p.cost(), new_plan.cost()))
         {
             return false;
         }
         self.plans
-            .retain(|p| !(in_scope(p) && rule.evicts(new_plan.cost(), p.cost())));
+            .retain(|p| !(in_scope(p) && admission.evicts(new_plan.cost(), p.cost())));
         self.plans.push(new_plan);
         true
     }
@@ -1225,20 +1202,22 @@ mod tests {
 
     #[test]
     fn climb_prune_discards_strictly_dominated() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let good = plans[0].clone();
         let bad = plans[3].clone();
-        assert!(better(&good, &bad), "fixture: plan 0 must dominate plan 3");
+        // Fixture: plan 0 must dominate plan 3.
+        assert!(good.same_output(&bad) && good.cost().strictly_dominates(bad.cost()));
 
         let mut set = ParetoSet::new();
-        assert!(set.insert(good.clone(), &one_per_format()));
-        assert!(!set.insert(bad.clone(), &one_per_format()));
+        assert!(set.insert(good.clone(), &one_per_format(), &mut screen));
+        assert!(!set.insert(bad.clone(), &one_per_format(), &mut screen));
         assert_eq!(set.len(), 1);
 
         // Inserting in the reverse order replaces the dominated plan.
         let mut set = ParetoSet::new();
-        assert!(set.insert(bad, &one_per_format()));
-        assert!(set.insert(good.clone(), &one_per_format()));
+        assert!(set.insert(bad, &one_per_format(), &mut screen));
+        assert!(set.insert(good.clone(), &one_per_format(), &mut screen));
         assert_eq!(set.len(), 1);
         assert!(std::sync::Arc::ptr_eq(&set.plans()[0], &good));
         assert!(set.check_invariant());
@@ -1246,86 +1225,93 @@ mod tests {
 
     #[test]
     fn climb_prune_keeps_one_plan_per_format() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         // plans[0] and plans[1] are format 0 and incomparable; plans[2] is format 1.
         let mut set = ParetoSet::new();
-        assert!(set.insert(plans[0].clone(), &one_per_format()));
-        assert!(!set.insert(plans[1].clone(), &one_per_format()));
-        assert!(set.insert(plans[2].clone(), &one_per_format()));
+        assert!(set.insert(plans[0].clone(), &one_per_format(), &mut screen));
+        assert!(!set.insert(plans[1].clone(), &one_per_format(), &mut screen));
+        assert!(set.insert(plans[2].clone(), &one_per_format(), &mut screen));
         assert_eq!(set.len(), 2);
     }
 
     #[test]
     fn literal_prune_keeps_incomparable_same_format_plans() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let mut set = ParetoSet::new();
-        assert!(set.insert(plans[0].clone(), &keep_incomparable()));
-        assert!(set.insert(plans[1].clone(), &keep_incomparable()));
+        assert!(set.insert(plans[0].clone(), &keep_incomparable(), &mut screen));
+        assert!(set.insert(plans[1].clone(), &keep_incomparable(), &mut screen));
         assert_eq!(set.len(), 2);
         // Exact duplicates are rejected.
-        assert!(!set.insert(plans[0].clone(), &keep_incomparable()));
+        assert!(!set.insert(plans[0].clone(), &keep_incomparable(), &mut screen));
         assert!(set.check_invariant());
     }
 
     #[test]
     fn approx_prune_rejects_alpha_covered_plans() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let good = plans[0].clone();
         let bad = plans[3].clone();
         // With a huge alpha, the worse plan is "covered" and rejected.
         let mut set = ParetoSet::new();
-        assert!(set.insert(good.clone(), &Admission::approx(1e9)));
-        assert!(!set.insert(bad.clone(), &Admission::approx(1e9)));
+        assert!(set.insert(good.clone(), &Admission::approx(1e9), &mut screen));
+        assert!(!set.insert(bad.clone(), &Admission::approx(1e9), &mut screen));
         // With alpha = 1 it is still rejected (strictly dominated)...
         let mut set = ParetoSet::new();
-        assert!(set.insert(good.clone(), &Admission::exact()));
-        assert!(!set.insert(bad.clone(), &Admission::exact()));
+        assert!(set.insert(good.clone(), &Admission::exact(), &mut screen));
+        assert!(!set.insert(bad.clone(), &Admission::exact(), &mut screen));
     }
 
     #[test]
     fn approx_prune_keeps_distinct_tradeoffs_at_low_alpha() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let mut set = ParetoSet::new();
-        assert!(set.insert(plans[0].clone(), &Admission::exact()));
-        assert!(set.insert(plans[1].clone(), &Admission::exact()));
+        assert!(set.insert(plans[0].clone(), &Admission::exact(), &mut screen));
+        assert!(set.insert(plans[1].clone(), &Admission::exact(), &mut screen));
         assert_eq!(set.len(), 2, "incomparable plans both kept at alpha=1");
     }
 
     #[test]
     fn approx_prune_insertion_removes_weakly_dominated() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let good = plans[0].clone();
         let bad = plans[3].clone();
         let mut set = ParetoSet::new();
         // Insert the worse plan first with alpha=1, then the better one:
         // the worse plan must be evicted.
-        assert!(set.insert(bad, &Admission::exact()));
-        assert!(set.insert(good.clone(), &Admission::exact()));
+        assert!(set.insert(bad, &Admission::exact(), &mut screen));
+        assert!(set.insert(good.clone(), &Admission::exact(), &mut screen));
         assert_eq!(set.len(), 1);
         assert!(std::sync::Arc::ptr_eq(&set.plans()[0], &good));
     }
 
     #[test]
     fn per_metric_factors_prune_each_axis_independently() {
+        let mut screen = ScreenCounters::default();
         // Factor 4 on metric 0, exact on metric 1: a plan 3x worse on
         // metric 0 only is covered; a plan 2x worse on metric 0 but
         // better on the exact metric 1 is a kept tradeoff.
         let eps = EpsFactors::per_metric(&[4.0, 1.0]);
         let adm = Admission::approx_per_metric(eps);
         let mut set = ParetoSet::new();
-        assert!(set.insert(synthetic_plan(&[1.0, 1.0], 0), &adm));
-        assert!(!set.insert(synthetic_plan(&[3.0, 1.0], 0), &adm));
-        assert!(set.insert(synthetic_plan(&[2.0, 0.9], 0), &adm));
+        assert!(set.insert(synthetic_plan(&[1.0, 1.0], 0), &adm, &mut screen));
+        assert!(!set.insert(synthetic_plan(&[3.0, 1.0], 0), &adm, &mut screen));
+        assert!(set.insert(synthetic_plan(&[2.0, 0.9], 0), &adm, &mut screen));
         assert_eq!(set.len(), 2);
         assert!(set.check_invariant());
     }
 
     #[test]
     fn cost_frontier_ignores_format() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let mut set = ParetoSet::new();
         for p in &plans {
-            set.insert(p.clone(), &Admission::cost_frontier());
+            set.insert(p.clone(), &Admission::cost_frontier(), &mut screen);
         }
         // plans[3] is dominated by plans[0]; the rest are incomparable.
         assert_eq!(set.len(), 3);
@@ -1349,18 +1335,19 @@ mod tests {
 
     #[test]
     fn merge_preserves_union_semantics_and_defers_adoption() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         // Set A holds the two incomparable format-0 plans; set B holds the
         // dominated variant plus the format-1 plan.
         let exact = Admission::exact();
         let mut a: ParetoSet = ParetoSet::new();
-        assert!(a.insert(plans[0].clone(), &exact));
-        assert!(a.insert(plans[1].clone(), &exact));
+        assert!(a.insert(plans[0].clone(), &exact, &mut screen));
+        assert!(a.insert(plans[1].clone(), &exact, &mut screen));
         let mut b: ParetoSet = ParetoSet::new();
-        assert!(b.insert(plans[3].clone(), &exact));
-        assert!(b.insert(plans[2].clone(), &exact));
+        assert!(b.insert(plans[3].clone(), &exact, &mut screen));
+        assert!(b.insert(plans[2].clone(), &exact, &mut screen));
         let mut adoptions = 0;
-        let inserted = a.merge_with(&b, &exact, |p| {
+        let inserted = a.merge_from(&b, 0, &exact, &mut screen, |p| {
             adoptions += 1;
             p.clone()
         });
@@ -1371,12 +1358,13 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert!(a.check_invariant());
         // Merging the same set again changes nothing (idempotent union).
-        assert_eq!(a.merge_with(&b, &exact, |p| p.clone()), 0);
+        assert_eq!(a.merge_from(&b, 0, &exact, &mut screen, |p| p.clone()), 0);
         assert_eq!(a.len(), 3);
     }
 
     #[test]
     fn merge_order_matches_sequential_insertion() {
+        let mut screen = ScreenCounters::default();
         // Merging B into A must make exactly the decisions of inserting B's
         // members one by one in storage order — the property the parallel
         // optimizer's deterministic reduction relies on.
@@ -1389,16 +1377,16 @@ mod tests {
         for stream in streams {
             let mut s = ParetoSet::new();
             for (cost, format) in stream {
-                s.insert(synthetic_plan(cost, *format), &exact);
+                s.insert(synthetic_plan(cost, *format), &exact, &mut screen);
             }
             sets.push(s);
         }
         let mut merged = ParetoSet::new();
         let mut sequential = ParetoSet::new();
         for s in &sets {
-            merged.merge_with(s, &exact, |p| p.clone());
+            merged.merge_from(s, 0, &exact, &mut screen, |p| p.clone());
             for p in s.iter() {
-                sequential.insert(p.clone(), &exact);
+                sequential.insert(p.clone(), &exact, &mut screen);
             }
         }
         let render = |s: &ParetoSet| -> Vec<(Vec<f64>, u8)> {
@@ -1411,28 +1399,33 @@ mod tests {
 
     #[test]
     fn merge_from_offers_only_the_suffix() {
+        let mut screen = ScreenCounters::default();
         let exact = Admission::exact();
         let mut source = ParetoSet::new();
         for (cost, format) in [(&[4.0, 4.0], 0u8), (&[2.0, 6.0], 0), (&[6.0, 2.0], 0)] {
-            source.insert(synthetic_plan(cost, format), &exact);
+            source.insert(synthetic_plan(cost, format), &exact, &mut screen);
         }
         let mut target: ParetoSet = ParetoSet::new();
         let mut offered = 0;
-        let inserted = target.merge_from(&source, 1, &exact, |p| {
+        let inserted = target.merge_from(&source, 1, &exact, &mut screen, |p| {
             offered += 1;
             p.clone()
         });
         assert_eq!((inserted, offered, target.len()), (2, 2, 2));
         assert!(target.costs().all(|c| c.as_slice() != [4.0, 4.0]));
-        assert_eq!(target.merge_from(&source, 3, &exact, |p| p.clone()), 0);
+        assert_eq!(
+            target.merge_from(&source, 3, &exact, &mut screen, |p| p.clone()),
+            0
+        );
     }
 
     #[test]
     fn helpers_cover_empty_and_clear() {
+        let mut screen = ScreenCounters::default();
         let mut set = ParetoSet::new();
         assert!(set.is_empty());
         let (_, plans) = sample_plans();
-        set.insert(plans[0].clone(), &Admission::cost_frontier());
+        set.insert(plans[0].clone(), &Admission::cost_frontier(), &mut screen);
         assert!(!set.is_empty());
         set.clear();
         assert!(set.is_empty());
@@ -1442,30 +1435,37 @@ mod tests {
 
     #[test]
     fn deferred_materialization_skips_rejected_candidates() {
+        let mut screen = ScreenCounters::default();
         let (_, plans) = sample_plans();
         let good = plans[0].clone();
         let bad = plans[3].clone();
         let mut set = ParetoSet::new();
-        assert!(set.insert(good, &one_per_format()));
+        assert!(set.insert(good, &one_per_format(), &mut screen));
         // The rejected candidate's closure must never run.
         let bad_cost = *bad.cost();
         let bad_format = bad.format();
         let mut made = false;
-        assert!(!set.admit(&bad_cost, bad_format, &one_per_format(), || {
+        let make = || {
             made = true;
             bad
-        }));
+        };
+        assert!(!set.admit(&bad_cost, bad_format, &one_per_format(), &mut screen, make));
         assert!(!made, "rejected candidate was materialized");
 
         let mut set = ParetoSet::new();
-        assert!(set.insert(plans[0].clone(), &Admission::approx(1e9)));
+        assert!(set.insert(plans[0].clone(), &Admission::approx(1e9), &mut screen));
         let mut made = false;
-        assert!(
-            !set.admit(&bad_cost, bad_format, &Admission::approx(1e9), || {
-                made = true;
-                plans[3].clone()
-            })
-        );
+        let make = || {
+            made = true;
+            plans[3].clone()
+        };
+        assert!(!set.admit(
+            &bad_cost,
+            bad_format,
+            &Admission::approx(1e9),
+            &mut screen,
+            make
+        ));
         assert!(!made, "rejected approx candidate was materialized");
     }
 
@@ -1477,9 +1477,9 @@ mod tests {
 
         // OnePerFormat: admit, then reject a dominated candidate.
         let mut set = ParetoSet::new();
-        assert!(set.insert(good.clone(), &one_per_format()));
-        assert!(!set.insert(bad.clone(), &one_per_format()));
-        let c = set.screen_counters();
+        let mut c = ScreenCounters::default();
+        assert!(set.insert(good.clone(), &one_per_format(), &mut c));
+        assert!(!set.insert(bad.clone(), &one_per_format(), &mut c));
         assert_eq!(c.probes, 2);
         assert_eq!(c.admitted, 1);
         assert_eq!(c.rejected, 1);
@@ -1490,29 +1490,33 @@ mod tests {
         // key-skips the (more expensive) incumbent, the eviction pass
         // compares it.
         let mut set = ParetoSet::new();
-        assert!(set.insert(bad, &keep_incomparable()));
-        assert!(set.insert(good, &keep_incomparable()));
-        let c = set.screen_counters();
+        let mut c = ScreenCounters::default();
+        assert!(set.insert(bad, &keep_incomparable(), &mut c));
+        assert!(set.insert(good, &keep_incomparable(), &mut c));
         assert_eq!(c.probes, 2);
         assert_eq!(c.admitted, 2);
         assert_eq!(c.evicted, 1);
         assert_eq!((c.agg_key_skips, c.dominance_tests), (1, 1));
         assert_eq!(c.blocks_screened, 0);
 
-        // take_screen_counters drains; absorb sums.
+        // absorb sums, and the next admission adds into the same
+        // caller-owned accumulator.
         let mut total = ScreenCounters::default();
-        total.absorb(&set.take_screen_counters());
+        total.absorb(&c);
         assert_eq!(total.probes, 2);
-        assert_eq!(set.screen_counters(), ScreenCounters::default());
+        total.absorb(&c);
+        assert_eq!(total.probes, 4);
+        assert!(!set.insert(plans[3].clone(), &keep_incomparable(), &mut c));
+        assert_eq!((c.probes, c.rejected), (3, 1));
 
         // The key pre-filter skips members whose keys already rule
         // dominance out: a cheap member cannot be dominated by an expensive
         // candidate, so the second probe's eviction pass skips the
         // incumbent after its rejection pass compared it.
         let mut set = ParetoSet::new();
-        assert!(set.insert(synthetic_plan(&[1.0, 1.0, 1.0], 0), &Admission::exact()));
-        assert!(set.insert(synthetic_plan(&[0.5, 4.0, 1.0], 0), &Admission::exact()));
-        let c = set.screen_counters();
+        let (exact, mut c) = (Admission::exact(), ScreenCounters::default());
+        assert!(set.insert(synthetic_plan(&[1.0, 1.0, 1.0], 0), &exact, &mut c));
+        assert!(set.insert(synthetic_plan(&[0.5, 4.0, 1.0], 0), &exact, &mut c));
         assert_eq!((c.agg_key_skips, c.dominance_tests), (1, 1), "{c:?}");
     }
 
@@ -1525,23 +1529,37 @@ mod tests {
         let point = |a: f64, b: f64| CostVector::new(&[a, b, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let exact = Admission::exact();
         let mut set: ParetoSet<u32> = ParetoSet::new();
-        assert!(set.admit(&point(1.0, 1.0), OutputFormat(1), &exact, || 0));
+        let mut screen = ScreenCounters::default();
+        assert!(set.admit(&point(1.0, 1.0), OutputFormat(1), &exact, &mut screen, || 0));
         for i in 0..n {
             let (a, b) = (i as f64 + 1.0, (n - i) as f64);
-            assert!(set.admit(&point(a, b), OutputFormat(0), &exact, || i as u32 + 1));
+            let id = i as u32 + 1;
+            assert!(set.admit(&point(a, b), OutputFormat(0), &exact, &mut screen, || id));
             assert!(set.check_invariant_meta(), "member {i}");
         }
         assert!(set.index.is_empty(), "indexed before a probe needs it");
-        assert_eq!(set.take_screen_counters().blocks_screened, 0);
+        assert_eq!(std::mem::take(&mut screen).blocks_screened, 0);
         // The next probe indexes both formats and screens the dominated
         // candidate with the block kernel.
-        assert!(!set.admit(&point(2.0, n as f64), OutputFormat(0), &exact, || 0));
+        assert!(!set.admit(
+            &point(2.0, n as f64),
+            OutputFormat(0),
+            &exact,
+            &mut screen,
+            || 0
+        ));
         assert_eq!(set.index.len(), 2, "both formats are indexed");
-        assert!(set.take_screen_counters().blocks_screened > 0);
+        assert!(std::mem::take(&mut screen).blocks_screened > 0);
         // A candidate dominating the first half evicts it: the set falls
         // below the crossover, the indices go, survivors keep their order.
         let half = (n / 2) as f64;
-        assert!(set.admit(&point(1.0, half), OutputFormat(0), &exact, || 99));
+        assert!(set.admit(
+            &point(1.0, half),
+            OutputFormat(0),
+            &exact,
+            &mut screen,
+            || 99
+        ));
         assert!(set.check_invariant_meta());
         assert!(set.index.is_empty());
         let expected: Vec<u32> = std::iter::once(0)
@@ -1553,9 +1571,15 @@ mod tests {
             .chain([99])
             .collect();
         assert_eq!(set.plans(), &expected[..]);
-        set.take_screen_counters();
-        assert!(!set.admit(&point(2.0, n as f64), OutputFormat(0), &exact, || 0));
-        assert_eq!(set.screen_counters().blocks_screened, 0);
+        let mut screen = ScreenCounters::default();
+        assert!(!set.admit(
+            &point(2.0, n as f64),
+            OutputFormat(0),
+            &exact,
+            &mut screen,
+            || 0
+        ));
+        assert_eq!(screen.blocks_screened, 0);
     }
 
     #[test]
@@ -1567,26 +1591,33 @@ mod tests {
         let point = |a: f64, b: f64| CostVector::new(&[a, b, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let fill = |admission: &Admission| {
             let mut set: ParetoSet<u32> = ParetoSet::new();
+            let mut screen = ScreenCounters::default();
             for i in 0..n {
                 let (a, b) = (i as f64 + 1.0, (n - i) as f64);
                 let format = OutputFormat((i % 2) as u8);
-                assert!(set.admit(&point(a, b), format, admission, || i as u32));
+                assert!(set.admit(&point(a, b), format, admission, &mut screen, || i as u32));
             }
-            set.take_screen_counters();
             set
         };
         let frontier = Admission::cost_frontier();
         let mut set = fill(&frontier);
+        let mut screen = ScreenCounters::default();
         // Format-blind: a format-1 candidate only the first (format-0)
         // member dominates is rejected, in blocks.
         let first_only = point(1.0, n as f64 + 1.0);
-        assert!(!set.admit(&first_only, OutputFormat(1), &frontier, || 0));
+        assert!(!set.admit(&first_only, OutputFormat(1), &frontier, &mut screen, || 0));
         assert_eq!(set.index.len(), 2);
-        assert!(set.take_screen_counters().blocks_screened > 0);
+        assert!(screen.blocks_screened > 0);
         // A candidate dominating members of both formats evicts them all,
         // keeping the survivors' order.
         let cut = (n / 2) as f64;
-        assert!(set.admit(&point(1.0, cut), OutputFormat(0), &frontier, || 99));
+        assert!(set.admit(
+            &point(1.0, cut),
+            OutputFormat(0),
+            &frontier,
+            &mut screen,
+            || 99
+        ));
         assert!(set.check_invariant_meta());
         let expected: Vec<u32> = (0..n as u32)
             .filter(|&i| ((n as u32 - i) as f64) < cut)
@@ -1596,7 +1627,13 @@ mod tests {
 
         let boxed = Admission::eps_box(EpsFactors::exact());
         let mut set = fill(&boxed);
-        assert!(!set.admit(&point(3.0, n as f64), OutputFormat(0), &boxed, || 0));
+        assert!(!set.admit(
+            &point(3.0, n as f64),
+            OutputFormat(0),
+            &boxed,
+            &mut screen,
+            || 0
+        ));
         assert!(
             set.index.is_empty(),
             "the ε-box screen never reads an index"
@@ -1606,22 +1643,23 @@ mod tests {
 
     #[test]
     fn eps_box_keeps_one_occupant_per_box_and_counts_eps_rejects() {
+        let mut screen = ScreenCounters::default();
         let adm = Admission::eps_box(EpsFactors::uniform(2.0));
         let mut set = ParetoSet::new();
         // (2, 3) and (3, 2.5) are incomparable but share the factor-2 box
         // [2, 4)^2: the newcomer is rejected, and only by precision —
         // exact dominance would have kept it.
-        assert!(set.insert(synthetic_plan(&[2.0, 3.0], 0), &adm));
-        assert!(!set.insert(synthetic_plan(&[3.0, 2.5], 0), &adm));
-        assert_eq!(set.screen_counters().eps_rejects, 1);
+        assert!(set.insert(synthetic_plan(&[2.0, 3.0], 0), &adm, &mut screen));
+        assert!(!set.insert(synthetic_plan(&[3.0, 2.5], 0), &adm, &mut screen));
+        assert_eq!(screen.eps_rejects, 1);
         // A same-box strictly dominating candidate replaces the incumbent.
-        assert!(set.insert(synthetic_plan(&[2.0, 2.5], 0), &adm));
+        assert!(set.insert(synthetic_plan(&[2.0, 2.5], 0), &adm, &mut screen));
         assert_eq!(set.len(), 1);
         // A different non-dominated box is admitted.
-        assert!(set.insert(synthetic_plan(&[8.0, 1.0], 0), &adm));
+        assert!(set.insert(synthetic_plan(&[8.0, 1.0], 0), &adm, &mut screen));
         assert_eq!(set.len(), 2);
         // A candidate box-dominating every member evicts them all.
-        assert!(set.insert(synthetic_plan(&[0.5, 0.5], 0), &adm));
+        assert!(set.insert(synthetic_plan(&[0.5, 0.5], 0), &adm, &mut screen));
         assert_eq!(set.len(), 1);
         assert!(set.check_invariant());
     }
@@ -1637,6 +1675,7 @@ mod tests {
         let exact = Admission::exact();
         let mut eps_set = ParetoSet::new();
         let mut exact_set = ParetoSet::new();
+        let (mut eps_screen, mut screen) = (ScreenCounters::default(), ScreenCounters::default());
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1649,8 +1688,8 @@ mod tests {
             let c0 = 1.0 + 99.0 * next();
             let c1 = 1.0 + 99.0 * next();
             let cost = [c0, c1, 300.0 - c0 - c1];
-            eps_set.insert(synthetic_plan(&cost, 0), &boxed);
-            exact_set.insert(synthetic_plan(&cost, 0), &exact);
+            eps_set.insert(synthetic_plan(&cost, 0), &boxed, &mut eps_screen);
+            exact_set.insert(synthetic_plan(&cost, 0), &exact, &mut screen);
         }
         // Size bound: every cost component lies in [1, 298], whose factor-2
         // boxes are indices 0..=8 — at most 9 per metric, 9^3 overall.
@@ -1675,11 +1714,12 @@ mod tests {
             eps_set.len()
         );
         assert!(eps_set.check_invariant());
-        assert!(eps_set.screen_counters().eps_rejects > 0);
+        assert!(eps_screen.eps_rejects > 0);
     }
 
     #[test]
     fn eps_box_survives_schedule_driven_factor_changes() {
+        let mut screen = ScreenCounters::default();
         // When the schedule decays between probes, cached boxes are
         // recomputed for the new factors and the invariant holds.
         let cfg = ArchiveConfig {
@@ -1694,7 +1734,7 @@ mod tests {
         for i in 0..32u64 {
             let adm = cfg.admission(i);
             let c = [1.0 + (i % 7) as f64, 8.0 - (i % 7) as f64];
-            set.insert(synthetic_plan(&c, (i % 2) as u8), &adm);
+            set.insert(synthetic_plan(&c, (i % 2) as u8), &adm, &mut screen);
             assert!(set.check_invariant(), "iteration {i}");
         }
         assert!(!set.is_empty());
@@ -1719,6 +1759,7 @@ mod tests {
     #[cfg(any(test, feature = "diff-testing"))]
     #[test]
     fn bucketed_matches_linear_on_handpicked_eviction_chain() {
+        let mut screen = ScreenCounters::default();
         // A chain designed to hit rejection, replacement, and multi-member
         // eviction in both implementations.
         let stream: Vec<(Vec<f64>, u8)> = vec![
@@ -1737,7 +1778,7 @@ mod tests {
             for (cost, format) in &stream {
                 let p = synthetic_plan(cost, *format);
                 assert_eq!(
-                    bucketed.insert(p.clone(), &adm),
+                    bucketed.insert(p.clone(), &adm, &mut screen),
                     linear.admit(p, &adm),
                     "decision diverged at alpha={alpha}"
                 );
@@ -1755,7 +1796,7 @@ mod tests {
         //! crossover, block-indexed past it — makes exactly the decisions,
         //! and stores exactly the survivors, in the same order, as the
         //! linear-scan reference deciding through the scalar
-        //! [`AdmissionRule`] predicates, on small random streams and on
+        //! [`Admission`] predicates, on small random streams and on
         //! streams that carry two interleaved formats across the crossover
         //! and back at d ∈ {2, 3, 8}, and (c) the degenerate ε-archive (all
         //! factors 1) makes exactly the decisions of exact approximate
@@ -1834,12 +1875,13 @@ mod tests {
             stream: &[(Vec<f64>, u8)],
             adm: impl Fn(usize) -> Admission,
         ) -> Result<(), TestCaseError> {
+            let mut screen = ScreenCounters::default();
             let mut set = ParetoSet::new();
             let mut linear = LinearParetoSet::new();
             for (i, (cost, format)) in stream.iter().enumerate() {
                 let adm = adm(i);
                 let p = synthetic_plan(cost, *format);
-                let kept = set.insert(p.clone(), &adm);
+                let kept = set.insert(p.clone(), &adm, &mut screen);
                 let kept_l = linear.admit(p, &adm);
                 prop_assert_eq!(kept, kept_l, "decision {} diverged under {:?}", i, adm);
                 if i % 32 == 31 {
@@ -1898,18 +1940,20 @@ mod tests {
             let exact = Admission::exact();
             let mut eps_set = ParetoSet::new();
             let mut exact_set = ParetoSet::new();
+            let (mut eps_screen, mut screen) =
+                (ScreenCounters::default(), ScreenCounters::default());
             for (cost, format) in stream {
                 let p = synthetic_plan(cost, *format);
                 prop_assert_eq!(
-                    eps_set.insert(p.clone(), &boxed),
-                    exact_set.insert(p, &exact),
+                    eps_set.insert(p.clone(), &boxed, &mut eps_screen),
+                    exact_set.insert(p, &exact, &mut screen),
                     "ε=0 archive decision diverged from exact pruning"
                 );
             }
             prop_assert!(eps_set.check_invariant());
             prop_assert_eq!(survivors(eps_set.plans()), survivors(exact_set.plans()));
             prop_assert_eq!(
-                eps_set.screen_counters().eps_rejects,
+                eps_screen.eps_rejects,
                 0,
                 "ε=0 must never reject on precision alone"
             );

@@ -32,7 +32,7 @@ use crate::fxhash::FxHashMap;
 use crate::model::CostModel;
 use crate::mutations::MutationSet;
 use crate::optimizer::{AbortCheck, ConvergencePoint, Optimizer, PlanExchange};
-use crate::pareto::ParetoSet;
+use crate::pareto::{ParetoSet, ScreenCounters};
 use crate::plan::PlanRef;
 use crate::random_plan::{random_left_deep_plan_in, random_plan_in};
 use crate::tables::TableSet;
@@ -106,23 +106,6 @@ pub struct RmqStats {
     pub last_alpha: f64,
 }
 
-impl RmqStats {
-    /// Median climbing path length, if any iterations ran.
-    pub fn median_path_length(&self) -> Option<f64> {
-        if self.path_lengths.is_empty() {
-            return None;
-        }
-        let mut sorted = self.path_lengths.clone();
-        sorted.sort_unstable();
-        let mid = sorted.len() / 2;
-        Some(if sorted.len() % 2 == 0 {
-            (sorted[mid - 1] + sorted[mid]) as f64 / 2.0
-        } else {
-            sorted[mid] as f64
-        })
-    }
-}
-
 /// What became of the warm-start plans an [`Rmq`] parked
 /// ([`Rmq::warm_start`]); lifetime totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -182,6 +165,8 @@ pub struct Rmq<M: CostModel> {
     cache: PlanCache<PlanId>,
     /// Result archive used when `share_cache` is disabled.
     results: ParetoSet<PlanId>,
+    /// Screening tallies of `results`, flushed with the cache's.
+    results_screen: ScreenCounters,
     iteration: u64,
     rng: StdRng,
     stats: RmqStats,
@@ -235,6 +220,7 @@ impl<M: CostModel> Rmq<M> {
             flushed_warm: WarmStartStats::default(),
             cache: PlanCache::new(),
             results: ParetoSet::new(),
+            results_screen: ScreenCounters::default(),
             iteration: 0,
             stats: RmqStats::default(),
             climb_scratch: StepScratch::default(),
@@ -373,9 +359,13 @@ impl<M: CostModel> Rmq<M> {
                 let view = self.climb_arena.view(p);
                 let (arena, climb_arena) = (&mut self.arena, &self.climb_arena);
                 let memo = &mut self.adopt_memo;
-                self.results.admit(&view.cost, view.format, &admission, || {
-                    arena.adopt(climb_arena, p, memo)
-                });
+                self.results.admit(
+                    &view.cost,
+                    view.format,
+                    &admission,
+                    &mut self.results_screen,
+                    || arena.adopt(climb_arena, p, memo),
+                );
             }
             self.climb_arena.clear();
         }
@@ -477,7 +467,7 @@ impl<M: CostModel> Rmq<M> {
         // the partial-plan cache, and the ablation result archive; plus the
         // current query-frontier size as a gauge.
         let mut archive_screen = self.cache.take_screen_counters();
-        archive_screen.absorb(&self.results.take_screen_counters());
+        archive_screen.absorb(&std::mem::take(&mut self.results_screen));
         archive_screen.absorb(&screen);
         m.pareto_blocks_screened.add(archive_screen.blocks_screened);
         m.pareto_eps_rejects.add(archive_screen.eps_rejects);
@@ -525,7 +515,7 @@ impl<M: CostModel> Rmq<M> {
     /// members are [`PlanId`]s into [`Rmq::arena`] and the set carries their
     /// inline cost metadata. `None` while no query plan has been archived.
     /// This is the zero-export handoff the parallel optimizer merges from —
-    /// see [`ParetoSet::merge_with`].
+    /// see [`ParetoSet::merge_from`].
     pub fn frontier_set(&self) -> Option<&ParetoSet<PlanId>> {
         if self.cfg.share_cache {
             self.cache.frontier_set(self.query)
@@ -604,9 +594,13 @@ impl<M: CostModel> Rmq<M> {
         if !self.cfg.share_cache {
             for plan in plans.into_iter().filter(|p| p.rel() == self.query) {
                 let (arena, memo) = (&mut self.arena, &mut self.import_memo);
-                let admitted = self.results.admit(plan.cost(), plan.format(), &exact, || {
-                    arena.import_memoized(&plan, memo)
-                });
+                let admitted = self.results.admit(
+                    plan.cost(),
+                    plan.format(),
+                    &exact,
+                    &mut self.results_screen,
+                    || arena.import_memoized(&plan, memo),
+                );
                 accepted += usize::from(admitted);
             }
             return accepted;
@@ -821,7 +815,6 @@ mod tests {
         assert_eq!(rmq.stats().iterations, 10);
         assert_eq!(rmq.stats().path_lengths.len(), 10);
         assert_eq!(rmq.stats().last_alpha, 25.0);
-        assert!(rmq.stats().median_path_length().is_some());
         assert!(rmq.cache().num_table_sets() > 0);
     }
 

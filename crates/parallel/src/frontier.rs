@@ -61,7 +61,7 @@ use moqo_core::archive::Admission;
 use moqo_core::arena::{PlanArena, PlanId};
 use moqo_core::cost::CostVector;
 use moqo_core::fxhash::FxHashMap;
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
 
@@ -227,7 +227,8 @@ impl SharedFrontier {
         obs.exchange_publishes.incr();
         obs.exchange_offered.add(frontier.len() as u64);
         let MergeState { global, staged, .. } = &mut *state;
-        let inserted = global.merge_with(frontier, &Admission::exact(), |&id| {
+        let mut screen = ScreenCounters::default();
+        let inserted = global.merge_from(frontier, 0, &Admission::exact(), &mut screen, |&id| {
             let plan = src.export(id);
             staged.push(LogEntry {
                 publisher,
@@ -235,7 +236,6 @@ impl SharedFrontier {
             });
             plan
         });
-        let screen = global.take_screen_counters();
         obs.pareto_blocks_screened.add(screen.blocks_screened);
         obs.pareto_eps_rejects.add(screen.eps_rejects);
         if inserted == 0 {
@@ -305,19 +305,20 @@ impl SharedFrontier {
         } = &mut *state;
         let mut offered = 0usize;
         let mut inserted = 0usize;
+        let mut screen = ScreenCounters::default();
+        let exact = Admission::exact();
         for (rel, frontier, start) in sets {
             offered += frontier.len() - start;
             let shared_set = partials.entry(rel).or_default();
-            inserted += shared_set.merge_from(frontier, start, &Admission::exact(), |&id| {
+            inserted += shared_set.merge_from(frontier, start, &exact, &mut screen, |&id| {
                 staged.push(LogEntry {
                     publisher,
                     plan: src.export(id),
                 });
             });
-            let screen = shared_set.take_screen_counters();
-            obs.pareto_blocks_screened.add(screen.blocks_screened);
-            obs.pareto_eps_rejects.add(screen.eps_rejects);
         }
+        obs.pareto_blocks_screened.add(screen.blocks_screened);
+        obs.pareto_eps_rejects.add(screen.eps_rejects);
         state.partial_offered += offered as u64;
         state.partial_merged += inserted as u64;
         obs.exchange_partial_offered.add(offered as u64);

@@ -150,7 +150,7 @@ use moqo_core::model::CostModel;
 use moqo_core::optimizer::{
     AbortCheck, Budget, ClaimCounter, ConvergencePoint, Optimizer, PlanExchange, StopFlag,
 };
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
@@ -621,10 +621,11 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
     /// includes not-yet-published survivors).
     pub fn reduced_frontier(&self) -> Vec<PlanRef> {
         let mut union: ParetoSet<PlanRef> = ParetoSet::new();
+        let mut screen = ScreenCounters::default();
         for worker in &self.workers {
             let worker = worker.as_ref().expect("worker checked in");
             for plan in worker.rmq.frontier() {
-                union.insert(plan, &Admission::exact());
+                union.insert(plan, &Admission::exact(), &mut screen);
             }
         }
         union.into_plans()

@@ -13,7 +13,7 @@ use moqo_core::archive::Admission;
 use moqo_core::model::testing::StubModel;
 use moqo_core::model::{CostModel, JoinOpId, PlanProps, PlanView, ScanOpId};
 use moqo_core::optimizer::Budget;
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::{TableId, TableSet};
@@ -57,6 +57,7 @@ fn sequential_union(
     total_iters: u64,
 ) -> Vec<PlanRef> {
     let mut union: ParetoSet<PlanRef> = ParetoSet::new();
+    let mut screen = ScreenCounters::default();
     for w in 0..workers as u64 {
         let iters = total_iters / workers as u64 + u64::from(w < total_iters % workers as u64);
         let mut rmq = Rmq::new(model, query, RmqConfig::seeded(seed ^ w));
@@ -64,7 +65,7 @@ fn sequential_union(
             rmq.iterate();
         }
         for plan in rmq.frontier() {
-            union.insert(plan, &Admission::exact());
+            union.insert(plan, &Admission::exact(), &mut screen);
         }
     }
     union.into_plans()

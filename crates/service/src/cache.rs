@@ -71,8 +71,8 @@ pub struct CacheConfig {
     /// first). With dominance pruning, entries rarely approach the cap.
     pub max_plans_per_entry: usize,
     /// Admission rule applied within each `(context, table set)` entry:
-    /// published plans are screened by [`Admission::rule`]
-    /// (reject-then-evict, the same contract as
+    /// published plans are screened by [`Admission::rejects`] and
+    /// [`Admission::evicts`] (reject-then-evict, the same contract as
     /// `moqo_core::pareto::ParetoSet::admit`). The default exact rule keeps
     /// every non-dominated tradeoff; an ε-box rule
     /// ([`Admission::eps_box`]) bounds each entry by cost precision
@@ -287,7 +287,7 @@ impl SharedPlanCache {
             // the newcomer displaces — so entries hold only mutually
             // admissible plans (per output format for format-scoped
             // rules), across *all* publishing sessions.
-            let rule = self.config.admission.rule;
+            let rule = self.config.admission;
             let scoped = rule.format_scoped();
             let rejected = entry.plans.iter().any(|p| {
                 (!scoped || p.format == candidate.format) && rule.rejects(&p.cost, &candidate.cost)

@@ -15,6 +15,7 @@ use moqo_core::optimizer::{drive, Budget, NullObserver, Optimizer};
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::theory;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
+use moqo_harness::stats::median_usize;
 use moqo_workload::{GraphShape, SelectivityMethod, WorkloadSpec};
 
 fn main() {
@@ -56,7 +57,7 @@ fn main() {
             n,
             stats.steps,
             rmq.frontier().len(),
-            rmq.stats().median_path_length().unwrap_or(0.0),
+            median_usize(&rmq.stats().path_lengths).unwrap_or(0.0),
             theory::expected_path_length(n, 3),
             dp_status
         );

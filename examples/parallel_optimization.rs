@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use moqo_core::archive::Admission;
 use moqo_core::optimizer::Budget;
-use moqo_core::pareto::ParetoSet;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_cost::{ResourceCostModel, ResourceMetric};
@@ -51,6 +51,7 @@ fn main() {
 
     // The reference: literally-sequential per-worker runs, united in order.
     let mut union: ParetoSet<PlanRef> = ParetoSet::new();
+    let mut screen = ScreenCounters::default();
     for w in 0..WORKERS as u64 {
         let iters = ITERS / WORKERS as u64 + u64::from(w < ITERS % WORKERS as u64);
         let mut rmq = Rmq::new(Arc::clone(&model), tables, RmqConfig::seeded(7 ^ w));
@@ -58,7 +59,7 @@ fn main() {
             rmq.iterate();
         }
         for plan in rmq.frontier() {
-            union.insert(plan, &Admission::exact());
+            union.insert(plan, &Admission::exact(), &mut screen);
         }
     }
     let reference = union.into_plans();

@@ -11,6 +11,7 @@ use moqo_core::archive::ArchiveConfig;
 use moqo_core::optimizer::{drive, Budget, NullObserver};
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_cost::ResourceCostModel;
+use moqo_harness::stats::median_usize;
 use moqo_workload::WorkloadSpec;
 
 fn main() {
@@ -60,6 +61,6 @@ fn main() {
     }
     println!(
         "\nClimbing path lengths (median): {:?}",
-        rmq.stats().median_path_length()
+        median_usize(&rmq.stats().path_lengths)
     );
 }

@@ -5,8 +5,8 @@
 //! chain session after 200 iterations, measured with the counting
 //! allocator of `tests/common/counting_alloc.rs`.
 
-use moqo_core::arena::PlanNode;
-use moqo_core::pareto::SOA_CROSSOVER;
+use moqo_core::arena::{PlanId, PlanNode};
+use moqo_core::pareto::{ParetoSet, SOA_CROSSOVER};
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
@@ -94,4 +94,12 @@ fn a_cached_frontier_below_the_crossover_owns_two_heap_blocks() {
 #[test]
 fn an_arena_node_fits_in_48_bytes() {
     assert!(std::mem::size_of::<PlanNode>() <= 48);
+}
+
+/// One set exists per cached table set — tens of thousands per session —
+/// so a set holds its members and nothing else: two member arrays, the
+/// block indices and the ε-box cache pointer, no screening tallies.
+#[test]
+fn a_pareto_set_fits_in_80_bytes() {
+    assert!(std::mem::size_of::<ParetoSet<PlanId>>() <= 80);
 }
