@@ -891,7 +891,6 @@ fn frontdoor_door(shards: usize, cap: usize, degrade_enabled: bool) -> FrontDoor
             workers: 1,
             admission: AdmissionConfig {
                 max_live_sessions: cap,
-                ..AdmissionConfig::default()
             },
             slo: SloConfig {
                 ttff_p99: Some(Duration::from_millis(25)),

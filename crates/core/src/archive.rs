@@ -265,8 +265,8 @@ impl Admission {
     /// scope — same format, or any member for [`CostFrontier`
     /// ](Admission::CostFrontier)) rejects the candidate. This is the
     /// scalar one-pair form the block kernels of
-    /// [`crate::pareto::ParetoSet`] are differentially tested against; the
-    /// service's cross-query cache uses it directly.
+    /// [`crate::pareto::ParetoSet`] are differentially tested against
+    /// (through [`crate::pareto::LinearParetoSet`]).
     #[inline]
     pub fn rejects(&self, member: &CostVector, candidate: &CostVector) -> bool {
         match self {

@@ -287,19 +287,19 @@ pub trait PlanExchange: Optimizer + Send {
     }
 
     /// How many worker threads this optimizer fans out over while being
-    /// stepped (`1` for sequential optimizers). Schedulers use this to
-    /// account for intra-query parallelism in admission decisions.
+    /// stepped (`1` for sequential optimizers). The service reports it in
+    /// its statistics.
     fn fan_out(&self) -> usize {
         1
     }
 
     /// Requests that subsequent steps use at most `workers` intra-query
-    /// workers — the elastic fan-out seam: a scheduler grants a fanned-out
-    /// optimizer anywhere between one worker and its declared
-    /// [`fan_out`](PlanExchange::fan_out) per scheduled batch, depending on
-    /// load. Implementations clamp to `1..=fan_out()`; correctness (exact
-    /// iteration budgets, frontier contents up to exploration order) must
-    /// not depend on the granted width. Sequential optimizers ignore it.
+    /// workers: a caller may narrow a fanned-out optimizer to anywhere
+    /// between one worker and its declared
+    /// [`fan_out`](PlanExchange::fan_out) between steps. Implementations
+    /// clamp to `1..=fan_out()`; correctness (exact iteration budgets,
+    /// frontier contents up to exploration order) must not depend on the
+    /// granted width. Sequential optimizers ignore it.
     fn set_effective_fan_out(&mut self, workers: usize) {
         let _ = workers;
     }

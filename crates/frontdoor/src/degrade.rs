@@ -12,8 +12,6 @@
 //! faster, and admission stops hitting its hard cap. Only when both steps
 //! are exhausted does the front door shed.
 
-use std::time::Duration;
-
 use moqo_core::optimizer::Budget;
 
 /// How far down the ladder a new session is admitted.
@@ -119,12 +117,17 @@ impl Grant {
 
 /// Scales a budget down to `pct` percent. Iteration budgets keep at least
 /// one iteration; time budgets scale their duration; absolute deadlines
-/// are left untouched (the cutoff is the client's contract).
+/// are left untouched (the cutoff is the client's contract). Both scalings
+/// divide before they multiply, so no budget overflows — `u64::MAX`
+/// iterations (run to completion) included.
 pub(crate) fn reduce_budget(budget: Budget, pct: u32) -> Budget {
-    let pct = pct.clamp(1, 100) as u64;
+    let pct = pct.clamp(1, 100);
     match budget {
-        Budget::Iterations(n) => Budget::Iterations((n * pct / 100).max(1)),
-        Budget::Time(d) => Budget::Time(Duration::from_nanos((d.as_nanos() as u64 / 100) * pct)),
+        Budget::Iterations(n) => {
+            let pct = u64::from(pct);
+            Budget::Iterations((n / 100 * pct + n % 100 * pct / 100).max(1))
+        }
+        Budget::Time(d) => Budget::Time(d / 100 * pct),
         Budget::Deadline(at) => Budget::Deadline(at),
     }
 }
@@ -166,6 +169,7 @@ pub(crate) fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn ladder_escalates_with_pressure_and_breach() {
@@ -232,6 +236,18 @@ mod tests {
         assert_eq!(
             reduce_budget(Budget::Iterations(100), 700),
             Budget::Iterations(100)
+        );
+        // Run-to-completion budgets and durations past 2^64 ns scale
+        // without overflow or truncation.
+        assert_eq!(
+            reduce_budget(Budget::Iterations(u64::MAX), 50),
+            Budget::Iterations(u64::MAX / 2)
+        );
+        let long = Duration::from_secs(40_000_000_000);
+        assert!(long.as_nanos() > u128::from(u64::MAX), "fixture");
+        assert_eq!(
+            reduce_budget(Budget::Time(long), 50),
+            Budget::Time(Duration::from_secs(20_000_000_000))
         );
     }
 

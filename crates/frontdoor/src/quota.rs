@@ -8,6 +8,13 @@
 //! notices the quota while a tenant that floods is shed after at most
 //! `burst` requests — and only that tenant is: buckets are independent,
 //! which is the isolation property the front door's tests pin.
+//!
+//! A bucket that has refilled to `burst` behaves exactly like a fresh one,
+//! so the table drops such buckets: every time it has doubled since the
+//! last sweep (and holds at least [`SWEEP_MIN`] buckets), one pass removes
+//! the full ones. The table is then bounded by the tenants active within
+//! one refill period, not by every tenant ever seen, at amortized O(1)
+//! per charge.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -41,26 +48,40 @@ impl QuotaConfig {
     }
 }
 
+/// The table size below which it is never swept.
+const SWEEP_MIN: usize = 1024;
+
 struct Bucket {
     tokens: f64,
     last_refill: Instant,
-    /// Requests this tenant has had shed by quota (journaled on breach).
+    /// Requests this tenant has had shed by quota since its bucket was last
+    /// full (journaled on breach).
     shed: u64,
 }
 
 /// The front door's per-tenant bucket table.
 pub(crate) struct QuotaSet {
     config: QuotaConfig,
-    buckets: Mutex<HashMap<u64, Bucket>>,
+    table: Mutex<Table>,
+}
+
+#[derive(Default)]
+struct Table {
+    buckets: HashMap<u64, Bucket>,
+    /// Buckets left by the last sweep; the next one runs once the table
+    /// has doubled that (and holds at least [`SWEEP_MIN`]).
+    swept: usize,
 }
 
 /// Outcome of charging one token.
 pub(crate) enum QuotaDecision {
     /// Token taken (or quotas disabled).
     Admitted,
-    /// Bucket dry; `shed` counts this tenant's quota rejections so far.
+    /// Bucket dry; `shed` counts this tenant's quota rejections since its
+    /// bucket was last full.
     Exhausted {
-        /// Quota rejections this tenant has accumulated, including this one.
+        /// Quota rejections since the tenant's bucket was last full,
+        /// including this one.
         shed: u64,
     },
 }
@@ -69,8 +90,15 @@ impl QuotaSet {
     pub(crate) fn new(config: QuotaConfig) -> Self {
         QuotaSet {
             config,
-            buckets: Mutex::new(HashMap::new()),
+            table: Mutex::default(),
         }
+    }
+
+    /// `bucket`'s tokens at `now`, capped at `burst`.
+    fn refilled(&self, bucket: &Bucket, now: Instant) -> f64 {
+        let elapsed = now.saturating_duration_since(bucket.last_refill);
+        (bucket.tokens + elapsed.as_secs_f64() * self.config.refill_per_sec)
+            .min(self.config.burst as f64)
     }
 
     /// Charges one token from `tenant`'s bucket.
@@ -79,16 +107,24 @@ impl QuotaSet {
             return QuotaDecision::Admitted;
         }
         let now = Instant::now();
-        let mut buckets = self.buckets.lock().unwrap();
-        let bucket = buckets.entry(tenant).or_insert_with(|| Bucket {
-            tokens: self.config.burst as f64,
+        let burst = self.config.burst as f64;
+        let mut table = self.table.lock().unwrap();
+        let table = &mut *table;
+        if table.buckets.len() >= (2 * table.swept).max(SWEEP_MIN) {
+            table.buckets.retain(|_, b| self.refilled(b, now) < burst);
+            table.swept = table.buckets.len();
+        }
+        let bucket = table.buckets.entry(tenant).or_insert(Bucket {
+            tokens: burst,
             last_refill: now,
             shed: 0,
         });
-        let elapsed = now.saturating_duration_since(bucket.last_refill);
-        bucket.tokens = (bucket.tokens + elapsed.as_secs_f64() * self.config.refill_per_sec)
-            .min(self.config.burst as f64);
+        bucket.tokens = self.refilled(bucket, now);
         bucket.last_refill = now;
+        if bucket.tokens >= burst {
+            // Full again: the bucket is indistinguishable from a fresh one.
+            bucket.shed = 0;
+        }
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
             QuotaDecision::Admitted
@@ -146,6 +182,21 @@ mod tests {
         // Tenant 2's bucket is untouched by tenant 1's flood.
         assert!(admitted(&q, 2));
         assert!(admitted(&q, 2));
+    }
+
+    #[test]
+    fn refilled_buckets_are_swept_so_the_table_stays_bounded() {
+        // A million tokens a second refill a one-token bucket within a
+        // microsecond: by each sweep, nearly every bucket is full again.
+        let q = QuotaSet::new(QuotaConfig {
+            burst: 1,
+            refill_per_sec: 1e6,
+        });
+        for tenant in 0..100_000 {
+            assert!(admitted(&q, tenant));
+        }
+        let len = q.table.lock().unwrap().buckets.len();
+        assert!(len <= 2 * SWEEP_MIN, "{len} buckets for 100 000 tenants");
     }
 
     #[test]

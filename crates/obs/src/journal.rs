@@ -51,30 +51,24 @@ impl Level {
 pub enum Target {
     /// The Pareto climb loop and RMQ iterations.
     Climb = 0,
-    /// Plan-arena interning.
-    Arena = 1,
-    /// Shared-frontier exchange between intra-query workers.
-    Exchange = 2,
-    /// The cross-query plan cache.
-    Cache = 3,
+    /// The intra-query exchange's adaptive publish period.
+    Exchange = 1,
     /// Service admission control.
-    Admission = 4,
+    Admission = 2,
     /// Service session lifecycle and scheduling.
-    Service = 5,
+    Service = 3,
     /// The execution engine.
-    Exec = 6,
+    Exec = 4,
     /// The multi-tenant front door: shard routing, request coalescing,
     /// per-tenant quotas, and SLO-aware degradation.
-    Frontdoor = 7,
+    Frontdoor = 5,
 }
 
 impl Target {
     /// All targets, in bit order.
-    pub const ALL: [Target; 8] = [
+    pub const ALL: [Target; 6] = [
         Target::Climb,
-        Target::Arena,
         Target::Exchange,
-        Target::Cache,
         Target::Admission,
         Target::Service,
         Target::Exec,
@@ -85,9 +79,7 @@ impl Target {
     pub fn name(self) -> &'static str {
         match self {
             Target::Climb => "climb",
-            Target::Arena => "arena",
             Target::Exchange => "exchange",
-            Target::Cache => "cache",
             Target::Admission => "admission",
             Target::Service => "service",
             Target::Exec => "exec",
@@ -106,7 +98,6 @@ impl Target {
 #[derive(Clone, Copy)]
 enum Value {
     U64(u64),
-    Bool(bool),
     Str(&'static str),
     /// An absent optional value: `null` in JSON, `-` in text.
     Null,
@@ -115,12 +106,6 @@ enum Value {
 impl From<u64> for Value {
     fn from(v: u64) -> Self {
         Value::U64(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
     }
 }
 
@@ -141,7 +126,6 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::U64(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
             Value::Str(v) => f.write_str(v),
             Value::Null => f.write_str("-"),
         }
@@ -207,32 +191,9 @@ event_kinds! {
         /// Result-frontier size after the iteration.
         frontier: u64,
     }
-    /// A worker published its local frontier to the shared frontier.
-    ExchangePublish = "exchange_publish" {
-        /// Plans offered in this publish.
-        offered: u64,
-        /// Plans admitted into the global frontier.
-        merged: u64,
-        /// Global snapshot epoch after the publish.
-        epoch: u64,
-    }
-    /// A worker absorbed the global snapshot into its local state.
-    ExchangeAbsorb = "exchange_absorb" {
-        /// Epoch of the snapshot absorbed.
-        epoch: u64,
-        /// Plans adopted from it.
-        absorbed: u64,
-    }
-    /// A cross-query cache lookup resolved.
-    CacheLookup = "cache_lookup" {
-        /// Whether any warm-start plans were found.
-        hit: bool,
-        /// Plans returned.
-        plans: u64,
-    }
     /// A session was admitted.
     SessionSubmitted = "session_submitted" {
-        /// Worker slots the session reserved (its fan-out).
+        /// The optimizer's declared intra-query fan-out.
         fan_out: u64,
         /// Plans absorbed from the cache at warm start.
         warm_plans: u64,
@@ -268,7 +229,8 @@ event_kinds! {
     QuotaBreach = "quota_breach" {
         /// The tenant whose quota was exhausted.
         tenant: u64,
-        /// Requests this tenant has had shed by quota so far.
+        /// Requests this tenant has had shed by quota since its bucket
+        /// was last full.
         shed: u64,
     }
     /// A front-door shard changed its degradation level (target
@@ -424,10 +386,10 @@ pub fn disable() {
 ///
 /// ```
 /// use moqo_obs::journal::{self, EventKind, Level, Target};
-/// journal::emit_with(Target::Exchange, Level::Info, || EventKind::ExchangePublish {
-///     offered: 4,
-///     merged: 2,
-///     epoch: 1,
+/// journal::emit_with(Target::Service, Level::Info, || EventKind::SessionDone {
+///     steps: 40,
+///     reason: "budget_exhausted",
+///     ttff_us: Some(1_234),
 /// });
 /// ```
 #[inline]
@@ -547,11 +509,11 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_seq_monotone() {
         let _guard = journal_lock();
-        enable(&[Target::Arena], Level::Debug);
+        enable(&[Target::Exec], Level::Debug);
         drain();
         let before = metrics().journal_dropped.get();
         for _ in 0..(JOURNAL_CAPACITY + 50) {
-            emit_with(Target::Arena, Level::Debug, || EventKind::Note("x"));
+            emit_with(Target::Exec, Level::Debug, || EventKind::Note("x"));
         }
         let dropped = metrics().journal_dropped.get() - before;
         let evs = drain();
@@ -566,12 +528,12 @@ mod tests {
     #[test]
     fn capacity_is_runtime_configurable() {
         let _guard = journal_lock();
-        enable(&[Target::Cache], Level::Debug);
+        enable(&[Target::Admission], Level::Debug);
         drain();
         set_capacity(4);
         assert_eq!(capacity(), 4);
         for _ in 0..10 {
-            emit_with(Target::Cache, Level::Debug, || EventKind::Note("y"));
+            emit_with(Target::Admission, Level::Debug, || EventKind::Note("y"));
         }
         let evs = drain();
         // Restore the default before releasing the lock so sibling tests
@@ -609,7 +571,7 @@ mod tests {
         });
         assert!(c.to_json().contains("\"kind\":\"session_coalesced\""));
         assert_eq!(Target::Frontdoor.name(), "frontdoor");
-        assert_eq!(Target::ALL.len(), 8);
-        assert_eq!(Target::Frontdoor.bit(), 1 << 7);
+        assert_eq!(Target::ALL.len(), 6);
+        assert_eq!(Target::Frontdoor.bit(), 1 << 5);
     }
 }

@@ -392,8 +392,6 @@ metrics! {
         service_submitted: Counter = "service.submitted",
         /// Submissions rejected: live-session bound reached.
         service_rejected_queue_full: Counter = "service.rejected_queue_full",
-        /// Submissions rejected: worker-slot bound would be exceeded.
-        service_rejected_no_slots: Counter = "service.rejected_no_slots",
         /// Submissions rejected: service shutting down.
         service_rejected_shutdown: Counter = "service.rejected_shutdown",
         /// Cross-query cache lookups that returned warm-start plans.

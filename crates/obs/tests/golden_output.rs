@@ -31,12 +31,6 @@ fn every_event_kind_renders_the_same_json() {
     let cases = [
         (Iteration { mutations: 12, admitted: 2, rejected: 10, frontier: 5 },
          r#""kind":"iteration","mutations":12,"admitted":2,"rejected":10,"frontier":5"#),
-        (ExchangePublish { offered: 4, merged: 2, epoch: 1 },
-         r#""kind":"exchange_publish","offered":4,"merged":2,"epoch":1"#),
-        (ExchangeAbsorb { epoch: 3, absorbed: 6 },
-         r#""kind":"exchange_absorb","epoch":3,"absorbed":6"#),
-        (CacheLookup { hit: true, plans: 8 }, r#""kind":"cache_lookup","hit":true,"plans":8"#),
-        (CacheLookup { hit: false, plans: 0 }, r#""kind":"cache_lookup","hit":false,"plans":0"#),
         (SessionSubmitted { fan_out: 2, warm_plans: 17 },
          r#""kind":"session_submitted","fan_out":2,"warm_plans":17"#),
         (SessionRejected { reason: "queue_full" },

@@ -31,7 +31,7 @@
 //! cost of absorbing is proportional to what the rest of the run found since
 //! this reader last looked — and a reader whose cursor equals the log length
 //! (one atomic load) takes no lock at all. A reader that sat out for a while
-//! (an ungranted worker of an elastic session) just has an old cursor and
+//! (a worker left out of a narrowed round) just has an old cursor and
 //! catches up on its next read.
 //!
 //! ## Why stale log entries are harmless
@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use moqo_obs::{journal, metrics};
+use moqo_obs::metrics;
 
 use moqo_core::archive::Admission;
 use moqo_core::arena::{PlanArena, PlanId};
@@ -241,15 +241,6 @@ impl SharedFrontier {
         if inserted == 0 {
             // No admission: the epoch must not move (the invariant the
             // concurrent-exchange tests pin), so no snapshot swap either.
-            let epoch = state.epoch;
-            drop(state);
-            journal::emit_with(journal::Target::Exchange, journal::Level::Debug, || {
-                journal::EventKind::ExchangePublish {
-                    offered: frontier.len() as u64,
-                    merged: 0,
-                    epoch,
-                }
-            });
             return 0;
         }
         state.merged += inserted as u64;
@@ -261,14 +252,6 @@ impl SharedFrontier {
         let fresh = Arc::new(FrontierSnapshot { epoch, plans });
         *self.snapshot.lock().expect(POISONED) = fresh;
         self.append_staged(&mut state);
-        drop(state);
-        journal::emit_with(journal::Target::Exchange, journal::Level::Info, || {
-            journal::EventKind::ExchangePublish {
-                offered: frontier.len() as u64,
-                merged: inserted as u64,
-                epoch,
-            }
-        });
         inserted
     }
 

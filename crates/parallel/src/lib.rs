@@ -27,9 +27,8 @@
 //! last worker. A batch's panic (say, from the cost model) is re-raised by
 //! `optimize` once the round's other batches are done.
 //!
-//! The *effective* fan-out is elastic: the service grants a width per
-//! slice via [`PlanExchange::set_effective_fan_out`] (clamped to
-//! `1..=workers`). Iteration budgets are claimed from a shared
+//! A caller may narrow the *effective* fan-out between rounds via
+//! [`PlanExchange::set_effective_fan_out`] (clamped to `1..=workers`). Iteration budgets are claimed from a shared
 //! [`ClaimCounter`], so totals stay exact at any width.
 //!
 //! ## Execution model
@@ -348,13 +347,7 @@ fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     let absorbed = worker.port.absorb(&mut worker.rmq, ex.shared) as u64;
     worker.absorbed += absorbed;
     if absorbed > 0 {
-        let epoch = ex.shared.epoch();
-        moqo_obs::ctx::set_epoch(epoch);
-        moqo_obs::journal::emit_with(
-            moqo_obs::journal::Target::Exchange,
-            moqo_obs::journal::Level::Debug,
-            || moqo_obs::journal::EventKind::ExchangeAbsorb { epoch, absorbed },
-        );
+        moqo_obs::ctx::set_epoch(ex.shared.epoch());
     }
     if let Some(s) = span.as_mut() {
         s.set_arg(absorbed);
@@ -751,7 +744,7 @@ impl<M: CostModel + Clone + Send + 'static> PlanExchange for ParRmq<M> {
         self.cfg.workers
     }
 
-    /// Elastic width grant from the scheduler: the next live-mode round
+    /// Width limit from the caller: the next live-mode round
     /// runs `workers` (clamped to `1..=cfg.workers`) of the configured
     /// workers. Deterministic mode ignores the grant — its static split is
     /// part of the reproducibility contract.

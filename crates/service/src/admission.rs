@@ -16,23 +16,12 @@ pub struct AdmissionConfig {
     /// Maximum number of live (admitted, unfinished) sessions. Submissions
     /// beyond this are rejected with [`AdmissionError::QueueFull`].
     pub max_live_sessions: usize,
-    /// Maximum total **worker slots** held by concurrently *running*
-    /// slices. Slot accounting is elastic: a session holds slots only
-    /// while one of its slices executes — one for a sequential optimizer,
-    /// up to its fan-out for a fanned-out one
-    /// (`PlanExchange::fan_out() > 1`), clamped to whatever is free at
-    /// slice start (`PlanExchange::set_effective_fan_out`). The bound
-    /// therefore caps *concurrent width*, not admissions: only a session
-    /// whose fan-out exceeds the bound outright — it could never be
-    /// granted — is rejected with [`AdmissionError::NoWorkerSlots`].
-    pub max_worker_slots: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_live_sessions: 64,
-            max_worker_slots: 256,
         }
     }
 }
@@ -47,18 +36,6 @@ pub enum AdmissionError {
         /// The configured bound.
         limit: usize,
     },
-    /// The session's fan-out exceeds the worker-slot bound outright, so
-    /// even an otherwise-idle service could never grant it; resubmit with
-    /// fewer workers. (Contention below the bound is handled elastically —
-    /// slices are clamped to the free width, never rejected.)
-    NoWorkerSlots {
-        /// Worker slots held by running slices at rejection time.
-        in_use: usize,
-        /// Slots the rejected session requested (its fan-out).
-        requested: usize,
-        /// The configured bound.
-        limit: usize,
-    },
     /// The service is shutting down and no longer accepts sessions.
     ShuttingDown,
 }
@@ -69,14 +46,6 @@ impl fmt::Display for AdmissionError {
             AdmissionError::QueueFull { live, limit } => {
                 write!(f, "admission queue full ({live}/{limit} live sessions)")
             }
-            AdmissionError::NoWorkerSlots {
-                in_use,
-                requested,
-                limit,
-            } => write!(
-                f,
-                "worker slots exhausted ({in_use}/{limit} in use, {requested} requested)"
-            ),
             AdmissionError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }

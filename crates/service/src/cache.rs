@@ -11,6 +11,12 @@
 //! `Rmq::warm_start`). A finished session publishes what it found itself —
 //! what it absorbed is not echoed back (`Rmq::export_plans`).
 //!
+//! Each entry is a `moqo_core` [`ParetoSet`] under the exact rule
+//! ([`Admission::exact`]), the same admission the optimizer's own plan
+//! cache runs: a published plan is rejected if a cached plan of its format
+//! weakly dominates it — an exact re-publish included, since it has the
+//! same cost and format — and otherwise evicts the plans it dominates.
+//!
 //! The **context fingerprint** must capture everything that makes two
 //! sessions' cost vectors comparable: the catalog statistics *and* the cost
 //! model configuration (metrics, model kind). Use
@@ -21,10 +27,9 @@
 //!
 //! Cached plans live in one hash-consed `PlanArena` per context, owned by
 //! the cache, so structurally shared partial plans published by different
-//! sessions (and different queries!) of a context are stored once, and a
-//! cached plan's identity is the integer pair **`(context fingerprint,
-//! PlanId)`** — publishing a plan the cache already holds is rejected by one
-//! hash-set probe, before any dominance scan runs. Contexts never share an
+//! sessions (and different queries!) of a context are stored once, and
+//! entries hold `PlanId`s into it. A plan is interned only once its entry
+//! admits it, so a rejected publish adds no node. Contexts never share an
 //! arena: a node carries its cost, and two contexts cost the same structure
 //! differently (other statistics, other metrics — possibly another number
 //! of them, while an arena stores costs at one dimension).
@@ -52,9 +57,8 @@ use std::sync::Mutex;
 
 use moqo_core::archive::Admission;
 use moqo_core::arena::{ImportMemo, PlanArena, PlanId};
-use moqo_core::cost::CostVector;
-use moqo_core::fxhash::{FxHashMap, FxHashSet};
-use moqo_core::model::OutputFormat;
+use moqo_core::fxhash::FxHashMap;
+use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
 
@@ -64,29 +68,11 @@ pub struct CacheConfig {
     /// Upper bound on the total number of cached plans across all entries.
     /// `0` disables cross-query caching entirely.
     pub max_plans: usize,
-    /// Upper bound on plans kept per `(context, table set)` entry. When a
-    /// publish would grow an entry past the cap, the established frontier
-    /// is kept and the newcomer is dropped (a newcomer that *dominates*
-    /// cached plans always gets in, because its victims are evicted
-    /// first). With dominance pruning, entries rarely approach the cap.
-    pub max_plans_per_entry: usize,
-    /// Admission rule applied within each `(context, table set)` entry:
-    /// published plans are screened by [`Admission::rejects`] and
-    /// [`Admission::evicts`] (reject-then-evict, the same contract as
-    /// `moqo_core::pareto::ParetoSet::admit`). The default exact rule keeps
-    /// every non-dominated tradeoff; an ε-box rule
-    /// ([`Admission::eps_box`]) bounds each entry by cost precision
-    /// instead.
-    pub admission: Admission,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            max_plans: 50_000,
-            max_plans_per_entry: 64,
-            admission: Admission::exact(),
-        }
+        CacheConfig { max_plans: 50_000 }
     }
 }
 
@@ -103,11 +89,12 @@ pub struct CacheStats {
     pub entries: usize,
     /// Plans ever published into the cache.
     pub published: u64,
-    /// Plans evicted by the size bound.
+    /// Plans evicted: displaced by a dominating publish, or dropped with
+    /// an entry by the size bound.
     pub evicted: u64,
-    /// Publishes rejected by `(context, PlanId)` identity — exact
-    /// duplicates caught by one hash probe, no dominance scan.
-    pub identity_rejects: u64,
+    /// Published plans the exact rule turned away — dominated by, or equal
+    /// in cost and format to, a cached plan (exact re-publishes included).
+    pub rejected: u64,
     /// Interned nodes currently in the cache's arenas (occupancy).
     pub arena_nodes: usize,
     /// Times a context's arena was compacted (rebuilt from live roots).
@@ -125,30 +112,18 @@ impl CacheStats {
     }
 }
 
-/// A cached plan: its canonical [`PlanId`] in its context's arena plus pruning
-/// metadata held inline, so publish-time admission checks read the dense
-/// `(cost, format)` pair and never touch the arena (the same metadata
-/// `moqo_core::pareto::ParetoSet` keeps in-optimizer).
-struct CachedPlan {
-    id: PlanId,
-    cost: CostVector,
-    format: OutputFormat,
-}
-
+/// One table set's cached plans: ids into the context's arena, admitted
+/// under [`Admission::exact`].
 struct Entry {
-    plans: Vec<CachedPlan>,
+    set: ParetoSet<PlanId>,
     last_used: u64,
 }
 
-/// One context's entries, the arena their plans live in, and its identity
-/// index.
+/// One context's entries and the arena their plans live in.
 #[derive(Default)]
 struct Context {
     entries: HashMap<TableSet, Entry>,
     arena: PlanArena,
-    /// The `PlanId` of every stored plan: ids are canonical per arena, so
-    /// an exact re-publish is one hash probe.
-    ids: FxHashSet<PlanId>,
     /// Arena occupancy at the end of the last compaction (growth trigger).
     compacted_len: usize,
 }
@@ -165,10 +140,15 @@ impl Context {
         }
         let mut fresh = PlanArena::new();
         let mut memo: FxHashMap<PlanId, PlanId> = FxHashMap::default();
-        self.ids.clear();
-        for cached in self.entries.values_mut().flat_map(|e| &mut e.plans) {
-            cached.id = fresh.adopt(&self.arena, cached.id, &mut memo);
-            self.ids.insert(cached.id);
+        // Re-admitting a valid exact set in its own order admits every
+        // member, in that order: only the ids change.
+        let mut screen = ScreenCounters::default();
+        for entry in self.entries.values_mut() {
+            let mut set = ParetoSet::new();
+            set.merge_from(&entry.set, 0, &Admission::exact(), &mut screen, |&id| {
+                fresh.adopt(&self.arena, id, &mut memo)
+            });
+            entry.set = set;
         }
         self.arena = fresh;
         self.compacted_len = self.arena.len();
@@ -176,20 +156,23 @@ impl Context {
     }
 }
 
+#[derive(Default)]
 struct CacheInner {
     /// Context fingerprint → its entries and arena, so warm-start lookups
     /// stay confined to one context's entries instead of walking every
     /// cached context. (Global eviction still scans all entries — once per
     /// overflowing publish, see `publish`.)
     map: HashMap<u64, Context>,
+    /// Every publish's admission tallies: plans admitted, rejected, and
+    /// displaced by a dominating newcomer.
+    screen: ScreenCounters,
+    /// Plans dropped with LRU-evicted entries.
+    lru_evicted: u64,
     compactions: u64,
-    identity_rejects: u64,
     clock: u64,
     total_plans: usize,
     lookups: u64,
     hits: u64,
-    published: u64,
-    evicted: u64,
 }
 
 /// The shared, bounded cross-query plan cache.
@@ -202,17 +185,7 @@ impl SharedPlanCache {
     pub(crate) fn new(config: CacheConfig) -> Self {
         SharedPlanCache {
             config,
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                compactions: 0,
-                identity_rejects: 0,
-                clock: 0,
-                total_plans: 0,
-                lookups: 0,
-                hits: 0,
-                published: 0,
-                evicted: 0,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -230,7 +203,7 @@ impl SharedPlanCache {
             for (rel, entry) in entries.iter_mut() {
                 if rel.is_subset(query) {
                     entry.last_used = clock;
-                    out.extend(entry.plans.iter().map(|c| arena.export(c.id)));
+                    out.extend(entry.set.iter().map(|&id| arena.export(id)));
                 }
             }
         }
@@ -240,10 +213,9 @@ impl SharedPlanCache {
         out
     }
 
-    /// Publishes a finished session's partial plans under `context`,
-    /// grouping them by table set, pruning by Pareto dominance within
-    /// each `(table set, output format)` group, and enforcing the size
-    /// bounds.
+    /// Publishes a finished session's partial plans under `context`: each
+    /// plan is offered to its table set's entry under the exact rule, then
+    /// the size bound is enforced.
     pub(crate) fn publish(&self, context: u64, plans: Vec<PlanRef>) {
         if self.config.max_plans == 0 || plans.is_empty() {
             return;
@@ -252,73 +224,33 @@ impl SharedPlanCache {
         let inner = &mut *inner;
         inner.clock += 1;
         let clock = inner.clock;
-        let per_entry_cap = self.config.max_plans_per_entry;
+        let before = inner.screen;
         // One session's plans share most of their sub-trees (by `Arc`, its
         // arena's exports are memoized): walk each once per publish.
         let mut memo = ImportMemo::default();
         let ctx = inner.map.entry(context).or_default();
-        for plan in plans {
-            let rel = plan.rel();
-            // Compaction-on-cache-insert: re-intern the session's plan into
-            // the context's arena. The resulting id is canonical, so the
-            // `(context, PlanId)` index catches an exact re-publish with
-            // one probe — no dominance scan, no tree walk.
-            let id = ctx.arena.import_memoized(&plan, &mut memo);
-            if ctx.ids.contains(&id) {
-                inner.identity_rejects += 1;
-                continue;
-            }
-            let cost = *plan.cost();
-            let candidate = CachedPlan {
-                id,
-                format: plan.format(),
-                cost,
-            };
-            let mut stored = false;
-            let mut removed = 0usize;
-            let entry = ctx.entries.entry(rel).or_insert(Entry {
-                plans: Vec::new(),
+        for plan in &plans {
+            let entry = ctx.entries.entry(plan.rel()).or_insert_with(|| Entry {
+                set: ParetoSet::new(),
                 last_used: clock,
             });
             entry.last_used = clock;
-            // Admission mirrors the optimizer-internal Pareto sets: the
-            // configured rule first gets a chance to reject the newcomer
-            // against every in-scope incumbent, then evicts the incumbents
-            // the newcomer displaces — so entries hold only mutually
-            // admissible plans (per output format for format-scoped
-            // rules), across *all* publishing sessions.
-            let rule = self.config.admission;
-            let scoped = rule.format_scoped();
-            let rejected = entry.plans.iter().any(|p| {
-                (!scoped || p.format == candidate.format) && rule.rejects(&p.cost, &candidate.cost)
-            });
-            if !rejected {
-                let before = entry.plans.len();
-                let ids = &mut ctx.ids;
-                entry.plans.retain(|p| {
-                    let evict = (!scoped || p.format == candidate.format)
-                        && rule.evicts(&candidate.cost, &p.cost);
-                    if evict {
-                        ids.remove(&p.id);
-                    }
-                    !evict
-                });
-                removed = before - entry.plans.len();
-                // Cap guard (rare once dominance-pruned): keep the
-                // established frontier, drop the newcomer.
-                if entry.plans.len() < per_entry_cap {
-                    ids.insert(candidate.id);
-                    entry.plans.push(candidate);
-                    stored = true;
-                }
-            }
-            if stored {
-                inner.published += 1;
-                inner.total_plans += 1;
-            }
-            inner.total_plans -= removed;
-            inner.evicted += removed as u64;
+            // Compaction-on-cache-insert: only an admitted plan is
+            // re-interned into the context's arena.
+            let arena = &mut ctx.arena;
+            entry.set.admit(
+                plan.cost(),
+                plan.format(),
+                &Admission::exact(),
+                &mut inner.screen,
+                || arena.import_memoized(plan, &mut memo),
+            );
         }
+        let (admitted, displaced) = (
+            inner.screen.admitted - before.admitted,
+            inner.screen.evicted - before.evicted,
+        );
+        inner.total_plans = inner.total_plans + admitted as usize - displaced as usize;
         // Global bound: evict least-recently-used entries until under the
         // cap. One scan collects every entry's recency; victims are then
         // taken in LRU order — O(total entries log total entries) once per
@@ -341,15 +273,12 @@ impl SharedPlanCache {
                 };
                 let c = inner.map.get_mut(&ctx).expect("victim context exists");
                 let entry = c.entries.remove(&rel).expect("victim entry exists");
-                for p in &entry.plans {
-                    c.ids.remove(&p.id);
-                }
                 if c.entries.is_empty() {
                     // The context's arena goes with its last entry.
                     inner.map.remove(&ctx);
                 }
-                inner.total_plans -= entry.plans.len();
-                inner.evicted += entry.plans.len() as u64;
+                inner.total_plans -= entry.set.len();
+                inner.lru_evicted += entry.set.len() as u64;
             }
         }
         // The published context's entries may now reference far fewer
@@ -370,9 +299,9 @@ impl SharedPlanCache {
             hits: inner.hits,
             plans: inner.total_plans,
             entries: inner.map.values().map(|c| c.entries.len()).sum(),
-            published: inner.published,
-            evicted: inner.evicted,
-            identity_rejects: inner.identity_rejects,
+            published: inner.screen.admitted,
+            evicted: inner.screen.evicted + inner.lru_evicted,
+            rejected: inner.screen.rejected,
             arena_nodes: inner.map.values().map(|c| c.arena.len()).sum(),
             compactions: inner.compactions,
         }
@@ -386,6 +315,7 @@ mod tests {
     use moqo_core::model::CostModel;
     use moqo_core::plan::Plan;
     use moqo_core::tables::TableId;
+    use proptest::prelude::*;
 
     fn scan(model: &StubModel, t: usize, op: usize) -> PlanRef {
         Plan::scan(model, TableId::new(t), model.scan_ops(TableId::new(t))[op])
@@ -469,11 +399,7 @@ mod tests {
     #[test]
     fn global_bound_evicts_lru_entries() {
         let model = StubModel::line(8, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig {
-            max_plans: 4,
-            max_plans_per_entry: 8,
-            ..CacheConfig::default()
-        });
+        let cache = SharedPlanCache::new(CacheConfig { max_plans: 4 });
         for t in 0..4 {
             cache.publish(1, vec![scan(&model, t, 0)]);
         }
@@ -500,16 +426,16 @@ mod tests {
     }
 
     #[test]
-    fn exact_republishes_are_identity_rejected() {
-        // A structurally identical plan re-interns onto the same PlanId, so
-        // the (context, PlanId) index rejects it before any dominance scan.
+    fn exact_republishes_are_rejected_without_interning() {
+        // A structurally identical plan has the cached plan's cost and
+        // format, so the exact rule rejects it before it is interned.
         let model = StubModel::line(2, 2, 1);
         let cache = SharedPlanCache::new(CacheConfig::default());
         cache.publish(1, vec![scan(&model, 0, 0)]);
         cache.publish(1, vec![scan(&model, 0, 0), scan(&model, 0, 0)]);
         let stats = cache.stats();
-        assert_eq!(stats.plans, 1);
-        assert_eq!(stats.identity_rejects, 2);
+        assert_eq!((stats.plans, stats.arena_nodes), (1, 1));
+        assert_eq!(stats.rejected, 2);
         // The same structure under a different context is a fresh key,
         // stored in that context's own arena.
         cache.publish(2, vec![scan(&model, 0, 0)]);
@@ -555,25 +481,19 @@ mod tests {
         let mut reference = PlanArena::new();
         let expected: Vec<PlanId> = plans.iter().map(|p| reference.import(p)).collect();
         assert_eq!(reference.stats().dedup_hits, 8, "what a plain import pays");
-        let stored: Vec<PlanId> = inner.map[&1].entries[&plans[0].rel()]
-            .plans
-            .iter()
-            .map(|c| c.id)
-            .collect();
+        let stored = inner.map[&1].entries[&plans[0].rel()].set.plans();
         assert_eq!(stored, expected);
     }
 
     #[test]
     fn garbage_triggers_arena_compaction_and_preserves_lookups() {
         let model = StubModel::line(10, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig {
-            max_plans_per_entry: 8,
-            ..CacheConfig::default()
-        });
-        // Publish structurally distinct left-deep trees (the round's bits
-        // pick each leaf's scan operator → 1024 distinct shapes) under one
-        // context: every publish interns its tree, but dominance keeps at
-        // most 8 of them live, so the arena fills with garbage until it is
+        let cache = SharedPlanCache::new(CacheConfig { max_plans: 1 });
+        // Each round publishes a structurally distinct left-deep tree (the
+        // round's bits pick each leaf's scan operator), then the T0 scan.
+        // The one-plan bound evicts the older entry each time: the tree's
+        // entry goes, the context lives on in the scan's entry, and the
+        // tree's interned nodes stay behind as garbage until the arena is
         // compacted.
         use moqo_core::model::{JoinOpId, ScanOpId};
         let mut round = 0u16;
@@ -585,28 +505,26 @@ mod tests {
                 plan = Plan::join(&model, plan, scan, JoinOpId(0));
             }
             cache.publish(1, vec![plan]);
+            cache.publish(1, vec![scan(&model, 0, 0)]);
             round += 1;
         }
         let stats = cache.stats();
         assert!(stats.compactions >= 1, "compaction never ran");
-        assert!(stats.plans <= 8);
+        assert_eq!(stats.plans, 1);
         // Live plans survive compaction with valid ids: exporting them
-        // still yields structurally valid plans, and each is still known
-        // to the identity index.
+        // still yields structurally valid plans, and re-publishing them is
+        // rejected as the exact duplicates they are.
         let live = cache.lookup(1, TableSet::prefix(10));
         assert_eq!(live.len(), stats.plans);
         for plan in &live {
             assert!(plan.validate(plan.rel()).is_ok());
         }
         cache.publish(1, live);
-        assert_eq!(
-            cache.stats().identity_rejects,
-            stats.identity_rejects + stats.plans as u64
-        );
-        // Compaction dropped the dead nodes: occupancy is bounded by the
-        // live plans' 19 nodes each, far below the total ever interned.
+        assert_eq!(cache.stats().rejected, stats.rejected + stats.plans as u64);
+        // Compaction dropped the dead nodes: what is left is at most the
+        // last round's tree and scan, far below the total ever interned.
         assert!(
-            stats.arena_nodes <= 19 * stats.plans,
+            stats.arena_nodes <= 20,
             "arena not compacted: {} nodes",
             stats.arena_nodes
         );
@@ -615,11 +533,7 @@ mod tests {
     #[test]
     fn eviction_triggers_arena_compaction_and_preserves_lookups() {
         let model = StubModel::line(10, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig {
-            max_plans: 2,
-            max_plans_per_entry: 8,
-            ..CacheConfig::default()
-        });
+        let cache = SharedPlanCache::new(CacheConfig { max_plans: 2 });
         // Publish structurally distinct left-deep trees (the round's bits
         // pick each leaf's scan operator → 1024 distinct shapes), each under
         // its own context, while LRU eviction keeps only 2 entries live: an
@@ -674,13 +588,93 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let model = StubModel::line(2, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig {
-            max_plans: 0,
-            max_plans_per_entry: 8,
-            ..CacheConfig::default()
-        });
+        let cache = SharedPlanCache::new(CacheConfig { max_plans: 0 });
         cache.publish(1, vec![scan(&model, 0, 0)]);
         assert_eq!(cache.stats().plans, 0);
         assert!(cache.lookup(1, TableSet::prefix(2)).is_empty());
+    }
+
+    /// A join tree over `tables` whose shape and operators follow `seed`:
+    /// each split either cuts the table list (chain joins) or takes every
+    /// other table (cross products, so some trees dominate others), and
+    /// joins use the operators applicable to every inner.
+    fn random_plan(model: &StubModel, tables: &[TableId], seed: &mut u64) -> PlanRef {
+        use moqo_core::model::{JoinOpId, ScanOpId};
+        *seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let bits = *seed >> 33;
+        if let [table] = tables {
+            return Plan::scan(model, *table, ScanOpId((bits & 1) as u16));
+        }
+        let (mut outer, mut inner): (Vec<TableId>, Vec<TableId>) = if bits & 2 == 0 {
+            let cut = 1 + (bits >> 4) as usize % (tables.len() - 1);
+            (tables[..cut].to_vec(), tables[cut..].to_vec())
+        } else {
+            let every_other = |from| tables.iter().skip(from).step_by(2).copied().collect();
+            (every_other(0), every_other(1))
+        };
+        if bits & 4 != 0 {
+            std::mem::swap(&mut outer, &mut inner);
+        }
+        let op = JoinOpId(((bits >> 8) % 3) as u16);
+        let outer = random_plan(model, &outer, seed);
+        let inner = random_plan(model, &inner, seed);
+        Plan::join(model, outer, inner, op)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Independent oracle: with no size bound, every entry holds, per
+        /// output format, exactly `pareto_filter` of the costs published
+        /// for its table set and format, in publish order.
+        #[test]
+        fn entries_are_the_pareto_filter_of_what_was_published(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0usize..4, 0u64..u64::MAX), 1..12),
+                1..6,
+            ),
+        ) {
+            use moqo_core::cost::CostVector;
+            use moqo_core::model::OutputFormat;
+            type Groups = HashMap<(TableSet, OutputFormat), Vec<CostVector>>;
+            let model = StubModel::line(4, 2, 3);
+            let t = TableId::new;
+            let rels = [
+                vec![t(0), t(1)],
+                vec![t(0), t(1), t(2)],
+                vec![t(0), t(1), t(2), t(3)],
+                vec![t(1), t(2), t(3)],
+            ];
+            let cache = SharedPlanCache::new(CacheConfig {
+                max_plans: usize::MAX,
+            });
+            let mut published = Groups::new();
+            for batch in &batches {
+                let plans: Vec<PlanRef> = batch
+                    .iter()
+                    .map(|&(rel, mut seed)| random_plan(&model, &rels[rel], &mut seed))
+                    .collect();
+                for p in &plans {
+                    let group = published.entry((p.rel(), p.format())).or_default();
+                    group.push(*p.cost());
+                }
+                cache.publish(1, plans);
+            }
+            let inner = cache.inner.lock().unwrap();
+            let ctx = &inner.map[&1];
+            let mut cached = Groups::new();
+            for (rel, entry) in &ctx.entries {
+                for (&id, cost) in entry.set.plans().iter().zip(entry.set.costs()) {
+                    let format = ctx.arena.export(id).format();
+                    cached.entry((*rel, format)).or_default().push(*cost);
+                }
+            }
+            prop_assert_eq!(cached.len(), published.len());
+            for (key, costs) in &published {
+                prop_assert_eq!(&cached[key], &moqo_metrics::pareto_filter(costs));
+            }
+        }
     }
 }

@@ -19,14 +19,13 @@
 //!   bounded, keyed by `(context fingerprint, table set)`, warm-starting
 //!   new sessions from the partial plans of previously optimized
 //!   overlapping queries (the cross-query extension of the paper's §4.3
-//!   plan sharing; cf. optd's persisted re-optimization state).
+//!   plan sharing; cf. optd's persisted re-optimization state). Each entry
+//!   is a `moqo_core` `ParetoSet` under the exact admission rule.
 //! * **Admission control** ([`AdmissionConfig`], [`AdmissionError`]) — a
-//!   bounded live-session queue that rejects rather than backlogs, with
-//!   **elastic worker-slot accounting** for sessions that fan a single
-//!   query out (`moqo-parallel`'s `ParRmq`; see [`PlanExchange::fan_out`]):
-//!   slots are held per scheduled slice, not for a session's lifetime, and
-//!   a wide session under load simply runs narrower
-//!   ([`PlanExchange::set_effective_fan_out`]).
+//!   bounded live-session queue that rejects rather than backlogs. A
+//!   session that fans a single query out (`moqo-parallel`'s `ParRmq`; see
+//!   [`PlanExchange::fan_out`]) runs its batches on the same pool, whose
+//!   worker count is the one bound on concurrent width.
 //! * **Service statistics** ([`ServiceStats`]) — throughput, p50/p99
 //!   time-to-first-frontier, time-to-90%-of-final-hypervolume, cache hit
 //!   rate.
@@ -106,17 +105,15 @@ fn journal_rejected(reason: &'static str) {
 
 /// The exchange seam the service schedules: anytime, `Send`, optionally
 /// able to exchange partial plans with the cross-query cache, and
-/// reporting its intra-query fan-out for admission accounting.
+/// reporting its intra-query fan-out for the service statistics.
 ///
 /// This is `moqo-core`'s [`PlanExchange`] trait, re-exported: the same
-/// seam the intra-query shared frontier of `moqo-parallel` speaks (it
-/// replaced the old `NoExchange<T>` placeholder adapter — the default
-/// no-op hooks make a wrapper unnecessary). [`Rmq`](moqo_core::rmq::Rmq)
-/// implements it natively through its partial-plan cache;
-/// `moqo-parallel`'s `ParRmq` implements it with `fan_out() > 1`, letting
-/// one session spread a single query across several worker threads while
-/// admission control accounts for the extra concurrency; the baseline
-/// optimizers implement it with the no-op defaults.
+/// seam the intra-query shared frontier of `moqo-parallel` speaks.
+/// [`Rmq`](moqo_core::rmq::Rmq) implements it natively through its
+/// partial-plan cache; `moqo-parallel`'s `ParRmq` implements it with
+/// `fan_out() > 1`, letting one session spread a single query over the
+/// service's pool; the baseline optimizers implement it with the no-op
+/// defaults.
 pub use moqo_core::optimizer::PlanExchange;
 
 /// Derives a cache **context fingerprint** from a catalog fingerprint
@@ -137,9 +134,8 @@ pub fn context_fingerprint(catalog_fingerprint: u64, model_tag: &str) -> u64 {
 /// One optimization request.
 pub struct SessionRequest {
     /// The session's optimizer, already bound to its model and query. Its
-    /// [`PlanExchange::fan_out`] declares how many intra-query worker
-    /// threads it will use while stepped (1 for sequential optimizers);
-    /// admission charges that many worker slots.
+    /// [`PlanExchange::fan_out`] declares how many intra-query workers it
+    /// will use while stepped (1 for sequential optimizers).
     pub optimizer: Box<dyn PlanExchange>,
     /// Stopping criterion. `Budget::Time` counts from admission (queueing
     /// delay spends budget, like a request timeout); use
@@ -203,7 +199,6 @@ impl OptimizationService {
             sched: Mutex::new(SchedState {
                 live: 0,
                 running: 0,
-                held_slots: 0,
                 shutdown: false,
             }),
             pool: ExecPool::new(config.workers),
@@ -228,12 +223,8 @@ impl OptimizationService {
             query,
             context,
         } = request;
-        // Admission + live-session reservation. Worker slots are elastic —
-        // held per scheduled slice, not for the session's lifetime — so
-        // admission only rejects a fan-out that could *never* be granted
-        // within the slot limit; a wide session admitted under load just
-        // runs narrower until slots free up.
         let fan_out = optimizer.fan_out().max(1);
+        // Admission + live-session reservation.
         {
             let mut sched = self.core.sched.lock().unwrap();
             if sched.shutdown {
@@ -253,20 +244,6 @@ impl OptimizationService {
                 metrics().service_rejected_queue_full.incr();
                 journal_rejected("queue_full");
                 return Err(AdmissionError::QueueFull { live, limit });
-            }
-            let slot_limit = self.core.config.admission.max_worker_slots;
-            if fan_out > slot_limit {
-                let in_use = sched.held_slots;
-                drop(sched);
-                self.core.stats.record_rejected();
-                self.core.stats.evaluate_slo(&self.core.config.slo);
-                metrics().service_rejected_no_slots.incr();
-                journal_rejected("no_worker_slots");
-                return Err(AdmissionError::NoWorkerSlots {
-                    in_use,
-                    requested: fan_out,
-                    limit: slot_limit,
-                });
             }
             sched.live += 1;
         }
@@ -297,12 +274,6 @@ impl OptimizationService {
             m.cache_hits.incr();
         }
         m.service_warm_start_depth.record(absorbed as u64);
-        if journal::enabled(Target::Cache, Level::Debug) {
-            journal::emit_with(Target::Cache, Level::Debug, || EventKind::CacheLookup {
-                hit: !warm.is_empty(),
-                plans: warm.len() as u64,
-            });
-        }
         let shared = SessionShared::new(now);
         shared.state.lock().unwrap().absorbed = absorbed;
         let session = ActiveSession {
@@ -312,7 +283,6 @@ impl OptimizationService {
             shared: Arc::clone(&shared),
             context,
             last_sig: 0,
-            fan_out,
             span: session_span,
         };
         {
@@ -331,11 +301,11 @@ impl OptimizationService {
                 return Err(AdmissionError::ShuttingDown);
             }
             // The session becomes a recurring task on the shared executor:
-            // each invocation runs one slice at an elastically granted
-            // width, then yields. A `Weak` back-reference keeps
-            // `ServiceCore → pool → task` from cycling. Spawned under the
-            // scheduler lock: shutdown flips under the same lock, so the
-            // pool cannot start its final drain before this task is queued.
+            // each invocation runs one slice, then yields. A `Weak`
+            // back-reference keeps `ServiceCore → pool → task` from cycling.
+            // Spawned under the scheduler lock: shutdown flips under the
+            // same lock, so the pool cannot start its final drain before
+            // this task is queued.
             let weak = Arc::downgrade(&self.core);
             let mut slot = Some(session);
             self.core
@@ -359,17 +329,10 @@ impl OptimizationService {
         Ok(SessionHandle { id, shared })
     }
 
-    /// Current service statistics. `worker_slots_in_use` reports the slots
-    /// held by currently *running* slices (elastic accounting), not the
-    /// summed fan-out of live sessions.
+    /// Current service statistics.
     pub fn stats(&self) -> ServiceStats {
-        let (live, held_slots) = {
-            let sched = self.core.sched.lock().unwrap();
-            (sched.live, sched.held_slots)
-        };
-        self.core
-            .stats
-            .snapshot(live, held_slots, self.core.cache.stats())
+        let live = self.core.sched.lock().unwrap().live;
+        self.core.stats.snapshot(live, self.core.cache.stats())
     }
 
     /// Current cross-query cache counters.

@@ -16,11 +16,8 @@
 //! (`ParRmq`) detect the ambient pool and spread their climb batches over
 //! the same workers instead of spawning private threads — idle workers
 //! take the batches from the pool's one run queue, and the session's
-//! waiting thread helps. Worker-slot
-//! accounting is **elastic**: slots are acquired per scheduled slice at
-//! whatever width is available ([`acquire_width`]) and released the moment
-//! the slice ends, so a session between slices holds nothing and a wide
-//! session admitted under load simply runs narrower until the pool drains.
+//! waiting thread helps. The pool's worker count is therefore the one
+//! bound on how much work runs at once.
 //!
 //! [`ExecPool`]: moqo_parallel::ExecPool
 //! [`Optimizer`]: moqo_core::optimizer::Optimizer
@@ -87,9 +84,6 @@ pub(crate) struct ActiveSession {
     /// Signature of the last frontier reported to the session state, used
     /// to detect improvements cheaply.
     pub last_sig: u64,
-    /// The optimizer's *maximum* fan-out; the width actually granted per
-    /// slice is elastic (see [`acquire_width`]).
-    pub fan_out: usize,
     /// The session's causal root span (open from admission to
     /// finalization; `None` while tracing is disabled). Every slice span —
     /// and, through the ambient span the executor propagates to whichever
@@ -104,10 +98,6 @@ pub(crate) struct SchedState {
     pub live: usize,
     /// Sessions currently executing a slice on the pool.
     pub running: usize,
-    /// Worker slots held by currently running slices. Unlike the pre-pool
-    /// scheduler — which debited a session's full fan-out for its whole
-    /// lifetime — slots are held only while a slice executes.
-    pub held_slots: usize,
     pub shutdown: bool,
 }
 
@@ -119,27 +109,6 @@ pub(crate) struct ServiceCore {
     pub cache: SharedPlanCache,
     pub stats: StatsCollector,
     pub next_id: AtomicU64,
-}
-
-/// Acquires an elastic width for one slice: the session's fan-out, clamped
-/// to the worker slots still free — but always at least 1, so a scheduled
-/// slice can never starve (the slot limit bounds *extra* width, not
-/// progress).
-pub(crate) fn acquire_width(core: &ServiceCore, fan_out: usize) -> usize {
-    let mut sched = core.sched.lock().unwrap();
-    sched.running += 1;
-    let limit = core.config.admission.max_worker_slots;
-    let avail = limit.saturating_sub(sched.held_slots);
-    let width = fan_out.clamp(1, avail.max(1));
-    sched.held_slots += width;
-    width
-}
-
-/// Releases a slice's width (the exact value [`acquire_width`] granted).
-pub(crate) fn release_width(core: &ServiceCore, width: usize) {
-    let mut sched = core.sched.lock().unwrap();
-    sched.running -= 1;
-    sched.held_slots -= width;
 }
 
 /// Order-independent signature of a plan set: used to detect frontier
@@ -377,17 +346,14 @@ pub(crate) fn finalize(core: &ServiceCore, mut sess: ActiveSession, reason: Done
             ttff_us,
         });
     }
-    // Elastic accounting: the session never holds slots between slices, so
-    // completion only releases its live-session slot.
     core.sched.lock().unwrap().live -= 1;
     sess.shared.state.lock().unwrap().status = SessionStatus::Done(reason);
     sess.shared.cond.notify_all();
 }
 
-/// One invocation of a session's pool task: run one slice (at an
-/// elastically granted width), then yield — or finalize and complete the
-/// task. `slot` carries the session across yields; it is `None` only after
-/// finalization.
+/// One invocation of a session's pool task: run one slice, then yield —
+/// or finalize and complete the task. `slot` carries the session across
+/// yields; it is `None` only after finalization.
 pub(crate) fn session_tick(
     core: &Arc<ServiceCore>,
     slot: &mut Option<ActiveSession>,
@@ -395,17 +361,18 @@ pub(crate) fn session_tick(
     let Some(sess) = slot.as_mut() else {
         return TaskStatus::Done;
     };
-    if core.sched.lock().unwrap().shutdown {
-        let sess = slot.take().expect("session present");
-        finalize(core, sess, DoneReason::ServiceShutdown);
-        return TaskStatus::Done;
+    {
+        let mut sched = core.sched.lock().unwrap();
+        if sched.shutdown {
+            drop(sched);
+            let sess = slot.take().expect("session present");
+            finalize(core, sess, DoneReason::ServiceShutdown);
+            return TaskStatus::Done;
+        }
+        sched.running += 1;
     }
-    let width = acquire_width(core, sess.fan_out);
-    // The grant is advisory: a fanned-out optimizer shrinks its next round
-    // to the granted width, a sequential one ignores it.
-    sess.optimizer.set_effective_fan_out(width);
     let done = run_slice(core, sess);
-    release_width(core, width);
+    core.sched.lock().unwrap().running -= 1;
     match done {
         Some(reason) => {
             let sess = slot.take().expect("session present");

@@ -71,13 +71,10 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Live sessions (admitted, not yet finished).
     pub live: usize,
-    /// Worker slots held by live sessions (each session holds its
-    /// optimizer's fan-out; sequential sessions hold one).
-    pub worker_slots: usize,
     /// Admitted sessions that declared intra-query fan-out > 1.
     pub multi_worker_sessions: u64,
-    /// Total worker slots requested by all admitted sessions (fan-out sum;
-    /// `fan_out_submitted / submitted` is the mean session width).
+    /// Total fan-out of all admitted sessions (`fan_out_submitted /
+    /// submitted` is the mean session width).
     pub fan_out_submitted: u64,
     /// Total optimizer steps executed across all sessions.
     pub total_steps: u64,
@@ -307,12 +304,7 @@ impl StatsCollector {
         self.inner.lock().unwrap().slo_breached_mask
     }
 
-    pub(crate) fn snapshot(
-        &self,
-        live: usize,
-        worker_slots: usize,
-        cache: CacheStats,
-    ) -> ServiceStats {
+    pub(crate) fn snapshot(&self, live: usize, cache: CacheStats) -> ServiceStats {
         let inner = self.inner.lock().unwrap();
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         let ttff = inner.ttff.sorted();
@@ -324,7 +316,6 @@ impl StatsCollector {
             completed: inner.completed,
             cancelled: inner.cancelled,
             live,
-            worker_slots,
             multi_worker_sessions: inner.multi_worker_sessions,
             fan_out_submitted: inner.fan_out_submitted,
             total_steps: inner.total_steps,
@@ -424,7 +415,7 @@ mod tests {
         let c = StatsCollector::new();
         // A completion without a frontier records no TTFF sample.
         c.record_completed(3, None, false);
-        let s = c.snapshot(0, 0, CacheStats::default());
+        let s = c.snapshot(0, CacheStats::default());
         assert_eq!(s.ttff_p50, None);
         assert_eq!(s.ttff_p99, None);
         assert_eq!(s.queue_delay_p50, None);
@@ -438,7 +429,7 @@ mod tests {
         c.record_queue_delay(Duration::from_micros(30));
         c.record_queue_delay(Duration::from_micros(20));
         c.record_completed(1, Some(Duration::from_millis(5)), false);
-        let s = c.snapshot(0, 0, CacheStats::default());
+        let s = c.snapshot(0, CacheStats::default());
         assert_eq!(s.queue_delay_p50, Some(Duration::from_micros(20)));
         assert_eq!(s.queue_delay_p99, Some(Duration::from_micros(30)));
         assert_eq!(s.ttff_p50, Some(Duration::from_millis(5)));
@@ -447,12 +438,12 @@ mod tests {
     #[test]
     fn tt90_window_feeds_snapshot_percentiles() {
         let c = StatsCollector::new();
-        let s = c.snapshot(0, 0, CacheStats::default());
+        let s = c.snapshot(0, CacheStats::default());
         assert_eq!(s.tt90_p50, None);
         c.record_tt90(Duration::from_millis(4));
         c.record_tt90(Duration::from_millis(2));
         c.record_tt90(Duration::from_millis(9));
-        let s = c.snapshot(0, 0, CacheStats::default());
+        let s = c.snapshot(0, CacheStats::default());
         assert_eq!(s.tt90_p50, Some(Duration::from_millis(4)));
         assert_eq!(s.tt90_p99, Some(Duration::from_millis(9)));
     }
@@ -465,7 +456,7 @@ mod tests {
             queue_delay_p99: None,
             shed_per_mille: Some(500),
         };
-        let mask = |c: &StatsCollector| c.snapshot(0, 0, CacheStats::default()).slo_breached;
+        let mask = |c: &StatsCollector| c.snapshot(0, CacheStats::default()).slo_breached;
 
         // Healthy: one fast completion, nothing rejected.
         c.record_submitted(1);
@@ -503,7 +494,7 @@ mod tests {
             c.record_rejected();
         }
         c.evaluate_slo(&SloConfig::default());
-        assert_eq!(c.snapshot(0, 0, CacheStats::default()).slo_breached, 0);
+        assert_eq!(c.snapshot(0, CacheStats::default()).slo_breached, 0);
     }
 
     #[test]
@@ -515,11 +506,11 @@ mod tests {
         };
         c.record_queue_delay(Duration::from_micros(50));
         c.evaluate_slo(&slo);
-        assert_eq!(c.snapshot(0, 0, CacheStats::default()).slo_breached, 0);
+        assert_eq!(c.snapshot(0, CacheStats::default()).slo_breached, 0);
         c.record_queue_delay(Duration::from_micros(900));
         c.evaluate_slo(&slo);
         assert_eq!(
-            c.snapshot(0, 0, CacheStats::default()).slo_breached,
+            c.snapshot(0, CacheStats::default()).slo_breached,
             SLO_BIT_QUEUE_DELAY
         );
     }
@@ -532,11 +523,10 @@ mod tests {
         c.record_rejected();
         c.record_completed(10, Some(Duration::from_millis(3)), false);
         c.record_completed(5, None, true);
-        let s = c.snapshot(1, 4, CacheStats::default());
+        let s = c.snapshot(1, CacheStats::default());
         assert_eq!(s.submitted, 2);
         assert_eq!(s.multi_worker_sessions, 1);
         assert_eq!(s.fan_out_submitted, 5);
-        assert_eq!(s.worker_slots, 4);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.completed, 2);
         assert_eq!(s.cancelled, 1);

@@ -205,7 +205,6 @@ fn degradation_ladder_escalates_with_shard_pressure_then_sheds() {
             workers: 0,
             admission: AdmissionConfig {
                 max_live_sessions: cap,
-                ..AdmissionConfig::default()
             },
             ..ServiceConfig::default()
         },
@@ -273,7 +272,6 @@ fn degradation_ladder_escalates_with_shard_pressure_then_sheds() {
             workers: 0,
             admission: AdmissionConfig {
                 max_live_sessions: cap,
-                ..AdmissionConfig::default()
             },
             ..ServiceConfig::default()
         },
@@ -312,7 +310,6 @@ fn hot_tenant_cannot_breach_a_quiet_tenants_ttff_slo() {
             workers: 2,
             admission: AdmissionConfig {
                 max_live_sessions: 8,
-                ..AdmissionConfig::default()
             },
             slo,
             ..ServiceConfig::default()
