@@ -46,7 +46,7 @@
 //! the service's cross-query cache) crosses the boundary through
 //! [`PlanArena::export`]/[`PlanArena::import`] (the `Arc<Plan>` boundary
 //! format) or [`PlanArena::adopt`] (direct arena-to-arena re-interning,
-//! used by the service cache's compaction).
+//! used to keep a climb's local optimum past its transient arena).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -555,8 +555,7 @@ impl PlanArena {
 
     /// Re-interns the plan rooted at `root` of `src` into `self`, returning
     /// the id in `self`. `memo` maps already-adopted `src` ids to their new
-    /// ids and may be reused across roots of the same `src` (the service
-    /// cache's compaction sweeps all live roots through one memo).
+    /// ids and may be reused across roots of the same `src`.
     pub fn adopt(
         &mut self,
         src: &PlanArena,

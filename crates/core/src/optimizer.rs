@@ -294,12 +294,10 @@ pub trait PlanExchange: Optimizer + Send {
     }
 
     /// Requests that subsequent steps use at most `workers` intra-query
-    /// workers: a caller may narrow a fanned-out optimizer to anywhere
-    /// between one worker and its declared
-    /// [`fan_out`](PlanExchange::fan_out) between steps. Implementations
-    /// clamp to `1..=fan_out()`; correctness (exact iteration budgets,
-    /// frontier contents up to exploration order) must not depend on the
-    /// granted width. Sequential optimizers ignore it.
+    /// workers. An implementation that honors it clamps to
+    /// `1..=fan_out()`, and correctness (exact iteration budgets, frontier
+    /// contents up to exploration order) must not depend on the granted
+    /// width. The default ignores it, as every optimizer here does.
     fn set_effective_fan_out(&mut self, workers: usize) {
         let _ = workers;
     }

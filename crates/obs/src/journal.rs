@@ -195,8 +195,6 @@ event_kinds! {
     SessionSubmitted = "session_submitted" {
         /// The optimizer's declared intra-query fan-out.
         fan_out: u64,
-        /// Plans absorbed from the cache at warm start.
-        warm_plans: u64,
     }
     /// A submission was rejected by admission control.
     SessionRejected = "session_rejected" {

@@ -31,8 +31,7 @@ fn every_event_kind_renders_the_same_json() {
     let cases = [
         (Iteration { mutations: 12, admitted: 2, rejected: 10, frontier: 5 },
          r#""kind":"iteration","mutations":12,"admitted":2,"rejected":10,"frontier":5"#),
-        (SessionSubmitted { fan_out: 2, warm_plans: 17 },
-         r#""kind":"session_submitted","fan_out":2,"warm_plans":17"#),
+        (SessionSubmitted { fan_out: 2 }, r#""kind":"session_submitted","fan_out":2"#),
         (SessionRejected { reason: "queue_full" },
          r#""kind":"session_rejected","reason":"queue_full""#),
         (SessionFirstStep { delay_us: 250 }, r#""kind":"session_first_step","delay_us":250"#),

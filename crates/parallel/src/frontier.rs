@@ -31,8 +31,7 @@
 //! cost of absorbing is proportional to what the rest of the run found since
 //! this reader last looked — and a reader whose cursor equals the log length
 //! (one atomic load) takes no lock at all. A reader that sat out for a while
-//! (a worker left out of a narrowed round) just has an old cursor and
-//! catches up on its next read.
+//! just has an old cursor and catches up on its next read.
 //!
 //! ## Why stale log entries are harmless
 //!

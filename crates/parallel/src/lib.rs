@@ -27,16 +27,11 @@
 //! last worker. A batch's panic (say, from the cost model) is re-raised by
 //! `optimize` once the round's other batches are done.
 //!
-//! A caller may narrow the *effective* fan-out between rounds via
-//! [`PlanExchange::set_effective_fan_out`] (clamped to `1..=workers`). Iteration budgets are claimed from a shared
-//! [`ClaimCounter`], so totals stay exact at any width.
-//!
 //! ## Execution model
 //!
 //! * [`Budget::Iterations`] is honored **exactly** by a shared
 //!   [`ClaimCounter`] — workers claim batches until the counter is
-//!   exhausted, so the total is independent of thread scheduling and of
-//!   the granted width.
+//!   exhausted, so the total is independent of thread scheduling.
 //! * [`Budget::Time`] / [`Budget::Deadline`] are honored by wall clock with
 //!   a shared [`StopFlag`]: the first worker to observe the deadline raises
 //!   the flag, and every climber checks it once per hill-climbing step
@@ -86,12 +81,9 @@
 //!   worker *builds* from an absorbed plan is a new admission and is
 //!   published like any other.
 //!
-//! A round whose active width is 1 (configured, or granted via
-//! [`PlanExchange::set_effective_fan_out`]) does no partial exchange at all:
-//! there is nobody to share with. The lone worker only keeps the published
-//! query frontier current — the one [`ParRmq::frontier`] reads — while its
-//! change list accumulates; the first wide round publishes it, and the
-//! workers that sat out catch up from their old cursors.
+//! A one-worker optimizer does no partial exchange at all: there is nobody
+//! to share with. The lone worker only keeps the published query frontier
+//! current — the one [`ParRmq::frontier`] reads.
 //!
 //! A round ends with a flush publish so survivors found since the last
 //! periodic exchange are not lost. A worker that has not iterated since its
@@ -114,8 +106,7 @@
 //! sequential union of the per-worker runs**, regardless of thread
 //! scheduling. Deterministic batches are ordinary batch tasks: any thread
 //! may run them, since each worker's RNG stream and iteration share are
-//! fixed up front. The exchange period stays fixed, and the
-//! effective fan-out is always the configured width. The differential test
+//! fixed up front. The exchange period stays fixed. The differential test
 //! suite pins the equivalence against literally-sequential reference runs,
 //! on the private pool and on shared pools of several widths.
 //!
@@ -124,8 +115,8 @@
 //! The optimization service already parallelizes *across* sessions; fan a
 //! single session out with `ParRmq` when one query's time-to-frontier
 //! matters more than aggregate throughput — a latency-critical query under
-//! a tight deadline. On a saturated shared pool a wide session shrinks to
-//! its granted width, and its batches only occupy workers that would
+//! a tight deadline. On a saturated shared pool a wide session's batches
+//! queue with everyone else's, so they only occupy workers that would
 //! otherwise idle.
 
 #![warn(missing_docs)]
@@ -159,9 +150,7 @@ use moqo_obs::spans::{self, SpanId, SpanKind};
 #[derive(Clone, Copy, Debug)]
 pub struct ParRmqConfig {
     /// Worker count (≥ 1). Worker `w` runs an independent RMQ seeded
-    /// `base.seed ⊕ w`, so worker 0 reproduces the sequential run. This is
-    /// the *maximum* fan-out; in live mode the effective width per round
-    /// may be lower (see [`PlanExchange::set_effective_fan_out`]). Called
+    /// `base.seed ⊕ w`, so worker 0 reproduces the sequential run. Called
     /// off any pool, the optimizer runs `workers − 1` threads of its own.
     pub workers: usize,
     /// Per-worker RMQ configuration (seed, climb rules, α schedule, plan
@@ -240,8 +229,6 @@ struct Worker<M: CostModel> {
     since_exchange: u64,
     /// Iterations since the last publish, periodic or flush (live mode).
     since_publish: u64,
-    /// Plans absorbed from the delta log over the lifetime.
-    absorbed: u64,
 }
 
 /// How a worker decides whether to run its next iterations. Owned (no
@@ -283,7 +270,7 @@ impl WorkPlan {
 struct ExchangeCtx<'a> {
     shared: &'a SharedFrontier,
     adaptive: &'a AdaptiveExchange,
-    /// Whether more than one worker is active this round. A lone worker has
+    /// Whether the optimizer has more than one worker. A lone worker has
     /// nobody to share sub-query plans with: it only keeps the published
     /// query frontier current.
     wide: bool,
@@ -334,9 +321,9 @@ fn run_chunk<M: CostModel>(
     (done, false)
 }
 
-/// One full exchange: publish, then — in a wide round — absorb whatever the
-/// rest of the run logged since this worker last looked. Both halves are
-/// traced as spans (publish arg = plans merged, absorb arg = plans
+/// One full exchange: publish, then — with other workers — absorb whatever
+/// the rest of the run logged since this worker last looked. Both halves
+/// are traced as spans (publish arg = plans merged, absorb arg = plans
 /// absorbed), parented to the ambient batch/session span.
 fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     publish_point(worker, ex);
@@ -345,7 +332,6 @@ fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     }
     let mut span = spans::begin(SpanKind::ExchangeAbsorb, SpanId::NONE);
     let absorbed = worker.port.absorb(&mut worker.rmq, ex.shared) as u64;
-    worker.absorbed += absorbed;
     if absorbed > 0 {
         moqo_obs::ctx::set_epoch(ex.shared.epoch());
     }
@@ -355,7 +341,7 @@ fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     spans::finish(span);
 }
 
-/// One publish half: offer the query frontier and — in a wide round — the
+/// One publish half: offer the query frontier and — with other workers — the
 /// sub-query plans admitted since the last publish, and feed the merge
 /// outcome to the adaptive period.
 fn publish_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
@@ -426,8 +412,6 @@ pub struct ParRmq<M: CostModel + Clone + Send + 'static> {
     adaptive: Arc<AdaptiveExchange>,
     stop: StopFlag,
     rounds: u64,
-    /// Live-mode fan-out granted for the next round (1..=cfg.workers).
-    effective_workers: usize,
     /// The pool of `cfg.workers − 1` threads that runs rounds called off
     /// any pool; built by the first such round.
     private_pool: Option<ExecPool>,
@@ -456,7 +440,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                     iterations: 0,
                     since_exchange: 0,
                     since_publish: 0,
-                    absorbed: 0,
                 })
             })
             .collect();
@@ -471,15 +454,15 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             )),
             stop: StopFlag::new(),
             rounds: 0,
-            effective_workers: cfg.workers,
             private_pool: None,
         }
     }
 
-    /// Builds the per-worker plans for `budget`. `active` workers
-    /// participate; an iteration budget is shared exactly among them.
-    fn make_plans(&self, budget: Budget, start: Instant, active: usize) -> Vec<WorkPlan> {
+    /// Builds the per-worker plans for `budget`; an iteration budget is
+    /// shared exactly among the workers.
+    fn make_plans(&self, budget: Budget, start: Instant) -> Vec<WorkPlan> {
         let chunk = self.cfg.batch.max(1);
+        let active = self.cfg.workers;
         match budget {
             Budget::Iterations(n) if self.cfg.deterministic => {
                 let k = active as u64;
@@ -544,23 +527,13 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         }
     }
 
-    /// Workers active in the next round: the granted width in live mode,
-    /// the configured width in deterministic mode.
-    fn width(&self) -> usize {
-        if self.cfg.deterministic {
-            self.cfg.workers
-        } else {
-            self.effective_workers
-        }
-    }
-
     /// The fan-out as a group of resumable batch tasks on `pool`; the
     /// calling thread waits by helping.
     fn optimize_pooled(&mut self, pool: &PoolHandle, budget: Budget, start: Instant) {
-        let active = self.width();
+        let active = self.cfg.workers;
         let det = self.cfg.deterministic;
         let batch = self.cfg.batch.max(1);
-        let plans = self.make_plans(budget, start, active);
+        let plans = self.make_plans(budget, start);
         let checked_in: Arc<Mutex<Vec<Option<Worker<M>>>>> =
             Arc::new(Mutex::new((0..active).map(|_| None).collect()));
         let group = pool.group();
@@ -650,25 +623,11 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         self.adaptive.level()
     }
 
-    /// The fan-out the next live-mode round will actually use
-    /// (1..=`cfg.workers`; deterministic mode always runs full width).
-    pub fn effective_fan_out(&self) -> usize {
-        self.effective_workers
-    }
-
     /// Iterations completed per worker over the optimizer's lifetime.
     pub fn worker_iterations(&self) -> Vec<u64> {
         self.workers
             .iter()
             .map(|w| w.as_ref().expect("worker checked in").iterations)
-            .collect()
-    }
-
-    /// Plans absorbed from the delta log per worker.
-    pub fn worker_absorbed(&self) -> Vec<u64> {
-        self.workers
-            .iter()
-            .map(|w| w.as_ref().expect("worker checked in").absorbed)
             .collect()
     }
 
@@ -701,11 +660,11 @@ impl<M: CostModel + Clone + Send + 'static> Optimizer for ParRmq<M> {
         "ParRMQ"
     }
 
-    /// One bounded round: `effective × batch` iterations fanned out over
-    /// the active workers (claimed dynamically in live mode, split
-    /// statically over the full width in deterministic mode).
+    /// One bounded round: `workers × batch` iterations fanned out over
+    /// the workers (claimed dynamically in live mode, split statically in
+    /// deterministic mode).
     fn step(&mut self) -> bool {
-        let round = self.cfg.batch.max(1) * self.width() as u64;
+        let round = self.cfg.batch.max(1) * self.cfg.workers as u64;
         self.optimize(Budget::Iterations(round));
         true
     }
@@ -742,14 +701,6 @@ impl<M: CostModel + Clone + Send + 'static> PlanExchange for ParRmq<M> {
 
     fn fan_out(&self) -> usize {
         self.cfg.workers
-    }
-
-    /// Width limit from the caller: the next live-mode round
-    /// runs `workers` (clamped to `1..=cfg.workers`) of the configured
-    /// workers. Deterministic mode ignores the grant — its static split is
-    /// part of the reproducibility contract.
-    fn set_effective_fan_out(&mut self, workers: usize) {
-        self.effective_workers = workers.clamp(1, self.cfg.workers);
     }
 
     /// The union of every worker's checkpoint stream, ordered by elapsed
@@ -861,25 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn elastic_fan_out_limits_active_workers() {
-        let mut cfg = ParRmqConfig::seeded(11, 4);
-        cfg.batch = 4;
-        let mut par = ParRmq::new(model(6), TableSet::prefix(6), cfg);
-        PlanExchange::set_effective_fan_out(&mut par, 2);
-        assert_eq!(par.effective_fan_out(), 2);
-        let stats = par.optimize(Budget::Iterations(24));
-        assert_eq!(stats.iterations, 24, "budget stays exact at any width");
-        assert_eq!(stats.per_worker.len(), 4);
-        assert_eq!(stats.per_worker[2], 0, "ungranted workers must not run");
-        assert_eq!(stats.per_worker[3], 0);
-        // Grants clamp into 1..=workers.
-        PlanExchange::set_effective_fan_out(&mut par, 0);
-        assert_eq!(par.effective_fan_out(), 1);
-        PlanExchange::set_effective_fan_out(&mut par, 99);
-        assert_eq!(par.effective_fan_out(), 4);
-    }
-
-    #[test]
     fn pooled_mode_runs_rounds_on_the_shared_executor() {
         let pool = ExecPool::new(2);
         let handle = pool.handle();
@@ -980,10 +912,9 @@ mod tests {
 
     #[test]
     fn a_lone_worker_exchanges_no_partial_plans() {
-        let mut cfg = ParRmqConfig::seeded(5, 3);
+        let mut cfg = ParRmqConfig::seeded(5, 1);
         cfg.exchange_period = 2;
         let mut par = ParRmq::new(model(7), TableSet::prefix(7), cfg);
-        PlanExchange::set_effective_fan_out(&mut par, 1);
         par.optimize(Budget::Iterations(40));
         let ex = par.exchange_stats();
         assert!(ex.publishes > 0 && ex.merged > 0, "{ex:?}");

@@ -23,41 +23,19 @@
 //! [`context_fingerprint`](crate::context_fingerprint) to derive one from
 //! `Catalog::fingerprint` plus a model tag.
 //!
-//! # Arena-backed storage & eviction story
+//! # Storage & eviction
 //!
-//! Cached plans live in one hash-consed `PlanArena` per context, owned by
-//! the cache, so structurally shared partial plans published by different
-//! sessions (and different queries!) of a context are stored once, and
-//! entries hold `PlanId`s into it. A plan is interned only once its entry
-//! admits it, so a rejected publish adds no node. Contexts never share an
-//! arena: a node carries its cost, and two contexts cost the same structure
-//! differently (other statistics, other metrics — possibly another number
-//! of them, while an arena stores costs at one dimension).
-//!
-//! Of the two possible ownership designs — a shared epoch-swept arena that
-//! sessions intern into directly, versus per-session arenas with
-//! *compaction on cache insert* — we use the latter: each optimizer session
-//! owns its arena (lock-free, `Send`, dropped wholesale with the session),
-//! and `publish` re-interns only the surviving published plans into the
-//! cache's arena under the cache mutex. A shared arena would avoid the
-//! re-interning copy but would put an arena lock on every optimizer-internal
-//! plan construction and could never reclaim dead session plans; the
-//! per-session design keeps the hot path lock-free and bounds the shared
-//! arenas by *published* (not explored) plans. Because a context's arena is
-//! append-only while entries are LRU-evicted, it is rebuilt from the live
-//! roots (dropping unreachable nodes) whenever it has grown well past the
-//! live plan count — see `Context::maybe_compact` — and dropped with the
-//! context's last entry.
-//!
-//! The cache is bounded by total stored plans; eviction is
-//! least-recently-used at entry (table-set) granularity.
+//! Entries store the published `Arc<Plan>` trees themselves, and a lookup
+//! hands out clones of those `Arc`s: plans that share sub-trees share them
+//! in the cache too, and a tree's nodes are freed when the last entry,
+//! session or snapshot holding it lets go. The cache is bounded by total
+//! stored plans; eviction is least-recently-used at entry (table-set)
+//! granularity, and a context's map goes with its last entry.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use moqo_core::archive::Admission;
-use moqo_core::arena::{ImportMemo, PlanArena, PlanId};
-use moqo_core::fxhash::FxHashMap;
 use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
@@ -95,10 +73,6 @@ pub struct CacheStats {
     /// Published plans the exact rule turned away — dominated by, or equal
     /// in cost and format to, a cached plan (exact re-publishes included).
     pub rejected: u64,
-    /// Interned nodes currently in the cache's arenas (occupancy).
-    pub arena_nodes: usize,
-    /// Times a context's arena was compacted (rebuilt from live roots).
-    pub compactions: u64,
 }
 
 impl CacheStats {
@@ -112,63 +86,24 @@ impl CacheStats {
     }
 }
 
-/// One table set's cached plans: ids into the context's arena, admitted
-/// under [`Admission::exact`].
+/// One table set's cached plans, admitted under [`Admission::exact`].
 struct Entry {
-    set: ParetoSet<PlanId>,
+    set: ParetoSet<PlanRef>,
     last_used: u64,
-}
-
-/// One context's entries and the arena their plans live in.
-#[derive(Default)]
-struct Context {
-    entries: HashMap<TableSet, Entry>,
-    arena: PlanArena,
-    /// Arena occupancy at the end of the last compaction (growth trigger).
-    compacted_len: usize,
-}
-
-impl Context {
-    /// Rebuilds the arena from the live cached roots when it has grown well
-    /// past what those roots reach (entries were LRU-evicted or displaced
-    /// but their interned nodes are append-only). Amortized: runs at most
-    /// once per doubling of the arena, and remaps every stored id through
-    /// one memo. Returns whether it ran.
-    fn maybe_compact(&mut self) -> bool {
-        if self.arena.len() < 1024 || self.arena.len() < 2 * self.compacted_len.max(512) {
-            return false;
-        }
-        let mut fresh = PlanArena::new();
-        let mut memo: FxHashMap<PlanId, PlanId> = FxHashMap::default();
-        // Re-admitting a valid exact set in its own order admits every
-        // member, in that order: only the ids change.
-        let mut screen = ScreenCounters::default();
-        for entry in self.entries.values_mut() {
-            let mut set = ParetoSet::new();
-            set.merge_from(&entry.set, 0, &Admission::exact(), &mut screen, |&id| {
-                fresh.adopt(&self.arena, id, &mut memo)
-            });
-            entry.set = set;
-        }
-        self.arena = fresh;
-        self.compacted_len = self.arena.len();
-        true
-    }
 }
 
 #[derive(Default)]
 struct CacheInner {
-    /// Context fingerprint → its entries and arena, so warm-start lookups
-    /// stay confined to one context's entries instead of walking every
-    /// cached context. (Global eviction still scans all entries — once per
+    /// Context fingerprint → its entries, so warm-start lookups stay
+    /// confined to one context's entries instead of walking every cached
+    /// context. (Global eviction still scans all entries — once per
     /// overflowing publish, see `publish`.)
-    map: HashMap<u64, Context>,
+    map: HashMap<u64, HashMap<TableSet, Entry>>,
     /// Every publish's admission tallies: plans admitted, rejected, and
     /// displaced by a dominating newcomer.
     screen: ScreenCounters,
     /// Plans dropped with LRU-evicted entries.
     lru_evicted: u64,
-    compactions: u64,
     clock: u64,
     total_plans: usize,
     lookups: u64,
@@ -191,19 +126,19 @@ impl SharedPlanCache {
 
     /// Collects every cached plan for `context` whose table set is
     /// contained in `query` — the warm-start set for a new session. Only
-    /// the matching context's entries are scanned; plans are exported from
-    /// the context's arena at the boundary (memoized per node).
+    /// the matching context's entries are scanned; the plans are clones of
+    /// the stored `Arc`s.
     pub(crate) fn lookup(&self, context: u64, query: TableSet) -> Vec<PlanRef> {
         let mut inner = self.inner.lock().unwrap();
         inner.lookups += 1;
         inner.clock += 1;
         let clock = inner.clock;
         let mut out = Vec::new();
-        if let Some(Context { entries, arena, .. }) = inner.map.get_mut(&context) {
+        if let Some(entries) = inner.map.get_mut(&context) {
             for (rel, entry) in entries.iter_mut() {
                 if rel.is_subset(query) {
                     entry.last_used = clock;
-                    out.extend(entry.set.iter().map(|&id| arena.export(id)));
+                    out.extend(entry.set.iter().cloned());
                 }
             }
         }
@@ -225,26 +160,16 @@ impl SharedPlanCache {
         inner.clock += 1;
         let clock = inner.clock;
         let before = inner.screen;
-        // One session's plans share most of their sub-trees (by `Arc`, its
-        // arena's exports are memoized): walk each once per publish.
-        let mut memo = ImportMemo::default();
-        let ctx = inner.map.entry(context).or_default();
-        for plan in &plans {
-            let entry = ctx.entries.entry(plan.rel()).or_insert_with(|| Entry {
+        let entries = inner.map.entry(context).or_default();
+        for plan in plans {
+            let entry = entries.entry(plan.rel()).or_insert_with(|| Entry {
                 set: ParetoSet::new(),
                 last_used: clock,
             });
             entry.last_used = clock;
-            // Compaction-on-cache-insert: only an admitted plan is
-            // re-interned into the context's arena.
-            let arena = &mut ctx.arena;
-            entry.set.admit(
-                plan.cost(),
-                plan.format(),
-                &Admission::exact(),
-                &mut inner.screen,
-                || arena.import_memoized(plan, &mut memo),
-            );
+            entry
+                .set
+                .insert(plan, &Admission::exact(), &mut inner.screen);
         }
         let (admitted, displaced) = (
             inner.screen.admitted - before.admitted,
@@ -259,8 +184,8 @@ impl SharedPlanCache {
             let mut recency: Vec<(u64, u64, TableSet)> = inner
                 .map
                 .iter()
-                .flat_map(|(ctx, c)| {
-                    c.entries
+                .flat_map(|(ctx, entries)| {
+                    entries
                         .iter()
                         .map(|(rel, entry)| (entry.last_used, *ctx, *rel))
                 })
@@ -271,22 +196,13 @@ impl SharedPlanCache {
                 let Some((_, ctx, rel)) = victims.next() else {
                     break;
                 };
-                let c = inner.map.get_mut(&ctx).expect("victim context exists");
-                let entry = c.entries.remove(&rel).expect("victim entry exists");
-                if c.entries.is_empty() {
-                    // The context's arena goes with its last entry.
+                let entries = inner.map.get_mut(&ctx).expect("victim context exists");
+                let entry = entries.remove(&rel).expect("victim entry exists");
+                if entries.is_empty() {
                     inner.map.remove(&ctx);
                 }
                 inner.total_plans -= entry.set.len();
                 inner.lru_evicted += entry.set.len() as u64;
-            }
-        }
-        // The published context's entries may now reference far fewer
-        // nodes than its append-only arena holds (no other arena grew);
-        // rebuild it from its live roots once the garbage has doubled it.
-        if let Some(c) = inner.map.get_mut(&context) {
-            if c.maybe_compact() {
-                inner.compactions += 1;
             }
         }
     }
@@ -298,12 +214,10 @@ impl SharedPlanCache {
             lookups: inner.lookups,
             hits: inner.hits,
             plans: inner.total_plans,
-            entries: inner.map.values().map(|c| c.entries.len()).sum(),
+            entries: inner.map.values().map(HashMap::len).sum(),
             published: inner.screen.admitted,
             evicted: inner.screen.evicted + inner.lru_evicted,
             rejected: inner.screen.rejected,
-            arena_nodes: inner.map.values().map(|c| c.arena.len()).sum(),
-            compactions: inner.compactions,
         }
     }
 }
@@ -316,6 +230,7 @@ mod tests {
     use moqo_core::plan::Plan;
     use moqo_core::tables::TableId;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn scan(model: &StubModel, t: usize, op: usize) -> PlanRef {
         Plan::scan(model, TableId::new(t), model.scan_ops(TableId::new(t))[op])
@@ -426,118 +341,48 @@ mod tests {
     }
 
     #[test]
-    fn exact_republishes_are_rejected_without_interning() {
+    fn lookup_hands_out_the_published_plans() {
+        use moqo_core::model::{JoinOpId, ScanOpId};
+        let model = StubModel::line(3, 2, 1);
+        let s = |t: usize| Plan::scan(&model, TableId::new(t), ScanOpId(0));
+        let j01 = Plan::join(&model, s(0), s(1), JoinOpId(0));
+        let published = vec![s(2), j01];
+        let cache = SharedPlanCache::new(CacheConfig::default());
+        cache.publish(1, published.clone());
+        let hits = cache.lookup(1, TableSet::prefix(3));
+        assert_eq!(hits.len(), published.len());
+        for plan in &published {
+            assert!(
+                hits.iter().any(|hit| Arc::ptr_eq(hit, plan)),
+                "lookup must return the published Arc, not a copy"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_republishes_are_rejected() {
         // A structurally identical plan has the cached plan's cost and
-        // format, so the exact rule rejects it before it is interned.
+        // format, so the exact rule rejects it.
         let model = StubModel::line(2, 2, 1);
         let cache = SharedPlanCache::new(CacheConfig::default());
         cache.publish(1, vec![scan(&model, 0, 0)]);
         cache.publish(1, vec![scan(&model, 0, 0), scan(&model, 0, 0)]);
         let stats = cache.stats();
-        assert_eq!((stats.plans, stats.arena_nodes), (1, 1));
+        assert_eq!(stats.plans, 1);
         assert_eq!(stats.rejected, 2);
-        // The same structure under a different context is a fresh key,
-        // stored in that context's own arena.
+        // The same structure under a different context is a fresh key.
         cache.publish(2, vec![scan(&model, 0, 0)]);
         assert_eq!(cache.stats().plans, 2);
-        assert_eq!(cache.stats().arena_nodes, 2);
     }
 
     #[test]
-    fn shared_subplans_are_stored_once_across_publishers() {
-        use moqo_core::model::{JoinOpId, ScanOpId};
-        let model = StubModel::line(3, 2, 1);
-        let s = |t: usize| Plan::scan(&model, TableId::new(t), ScanOpId(0));
-        // Two different sessions publish overlapping join trees.
-        let j01 = Plan::join(&model, s(0), s(1), JoinOpId(0));
-        let j01_2 = Plan::join(&model, j01.clone(), s(2), JoinOpId(1));
-        let cache = SharedPlanCache::new(CacheConfig::default());
-        cache.publish(1, vec![j01.clone()]);
-        let before = cache.stats().arena_nodes;
-        cache.publish(1, vec![j01_2]);
-        let after = cache.stats().arena_nodes;
-        // The second publish added only its two new nodes (T2 scan + root):
-        // the shared (T0 ⋈ T1) subtree was interned already.
-        assert_eq!(after - before, 2, "subplan sharing failed");
-    }
-
-    #[test]
-    fn one_publish_walks_a_shared_subtree_once_and_lands_on_import_s_ids() {
-        use moqo_core::model::{JoinOpId, ScanOpId};
-        let model = StubModel::line(3, 2, 1);
-        let s = |t: usize| Plan::scan(&model, TableId::new(t), ScanOpId(0));
-        // Three incomparable roots over the same two operand `Arc`s.
-        let (sub, s2) = (Plan::join(&model, s(0), s(1), JoinOpId(0)), s(2));
-        let plans: Vec<PlanRef> = (0..3u16)
-            .map(|op| Plan::join(&model, sub.clone(), s2.clone(), JoinOpId(op)))
-            .collect();
-        let cache = SharedPlanCache::new(CacheConfig::default());
-        cache.publish(1, plans.clone());
-        let inner = cache.inner.lock().unwrap();
-        // 4 operand nodes + 3 roots, each interned by a miss: the second and
-        // third plan found their operands in the memo, not in the arena.
-        let stats = inner.map[&1].arena.stats();
-        assert_eq!((stats.misses, stats.dedup_hits), (7, 0));
-        let mut reference = PlanArena::new();
-        let expected: Vec<PlanId> = plans.iter().map(|p| reference.import(p)).collect();
-        assert_eq!(reference.stats().dedup_hits, 8, "what a plain import pays");
-        let stored = inner.map[&1].entries[&plans[0].rel()].set.plans();
-        assert_eq!(stored, expected);
-    }
-
-    #[test]
-    fn garbage_triggers_arena_compaction_and_preserves_lookups() {
-        let model = StubModel::line(10, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig { max_plans: 1 });
-        // Each round publishes a structurally distinct left-deep tree (the
-        // round's bits pick each leaf's scan operator), then the T0 scan.
-        // The one-plan bound evicts the older entry each time: the tree's
-        // entry goes, the context lives on in the scan's entry, and the
-        // tree's interned nodes stay behind as garbage until the arena is
-        // compacted.
-        use moqo_core::model::{JoinOpId, ScanOpId};
-        let mut round = 0u16;
-        while cache.stats().compactions == 0 && round < 2000 {
-            let mut plan = Plan::scan(&model, TableId::new(0), ScanOpId(round & 1));
-            for leaf in 1..10usize {
-                let op = ScanOpId((round >> leaf) & 1);
-                let scan = Plan::scan(&model, TableId::new(leaf), op);
-                plan = Plan::join(&model, plan, scan, JoinOpId(0));
-            }
-            cache.publish(1, vec![plan]);
-            cache.publish(1, vec![scan(&model, 0, 0)]);
-            round += 1;
-        }
-        let stats = cache.stats();
-        assert!(stats.compactions >= 1, "compaction never ran");
-        assert_eq!(stats.plans, 1);
-        // Live plans survive compaction with valid ids: exporting them
-        // still yields structurally valid plans, and re-publishing them is
-        // rejected as the exact duplicates they are.
-        let live = cache.lookup(1, TableSet::prefix(10));
-        assert_eq!(live.len(), stats.plans);
-        for plan in &live {
-            assert!(plan.validate(plan.rel()).is_ok());
-        }
-        cache.publish(1, live);
-        assert_eq!(cache.stats().rejected, stats.rejected + stats.plans as u64);
-        // Compaction dropped the dead nodes: what is left is at most the
-        // last round's tree and scan, far below the total ever interned.
-        assert!(
-            stats.arena_nodes <= 20,
-            "arena not compacted: {} nodes",
-            stats.arena_nodes
-        );
-    }
-
-    #[test]
-    fn eviction_triggers_arena_compaction_and_preserves_lookups() {
+    fn lru_eviction_drops_a_context_with_its_last_entry() {
         let model = StubModel::line(10, 2, 1);
         let cache = SharedPlanCache::new(CacheConfig { max_plans: 2 });
         // Publish structurally distinct left-deep trees (the round's bits
         // pick each leaf's scan operator → 1024 distinct shapes), each under
         // its own context, while LRU eviction keeps only 2 entries live: an
-        // evicted context must take its arena with it.
+        // evicted context must leave the map with its last entry.
         use moqo_core::model::{JoinOpId, ScanOpId};
         let rounds = 2000u16;
         for round in 0..rounds {
@@ -551,7 +396,8 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.plans <= 2);
-        // The surviving contexts' plans export as structurally valid plans.
+        assert!(cache.inner.lock().unwrap().map.len() <= 2);
+        // The surviving contexts' plans are structurally valid plans.
         let mut live = 0;
         for ctx in (0..u64::from(rounds)).rev() {
             for plan in cache.lookup(ctx, TableSet::prefix(10)) {
@@ -560,13 +406,6 @@ mod tests {
             }
         }
         assert_eq!(live, stats.plans);
-        // Occupancy is bounded by the live plans' structure, far below the
-        // total ever interned across all contexts.
-        assert!(
-            stats.arena_nodes < 128,
-            "evicted contexts kept their arenas: {} nodes",
-            stats.arena_nodes
-        );
     }
 
     #[test]
@@ -575,8 +414,7 @@ mod tests {
         let cache = SharedPlanCache::new(CacheConfig::default());
         cache.publish(1, vec![scan(&two, 0, 0), scan(&two, 1, 0)]);
         cache.publish(2, vec![scan(&three, 0, 0)]);
-        let stats = cache.stats();
-        assert_eq!((stats.plans, stats.arena_nodes), (3, 3));
+        assert_eq!(cache.stats().plans, 3);
         for (context, model) in [(1, &two), (2, &three)] {
             for plan in cache.lookup(context, TableSet::prefix(3)) {
                 let fresh = scan(model, plan.rel().iter().next().unwrap().index(), 0);
@@ -663,12 +501,10 @@ mod tests {
                 cache.publish(1, plans);
             }
             let inner = cache.inner.lock().unwrap();
-            let ctx = &inner.map[&1];
             let mut cached = Groups::new();
-            for (rel, entry) in &ctx.entries {
-                for (&id, cost) in entry.set.plans().iter().zip(entry.set.costs()) {
-                    let format = ctx.arena.export(id).format();
-                    cached.entry((*rel, format)).or_default().push(*cost);
+            for (rel, entry) in &inner.map[&1] {
+                for (plan, cost) in entry.set.plans().iter().zip(entry.set.costs()) {
+                    cached.entry((*rel, plan.format())).or_default().push(*cost);
                 }
             }
             prop_assert_eq!(cached.len(), published.len());

@@ -20,7 +20,8 @@
 //!   new sessions from the partial plans of previously optimized
 //!   overlapping queries (the cross-query extension of the paper's §4.3
 //!   plan sharing; cf. optd's persisted re-optimization state). Each entry
-//!   is a `moqo_core` `ParetoSet` under the exact admission rule.
+//!   is a `moqo_core` `ParetoSet` under the exact admission rule, holding
+//!   the published `Arc<Plan>` trees themselves.
 //! * **Admission control** ([`AdmissionConfig`], [`AdmissionError`]) — a
 //!   bounded live-session queue that rejects rather than backlogs. A
 //!   session that fans a single query out (`moqo-parallel`'s `ParRmq`; see
@@ -322,7 +323,6 @@ impl OptimizationService {
             journal::emit_with(Target::Admission, Level::Info, || {
                 EventKind::SessionSubmitted {
                     fan_out: fan_out as u64,
-                    warm_plans: absorbed as u64,
                 }
             });
         }

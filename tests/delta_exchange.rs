@@ -13,11 +13,10 @@
 //! without either being wrong.
 
 use moqo_core::archive::ArchiveConfig;
-use moqo_core::optimizer::{Budget, PlanExchange};
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
-use moqo_parallel::{ExchangePort, ExchangeStats, ParRmq, ParRmqConfig, SharedFrontier};
+use moqo_parallel::{ExchangePort, ExchangeStats, SharedFrontier};
 use moqo_workload::WorkloadSpec;
 
 #[path = "common/counting_alloc.rs"]
@@ -212,57 +211,4 @@ fn an_exchange_with_nothing_new_offers_probes_and_allocates_nothing() {
     assert_eq!(after.partial_offered, before.partial_offered);
     assert_eq!(after.partial_epochs, before.partial_epochs);
     assert_eq!(after.absorbed, before.absorbed);
-}
-
-#[test]
-fn a_widened_session_delivers_what_the_lone_worker_accumulated() {
-    let (model, query) = chain(10);
-    let mut cfg = ParRmqConfig::seeded(5, 2);
-    cfg.batch = 8;
-    let mut par = ParRmq::new(model, query, cfg);
-    // Width 1: the lone worker publishes its query frontier and nothing else.
-    par.set_effective_fan_out(1);
-    for _ in 0..4 {
-        par.optimize(Budget::Iterations(16));
-    }
-    let lone = par.exchange_stats();
-    assert_eq!(par.worker_iterations(), vec![64, 0]);
-    assert!(lone.publishes > 0 && !par.frontier().is_empty());
-    assert_eq!((lone.partial_offered, lone.absorbed), (0, 0));
-    let accumulated: usize = par
-        .worker_rmqs()
-        .next()
-        .expect("worker 0")
-        .cache()
-        .entry_sets()
-        .filter(|(rel, _)| *rel != query && !rel.is_singleton())
-        .map(|(_, set)| set.len())
-        .sum();
-    assert!(accumulated > 0);
-    // Width 2: worker 0's first publish carries all of it, and worker 1 —
-    // whose cache is next to empty, so nearly all of it is news — picks it
-    // up from the start of the log. Which round that happens in is up to
-    // the thread schedule (a worker that claims no iteration in a round
-    // does not exchange), so allow a few.
-    par.set_effective_fan_out(2);
-    let wanted = accumulated as u64 / 2;
-    let mut rounds = 0;
-    while par.worker_absorbed()[1] < wanted {
-        assert!(
-            rounds < 50,
-            "worker 1 absorbed {:?} of {accumulated} accumulated plans",
-            par.worker_absorbed()
-        );
-        par.optimize(Budget::Iterations(32));
-        rounds += 1;
-    }
-    let wide = par.exchange_stats();
-    assert!(
-        wide.partial_offered >= accumulated as u64,
-        "{wide:?}, accumulated {accumulated}"
-    );
-    assert_eq!(
-        par.worker_absorbed()[0],
-        wide.absorbed - par.worker_absorbed()[1]
-    );
 }
