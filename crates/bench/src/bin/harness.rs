@@ -283,16 +283,21 @@ struct ExecPoolReport {
     pool_batches: u64,
     pool_steals: u64,
     pool_donations: u64,
-    /// `exchange.backoff_level` gauge after the pooled run.
-    exchange_backoff_level: u64,
 }
+
+/// Minimum untimed warm-up of [`time_ns_per_op`].
+const WARM_UP: Duration = Duration::from_millis(1);
 
 /// Times `op` over `rounds` rounds of `ops` operations each and
 /// returns the best-observed ns/op (minimum is the standard low-noise
 /// estimator for microbenchmarks).
 fn time_ns_per_op(name: &str, rounds: u32, ops: u64, mut op: impl FnMut()) -> MicroResult {
-    // One untimed warm-up round.
-    op();
+    // Untimed rounds until WARM_UP has passed: one round can take only a
+    // few µs, too little to warm caches and branch predictors.
+    let warm_start = Instant::now();
+    while warm_start.elapsed() < WARM_UP {
+        op();
+    }
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
         let start = Instant::now();
@@ -867,7 +872,6 @@ fn run_exec_pool(quick: bool) -> ExecPoolReport {
         pool_batches: delta("exec_pool.batches"),
         pool_steals: delta("exec_pool.steals"),
         pool_donations: delta("exec_pool.donations"),
-        exchange_backoff_level: obs_after.counter("exchange.backoff_level"),
     }
 }
 

@@ -181,7 +181,6 @@ pub const FIELDS: &[Field] = fields! {
         "pooled.p99_ttff_ms": Present, "scoped.iters_per_sec": Present,
         "scoped.p99_ttff_ms": Present, "pooled_vs_scoped_iters_per_sec": Scaling(Better::Higher),
         "pool_batches": Present, "pool_steals": Present, "pool_donations": Present,
-        "exchange_backoff_level": Present,
     }
     "frontdoor" {
         "sessions": Exact, "tenants": Exact, "shards": Exact, "templates": Exact, "seed": Exact,

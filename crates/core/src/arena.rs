@@ -577,23 +577,6 @@ impl PlanArena {
         memo.insert(root, id);
         id
     }
-
-    /// [`Self::adopt`] over a batch of roots sharing one memo: appends the
-    /// adopted id of every root to `out`, in order. Shared subtrees across
-    /// the batch are re-interned once — the bulk entry point for merging a
-    /// whole frontier from another arena (e.g. a parallel worker publishing
-    /// its survivors into the shared session arena).
-    pub fn adopt_many(
-        &mut self,
-        src: &PlanArena,
-        roots: impl IntoIterator<Item = PlanId>,
-        memo: &mut FxHashMap<PlanId, PlanId>,
-        out: &mut Vec<PlanId>,
-    ) {
-        for root in roots {
-            out.push(self.adopt(src, root, memo));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -724,32 +707,10 @@ mod tests {
         // The destination holds only nodes reachable from the adopted roots.
         assert!(dst.len() <= src.len());
         assert!(dst.validate(a2, q).is_ok());
-    }
-
-    #[test]
-    fn adopt_many_shares_the_memo_across_roots() {
-        let m = StubModel::line(5, 2, 13);
-        let q = TableSet::prefix(5);
-        let mut src = PlanArena::new();
-        let mut rng = StdRng::seed_from_u64(17);
-        let roots: Vec<PlanId> = (0..8)
-            .map(|_| random_plan_in(&mut src, &m, q, &mut rng))
-            .collect();
-        let mut dst = PlanArena::new();
-        let mut memo = FxHashMap::default();
-        let mut out = Vec::new();
-        dst.adopt_many(&src, roots.iter().copied(), &mut memo, &mut out);
-        assert_eq!(out.len(), roots.len());
-        for (&orig, &adopted) in roots.iter().zip(&out) {
-            assert_eq!(dst.display(adopted, &m), src.display(orig, &m));
-        }
-        // Shared subplans (scans at minimum) intern once in the target.
-        assert!(dst.len() <= src.len());
-        // A second batch through the same memo is pure hits for repeats.
+        // A second pass through the same memo is pure hits.
         let before = dst.len();
-        let mut out2 = Vec::new();
-        dst.adopt_many(&src, roots.iter().copied(), &mut memo, &mut out2);
-        assert_eq!(out, out2);
+        assert_eq!(dst.adopt(&src, a, &mut memo), a2);
+        assert_eq!(dst.adopt(&src, b, &mut memo), b2);
         assert_eq!(dst.len(), before, "memoized roots must not re-intern");
     }
 

@@ -452,10 +452,10 @@ fn run_single_service(opts: &Options) {
             println!("  slo             BREACHED: {}", breached.join(", "));
         }
     }
-    // Executor and adaptive-exchange visibility: climb batches executed,
-    // how many ran on a thread other than their session's waiting one
-    // (steals: a pool worker's loop took them; donations: another
-    // session's helper ran them), and where the exchange backoff sits now.
+    // Executor and exchange visibility: climb batches executed, how many
+    // ran on a thread other than their session's waiting one (steals: a
+    // pool worker's loop took them; donations: another session's helper
+    // ran them), and how much of what workers offered merged.
     let obs = moqo_obs::ObsSnapshot::capture();
     println!(
         "  exec pool       {} batches, {} steals, {} donations",
@@ -464,8 +464,7 @@ fn run_single_service(opts: &Options) {
         obs.counter("exec_pool.donations"),
     );
     println!(
-        "  exchange        backoff level {}, {} merged / {} offered ({} partial merged)",
-        obs.counter("exchange.backoff_level"),
+        "  exchange        {} merged / {} offered ({} partial merged)",
         obs.counter("exchange.merged"),
         obs.counter("exchange.offered"),
         obs.counter("exchange.partial_merged"),

@@ -51,35 +51,31 @@ impl Level {
 pub enum Target {
     /// The Pareto climb loop and RMQ iterations.
     Climb = 0,
-    /// The intra-query exchange's adaptive publish period.
-    Exchange = 1,
     /// Service admission control.
-    Admission = 2,
+    Admission = 1,
     /// Service session lifecycle and scheduling.
-    Service = 3,
+    Service = 2,
     /// The execution engine.
-    Exec = 4,
+    Exec = 3,
     /// The multi-tenant front door: shard routing, request coalescing,
     /// per-tenant quotas, and SLO-aware degradation.
-    Frontdoor = 5,
+    Frontdoor = 4,
 }
 
 impl Target {
     /// All targets, in bit order.
-    pub const ALL: [Target; 6] = [
+    pub const ALL: [Target; 5] = [
         Target::Climb,
-        Target::Exchange,
         Target::Admission,
         Target::Service,
         Target::Exec,
         Target::Frontdoor,
     ];
 
-    /// Short lowercase name (`"climb"`, `"exchange"`, …).
+    /// Short lowercase name (`"climb"`, `"admission"`, …).
     pub fn name(self) -> &'static str {
         match self {
             Target::Climb => "climb",
-            Target::Exchange => "exchange",
             Target::Admission => "admission",
             Target::Service => "service",
             Target::Exec => "exec",
@@ -465,10 +461,10 @@ mod tests {
     #[test]
     fn filter_scopes_by_target_and_level() {
         let _guard = journal_lock();
-        enable(&[Target::Exchange], Level::Info);
-        assert!(enabled(Target::Exchange, Level::Info));
-        assert!(enabled(Target::Exchange, Level::Warn));
-        assert!(!enabled(Target::Exchange, Level::Debug));
+        enable(&[Target::Service], Level::Info);
+        assert!(enabled(Target::Service, Level::Info));
+        assert!(enabled(Target::Service, Level::Warn));
+        assert!(!enabled(Target::Service, Level::Debug));
         assert!(!enabled(Target::Climb, Level::Warn));
         disable();
     }
@@ -569,7 +565,7 @@ mod tests {
         });
         assert!(c.to_json().contains("\"kind\":\"session_coalesced\""));
         assert_eq!(Target::Frontdoor.name(), "frontdoor");
-        assert_eq!(Target::ALL.len(), 6);
-        assert_eq!(Target::Frontdoor.bit(), 1 << 5);
+        assert_eq!(Target::ALL.len(), 5);
+        assert_eq!(Target::Frontdoor.bit(), 1 << 4);
     }
 }

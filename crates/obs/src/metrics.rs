@@ -380,8 +380,6 @@ metrics! {
         exchange_partial_offered: Counter = "exchange.partial_offered",
         /// Offered partial plans admitted into a shared sub-query frontier.
         exchange_partial_merged: Counter = "exchange.partial_merged",
-        /// The adaptive exchange's current backoff level (publish period = base << level).
-        exchange_backoff_level: Gauge = "exchange.backoff_level",
         /// Climb batches any `ExecPool` ran, shared or private (at most one per task invocation).
         exec_pool_batches: ShardedCounter = "exec_pool.batches",
         /// Batches a pool worker's loop took off the run queue instead of their group's waiting helper.
@@ -584,7 +582,6 @@ mod tests {
         assert!(names.contains(&"pareto.archive_size"));
         assert!(names.contains(&"exchange.merged"));
         assert!(names.contains(&"exchange.partial_merged"));
-        assert!(names.contains(&"exchange.backoff_level"));
         assert!(names.contains(&"exec_pool.batches"));
         assert!(names.contains(&"exec_pool.steals"));
         assert!(names.contains(&"exec_pool.donations"));

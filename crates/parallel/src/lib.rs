@@ -39,17 +39,13 @@
 //!   running on other pool threads) wind down within one climb step of
 //!   the deadline instead of one full iteration.
 //!
-//! ## Adaptive exchange and partial-plan sharing
+//! ## Exchange and partial-plan sharing
 //!
-//! Live-mode workers exchange through [`SharedFrontier`] at an **adaptive
-//! period** ([`AdaptiveExchange`]): starting from
-//! [`ParRmqConfig::exchange_period`], the period doubles each time a full
-//! window of publishes merges nothing (the frontiers have converged;
-//! publishing is pure overhead) and snaps back to the base the moment any
-//! publish merges (information is moving again). Alongside the full-query
-//! frontier, workers share their **partial-plan (sub-query) frontiers** —
-//! the per-table-set survivors of their private caches — so they stop
-//! rediscovering each other's intermediate results.
+//! Live-mode workers exchange through [`SharedFrontier`] every
+//! [`EXCHANGE_PERIOD`] iterations. Alongside the full-query frontier, they
+//! share their **partial-plan (sub-query) frontiers** — the per-table-set
+//! survivors of their private caches — so they stop rediscovering each
+//! other's intermediate results.
 //!
 //! An exchange point costs what **changed since this worker's last one**,
 //! in both directions ([`ExchangePort`] is a worker's end of it):
@@ -87,8 +83,9 @@
 //!
 //! A round ends with a flush publish so survivors found since the last
 //! periodic exchange are not lost. A worker that has not iterated since its
-//! last publish skips it: it has nothing to add, and a publish that can only
-//! merge nothing would count toward the adaptive period's dry window.
+//! last publish skips it: it has nothing to add, and the publish would still
+//! take the query frontier's lock to re-offer every member only to see each
+//! rejected as its own copy.
 //!
 //! [`ParRmq`] also implements the anytime [`Optimizer`] trait:
 //! [`Optimizer::step`] runs one bounded *round* (`workers × batch`
@@ -106,9 +103,9 @@
 //! sequential union of the per-worker runs**, regardless of thread
 //! scheduling. Deterministic batches are ordinary batch tasks: any thread
 //! may run them, since each worker's RNG stream and iteration share are
-//! fixed up front. The exchange period stays fixed. The differential test
-//! suite pins the equivalence against literally-sequential reference runs,
-//! on the private pool and on shared pools of several widths.
+//! fixed up front. The differential test suite pins the equivalence against
+//! literally-sequential reference runs, on the private pool and on shared
+//! pools of several widths.
 //!
 //! ## When to prefer `ParRmq` over per-session parallelism
 //!
@@ -122,12 +119,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod adaptive;
 mod frontier;
 pub mod pool;
 mod port;
 
-pub use adaptive::{AdaptiveExchange, MAX_BACKOFF_LEVEL};
 pub use frontier::{ExchangeStats, FrontierSnapshot, SharedFrontier, ANONYMOUS};
 pub use pool::{ExecPool, PoolHandle, TaskGroup, TaskSpec, TaskStatus};
 pub use port::ExchangePort;
@@ -146,6 +141,11 @@ use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_obs::spans::{self, SpanId, SpanKind};
 
+/// Live-mode exchange period: every worker publishes its frontiers into the
+/// shared global frontier — and absorbs what the other workers published —
+/// after this many completed iterations, plus once at the end of a round.
+pub const EXCHANGE_PERIOD: u64 = 8;
+
 /// Configuration of the parallel optimizer.
 #[derive(Clone, Copy, Debug)]
 pub struct ParRmqConfig {
@@ -161,12 +161,6 @@ pub struct ParRmqConfig {
     /// the pool after this many iterations, and iteration budgets
     /// are claimed from the shared counter in chunks of this size.
     pub batch: u64,
-    /// Live-mode **base** exchange period: every worker publishes its
-    /// frontiers into the shared global frontier — and absorbs the latest
-    /// global snapshots — after this many completed iterations. The live
-    /// period adapts upward from here when publishes stop merging (see
-    /// [`AdaptiveExchange`]). Ignored (no exchange) in deterministic mode.
-    pub exchange_period: u64,
     /// Deterministic reduction mode: no mid-run exchange, static iteration
     /// split, frontier bit-identical to the sequential union of the
     /// per-worker runs (see the crate docs).
@@ -182,7 +176,6 @@ impl Default for ParRmqConfig {
                 .min(8),
             base: RmqConfig::default(),
             batch: 16,
-            exchange_period: 8,
             deterministic: false,
         }
     }
@@ -269,7 +262,6 @@ impl WorkPlan {
 /// Everything a live-mode exchange point needs.
 struct ExchangeCtx<'a> {
     shared: &'a SharedFrontier,
-    adaptive: &'a AdaptiveExchange,
     /// Whether the optimizer has more than one worker. A lone worker has
     /// nobody to share sub-query plans with: it only keeps the published
     /// query frontier current.
@@ -277,9 +269,9 @@ struct ExchangeCtx<'a> {
 }
 
 /// Runs up to `max_iters` iterations of `worker` under `plan`, exchanging
-/// through the shared frontier at the adaptive period (live mode). Returns
-/// `(completed, finished)` where `finished` means the plan is exhausted
-/// (budget done or abort observed) as opposed to the chunk limit.
+/// through the shared frontier every [`EXCHANGE_PERIOD`] iterations (live
+/// mode). Returns `(completed, finished)` where `finished` means the plan is
+/// exhausted (budget done or abort observed) as opposed to the chunk limit.
 fn run_chunk<M: CostModel>(
     worker: &mut Worker<M>,
     plan: &mut WorkPlan,
@@ -311,7 +303,7 @@ fn run_chunk<M: CostModel>(
             if let Some(ex) = exchange {
                 worker.since_exchange += 1;
                 worker.since_publish += 1;
-                if worker.since_exchange >= ex.adaptive.period() {
+                if worker.since_exchange >= EXCHANGE_PERIOD {
                     worker.since_exchange = 0;
                     exchange_point(worker, ex);
                 }
@@ -342,8 +334,7 @@ fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
 }
 
 /// One publish half: offer the query frontier and — with other workers — the
-/// sub-query plans admitted since the last publish, and feed the merge
-/// outcome to the adaptive period.
+/// sub-query plans admitted since the last publish.
 fn publish_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     worker.since_publish = 0;
     let mut span = spans::begin(SpanKind::ExchangePublish, SpanId::NONE);
@@ -355,13 +346,12 @@ fn publish_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
         s.set_arg(merged as u64);
     }
     spans::finish(span);
-    ex.adaptive.on_publish(merged);
 }
 
 /// The publish at the end of a round, so survivors found since the last
 /// periodic exchange are not lost. A worker that has not iterated since it
-/// last published has nothing to add, and saying so again would read as a
-/// dry publish to the adaptive period: it stays silent.
+/// last published has nothing to add: it skips the query frontier's lock and
+/// a re-offer of every member that could only merge nothing.
 fn flush_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
     if worker.since_publish > 0 {
         publish_point(worker, ex);
@@ -409,7 +399,6 @@ pub struct ParRmq<M: CostModel + Clone + Send + 'static> {
     /// on the executor.
     workers: Vec<Option<Worker<M>>>,
     shared: Arc<SharedFrontier>,
-    adaptive: Arc<AdaptiveExchange>,
     stop: StopFlag,
     rounds: u64,
     /// The pool of `cfg.workers − 1` threads that runs rounds called off
@@ -448,10 +437,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             cfg,
             workers,
             shared: Arc::new(SharedFrontier::new()),
-            adaptive: Arc::new(AdaptiveExchange::new(
-                cfg.exchange_period.max(1),
-                cfg.workers,
-            )),
             stop: StopFlag::new(),
             rounds: 0,
             private_pool: None,
@@ -541,12 +526,10 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             let mut slot = self.workers[w].take();
             let checked_in = Arc::clone(&checked_in);
             let shared = Arc::clone(&self.shared);
-            let adaptive = Arc::clone(&self.adaptive);
             pool.spawn_in(&group, TaskSpec::batch(), move || {
                 let worker = slot.as_mut().expect("worker moved into this task");
                 let ex = ExchangeCtx {
                     shared: &shared,
-                    adaptive: &adaptive,
                     wide: active > 1,
                 };
                 let exchange = (!det).then_some(&ex);
@@ -615,12 +598,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
     /// The current exchange epoch (0 until the first publish).
     pub fn epoch(&self) -> u64 {
         self.shared.epoch()
-    }
-
-    /// The current adaptive exchange-backoff level (0 = base period;
-    /// always 0 in deterministic mode).
-    pub fn backoff_level(&self) -> u32 {
-        self.adaptive.level()
     }
 
     /// Iterations completed per worker over the optimizer's lifetime.
@@ -788,9 +765,7 @@ mod tests {
 
     #[test]
     fn live_mode_exchanges_plans_through_the_shared_frontier() {
-        let mut cfg = ParRmqConfig::seeded(5, 4);
-        cfg.exchange_period = 2;
-        let mut par = ParRmq::new(model(7), TableSet::prefix(7), cfg);
+        let mut par = ParRmq::new(model(7), TableSet::prefix(7), ParRmqConfig::seeded(5, 4));
         par.optimize(Budget::Iterations(60));
         let ex = par.exchange_stats();
         assert!(ex.publishes > 0, "workers must publish");
@@ -878,33 +853,32 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_backoff_engages_once_frontiers_converge() {
-        let mut cfg = ParRmqConfig::seeded(13, 2);
-        cfg.exchange_period = 1;
-        cfg.batch = 8;
-        let mut par = ParRmq::new(model(4), TableSet::prefix(4), cfg);
-        // A tiny query converges almost immediately; with a period of 1
-        // every subsequent iteration publishes a no-op, so the backoff
-        // must engage well within this budget.
-        par.optimize(Budget::Iterations(400));
-        assert!(
-            par.backoff_level() > 0,
-            "dry publishes must raise the backoff level: {:?}",
-            par.exchange_stats()
-        );
+    fn converged_workers_publish_on_the_fixed_period() {
+        // A tiny query converges almost at once, after which no publish
+        // merges anything; the period stays 8 regardless. Budgets are
+        // claimed in chunks of 8 = EXCHANGE_PERIOD, so each chunk ends on
+        // an exchange and the count does not depend on the schedule:
+        // 400 / 8 periodic publishes and no flush.
+        for (seed, workers) in [(13, 2), (5, 3), (1, 1)] {
+            let mut cfg = ParRmqConfig::seeded(seed, workers);
+            cfg.batch = 8;
+            let mut par = ParRmq::new(model(4), TableSet::prefix(4), cfg);
+            par.optimize(Budget::Iterations(400));
+            assert_eq!(
+                par.exchange_stats().publishes,
+                50,
+                "seed={seed} workers={workers}"
+            );
+        }
     }
 
     #[test]
     fn a_flush_right_after_an_exchange_publishes_nothing() {
-        // One worker, so the dry window is one publish: at the parent the
-        // end-of-round flush re-offered the frontier the 8th iteration had
-        // just published, merged nothing, and raised the backoff level.
-        let mut cfg = ParRmqConfig::seeded(4, 1);
-        cfg.exchange_period = 8;
-        let mut par = ParRmq::new(model(6), TableSet::prefix(6), cfg);
+        // The 8th iteration publishes on the period; the end-of-round flush
+        // right after it has nothing new to offer and stays silent.
+        let mut par = ParRmq::new(model(6), TableSet::prefix(6), ParRmqConfig::seeded(4, 1));
         par.optimize(Budget::Iterations(8));
         assert_eq!(par.exchange_stats().publishes, 1);
-        assert_eq!(par.backoff_level(), 0);
         // Iterations since the last publish still go out with the flush.
         par.optimize(Budget::Iterations(3));
         assert_eq!(par.exchange_stats().publishes, 2);
@@ -912,9 +886,7 @@ mod tests {
 
     #[test]
     fn a_lone_worker_exchanges_no_partial_plans() {
-        let mut cfg = ParRmqConfig::seeded(5, 1);
-        cfg.exchange_period = 2;
-        let mut par = ParRmq::new(model(7), TableSet::prefix(7), cfg);
+        let mut par = ParRmq::new(model(7), TableSet::prefix(7), ParRmqConfig::seeded(5, 1));
         par.optimize(Budget::Iterations(40));
         let ex = par.exchange_stats();
         assert!(ex.publishes > 0 && ex.merged > 0, "{ex:?}");

@@ -215,9 +215,7 @@ fn live_mode_frontier_is_valid_and_exchange_converges_workers() {
     // worker caches (the island-migration effect).
     let model = StubModel::line(8, 2, 11);
     let query = TableSet::prefix(8);
-    let mut cfg = ParRmqConfig::seeded(21, 4);
-    cfg.exchange_period = 3;
-    let mut par = ParRmq::new(model.clone(), query, cfg);
+    let mut par = ParRmq::new(model.clone(), query, ParRmqConfig::seeded(21, 4));
     par.optimize(Budget::Iterations(80));
     let frontier = par.frontier();
     assert!(!frontier.is_empty());
