@@ -13,6 +13,10 @@
 //!   publish whose plans are all dominated costs a few dominance probes and
 //!   builds nothing. The sub-query sets keep no plan handles at all — their
 //!   members' costs are the filter, and the plans travel through the log.
+//!   So a partial publish holds the lock only to merge: it stages its
+//!   survivors' ids in a buffer its publisher reuses, and exports and logs
+//!   them after releasing the lock. The full-query set holds its plans, so
+//!   that merge exports its (few) survivors under the lock.
 //! * The **snapshot** serves anytime readers of the full-query frontier
 //!   ([`SharedFrontier::snapshot`]): an immutable `Arc<FrontierSnapshot>`
 //!   swapped wholesale whenever a merge changes that frontier, cloned under
@@ -36,14 +40,17 @@
 //! ## Why stale log entries are harmless
 //!
 //! A logged plan may since have been evicted from its shared frontier by a
-//! better one. The log keeps it anyway: the evictor was appended after it,
-//! so a reader that absorbs the stale plan absorbs its evictor in the same
-//! or a later read, and `Rmq::warm_start` offers a table set's arrivals in
-//! arrival order under exact pruning (at once, or all of them when the
-//! reader first touches the set), where the evictor removes the stale plan
-//! again (or rejects it, if it arrives second). The log therefore grows by exactly the plans that ever merged,
-//! at two words apiece on top of trees their publisher's arena memoizes
-//! anyway.
+//! better one. The log keeps it anyway, and does not even promise that the
+//! evictor comes after it: partial publishes log their survivors after
+//! releasing the merge lock, so log order need not be merge order. Neither
+//! matters, because `Rmq::warm_start` prunes exactly (at once, or when the
+//! reader first touches a parked table set). Exact pruning keeps the
+//! non-dominated plans of everything offered in whatever order they
+//! arrive, so a reader that absorbs both the stale plan and its evictor —
+//! in one read or two, either one first — ends with the same cache, except
+//! for which of two exactly equal-cost plans it keeps. The log therefore
+//! grows by exactly the plans that ever merged, at two words apiece on top
+//! of trees their publisher's arena memoizes anyway.
 //!
 //! Sub-query frontiers are where the redundant work across workers hides —
 //! the approximation-scheme line shows intermediate frontiers, not
@@ -108,17 +115,28 @@ pub struct ExchangeStats {
 }
 
 /// One survivor of a merge, as the delta log keeps it.
+#[derive(Debug)]
 struct LogEntry {
     publisher: u32,
     plan: PlanRef,
+}
+
+/// A publisher's buffers for the survivors of its partial publishes, kept
+/// across publishes so their capacity is reused.
+#[derive(Debug, Default)]
+pub(crate) struct Staging {
+    /// Survivors' ids in the publisher's arena, staged under the merge lock.
+    ids: Vec<PlanId>,
+    /// The same survivors exported and tagged, on their way into the log.
+    entries: Vec<LogEntry>,
 }
 
 /// Merge-side state: everything a publishing worker mutates under the lock.
 struct MergeState {
     /// The master global frontier.
     global: ParetoSet<PlanRef>,
-    /// The survivors of the publish call in progress, exported and tagged,
-    /// on their way into the delta log (reused buffer).
+    /// The survivors of the full-query publish in progress, exported and
+    /// tagged, on their way into the delta log (reused buffer).
     staged: Vec<LogEntry>,
     epoch: u64,
     publishes: u64,
@@ -250,7 +268,7 @@ impl SharedFrontier {
         let epoch = state.epoch;
         let fresh = Arc::new(FrontierSnapshot { epoch, plans });
         *self.snapshot.lock().expect(POISONED) = fresh;
-        self.append_staged(&mut state);
+        self.append(&mut state.staged);
         inserted
     }
 
@@ -272,51 +290,70 @@ impl SharedFrontier {
     /// at and past `start` are merged into the matching shared frontier
     /// through the same exact [`Admission`] entry point as the full-query
     /// path. Survivors are exported and appended to the delta log under
-    /// `publisher`'s tag. Returns the number of sub-query plans that
-    /// survived.
+    /// `publisher`'s tag once the merge lock is released. Returns the
+    /// number of sub-query plans that survived.
     pub fn publish_partials_as<'a>(
         &self,
         publisher: u32,
         src: &PlanArena,
         sets: impl Iterator<Item = (TableSet, &'a ParetoSet<PlanId>, usize)>,
     ) -> usize {
+        self.publish_partials_staged(publisher, src, sets, &mut Staging::default())
+    }
+
+    /// [`SharedFrontier::publish_partials_as`] through the publisher's own
+    /// reused `staging` buffers. Under the merge lock it only merges and
+    /// stages the survivors' ids; exporting them from `src` and appending
+    /// them to the delta log happen after the lock is released, so other
+    /// publishers merge meanwhile.
+    pub(crate) fn publish_partials_staged<'a>(
+        &self,
+        publisher: u32,
+        src: &PlanArena,
+        sets: impl Iterator<Item = (TableSet, &'a ParetoSet<PlanId>, usize)>,
+        staging: &mut Staging,
+    ) -> usize {
         let obs = metrics();
-        let mut state = self.merge.lock().expect(POISONED);
-        let MergeState {
-            staged, partials, ..
-        } = &mut *state;
+        let Staging { ids, entries } = staging;
         let mut offered = 0usize;
         let mut inserted = 0usize;
         let mut screen = ScreenCounters::default();
         let exact = Admission::exact();
-        for (rel, frontier, start) in sets {
-            offered += frontier.len() - start;
-            let shared_set = partials.entry(rel).or_default();
-            inserted += shared_set.merge_from(frontier, start, &exact, &mut screen, |&id| {
-                staged.push(LogEntry {
-                    publisher,
-                    plan: src.export(id),
-                });
-            });
+        {
+            let mut state = self.merge.lock().expect(POISONED);
+            for (rel, frontier, start) in sets {
+                offered += frontier.len() - start;
+                let shared_set = state.partials.entry(rel).or_default();
+                inserted +=
+                    shared_set.merge_from(frontier, start, &exact, &mut screen, |&id| ids.push(id));
+            }
+            state.partial_offered += offered as u64;
+            state.partial_merged += inserted as u64;
+            if inserted > 0 {
+                state.partial_epoch += 1;
+            }
         }
         obs.pareto_blocks_screened.add(screen.blocks_screened);
         obs.pareto_eps_rejects.add(screen.eps_rejects);
-        state.partial_offered += offered as u64;
-        state.partial_merged += inserted as u64;
         obs.exchange_partial_offered.add(offered as u64);
         obs.exchange_partial_merged.add(inserted as u64);
         if inserted > 0 {
-            state.partial_epoch += 1;
-            self.append_staged(&mut state);
+            entries.extend(ids.drain(..).map(|id| LogEntry {
+                publisher,
+                plan: src.export(id),
+            }));
+            self.append(entries);
         }
         inserted
     }
 
-    /// Moves the staged survivors of a publish call to the end of the delta
-    /// log. Called with the merge lock held, so log order is merge order.
-    fn append_staged(&self, state: &mut MergeState) {
+    /// Moves exported survivors to the end of the delta log. The full-query
+    /// publish calls it under the merge lock, partial publishes after
+    /// releasing it, so log order need not be merge order (see the module
+    /// docs for why that is harmless).
+    fn append(&self, entries: &mut Vec<LogEntry>) {
         let mut log = self.log.lock().expect(POISONED);
-        log.append(&mut state.staged);
+        log.append(entries);
         self.log_len.store(log.len(), Ordering::Release);
     }
 

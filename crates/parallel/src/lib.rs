@@ -30,8 +30,9 @@
 //! ## Execution model
 //!
 //! * [`Budget::Iterations`] is honored **exactly** by a shared
-//!   [`ClaimCounter`] — workers claim batches until the counter is
-//!   exhausted, so the total is independent of thread scheduling.
+//!   [`ClaimCounter`] — live workers claim one iteration at a time until
+//!   the counter is exhausted, so the total is independent of thread
+//!   scheduling and a worker whose climbs run fast takes more of it.
 //! * [`Budget::Time`] / [`Budget::Deadline`] are honored by wall clock with
 //!   a shared [`StopFlag`]: the first worker to observe the deadline raises
 //!   the flag, and every climber checks it once per hill-climbing step
@@ -57,19 +58,21 @@
 //!   frontiers, which act as the global filter; a set that did not change
 //!   was offered before, and re-offering a member could only see it
 //!   rejected as weakly dominated by its own copy. A worker with an empty
-//!   list takes no lock.
+//!   list takes no lock, and the merge lock is held only to merge: the
+//!   survivors are exported and logged after it is released.
 //! * **Absorb.** Survivors of every merge are appended to the shared
 //!   **delta log**, tagged with their publisher. A worker keeps a *cursor*
 //!   — the log length it has read up to — and warm-starts only the entries
 //!   past it that someone else published: never the whole shared state,
 //!   never its own plans. An entry that has since been evicted from its
-//!   shared frontier is harmless: its evictor follows it in the log and
-//!   removes it again under the warm start's exact pruning. With nothing new
-//!   the absorb is one atomic load. The warm start is lazy
-//!   ([`Rmq::warm_start`]): a plan for a table set the worker's cache holds
-//!   is offered at once, any other is parked by table set and offered, in
-//!   arrival order, when the worker first climbs a plan over that set —
-//!   most sub-query frontiers of the other workers are never imported.
+//!   shared frontier is harmless: its evictor is logged too, before or
+//!   after it, and the warm start's exact pruning keeps the same survivors
+//!   in either order. With nothing new the absorb is one atomic load. The
+//!   warm start is lazy ([`Rmq::warm_start`]): a plan for a table set the
+//!   worker's cache holds is offered at once, any other is parked by table
+//!   set and offered, in arrival order, when the worker first climbs a plan
+//!   over that set — most sub-query frontiers of the other workers are
+//!   never imported.
 //! * **No echo.** Absorbed plans enter the cache through
 //!   [`PlanCache::slot_absorbing`](moqo_core::cache::PlanCache::slot_absorbing),
 //!   which does not put their table set on the change list — they came out
@@ -158,8 +161,8 @@ pub struct ParRmqConfig {
     pub base: RmqConfig,
     /// Iterations per worker per [`Optimizer::step`] round — also the
     /// climb-batch granularity on the executor: batch tasks yield back to
-    /// the pool after this many iterations, and iteration budgets
-    /// are claimed from the shared counter in chunks of this size.
+    /// the pool after this many iterations. (Live workers claim an
+    /// iteration budget one iteration at a time, whatever this is.)
     pub batch: u64,
     /// Deterministic reduction mode: no mid-run exchange, static iteration
     /// split, frontier bit-identical to the sequential union of the
@@ -229,17 +232,18 @@ struct Worker<M: CostModel> {
 enum WorkPlan {
     /// Run exactly this many more iterations (deterministic split).
     Fixed(u64),
-    /// Claim chunks from a shared counter until the budget is issued.
-    Claim { counter: ClaimCounter, chunk: u64 },
+    /// Claim one iteration at a time from a shared counter until the
+    /// budget is issued, so the faster worker runs more of it.
+    Claim(ClaimCounter),
     /// Run until the abort condition fires (deadline / stop flag).
     Until(AbortCheck),
 }
 
 impl WorkPlan {
     /// Permission for up to `room` more iterations; `0` means the plan is
-    /// exhausted. Deadline plans grant one iteration at a time (the abort
-    /// flag is also re-checked inside the climb); claim plans pay one
-    /// fetch-add per chunk.
+    /// exhausted. Claim and deadline plans grant one iteration at a time
+    /// (one fetch-add per iteration, or one abort check — the abort flag is
+    /// also re-checked inside the climb).
     fn next_quota(&mut self, room: u64) -> u64 {
         match self {
             WorkPlan::Fixed(remaining) => {
@@ -247,7 +251,7 @@ impl WorkPlan {
                 *remaining -= quota;
                 quota
             }
-            WorkPlan::Claim { counter, chunk } => counter.claim_batch(room.min(*chunk)),
+            WorkPlan::Claim(counter) => counter.claim_batch(room.min(1)),
             WorkPlan::Until(abort) => {
                 if abort.should_abort() {
                     0
@@ -446,7 +450,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
     /// Builds the per-worker plans for `budget`; an iteration budget is
     /// shared exactly among the workers.
     fn make_plans(&self, budget: Budget, start: Instant) -> Vec<WorkPlan> {
-        let chunk = self.cfg.batch.max(1);
         let active = self.cfg.workers;
         match budget {
             Budget::Iterations(n) if self.cfg.deterministic => {
@@ -458,10 +461,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             Budget::Iterations(n) => {
                 let counter = ClaimCounter::new(n);
                 (0..active)
-                    .map(|_| WorkPlan::Claim {
-                        counter: counter.clone(),
-                        chunk,
-                    })
+                    .map(|_| WorkPlan::Claim(counter.clone()))
                     .collect()
             }
             Budget::Time(d) => (0..active)
@@ -853,21 +853,65 @@ mod tests {
     }
 
     #[test]
+    fn claim_plans_hand_out_the_budget_one_iteration_at_a_time() {
+        // Whatever order the holders of one counter ask in, and for however
+        // much room, each call grants at most one iteration and the grants
+        // sum to exactly the budget.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for n in [0, 1, 7, 31, 200] {
+            for holders in 1..=4 {
+                let counter = ClaimCounter::new(n);
+                let mut plans: Vec<WorkPlan> = (0..holders)
+                    .map(|_| WorkPlan::Claim(counter.clone()))
+                    .collect();
+                let mut granted = 0;
+                // A random interleaving, about four calls per iteration of
+                // the budget, so most holders also ask past exhaustion.
+                for _ in 0..(n + 8) * holders as u64 * 4 {
+                    let plan = &mut plans[next(holders as u64) as usize];
+                    let quota = plan.next_quota(1 + next(20));
+                    assert!(quota <= 1, "n={n} holders={holders}");
+                    granted += quota;
+                }
+                for plan in &mut plans {
+                    while plan.next_quota(16) == 1 {
+                        granted += 1;
+                    }
+                    assert_eq!(plan.next_quota(16), 0, "an exhausted plan grants nothing");
+                }
+                assert_eq!(granted, n, "holders={holders}");
+            }
+        }
+    }
+
+    #[test]
     fn converged_workers_publish_on_the_fixed_period() {
         // A tiny query converges almost at once, after which no publish
-        // merges anything; the period stays 8 regardless. Budgets are
-        // claimed in chunks of 8 = EXCHANGE_PERIOD, so each chunk ends on
-        // an exchange and the count does not depend on the schedule:
-        // 400 / 8 periodic publishes and no flush.
+        // merges anything; the period stays 8 regardless. How the budget
+        // splits between workers depends on the schedule, but the publish
+        // count follows from the split: worker v publishes after each of
+        // its own ⌊n_v / 8⌋ periods, plus a flush if n_v mod 8 ≠ 0.
         for (seed, workers) in [(13, 2), (5, 3), (1, 1)] {
             let mut cfg = ParRmqConfig::seeded(seed, workers);
             cfg.batch = 8;
             let mut par = ParRmq::new(model(4), TableSet::prefix(4), cfg);
-            par.optimize(Budget::Iterations(400));
+            let stats = par.optimize(Budget::Iterations(400));
+            let expected: u64 = stats
+                .per_worker
+                .iter()
+                .map(|&n| n / EXCHANGE_PERIOD + u64::from(n % EXCHANGE_PERIOD != 0))
+                .sum();
             assert_eq!(
                 par.exchange_stats().publishes,
-                50,
-                "seed={seed} workers={workers}"
+                expected,
+                "seed={seed} workers={workers} split={:?}",
+                stats.per_worker
             );
         }
     }

@@ -5,7 +5,7 @@ use moqo_core::model::CostModel;
 use moqo_core::plan::PlanRef;
 use moqo_core::rmq::Rmq;
 
-use crate::frontier::SharedFrontier;
+use crate::frontier::{SharedFrontier, Staging};
 
 /// A worker's publisher tag plus its cursor into the [`SharedFrontier`]
 /// delta log. One port serves one [`Rmq`] for its lifetime: the port is the
@@ -18,6 +18,8 @@ pub struct ExchangePort {
     /// Reused buffer between the log read and the warm start, so the log
     /// lock is not held while plans are imported.
     inbox: Vec<PlanRef>,
+    /// Reused buffers for the survivors of this worker's partial publishes.
+    staging: Staging,
 }
 
 impl ExchangePort {
@@ -28,6 +30,7 @@ impl ExchangePort {
             publisher,
             cursor: 0,
             inbox: Vec::new(),
+            staging: Staging::default(),
         }
     }
 
@@ -47,7 +50,7 @@ impl ExchangePort {
     /// [`ExchangePort::publish_frontier`]) and empties the change list.
     /// Returns the plans merged. With an empty change list no lock is taken.
     pub fn publish_partials<M: CostModel>(
-        &self,
+        &mut self,
         rmq: &mut Rmq<M>,
         shared: &SharedFrontier,
     ) -> usize {
@@ -59,7 +62,12 @@ impl ExchangePort {
                 .filter(|(rel, _, _)| *rel != query && !rel.is_singleton())
                 .peekable();
             match sets.peek() {
-                Some(_) => shared.publish_partials_as(self.publisher, rmq.arena(), sets),
+                Some(_) => shared.publish_partials_staged(
+                    self.publisher,
+                    rmq.arena(),
+                    sets,
+                    &mut self.staging,
+                ),
                 None => 0,
             }
         };
