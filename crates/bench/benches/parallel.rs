@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the intra-query exchange in isolation: publishing a
-//! frontier into a `SharedFrontier`, re-publishing it, and reading a
-//! snapshot.
+//! worker's multi-table frontiers into a `SharedFrontier`, and re-publishing
+//! them.
 //!
 //! `ParRmq` thread scaling is recorded by the perf-baseline harness
 //! (`par_rmq[]` in `BENCH_rmq.json`).
@@ -25,25 +25,25 @@ fn bench_exchange(c: &mut Criterion) {
     for _ in 0..30 {
         rmq.iterate();
     }
-    let set = rmq.frontier_set().expect("frontier exists");
+    // Every multi-table frontier of the cache, the query's included.
+    let sets = || {
+        rmq.cache()
+            .entry_sets()
+            .filter(|(rel, _)| !rel.is_singleton())
+    };
     group.bench_function("first_publish", |b| {
         b.iter(|| {
             let shared = SharedFrontier::new();
-            black_box(shared.publish(rmq.arena(), set))
+            black_box(shared.publish_partials(rmq.arena(), sets()))
         })
     });
     group.bench_function("duplicate_publish", |b| {
-        // Steady state: the frontier is already merged, so a re-publish is
-        // pure dominance rejections — the exchange overhead a worker pays
-        // when it has found nothing new.
+        // Steady state: the frontiers are already merged, so a re-publish
+        // is pure dominance rejections — the exchange overhead a worker
+        // pays when it has found nothing new.
         let shared = SharedFrontier::new();
-        shared.publish(rmq.arena(), set);
-        b.iter(|| black_box(shared.publish(rmq.arena(), set)))
-    });
-    group.bench_function("snapshot_read", |b| {
-        let shared = SharedFrontier::new();
-        shared.publish(rmq.arena(), set);
-        b.iter(|| black_box(shared.snapshot().plans.len()))
+        shared.publish_partials(rmq.arena(), sets());
+        b.iter(|| black_box(shared.publish_partials(rmq.arena(), sets())))
     });
     group.finish();
 }

@@ -242,9 +242,6 @@ struct ParRmqResult {
     live_frontier_size: usize,
     live_hypervolume: f64,
     exchange_publishes: u64,
-    exchange_offered: u64,
-    exchange_merged: u64,
-    exchange_epochs: u64,
     exchange_absorbed: u64,
     exchange_partial_offered: u64,
     exchange_partial_merged: u64,
@@ -750,9 +747,6 @@ fn run_par_rmq(quick: bool) -> Vec<ParRmqResult> {
                 live_frontier_size: live_frontier.len(),
                 live_hypervolume: hv(&live_frontier),
                 exchange_publishes: ex.publishes,
-                exchange_offered: ex.offered,
-                exchange_merged: ex.merged,
-                exchange_epochs: ex.epochs,
                 exchange_absorbed: ex.absorbed,
                 exchange_partial_offered: ex.partial_offered,
                 exchange_partial_merged: ex.partial_merged,

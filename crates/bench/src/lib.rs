@@ -169,7 +169,6 @@ pub const FIELDS: &[Field] = fields! {
         "tables": Exact, "threads": Exact, "seed": Exact, "iterations": Present,
         "iters_per_sec": Present, "speedup_vs_1_thread": Scaling(Better::Higher),
         "live_frontier_size": Present, "live_hypervolume": Present, "exchange_publishes": Present,
-        "exchange_offered": Present, "exchange_merged": Present, "exchange_epochs": Present,
         "exchange_absorbed": Present, "exchange_partial_offered": Present,
         "exchange_partial_merged": Present, "exchange_partial_epochs": Present,
         "exchange_partial_table_sets": Present, "det_iterations": Exact, "det_frontier_size": Exact,

@@ -21,7 +21,7 @@
 //!   the intra-query shared frontier of `moqo-parallel` and the cross-query
 //!   cache of `moqo-service` speak this trait.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -156,61 +156,6 @@ impl AbortCheck {
             }
             _ => false,
         }
-    }
-}
-
-/// A shared iteration-claim counter: the batch-claim primitive concurrent
-/// workers draw an exact total of iterations from.
-///
-/// Cloning yields another handle onto the same counter. However claims
-/// interleave across threads, the number of **granted** iterations sums to
-/// exactly `total` — the property that makes `Budget::Iterations` exact
-/// and scheduling-independent on any executor, however many threads it
-/// runs. [`claim_batch`](ClaimCounter::claim_batch) grants up to a whole
-/// climb batch per atomic operation, so batch-granular executors pay one
-/// fetch-add per batch instead of one per iteration.
-#[derive(Clone, Debug)]
-pub struct ClaimCounter {
-    issued: Arc<AtomicU64>,
-    total: u64,
-}
-
-impl ClaimCounter {
-    /// A counter granting exactly `total` iterations across all holders.
-    pub fn new(total: u64) -> Self {
-        ClaimCounter {
-            issued: Arc::new(AtomicU64::new(0)),
-            total,
-        }
-    }
-
-    /// Claims one iteration. Returns `false` once the total is exhausted.
-    #[inline]
-    pub fn claim(&self) -> bool {
-        self.claim_batch(1) == 1
-    }
-
-    /// Claims up to `n` iterations at once; returns how many were granted
-    /// (`0` once the total is exhausted). The sum of grants across all
-    /// holders is exactly [`total`](ClaimCounter::total), regardless of how
-    /// claims interleave: over-issued claims past the total grant nothing.
-    #[inline]
-    pub fn claim_batch(&self, n: u64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let prev = self.issued.fetch_add(n, Ordering::Relaxed);
-        self.total.saturating_sub(prev).min(n)
-    }
-
-    /// The fixed total this counter grants.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether every iteration has been granted.
-    pub fn is_exhausted(&self) -> bool {
-        self.issued.load(Ordering::Relaxed) >= self.total
     }
 }
 
@@ -514,50 +459,6 @@ mod tests {
         assert_eq!(bare.absorb_plans(&[]), 0);
         assert!(bare.export_plans().is_empty());
         assert_eq!(bare.fan_out(), 1);
-    }
-
-    #[test]
-    fn claim_counter_grants_exactly_the_total_in_batches() {
-        let c = ClaimCounter::new(10);
-        assert_eq!(c.total(), 10);
-        assert_eq!(c.claim_batch(4), 4);
-        assert_eq!(c.claim_batch(4), 4);
-        // Only 2 remain of the over-asked batch.
-        assert_eq!(c.claim_batch(4), 2);
-        assert!(c.is_exhausted());
-        assert_eq!(c.claim_batch(4), 0);
-        assert!(!c.claim());
-        assert_eq!(ClaimCounter::new(5).claim_batch(0), 0);
-    }
-
-    #[test]
-    fn claim_counter_is_exact_across_threads() {
-        // However claims interleave, grants sum to exactly the total.
-        let c = ClaimCounter::new(1000);
-        let granted: u64 = std::thread::scope(|s| {
-            (0..4)
-                .map(|t| {
-                    let c = c.clone();
-                    // Mixed claim granularities across threads.
-                    let batch = 1 + t as u64 * 3;
-                    s.spawn(move || {
-                        let mut mine = 0;
-                        loop {
-                            let got = c.claim_batch(batch);
-                            if got == 0 {
-                                break mine;
-                            }
-                            mine += got;
-                        }
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(granted, 1000);
-        assert!(c.is_exhausted());
     }
 
     #[test]

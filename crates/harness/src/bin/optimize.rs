@@ -191,8 +191,8 @@ fn optimize_and_report<M: CostModel + Clone + Send + 'static>(model: &M, opts: &
             run.iterations,
             run.elapsed,
             opts.parallel,
-            ex.epochs,
-            ex.merged,
+            ex.partial_epochs,
+            ex.partial_merged,
             par.frontier().len()
         );
         par.frontier()

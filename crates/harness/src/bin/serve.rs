@@ -455,7 +455,8 @@ fn run_single_service(opts: &Options) {
     // Executor and exchange visibility: climb batches executed, how many
     // ran on a thread other than their session's waiting one (steals: a
     // pool worker's loop took them; donations: another session's helper
-    // ran them), and how much of what workers offered merged.
+    // ran them), and how much of what workers offered merged — query and
+    // sub-query table sets alike.
     let obs = moqo_obs::ObsSnapshot::capture();
     println!(
         "  exec pool       {} batches, {} steals, {} donations",
@@ -464,10 +465,11 @@ fn run_single_service(opts: &Options) {
         obs.counter("exec_pool.donations"),
     );
     println!(
-        "  exchange        {} merged / {} offered ({} partial merged)",
-        obs.counter("exchange.merged"),
-        obs.counter("exchange.offered"),
+        "  exchange        {} merged / {} offered in {} publishes, {} absorbed",
         obs.counter("exchange.partial_merged"),
+        obs.counter("exchange.partial_offered"),
+        obs.counter("exchange.publishes"),
+        obs.counter("exchange.absorbed"),
     );
     println!(
         "  cache           {} plans / {} entries, hit rate {:.0}% ({} hits / {} lookups)",

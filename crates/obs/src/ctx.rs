@@ -17,7 +17,8 @@ pub struct Ctx {
     pub session: u64,
     /// Intra-query worker id, 1-based (0 outside a parallel worker).
     pub worker: u32,
-    /// Shared-frontier snapshot epoch last observed by this thread.
+    /// Shared-frontier exchange epoch last observed by this thread: the
+    /// delta-log position its worker has read up to.
     pub epoch: u64,
     /// Optimizer iteration counter of the driving loop.
     pub iteration: u64,

@@ -366,19 +366,13 @@ metrics! {
         warm_parked: ShardedCounter = "warm.parked",
         /// Parked plans offered to the plan cache once a climbed plan contained their table set.
         warm_imported: ShardedCounter = "warm.imported",
-        /// Shared-frontier publish calls.
+        /// Shared-frontier publishes: a worker's non-empty change list merged under the lock.
         exchange_publishes: Counter = "exchange.publishes",
-        /// Plans offered to the shared frontier across all publishes.
-        exchange_offered: Counter = "exchange.offered",
-        /// Offered plans admitted (merged) into the global frontier.
-        exchange_merged: Counter = "exchange.merged",
-        /// Snapshot epoch bumps: publishes that admitted anything.
-        exchange_epochs: Counter = "exchange.epochs",
         /// Plans a worker accepted (admitted or parked) from other workers' shared-frontier entries.
         exchange_absorbed: Counter = "exchange.absorbed",
-        /// Sub-query frontier members offered to the partial exchange, once per cache admission.
+        /// Frontier members offered to the exchange, once per cache admission (the query's table set included).
         exchange_partial_offered: Counter = "exchange.partial_offered",
-        /// Offered partial plans admitted into a shared sub-query frontier.
+        /// Offered plans admitted into their table set's shared frontier (the query's included).
         exchange_partial_merged: Counter = "exchange.partial_merged",
         /// Climb batches any `ExecPool` ran, shared or private (at most one per task invocation).
         exec_pool_batches: ShardedCounter = "exec_pool.batches",
@@ -580,7 +574,6 @@ mod tests {
         assert!(names.contains(&"pareto.blocks_screened"));
         assert!(names.contains(&"pareto.eps_rejects"));
         assert!(names.contains(&"pareto.archive_size"));
-        assert!(names.contains(&"exchange.merged"));
         assert!(names.contains(&"exchange.partial_merged"));
         assert!(names.contains(&"exec_pool.batches"));
         assert!(names.contains(&"exec_pool.steals"));

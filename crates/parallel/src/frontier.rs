@@ -1,31 +1,27 @@
-//! The epoch-versioned shared global frontier worker threads exchange
-//! plans through.
+//! The shared frontier worker threads exchange plans through.
 //!
-//! The structure has a **merge side** and two **read sides**, none of which
-//! holds another's lock while it works:
+//! The structure has one **merge side** and one **read side**, neither of
+//! which holds the other's lock while it works:
 //!
-//! * The merge side — the master Pareto set of the full query and one
-//!   Pareto set per sub-query table set — lives behind one mutex. It is the
-//!   **global filter**: a publisher batch-merges its candidates per lock
-//!   acquisition ([`ParetoSet::merge_from`]), each admission-tested by its
-//!   inline cost metadata alone, and only *survivors* are exported from the
-//!   publisher's arena ([`PlanArena::export`], memoized per node there), so a
-//!   publish whose plans are all dominated costs a few dominance probes and
-//!   builds nothing. The sub-query sets keep no plan handles at all — their
-//!   members' costs are the filter, and the plans travel through the log.
-//!   So a partial publish holds the lock only to merge: it stages its
-//!   survivors' ids in a buffer its publisher reuses, and exports and logs
-//!   them after releasing the lock. The full-query set holds its plans, so
-//!   that merge exports its (few) survivors under the lock.
-//! * The **snapshot** serves anytime readers of the full-query frontier
-//!   ([`SharedFrontier::snapshot`]): an immutable `Arc<FrontierSnapshot>`
-//!   swapped wholesale whenever a merge changes that frontier, cloned under
-//!   a lock that is never held while merging. Every swap bumps the
-//!   **exchange epoch**.
-//! * The **delta log** serves the workers. Every survivor of every merge —
-//!   full-query or sub-query — is appended to it as an exported `Arc<Plan>`
-//!   tree (the cross-arena exchange format), tagged with its publisher. The
-//!   log is append-only; nothing is ever rewritten or flattened.
+//! * The merge side — one Pareto set per multi-table table set, the
+//!   query's own included — lives behind one mutex. It is the **global
+//!   filter**: a publisher batch-merges its candidates per lock acquisition
+//!   ([`ParetoSet::merge_from`]), each admission-tested by its inline cost
+//!   metadata alone, so a publish whose plans are all dominated costs a few
+//!   dominance probes and builds nothing. The sets keep no plan handles at
+//!   all — their members' costs are the filter, and the plans travel
+//!   through the log. So a publish holds the lock only to merge: it stages
+//!   its survivors' ids in a buffer its publisher reuses, and exports them
+//!   from its arena ([`PlanArena::export`], memoized per node there) and
+//!   logs them after releasing the lock.
+//! * The **delta log** is the only read side. Every survivor of every merge
+//!   is appended to it as an exported `Arc<Plan>` tree (the cross-arena
+//!   exchange format), tagged with its publisher. The log is append-only;
+//!   nothing is ever rewritten or flattened. Its length is the **exchange
+//!   epoch** ([`SharedFrontier::epoch`]).
+//!
+//! Nobody reads a query frontier out of this structure: a `ParRmq`
+//! frontier is the reduction of its workers' own (see the crate docs).
 //!
 //! ## Cursors
 //!
@@ -41,16 +37,16 @@
 //!
 //! A logged plan may since have been evicted from its shared frontier by a
 //! better one. The log keeps it anyway, and does not even promise that the
-//! evictor comes after it: partial publishes log their survivors after
-//! releasing the merge lock, so log order need not be merge order. Neither
-//! matters, because `Rmq::warm_start` prunes exactly (at once, or when the
-//! reader first touches a parked table set). Exact pruning keeps the
-//! non-dominated plans of everything offered in whatever order they
-//! arrive, so a reader that absorbs both the stale plan and its evictor —
-//! in one read or two, either one first — ends with the same cache, except
-//! for which of two exactly equal-cost plans it keeps. The log therefore
-//! grows by exactly the plans that ever merged, at two words apiece on top
-//! of trees their publisher's arena memoizes anyway.
+//! evictor comes after it: publishes log their survivors after releasing
+//! the merge lock, so log order need not be merge order. Neither matters,
+//! because `Rmq::warm_start` prunes exactly (at once, or when the reader
+//! first touches a parked table set). Exact pruning keeps the non-dominated
+//! plans of everything offered in whatever order they arrive, so a reader
+//! that absorbs both the stale plan and its evictor — in one read or two,
+//! either one first — ends with the same cache, except for which of two
+//! exactly equal-cost plans it keeps. The log therefore grows by exactly the
+//! plans that ever merged, at two words apiece on top of trees their
+//! publisher's arena memoizes anyway.
 //!
 //! Sub-query frontiers are where the redundant work across workers hides —
 //! the approximation-scheme line shows intermediate frontiers, not
@@ -58,7 +54,7 @@
 //! why they travel at all.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use moqo_obs::metrics;
@@ -72,45 +68,27 @@ use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
 
 /// The publisher tag of callers without a worker identity
-/// ([`SharedFrontier::publish`], [`SharedFrontier::publish_partials`]): no
-/// reader has it, so every reader absorbs what they publish.
+/// ([`SharedFrontier::publish_partials`]): no reader has it, so every
+/// reader absorbs what they publish.
 pub const ANONYMOUS: u32 = u32::MAX;
 
-/// An immutable point-in-time view of the shared global frontier.
-///
-/// Plans are exported `Arc<Plan>` trees (the cross-arena exchange format),
-/// so holders never touch a publisher's arena — reading a snapshot after it
-/// has been superseded is always safe and lock-free.
-#[derive(Clone, Debug, Default)]
-pub struct FrontierSnapshot {
-    /// Exchange epoch of this snapshot: strictly increases with every
-    /// frontier change. `0` means nothing has been published yet.
-    pub epoch: u64,
-    /// The global Pareto frontier at this epoch.
-    pub plans: Vec<PlanRef>,
-}
-
 /// Lifetime counters of the exchange machinery (cheap, monotone; reported
-/// by the perf-baseline harness as the exchange-overhead signal).
+/// by the perf-baseline harness as the exchange-overhead signal). The
+/// `partial_*` counters cover every shared table set, the query's own
+/// included.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExchangeStats {
-    /// Publish calls (one per worker batch-merge).
+    /// Publishes that took the merge lock (one per non-empty change list).
     pub publishes: u64,
-    /// Plans offered across all publishes.
-    pub offered: u64,
-    /// Offered plans that survived the merge into the global frontier.
-    pub merged: u64,
-    /// Snapshot swaps (= the current exchange epoch).
-    pub epochs: u64,
-    /// Plans workers absorbed out of the delta log.
+    /// Plans absorbed by workers out of the delta log.
     pub absorbed: u64,
-    /// Sub-query plans offered across all partial-frontier publishes.
+    /// Plans offered across all publishes.
     pub partial_offered: u64,
-    /// Offered sub-query plans that survived their per-table-set merge.
+    /// Offered plans that survived their per-table-set merge.
     pub partial_merged: u64,
-    /// Partial-frontier publishes that merged at least one plan.
+    /// Publishes that merged at least one plan.
     pub partial_epochs: u64,
-    /// Distinct table sets with a shared partial frontier.
+    /// Distinct table sets with a shared frontier.
     pub partial_table_sets: usize,
 }
 
@@ -121,8 +99,8 @@ struct LogEntry {
     plan: PlanRef,
 }
 
-/// A publisher's buffers for the survivors of its partial publishes, kept
-/// across publishes so their capacity is reused.
+/// A publisher's buffers for the survivors of its publishes, kept across
+/// publishes so their capacity is reused.
 #[derive(Debug, Default)]
 pub(crate) struct Staging {
     /// Survivors' ids in the publisher's arena, staged under the merge lock.
@@ -132,30 +110,20 @@ pub(crate) struct Staging {
 }
 
 /// Merge-side state: everything a publishing worker mutates under the lock.
+#[derive(Default)]
 struct MergeState {
-    /// The master global frontier.
-    global: ParetoSet<PlanRef>,
-    /// The survivors of the full-query publish in progress, exported and
-    /// tagged, on their way into the delta log (reused buffer).
-    staged: Vec<LogEntry>,
-    epoch: u64,
-    publishes: u64,
-    offered: u64,
-    merged: u64,
-    /// Per-table-set sub-query frontiers: costs only (see the module docs).
+    /// Per-table-set frontiers: costs only (see the module docs).
     partials: FxHashMap<TableSet, ParetoSet<()>>,
+    publishes: u64,
     partial_epoch: u64,
     partial_offered: u64,
     partial_merged: u64,
 }
 
-/// The shared epoch-versioned global frontier (see the module docs).
+/// The shared frontier (see the module docs).
+#[derive(Default)]
 pub struct SharedFrontier {
     merge: Mutex<MergeState>,
-    /// The published snapshot. The lock is held only to clone or replace
-    /// the `Arc` — never while merging or exporting — so readers are
-    /// effectively lock-free.
-    snapshot: Mutex<Arc<FrontierSnapshot>>,
     /// The delta log. The lock is held only to append already-exported
     /// survivors or to clone a tail of `Arc`s — never while merging.
     log: Mutex<Vec<LogEntry>>,
@@ -177,104 +145,15 @@ const MUTEX_WAIT_SAMPLE: u64 = 8;
 
 const POISONED: &str = "a publisher panicked while holding a shared-frontier lock";
 
-impl Default for SharedFrontier {
-    fn default() -> Self {
-        SharedFrontier::new()
-    }
-}
-
 impl SharedFrontier {
     /// Creates an empty shared frontier at epoch 0.
     pub fn new() -> Self {
-        SharedFrontier {
-            merge: Mutex::new(MergeState {
-                global: ParetoSet::new(),
-                staged: Vec::new(),
-                epoch: 0,
-                publishes: 0,
-                offered: 0,
-                merged: 0,
-                partials: FxHashMap::default(),
-                partial_epoch: 0,
-                partial_offered: 0,
-                partial_merged: 0,
-            }),
-            snapshot: Mutex::new(Arc::new(FrontierSnapshot::default())),
-            log: Mutex::new(Vec::new()),
-            log_len: AtomicUsize::new(0),
-            absorbed: AtomicU64::new(0),
-            publish_ticks: AtomicU64::new(0),
-        }
-    }
-
-    /// [`SharedFrontier::publish_as`] under the [`ANONYMOUS`] tag.
-    pub fn publish(&self, src: &PlanArena, frontier: &ParetoSet<PlanId>) -> usize {
-        self.publish_as(ANONYMOUS, src, frontier)
-    }
-
-    /// Batch-merges a worker frontier into the global frontier: every
-    /// member of `frontier` (ids into the worker's `src` arena) is
-    /// admission-tested against the global set with exact pruning (α = 1),
-    /// and survivors are exported and appended to the delta log under
-    /// `publisher`'s tag. If anything changed, the epoch advances and a
-    /// fresh snapshot is swapped in. Returns the number of plans that
-    /// survived the merge.
-    pub fn publish_as(
-        &self,
-        publisher: u32,
-        src: &PlanArena,
-        frontier: &ParetoSet<PlanId>,
-    ) -> usize {
-        let obs = metrics();
-        // Sample merge-mutex wait time on every MUTEX_WAIT_SAMPLE'th
-        // publish: one `Instant` pair around the acquisition, off the
-        // common path.
-        let sampled = self.publish_ticks.fetch_add(1, Ordering::Relaxed) % MUTEX_WAIT_SAMPLE == 0;
-        let mut state = if sampled {
-            let before = Instant::now();
-            let state = self.merge.lock().expect(POISONED);
-            obs.exchange_mutex_wait_ns
-                .record(before.elapsed().as_nanos() as u64);
-            state
-        } else {
-            self.merge.lock().expect(POISONED)
-        };
-        state.publishes += 1;
-        state.offered += frontier.len() as u64;
-        obs.exchange_publishes.incr();
-        obs.exchange_offered.add(frontier.len() as u64);
-        let MergeState { global, staged, .. } = &mut *state;
-        let mut screen = ScreenCounters::default();
-        let inserted = global.merge_from(frontier, 0, &Admission::exact(), &mut screen, |&id| {
-            let plan = src.export(id);
-            staged.push(LogEntry {
-                publisher,
-                plan: plan.clone(),
-            });
-            plan
-        });
-        obs.pareto_blocks_screened.add(screen.blocks_screened);
-        obs.pareto_eps_rejects.add(screen.eps_rejects);
-        if inserted == 0 {
-            // No admission: the epoch must not move (the invariant the
-            // concurrent-exchange tests pin), so no snapshot swap either.
-            return 0;
-        }
-        state.merged += inserted as u64;
-        state.epoch += 1;
-        obs.exchange_merged.add(inserted as u64);
-        obs.exchange_epochs.incr();
-        let plans = state.global.plans().to_vec();
-        let epoch = state.epoch;
-        let fresh = Arc::new(FrontierSnapshot { epoch, plans });
-        *self.snapshot.lock().expect(POISONED) = fresh;
-        self.append(&mut state.staged);
-        inserted
+        SharedFrontier::default()
     }
 
     /// [`SharedFrontier::publish_partials_as`] of whole frontiers under the
-    /// [`ANONYMOUS`] tag — e.g. `PlanCache::entry_sets` filtered to proper
-    /// sub-queries.
+    /// [`ANONYMOUS`] tag — e.g. `PlanCache::entry_sets` filtered to
+    /// multi-table sets.
     pub fn publish_partials<'a>(
         &self,
         src: &PlanArena,
@@ -283,15 +162,14 @@ impl SharedFrontier {
         self.publish_partials_as(ANONYMOUS, src, sets.map(|(rel, set)| (rel, set, 0)))
     }
 
-    /// Batch-merges a worker's partial-plan (sub-query) frontiers into the
-    /// shared per-table-set frontiers: of each `(table set, frontier, start)`
-    /// triple — ids into the worker's `src` arena, typically
-    /// `PlanCache::changed_sets` filtered to proper sub-queries — the members
-    /// at and past `start` are merged into the matching shared frontier
-    /// through the same exact [`Admission`] entry point as the full-query
-    /// path. Survivors are exported and appended to the delta log under
+    /// Batch-merges a worker's per-table-set frontiers into the shared
+    /// ones: of each `(table set, frontier, start)` triple — ids into the
+    /// worker's `src` arena, typically `PlanCache::changed_sets` filtered to
+    /// multi-table sets — the members at and past `start` are merged into
+    /// the matching shared frontier with exact pruning ([`Admission`],
+    /// α = 1). Survivors are exported and appended to the delta log under
     /// `publisher`'s tag once the merge lock is released. Returns the
-    /// number of sub-query plans that survived.
+    /// number of plans that survived.
     pub fn publish_partials_as<'a>(
         &self,
         publisher: u32,
@@ -320,19 +198,31 @@ impl SharedFrontier {
         let mut screen = ScreenCounters::default();
         let exact = Admission::exact();
         {
+            // Sample merge-mutex wait time on every MUTEX_WAIT_SAMPLE'th
+            // publish: one `Instant` pair around the acquisition, off the
+            // common path.
+            let sampled =
+                self.publish_ticks.fetch_add(1, Ordering::Relaxed) % MUTEX_WAIT_SAMPLE == 0;
+            let before = sampled.then(Instant::now);
             let mut state = self.merge.lock().expect(POISONED);
+            if let Some(before) = before {
+                obs.exchange_mutex_wait_ns
+                    .record(before.elapsed().as_nanos() as u64);
+            }
             for (rel, frontier, start) in sets {
                 offered += frontier.len() - start;
                 let shared_set = state.partials.entry(rel).or_default();
                 inserted +=
                     shared_set.merge_from(frontier, start, &exact, &mut screen, |&id| ids.push(id));
             }
+            state.publishes += 1;
             state.partial_offered += offered as u64;
             state.partial_merged += inserted as u64;
             if inserted > 0 {
                 state.partial_epoch += 1;
             }
         }
+        obs.exchange_publishes.incr();
         obs.pareto_blocks_screened.add(screen.blocks_screened);
         obs.pareto_eps_rejects.add(screen.eps_rejects);
         obs.exchange_partial_offered.add(offered as u64);
@@ -342,19 +232,11 @@ impl SharedFrontier {
                 publisher,
                 plan: src.export(id),
             }));
-            self.append(entries);
+            let mut log = self.log.lock().expect(POISONED);
+            log.append(entries);
+            self.log_len.store(log.len(), Ordering::Release);
         }
         inserted
-    }
-
-    /// Moves exported survivors to the end of the delta log. The full-query
-    /// publish calls it under the merge lock, partial publishes after
-    /// releasing it, so log order need not be merge order (see the module
-    /// docs for why that is harmless).
-    fn append(&self, entries: &mut Vec<LogEntry>) {
-        let mut log = self.log.lock().expect(POISONED);
-        log.append(entries);
-        self.log_len.store(log.len(), Ordering::Release);
     }
 
     /// Appends to `out` the plans logged at or past `cursor` by anyone but
@@ -377,18 +259,15 @@ impl SharedFrontier {
         log.len()
     }
 
-    /// The current snapshot (clones one `Arc` under a short lock).
-    pub fn snapshot(&self) -> Arc<FrontierSnapshot> {
-        Arc::clone(&self.snapshot.lock().expect(POISONED))
-    }
-
-    /// The current exchange epoch without cloning the snapshot.
+    /// The exchange epoch: the delta log's length. It advances with every
+    /// publish that merged anything, and a reader's cursor is its position
+    /// on the same clock.
     pub fn epoch(&self) -> u64 {
-        self.snapshot.lock().expect(POISONED).epoch
+        self.log_len.load(Ordering::Acquire) as u64
     }
 
-    /// The cost vectors of every shared sub-query frontier, in unspecified
-    /// order (diagnostics and differential tests; takes the merge lock).
+    /// The cost vectors of every shared frontier, in unspecified order
+    /// (diagnostics and differential tests; takes the merge lock).
     pub fn partial_costs(&self) -> Vec<(TableSet, Vec<CostVector>)> {
         let state = self.merge.lock().expect(POISONED);
         state
@@ -409,9 +288,6 @@ impl SharedFrontier {
         let state = self.merge.lock().expect(POISONED);
         ExchangeStats {
             publishes: state.publishes,
-            offered: state.offered,
-            merged: state.merged,
-            epochs: state.epoch,
             absorbed: self.absorbed.load(Ordering::Relaxed),
             partial_offered: state.partial_offered,
             partial_merged: state.partial_merged,
@@ -428,75 +304,109 @@ mod tests {
     use moqo_core::rmq::{Rmq, RmqConfig};
     use moqo_core::tables::TableSet;
 
-    fn worker_frontier(seed: u64, iters: u64) -> (Rmq<StubModel>, usize) {
+    fn worker(seed: u64, iters: u64) -> Rmq<StubModel> {
         let model = StubModel::line(6, 2, 7);
         let mut rmq = Rmq::new(model, TableSet::prefix(6), RmqConfig::seeded(seed));
         for _ in 0..iters {
             rmq.iterate();
         }
-        let len = rmq.frontier_set().map_or(0, ParetoSet::len);
-        (rmq, len)
+        rmq
+    }
+
+    /// Every multi-table frontier of a worker's cache, the query's included,
+    /// whole — what a publish offers when nothing was offered before.
+    fn multi_table(
+        rmq: &Rmq<StubModel>,
+    ) -> impl Iterator<Item = (TableSet, &ParetoSet<PlanId>, usize)> + '_ {
+        rmq.cache()
+            .entry_sets()
+            .filter(|(rel, _)| !rel.is_singleton())
+            .map(|(rel, set)| (rel, set, 0))
     }
 
     #[test]
-    fn publish_advances_the_epoch_and_snapshot() {
+    fn publish_advances_the_epoch_and_a_no_op_publish_appends_nothing() {
         let shared = SharedFrontier::new();
         assert_eq!(shared.epoch(), 0);
-        assert!(shared.snapshot().plans.is_empty());
 
-        let (rmq, len) = worker_frontier(1, 10);
-        assert!(len > 0);
-        let merged = shared.publish(rmq.arena(), rmq.frontier_set().unwrap());
+        let rmq = worker(1, 10);
+        let query = rmq.query();
+        let merged = shared.publish_partials_as(ANONYMOUS, rmq.arena(), multi_table(&rmq));
         assert!(merged > 0);
-        assert_eq!(shared.epoch(), 1);
-        let snap = shared.snapshot();
-        assert_eq!(snap.epoch, 1);
-        assert_eq!(snap.plans.len(), merged);
-        for p in &snap.plans {
-            assert!(p.validate(TableSet::prefix(6)).is_ok());
+        assert_eq!(
+            shared.epoch(),
+            merged as u64,
+            "every survivor is logged once"
+        );
+        let mut plans = Vec::new();
+        assert_eq!(shared.read_delta(0, 0, &mut plans), merged);
+        for p in &plans {
+            assert!(p.validate(p.rel()).is_ok());
         }
+        // The query's table set travels like any other.
+        let query_plans = plans.iter().filter(|p| p.rel() == query).count();
+        assert_eq!(query_plans, rmq.frontier_set().unwrap().len());
 
-        // Re-publishing the identical frontier changes nothing: every
+        // Re-publishing the identical frontiers changes nothing: every
         // member is weakly dominated by its own copy.
         let before = shared.stats();
-        assert_eq!(shared.publish(rmq.arena(), rmq.frontier_set().unwrap()), 0);
-        assert_eq!(shared.epoch(), 1, "no-op publish must not bump the epoch");
+        assert_eq!(
+            shared.publish_partials_as(ANONYMOUS, rmq.arena(), multi_table(&rmq)),
+            0
+        );
+        assert_eq!(
+            shared.epoch(),
+            merged as u64,
+            "a no-op publish appends nothing"
+        );
         let after = shared.stats();
         assert_eq!(after.publishes, before.publishes + 1);
-        assert_eq!(after.merged, before.merged);
+        assert_eq!(after.partial_merged, before.partial_merged);
+        assert_eq!(after.partial_epochs, before.partial_epochs);
     }
 
     #[test]
     fn merge_keeps_the_pareto_invariant_across_publishers() {
         let shared = SharedFrontier::new();
-        for seed in [1u64, 2, 3, 4] {
-            let (rmq, _) = worker_frontier(seed, 8);
-            shared.publish(rmq.arena(), rmq.frontier_set().unwrap());
+        let workers: Vec<_> = [1u64, 2, 3, 4].map(|seed| worker(seed, 8)).into();
+        for rmq in &workers {
+            shared.publish_partials_as(ANONYMOUS, rmq.arena(), multi_table(rmq));
         }
-        let snap = shared.snapshot();
-        assert!(!snap.plans.is_empty());
-        for a in &snap.plans {
-            for b in &snap.plans {
-                if !Arc::ptr_eq(a, b) && a.same_output(b) {
+        {
+            let state = shared.merge.lock().unwrap();
+            assert!(
+                state.partials.values().all(ParetoSet::check_invariant_meta),
+                "a shared frontier holds a dominated plan"
+            );
+        }
+        // Every plan any publisher offered is weakly dominated by a member
+        // of its table set's shared frontier.
+        let costs: FxHashMap<TableSet, Vec<CostVector>> =
+            shared.partial_costs().into_iter().collect();
+        for rmq in &workers {
+            for (rel, set, _) in multi_table(rmq) {
+                for offered in set.costs() {
                     assert!(
-                        !a.cost().strictly_dominates(b.cost()),
-                        "global frontier holds a dominated plan"
+                        costs[&rel].iter().any(|c| c.dominates(offered)),
+                        "{rel:?} lost coverage of an offered plan"
                     );
                 }
             }
         }
+        assert!(costs.contains_key(&TableSet::prefix(6)));
         let stats = shared.stats();
         assert_eq!(stats.publishes, 4);
-        assert!(stats.offered >= stats.merged);
-        assert!(stats.epochs >= 1);
+        assert!(stats.partial_offered >= stats.partial_merged);
+        assert!(stats.partial_epochs >= 1);
+        assert_eq!(stats.partial_table_sets, costs.len());
     }
 
     #[test]
     fn counters_consistent_under_concurrent_exchange() {
-        // Satellite invariants: merged ≤ offered, the epoch bumps only on
-        // admission (so epochs ≤ merged), and the published snapshot's
-        // epoch always equals the stats' epoch once the dust settles —
-        // regardless of how publishes interleave across threads.
+        // Invariants: merged ≤ offered, an epoch is counted only on
+        // admission (so epochs ≤ merged), and the log holds exactly the
+        // merged plans once the dust settles — regardless of how publishes
+        // interleave across threads.
         let shared = SharedFrontier::new();
         // `Rmq` is intentionally !Sync (interior RefCell caches), so each
         // thread builds and owns its worker — as in real ParRmq usage.
@@ -504,33 +414,43 @@ mod tests {
             let shared = &shared;
             for seed in 1..=4u64 {
                 s.spawn(move || {
-                    let (rmq, _) = worker_frontier(seed, 6);
+                    let rmq = worker(seed, 6);
+                    let tag = seed as u32;
+                    let (mut cursor, mut inbox) = (0, Vec::new());
                     for _ in 0..3 {
-                        shared.publish(rmq.arena(), rmq.frontier_set().unwrap());
-                        let snap = shared.snapshot();
-                        shared.record_absorbed(snap.plans.len());
+                        shared.publish_partials_as(tag, rmq.arena(), multi_table(&rmq));
+                        cursor = shared.read_delta(cursor, tag, &mut inbox);
+                        shared.record_absorbed(inbox.len());
+                        inbox.clear();
                     }
                 });
             }
         });
         let stats = shared.stats();
         assert_eq!(stats.publishes, 12);
-        assert!(stats.merged <= stats.offered, "{stats:?}");
+        assert!(stats.partial_merged <= stats.partial_offered, "{stats:?}");
         assert!(
-            stats.epochs <= stats.merged,
-            "every epoch bump must admit at least one plan: {stats:?}"
+            stats.partial_epochs <= stats.partial_merged,
+            "every epoch must admit at least one plan: {stats:?}"
         );
-        assert!(stats.epochs >= 1);
-        assert_eq!(shared.snapshot().epoch, stats.epochs);
-        assert!(stats.absorbed > 0);
-        // The surviving global frontier cannot exceed what was merged.
-        assert!(shared.snapshot().plans.len() as u64 <= stats.merged);
+        assert!(stats.partial_epochs >= 1);
+        assert_eq!(shared.epoch(), stats.partial_merged);
+        // A reader nobody published as sees the whole log.
+        let mut all = Vec::new();
+        assert_eq!(shared.read_delta(0, ANONYMOUS - 1, &mut all), all.len());
+        assert_eq!(all.len() as u64, stats.partial_merged);
+        // The surviving shared frontiers cannot exceed what was merged.
+        let survivors: usize = shared.partial_costs().iter().map(|(_, c)| c.len()).sum();
+        assert!(survivors as u64 <= stats.partial_merged);
+        let absorbed = stats.absorbed;
+        shared.record_absorbed(3);
+        assert_eq!(shared.stats().absorbed, absorbed + 3);
     }
 
     #[test]
     fn partial_publish_merges_subquery_frontiers_per_table_set() {
         let shared = SharedFrontier::new();
-        let (rmq, _) = worker_frontier(1, 12);
+        let rmq = worker(1, 12);
         let query = TableSet::prefix(6);
         fn subs(
             r: &Rmq<StubModel>,
@@ -556,23 +476,19 @@ mod tests {
         assert_eq!(shared.read_delta(cursor, 0, &mut plans), cursor);
 
         // A different worker's partials contribute under the same keys.
-        let (other, _) = worker_frontier(7, 12);
+        let other = worker(7, 12);
         shared.publish_partials(other.arena(), subs(&other, query));
         let stats = shared.stats();
         assert!(stats.partial_offered >= stats.partial_merged);
         assert!(stats.partial_table_sets > 0);
-
-        // Full-query exchange state is untouched by partial publishes.
-        assert_eq!(shared.epoch(), 0);
-        assert_eq!(stats.publishes, 0);
+        assert_eq!(stats.publishes, 3);
     }
 
     #[test]
     fn readers_skip_their_own_entries_and_only_see_the_tail() {
         let shared = SharedFrontier::new();
-        let (a, _) = worker_frontier(1, 10);
-        let (b, _) = worker_frontier(9, 10);
-        let from_a = shared.publish_as(0, a.arena(), a.frontier_set().unwrap());
+        let (a, b) = (worker(1, 10), worker(9, 10));
+        let from_a = shared.publish_partials_as(0, a.arena(), multi_table(&a));
         let mut plans = Vec::new();
         // Publisher 0 sees nothing of its own; the cursor still moves.
         let cursor_a = shared.read_delta(0, 0, &mut plans);
@@ -584,28 +500,12 @@ mod tests {
         assert_eq!(shared.read_delta(cursor_b, 1, &mut plans), cursor_b);
         assert!(plans.is_empty());
         // Only what is logged past the cursor comes out next time.
-        let from_b = shared.publish_as(1, b.arena(), b.frontier_set().unwrap());
+        let from_b = shared.publish_partials_as(1, b.arena(), multi_table(&b));
+        assert!(from_b > 0);
         assert_eq!(
             shared.read_delta(cursor_a, 0, &mut plans),
             cursor_a + from_b
         );
         assert_eq!(plans.len(), from_b);
-    }
-
-    #[test]
-    fn snapshots_are_immutable_under_later_publishes() {
-        let shared = SharedFrontier::new();
-        let (a, _) = worker_frontier(1, 6);
-        shared.publish(a.arena(), a.frontier_set().unwrap());
-        let old = shared.snapshot();
-        let old_rendered: Vec<String> = old.plans.iter().map(|p| format!("{}", p.cost())).collect();
-        let (b, _) = worker_frontier(9, 12);
-        shared.publish(b.arena(), b.frontier_set().unwrap());
-        // The old snapshot is untouched even though the global moved on.
-        let rendered_again: Vec<String> =
-            old.plans.iter().map(|p| format!("{}", p.cost())).collect();
-        assert_eq!(old_rendered, rendered_again);
-        shared.record_absorbed(3);
-        assert_eq!(shared.stats().absorbed, 3);
     }
 }

@@ -7,11 +7,23 @@
 //! workers, each owning a private [`Rmq`] instance (its own session
 //! arena, transient climb arena, partial-plan cache, and RNG stream seeded
 //! deterministically as `seed ⊕ worker_id`), and periodically exchanges
-//! survivors through a shared epoch-versioned global frontier
-//! ([`SharedFrontier`]) — the island-model migration scheme of parallel
-//! evolutionary multi-objective optimizers, applied to RMQ's restart
-//! structure. Approximation-precision guarantees are unchanged: every plan
-//! still enters a frontier through the paper's `SigBetter` pruning rule.
+//! survivors through a shared per-table-set frontier ([`SharedFrontier`])
+//! — the island-model migration scheme of parallel evolutionary
+//! multi-objective optimizers, applied to RMQ's restart structure.
+//! Approximation-precision guarantees are unchanged: every plan still
+//! enters a frontier through the paper's `SigBetter` pruning rule.
+//!
+//! ## The frontier
+//!
+//! [`ParRmq::frontier`] is the Pareto union of the workers' own query
+//! frontiers, reduced in worker order through exact `SigBetter` pruning —
+//! in both modes. Nothing else holds a copy of it: the exchange carries
+//! plans between workers, and what a worker absorbs lands in its own
+//! frontier, so the reduction sees it. Under ε-box archives each worker's
+//! archive keeps its own size bound and the reduction unites those
+//! archives; a plan a worker's archive evicted is α-covered by its evictor
+//! (box dominance is transitive), so the reduction covers it without
+//! keeping it.
 //!
 //! ## One executor
 //!
@@ -29,9 +41,9 @@
 //!
 //! ## Execution model
 //!
-//! * [`Budget::Iterations`] is honored **exactly** by a shared
-//!   [`ClaimCounter`] — live workers claim one iteration at a time until
-//!   the counter is exhausted, so the total is independent of thread
+//! * [`Budget::Iterations`] is honored **exactly** by a shared claim
+//!   counter — live workers claim one iteration at a time until the
+//!   counter is exhausted, so the total is independent of thread
 //!   scheduling and a worker whose climbs run fast takes more of it.
 //! * [`Budget::Time`] / [`Budget::Deadline`] are honored by wall clock with
 //!   a shared [`StopFlag`]: the first worker to observe the deadline raises
@@ -43,9 +55,9 @@
 //! ## Exchange and partial-plan sharing
 //!
 //! Live-mode workers exchange through [`SharedFrontier`] every
-//! [`EXCHANGE_PERIOD`] iterations. Alongside the full-query frontier, they
-//! share their **partial-plan (sub-query) frontiers** — the per-table-set
-//! survivors of their private caches — so they stop rediscovering each
+//! [`EXCHANGE_PERIOD`] iterations. They share every multi-table frontier of
+//! their private caches — the query's and its **partial-plan (sub-query)
+//! frontiers** alike, through one path — so they stop rediscovering each
 //! other's intermediate results.
 //!
 //! An exchange point costs what **changed since this worker's last one**,
@@ -62,17 +74,18 @@
 //!   survivors are exported and logged after it is released.
 //! * **Absorb.** Survivors of every merge are appended to the shared
 //!   **delta log**, tagged with their publisher. A worker keeps a *cursor*
-//!   — the log length it has read up to — and warm-starts only the entries
-//!   past it that someone else published: never the whole shared state,
-//!   never its own plans. An entry that has since been evicted from its
-//!   shared frontier is harmless: its evictor is logged too, before or
-//!   after it, and the warm start's exact pruning keeps the same survivors
-//!   in either order. With nothing new the absorb is one atomic load. The
-//!   warm start is lazy ([`Rmq::warm_start`]): a plan for a table set the
-//!   worker's cache holds is offered at once, any other is parked by table
-//!   set and offered, in arrival order, when the worker first climbs a plan
-//!   over that set — most sub-query frontiers of the other workers are
-//!   never imported.
+//!   — the log length it has read up to, which is also the exchange epoch
+//!   its journal events carry — and warm-starts only the entries past it
+//!   that someone else published: never the whole shared state, never its
+//!   own plans. An entry that has since been evicted from its shared
+//!   frontier is harmless: its evictor is logged too, before or after it,
+//!   and the warm start's exact pruning keeps the same survivors in either
+//!   order. With nothing new the absorb is one atomic load. The warm start
+//!   is lazy ([`Rmq::warm_start`]): a plan for a table set the worker's
+//!   cache holds is offered at once, any other is parked by table set and
+//!   offered, in arrival order, when the worker first climbs a plan over
+//!   that set — most sub-query frontiers of the other workers are never
+//!   imported.
 //! * **No echo.** Absorbed plans enter the cache through
 //!   [`PlanCache::slot_absorbing`](moqo_core::cache::PlanCache::slot_absorbing),
 //!   which does not put their table set on the change list — they came out
@@ -80,15 +93,13 @@
 //!   worker *builds* from an absorbed plan is a new admission and is
 //!   published like any other.
 //!
-//! A one-worker optimizer does no partial exchange at all: there is nobody
-//! to share with. The lone worker only keeps the published query frontier
-//! current — the one [`ParRmq::frontier`] reads.
+//! A one-worker optimizer does no exchange at all, just as a deterministic
+//! one does none: there is nobody to share with, and the reduction reads
+//! the lone worker's frontier directly.
 //!
 //! A round ends with a flush publish so survivors found since the last
-//! periodic exchange are not lost. A worker that has not iterated since its
-//! last publish skips it: it has nothing to add, and the publish would still
-//! take the query frontier's lock to re-offer every member only to see each
-//! rejected as its own copy.
+//! periodic exchange reach the other workers in the next round. A flush
+//! with an empty change list takes no lock.
 //!
 //! [`ParRmq`] also implements the anytime [`Optimizer`] trait:
 //! [`Optimizer::step`] runs one bounded *round* (`workers × batch`
@@ -100,10 +111,9 @@
 //! With [`ParRmqConfig::deterministic`] set, workers never exchange plans
 //! mid-run and an iteration budget is split statically across workers
 //! (worker `w` runs `⌊n/N⌋ + (w < n mod N)` iterations). Each worker is
-//! then an independent, fully deterministic sequential RMQ run, and
-//! [`ParRmq::frontier`] reduces them in worker order through exact
-//! `SigBetter` pruning — producing a frontier **bit-identical to the
-//! sequential union of the per-worker runs**, regardless of thread
+//! then an independent, fully deterministic sequential RMQ run, so the
+//! reduction both modes share ([`ParRmq::frontier`]) is **bit-identical to
+//! the sequential union of the per-worker runs**, regardless of thread
 //! scheduling. Deterministic batches are ordinary batch tasks: any thread
 //! may run them, since each worker's RNG stream and iteration share are
 //! fixed up front. The differential test suite pins the equivalence against
@@ -126,17 +136,18 @@ mod frontier;
 pub mod pool;
 mod port;
 
-pub use frontier::{ExchangeStats, FrontierSnapshot, SharedFrontier, ANONYMOUS};
+pub use frontier::{ExchangeStats, SharedFrontier, ANONYMOUS};
 pub use pool::{ExecPool, PoolHandle, TaskGroup, TaskSpec, TaskStatus};
 pub use port::ExchangePort;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use moqo_core::archive::Admission;
 use moqo_core::model::CostModel;
 use moqo_core::optimizer::{
-    AbortCheck, Budget, ClaimCounter, ConvergencePoint, Optimizer, PlanExchange, StopFlag,
+    AbortCheck, Budget, ConvergencePoint, Optimizer, PlanExchange, StopFlag,
 };
 use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
@@ -145,8 +156,9 @@ use moqo_core::tables::TableSet;
 use moqo_obs::spans::{self, SpanId, SpanKind};
 
 /// Live-mode exchange period: every worker publishes its frontiers into the
-/// shared global frontier — and absorbs what the other workers published —
-/// after this many completed iterations, plus once at the end of a round.
+/// shared frontier — and absorbs what the other workers published — after
+/// this many completed iterations, and publishes once more at the end of a
+/// round.
 pub const EXCHANGE_PERIOD: u64 = 8;
 
 /// Configuration of the parallel optimizer.
@@ -223,11 +235,33 @@ struct Worker<M: CostModel> {
     iterations: u64,
     /// Iterations since the last exchange (live mode).
     since_exchange: u64,
-    /// Iterations since the last publish, periodic or flush (live mode).
-    since_publish: u64,
 }
 
-/// How a worker decides whether to run its next iterations. Owned (no
+/// A shared iteration budget live workers claim one iteration at a time:
+/// however the claims of its clones interleave across threads, exactly
+/// `total` of them succeed — which makes `Budget::Iterations` exact and
+/// scheduling-independent.
+#[derive(Clone, Debug)]
+struct ClaimCounter {
+    issued: Arc<AtomicU64>,
+    total: u64,
+}
+
+impl ClaimCounter {
+    fn new(total: u64) -> Self {
+        ClaimCounter {
+            issued: Arc::new(AtomicU64::new(0)),
+            total,
+        }
+    }
+
+    /// Claims one iteration; `false` once the total is issued.
+    fn claim(&self) -> bool {
+        self.issued.fetch_add(1, Ordering::Relaxed) < self.total
+    }
+}
+
+/// How a worker decides whether to run its next iteration. Owned (no
 /// borrows) so batch tasks can carry their plan across yields.
 enum WorkPlan {
     /// Run exactly this many more iterations (deterministic split).
@@ -240,137 +274,99 @@ enum WorkPlan {
 }
 
 impl WorkPlan {
-    /// Permission for up to `room` more iterations; `0` means the plan is
-    /// exhausted. Claim and deadline plans grant one iteration at a time
-    /// (one fetch-add per iteration, or one abort check — the abort flag is
-    /// also re-checked inside the climb).
-    fn next_quota(&mut self, room: u64) -> u64 {
+    /// Permission for one more iteration; `false` means the plan is
+    /// exhausted. A claim costs one fetch-add, a deadline one abort check
+    /// (the abort flag is also re-checked inside the climb).
+    fn grant(&mut self) -> bool {
         match self {
             WorkPlan::Fixed(remaining) => {
-                let quota = (*remaining).min(room);
-                *remaining -= quota;
-                quota
+                let granted = *remaining > 0;
+                *remaining -= u64::from(granted);
+                granted
             }
-            WorkPlan::Claim(counter) => counter.claim_batch(room.min(1)),
-            WorkPlan::Until(abort) => {
-                if abort.should_abort() {
-                    0
-                } else {
-                    1
-                }
-            }
+            WorkPlan::Claim(counter) => counter.claim(),
+            WorkPlan::Until(abort) => !abort.should_abort(),
         }
     }
 }
 
-/// Everything a live-mode exchange point needs.
-struct ExchangeCtx<'a> {
-    shared: &'a SharedFrontier,
-    /// Whether the optimizer has more than one worker. A lone worker has
-    /// nobody to share sub-query plans with: it only keeps the published
-    /// query frontier current.
-    wide: bool,
-}
-
 /// Runs up to `max_iters` iterations of `worker` under `plan`, exchanging
-/// through the shared frontier every [`EXCHANGE_PERIOD`] iterations (live
-/// mode). Returns `(completed, finished)` where `finished` means the plan is
-/// exhausted (budget done or abort observed) as opposed to the chunk limit.
+/// through `exchange` every [`EXCHANGE_PERIOD`] iterations (live mode with
+/// more than one worker). Returns `(completed, finished)` where `finished`
+/// means the plan is exhausted (budget done or abort observed) as opposed
+/// to the chunk limit.
 fn run_chunk<M: CostModel>(
     worker: &mut Worker<M>,
     plan: &mut WorkPlan,
     max_iters: u64,
-    exchange: Option<&ExchangeCtx<'_>>,
+    exchange: Option<&SharedFrontier>,
 ) -> (u64, bool) {
-    let mut done = 0u64;
-    while done < max_iters {
-        let quota = plan.next_quota(max_iters - done);
-        if quota == 0 {
+    for done in 0..max_iters {
+        if !plan.grant() {
             return (done, true);
         }
-        for _ in 0..quota {
-            let completed = match plan {
-                // Deadline iterations run guarded: the abort condition is
-                // re-checked inside the climb, bounding overshoot to one
-                // step — on whichever pool thread runs the batch.
-                WorkPlan::Until(abort) => worker.rmq.iterate_aborting(abort).is_some(),
-                _ => {
-                    worker.rmq.iterate();
-                    true
-                }
-            };
-            if !completed {
-                return (done, true);
+        let completed = match plan {
+            // Deadline iterations run guarded: the abort condition is
+            // re-checked inside the climb, bounding overshoot to one
+            // step — on whichever pool thread runs the batch.
+            WorkPlan::Until(abort) => worker.rmq.iterate_aborting(abort).is_some(),
+            _ => {
+                worker.rmq.iterate();
+                true
             }
-            done += 1;
-            worker.iterations += 1;
-            if let Some(ex) = exchange {
-                worker.since_exchange += 1;
-                worker.since_publish += 1;
-                if worker.since_exchange >= EXCHANGE_PERIOD {
-                    worker.since_exchange = 0;
-                    exchange_point(worker, ex);
-                }
+        };
+        if !completed {
+            return (done, true);
+        }
+        worker.iterations += 1;
+        if let Some(shared) = exchange {
+            worker.since_exchange += 1;
+            if worker.since_exchange >= EXCHANGE_PERIOD {
+                worker.since_exchange = 0;
+                exchange_point(worker, shared);
             }
         }
     }
-    (done, false)
+    (max_iters, false)
 }
 
-/// One full exchange: publish, then — with other workers — absorb whatever
-/// the rest of the run logged since this worker last looked. Both halves
-/// are traced as spans (publish arg = plans merged, absorb arg = plans
-/// absorbed), parented to the ambient batch/session span.
-fn exchange_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
-    publish_point(worker, ex);
-    if !ex.wide {
-        return;
-    }
+/// One full exchange: publish, then absorb whatever the other workers
+/// logged since this worker last looked. Both halves are traced as spans
+/// (publish arg = plans merged, absorb arg = plans absorbed), parented to
+/// the ambient batch/session span.
+fn exchange_point<M: CostModel>(worker: &mut Worker<M>, shared: &SharedFrontier) {
+    publish_point(worker, shared);
     let mut span = spans::begin(SpanKind::ExchangeAbsorb, SpanId::NONE);
-    let absorbed = worker.port.absorb(&mut worker.rmq, ex.shared) as u64;
-    if absorbed > 0 {
-        moqo_obs::ctx::set_epoch(ex.shared.epoch());
-    }
+    let absorbed = worker.port.absorb(&mut worker.rmq, shared) as u64;
+    moqo_obs::ctx::set_epoch(worker.port.cursor());
     if let Some(s) = span.as_mut() {
         s.set_arg(absorbed);
     }
     spans::finish(span);
 }
 
-/// One publish half: offer the query frontier and — with other workers — the
-/// sub-query plans admitted since the last publish.
-fn publish_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
-    worker.since_publish = 0;
+/// One publish half: offer the multi-table plans admitted since the last
+/// publish — at a periodic exchange point, or as the flush that ends a
+/// round, so survivors found since the last exchange are not held back.
+fn publish_point<M: CostModel>(worker: &mut Worker<M>, shared: &SharedFrontier) {
     let mut span = spans::begin(SpanKind::ExchangePublish, SpanId::NONE);
-    let mut merged = worker.port.publish_frontier(&worker.rmq, ex.shared);
-    if ex.wide {
-        merged += worker.port.publish_partials(&mut worker.rmq, ex.shared);
-    }
+    let merged = worker.port.publish_partials(&mut worker.rmq, shared);
     if let Some(s) = span.as_mut() {
         s.set_arg(merged as u64);
     }
     spans::finish(span);
 }
 
-/// The publish at the end of a round, so survivors found since the last
-/// periodic exchange are not lost. A worker that has not iterated since it
-/// last published has nothing to add: it skips the query frontier's lock and
-/// a re-offer of every member that could only merge nothing.
-fn flush_point<M: CostModel>(worker: &mut Worker<M>, ex: &ExchangeCtx<'_>) {
-    if worker.since_publish > 0 {
-        publish_point(worker, ex);
-    }
-}
-
 /// One climb batch of worker `w`: up to `max_iters` iterations under a
 /// batch span made ambient for the exchange spans inside it, then the flush
-/// ([`flush_point`]) once the plan is exhausted. Returns whether it is.
+/// publish ([`publish_point`]) once the plan is exhausted. Returns whether
+/// it is.
 fn run_batch<M: CostModel>(
     w: usize,
     worker: &mut Worker<M>,
     plan: &mut WorkPlan,
     max_iters: u64,
-    exchange: Option<&ExchangeCtx<'_>>,
+    exchange: Option<&SharedFrontier>,
 ) -> bool {
     // Journal events carry the worker id (1-based; 0 = unset).
     moqo_obs::ctx::set_worker(w as u32 + 1);
@@ -378,8 +374,8 @@ fn run_batch<M: CostModel>(
     // Restored below; elided entirely when tracing is off.
     let prev = span.as_ref().map(|s| spans::set_current(s.id()));
     let (done, finished) = run_chunk(worker, plan, max_iters, exchange);
-    if let (true, Some(ex)) = (finished, exchange) {
-        flush_point(worker, ex);
+    if let (true, Some(shared)) = (finished, exchange) {
+        publish_point(worker, shared);
     }
     if let Some(prev) = prev {
         spans::set_current(prev);
@@ -432,7 +428,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
                     port: ExchangePort::new(w as u32),
                     iterations: 0,
                     since_exchange: 0,
-                    since_publish: 0,
                 })
             })
             .collect();
@@ -516,7 +511,9 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
     /// calling thread waits by helping.
     fn optimize_pooled(&mut self, pool: &PoolHandle, budget: Budget, start: Instant) {
         let active = self.cfg.workers;
-        let det = self.cfg.deterministic;
+        // Deterministic workers exchange nothing, and a lone worker has
+        // nobody to exchange with.
+        let exchanging = !self.cfg.deterministic && active > 1;
         let batch = self.cfg.batch.max(1);
         let plans = self.make_plans(budget, start);
         let checked_in: Arc<Mutex<Vec<Option<Worker<M>>>>> =
@@ -528,11 +525,7 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             let shared = Arc::clone(&self.shared);
             pool.spawn_in(&group, TaskSpec::batch(), move || {
                 let worker = slot.as_mut().expect("worker moved into this task");
-                let ex = ExchangeCtx {
-                    shared: &shared,
-                    wide: active > 1,
-                };
-                let exchange = (!det).then_some(&ex);
+                let exchange = exchanging.then_some(&*shared);
                 // The executor installed the spawner's ambient span, so the
                 // batch span parents to the session on any worker.
                 if !run_batch(w, worker, &mut plan, batch, exchange) {
@@ -564,10 +557,9 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         self.stop.clone()
     }
 
-    /// The deterministic reduction: per-worker frontiers united in worker
-    /// order through exact `SigBetter` pruning — the frontier contract of
-    /// deterministic mode (also usable in live mode as a final merge that
-    /// includes not-yet-published survivors).
+    /// The reduction: per-worker frontiers united in worker order through
+    /// exact `SigBetter` pruning — [`ParRmq::frontier`] in both modes (see
+    /// the crate docs).
     pub fn reduced_frontier(&self) -> Vec<PlanRef> {
         let mut union: ParetoSet<PlanRef> = ParetoSet::new();
         let mut screen = ScreenCounters::default();
@@ -580,14 +572,10 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         union.into_plans()
     }
 
-    /// The current global frontier: the published shared snapshot in live
-    /// mode, the deterministic reduction in deterministic mode.
+    /// The current query frontier: the reduction of the workers' own
+    /// ([`ParRmq::reduced_frontier`]), whatever the mode.
     pub fn frontier(&self) -> Vec<PlanRef> {
-        if self.cfg.deterministic {
-            self.reduced_frontier()
-        } else {
-            self.shared.snapshot().plans.clone()
-        }
+        self.reduced_frontier()
     }
 
     /// Lifetime exchange counters of the shared frontier.
@@ -595,7 +583,9 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         self.shared.stats()
     }
 
-    /// The current exchange epoch (0 until the first publish).
+    /// The current exchange epoch: the length of the shared delta log (0
+    /// until a publish merges anything — and so always 0 for a lone or a
+    /// deterministic worker).
     pub fn epoch(&self) -> u64 {
         self.shared.epoch()
     }
@@ -665,13 +655,11 @@ impl<M: CostModel + Clone + Send + 'static> PlanExchange for ParRmq<M> {
             .sum()
     }
 
-    /// Exports the merged query frontier via the deterministic reduction
-    /// in **both** modes — in live mode the reduction covers the published
-    /// snapshot and additionally includes survivors workers found since
-    /// their last publish, so exports never trail the exchange period.
+    /// Exports the query frontier ([`ParRmq::frontier`], the reduction of
+    /// the workers' own), so exports never trail the exchange period.
     /// Unlike [`Rmq::export_plans`], partial plans of sub-queries are not
-    /// exported — those travel through the shared frontier's partial-plan
-    /// channel instead.
+    /// exported — those travel between workers through the shared frontier
+    /// instead.
     fn export_plans(&self) -> Vec<PlanRef> {
         self.reduced_frontier()
     }
@@ -727,6 +715,16 @@ mod tests {
         StubModel::line(n, 2, 7)
     }
 
+    /// A worker outside any `ParRmq`, publishing under tag `w`.
+    fn lone(model: StubModel, query: TableSet, seed: u64, w: u32) -> Worker<StubModel> {
+        Worker {
+            rmq: Rmq::new(model, query, RmqConfig::seeded(seed)),
+            port: ExchangePort::new(w),
+            iterations: 0,
+            since_exchange: 0,
+        }
+    }
+
     #[test]
     fn iteration_budget_is_exact_across_workers() {
         for deterministic in [false, true] {
@@ -746,21 +744,26 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_deterministic_mode_matches_sequential_rmq() {
+    fn single_worker_matches_sequential_rmq_in_both_modes() {
         let m = model(6);
-        let cfg = ParRmqConfig::seeded(9, 1).deterministic();
-        let mut par = ParRmq::new(m.clone(), TableSet::prefix(6), cfg);
-        par.optimize(Budget::Iterations(20));
-        // One worker runs on the calling thread alone.
-        let private = par.private_pool.as_ref().map(|p| p.handle().workers());
-        assert_eq!(private, Some(0));
         let mut seq = Rmq::new(&m, TableSet::prefix(6), RmqConfig::seeded(9));
         for _ in 0..20 {
             seq.iterate();
         }
-        let par_rendered: Vec<String> = par.frontier().iter().map(|p| p.display(&m)).collect();
         let seq_rendered: Vec<String> = seq.frontier().iter().map(|p| p.display(&m)).collect();
-        assert_eq!(par_rendered, seq_rendered);
+        for deterministic in [true, false] {
+            let mut cfg = ParRmqConfig::seeded(9, 1);
+            cfg.deterministic = deterministic;
+            let mut par = ParRmq::new(m.clone(), TableSet::prefix(6), cfg);
+            par.optimize(Budget::Iterations(20));
+            // One worker runs on the calling thread alone, and exchanges
+            // with nobody.
+            let private = par.private_pool.as_ref().map(|p| p.handle().workers());
+            assert_eq!(private, Some(0));
+            assert_eq!(par.exchange_stats().publishes, 0, "det={deterministic}");
+            let par_rendered: Vec<String> = par.frontier().iter().map(|p| p.display(&m)).collect();
+            assert_eq!(par_rendered, seq_rendered, "det={deterministic}");
+        }
     }
 
     #[test]
@@ -769,21 +772,20 @@ mod tests {
         par.optimize(Budget::Iterations(60));
         let ex = par.exchange_stats();
         assert!(ex.publishes > 0, "workers must publish");
-        assert!(ex.merged > 0, "someone's survivors must merge");
-        assert!(ex.epochs > 0);
-        assert!(
-            ex.partial_offered > 0,
-            "sub-query frontiers must be offered: {ex:?}"
-        );
-        assert!(ex.partial_merged > 0, "sub-query frontiers must merge");
-        assert!(ex.partial_table_sets > 0);
+        assert!(ex.partial_offered > 0, "frontiers must be offered: {ex:?}");
+        assert!(ex.partial_merged > 0, "someone's survivors must merge");
+        assert!(ex.absorbed > 0, "workers must absorb: {ex:?}");
+        // The query's table set is shared like every sub-query's.
+        let shared = par.shared.partial_costs();
+        assert_eq!(shared.len(), ex.partial_table_sets);
+        assert!(shared.iter().any(|(rel, _)| *rel == TableSet::prefix(7)));
         let frontier = par.frontier();
         assert!(!frontier.is_empty());
         for p in &frontier {
             assert!(p.validate(TableSet::prefix(7)).is_ok());
         }
-        // The snapshot equals the epoch the stats report.
-        assert_eq!(par.epoch(), ex.epochs);
+        // The epoch is the log's length: every merged plan, logged once.
+        assert_eq!(par.epoch(), ex.partial_merged);
     }
 
     #[test]
@@ -854,9 +856,9 @@ mod tests {
 
     #[test]
     fn claim_plans_hand_out_the_budget_one_iteration_at_a_time() {
-        // Whatever order the holders of one counter ask in, and for however
-        // much room, each call grants at most one iteration and the grants
-        // sum to exactly the budget.
+        // Whatever order the holders of one counter ask in, each call
+        // grants at most one iteration and the grants sum to exactly the
+        // budget.
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |bound: u64| {
             rng ^= rng << 13;
@@ -874,16 +876,13 @@ mod tests {
                 // A random interleaving, about four calls per iteration of
                 // the budget, so most holders also ask past exhaustion.
                 for _ in 0..(n + 8) * holders as u64 * 4 {
-                    let plan = &mut plans[next(holders as u64) as usize];
-                    let quota = plan.next_quota(1 + next(20));
-                    assert!(quota <= 1, "n={n} holders={holders}");
-                    granted += quota;
+                    granted += u64::from(plans[next(holders as u64) as usize].grant());
                 }
                 for plan in &mut plans {
-                    while plan.next_quota(16) == 1 {
+                    while plan.grant() {
                         granted += 1;
                     }
-                    assert_eq!(plan.next_quota(16), 0, "an exhausted plan grants nothing");
+                    assert!(!plan.grant(), "an exhausted plan grants nothing");
                 }
                 assert_eq!(granted, n, "holders={holders}");
             }
@@ -891,50 +890,76 @@ mod tests {
     }
 
     #[test]
-    fn converged_workers_publish_on_the_fixed_period() {
-        // A tiny query converges almost at once, after which no publish
-        // merges anything; the period stays 8 regardless. How the budget
-        // splits between workers depends on the schedule, but the publish
-        // count follows from the split: worker v publishes after each of
-        // its own ⌊n_v / 8⌋ periods, plus a flush if n_v mod 8 ≠ 0.
-        for (seed, workers) in [(13, 2), (5, 3), (1, 1)] {
-            let mut cfg = ParRmqConfig::seeded(seed, workers);
-            cfg.batch = 8;
-            let mut par = ParRmq::new(model(4), TableSet::prefix(4), cfg);
-            let stats = par.optimize(Budget::Iterations(400));
-            let expected: u64 = stats
-                .per_worker
-                .iter()
-                .map(|&n| n / EXCHANGE_PERIOD + u64::from(n % EXCHANGE_PERIOD != 0))
-                .sum();
+    fn converged_workers_exchange_on_the_fixed_period() {
+        // A three-table query converges almost at once, after which the
+        // worker rarely has anything to publish; it still reads the log
+        // after every EXCHANGE_PERIOD of its own iterations — no sooner, no
+        // later, and across batch boundaries. A donor over a larger query
+        // keeps logging plans, so an early or a missed read would show.
+        let m = model(8);
+        let shared = SharedFrontier::new();
+        let mut worker = lone(m.clone(), TableSet::prefix(3), 13, 0);
+        run_chunk(&mut worker, &mut WorkPlan::Fixed(64), 64, None);
+        let mut donor = lone(m, TableSet::prefix(8), 1, 1);
+        for period in 0..4 {
+            let mut donated = 0;
+            for _ in 0..200 {
+                donor.rmq.iterate();
+                donated = donor.port.publish_partials(&mut donor.rmq, &shared);
+                if donated > 0 {
+                    break;
+                }
+            }
+            assert!(donated > 0, "period {period}: the donor ran dry");
+            let logged = shared.epoch();
+            let budget = &mut WorkPlan::Fixed(u64::MAX);
+            run_chunk(&mut worker, budget, EXCHANGE_PERIOD - 1, Some(&shared));
+            assert!(worker.port.cursor() < logged, "period {period}: early read");
+            run_chunk(&mut worker, budget, 1, Some(&shared));
             assert_eq!(
-                par.exchange_stats().publishes,
-                expected,
-                "seed={seed} workers={workers} split={:?}",
-                stats.per_worker
+                worker.port.cursor(),
+                shared.epoch(),
+                "period {period}: no read at the period"
             );
         }
     }
 
     #[test]
     fn a_flush_right_after_an_exchange_publishes_nothing() {
-        // The 8th iteration publishes on the period; the end-of-round flush
-        // right after it has nothing new to offer and stays silent.
-        let mut par = ParRmq::new(model(6), TableSet::prefix(6), ParRmqConfig::seeded(4, 1));
-        par.optimize(Budget::Iterations(8));
-        assert_eq!(par.exchange_stats().publishes, 1);
+        // The 8th iteration publishes on the period; the end-of-batch flush
+        // right after it has an empty change list and takes no lock.
+        let shared = SharedFrontier::new();
+        let mut worker = lone(model(10), TableSet::prefix(10), 4, 0);
+        assert!(run_batch(
+            0,
+            &mut worker,
+            &mut WorkPlan::Fixed(8),
+            16,
+            Some(&shared)
+        ));
+        assert_eq!(shared.stats().publishes, 1);
         // Iterations since the last publish still go out with the flush.
-        par.optimize(Budget::Iterations(3));
-        assert_eq!(par.exchange_stats().publishes, 2);
+        assert!(run_batch(
+            0,
+            &mut worker,
+            &mut WorkPlan::Fixed(3),
+            16,
+            Some(&shared)
+        ));
+        assert_eq!(shared.stats().publishes, 2);
     }
 
     #[test]
-    fn a_lone_worker_exchanges_no_partial_plans() {
+    fn a_lone_worker_exchanges_nothing() {
         let mut par = ParRmq::new(model(7), TableSet::prefix(7), ParRmqConfig::seeded(5, 1));
         par.optimize(Budget::Iterations(40));
         let ex = par.exchange_stats();
-        assert!(ex.publishes > 0 && ex.merged > 0, "{ex:?}");
-        assert_eq!((ex.partial_offered, ex.absorbed), (0, 0), "{ex:?}");
+        assert_eq!(
+            (ex.publishes, ex.partial_offered, ex.absorbed),
+            (0, 0, 0),
+            "{ex:?}"
+        );
+        assert_eq!(par.epoch(), 0);
         assert!(!par.frontier().is_empty());
     }
 

@@ -34,32 +34,21 @@ impl ExchangePort {
         }
     }
 
-    /// Offers the worker's full-query frontier; returns the plans merged.
-    /// The frontier is offered whole: it is small, and its snapshot is what
-    /// anytime readers see.
-    pub fn publish_frontier<M: CostModel>(&self, rmq: &Rmq<M>, shared: &SharedFrontier) -> usize {
-        match rmq.frontier_set() {
-            Some(set) if !set.is_empty() => shared.publish_as(self.publisher, rmq.arena(), set),
-            _ => 0,
-        }
-    }
-
-    /// Offers the multi-table *sub*-query plans the worker's cache admitted
-    /// since the previous call (single-table frontiers are trivial to
-    /// rediscover; the full query goes through
-    /// [`ExchangePort::publish_frontier`]) and empties the change list.
-    /// Returns the plans merged. With an empty change list no lock is taken.
+    /// Offers the multi-table plans the worker's cache admitted since the
+    /// previous call — the query's own table set like every sub-query's;
+    /// single-table frontiers are trivial to rediscover — and empties the
+    /// change list. Returns the plans merged. With an empty change list no
+    /// lock is taken.
     pub fn publish_partials<M: CostModel>(
         &mut self,
         rmq: &mut Rmq<M>,
         shared: &SharedFrontier,
     ) -> usize {
-        let query = rmq.query();
         let merged = {
             let mut sets = rmq
                 .cache()
                 .changed_sets()
-                .filter(|(rel, _, _)| *rel != query && !rel.is_singleton())
+                .filter(|(rel, _, _)| !rel.is_singleton())
                 .peekable();
             match sets.peek() {
                 Some(_) => shared.publish_partials_staged(
@@ -76,8 +65,8 @@ impl ExchangePort {
     }
 
     /// Warm-starts the worker with every plan other publishers logged since
-    /// the previous call — full-query and sub-query survivors alike; they
-    /// land under their own table sets without re-entering the change list.
+    /// the previous call — query and sub-query survivors alike; they land
+    /// under their own table sets without re-entering the change list.
     /// Returns the plans absorbed. With nothing new in the log this is one
     /// atomic load.
     pub fn absorb<M: CostModel>(&mut self, rmq: &mut Rmq<M>, shared: &SharedFrontier) -> usize {
@@ -91,6 +80,12 @@ impl ExchangePort {
         let absorbed = rmq.warm_start(self.inbox.drain(..));
         shared.record_absorbed(absorbed);
         absorbed
+    }
+
+    /// The delta-log position this worker has read up to: its reading of
+    /// the exchange epoch ([`SharedFrontier::epoch`]).
+    pub(crate) fn cursor(&self) -> u64 {
+        self.cursor as u64
     }
 }
 
@@ -113,10 +108,10 @@ mod tests {
         }
         let shared = SharedFrontier::new();
         let mut port = ExchangePort::new(0);
-        assert!(port.publish_frontier(&rmq, &shared) > 0);
         assert!(port.publish_partials(&mut rmq, &shared) > 0);
         let probes = rmq.cache().counters();
         assert_eq!(port.absorb(&mut rmq, &shared), 0);
+        assert_eq!(port.cursor(), shared.epoch(), "the cursor moved past them");
         assert_eq!(rmq.cache().counters(), probes, "own plans were probed");
         assert_eq!(shared.stats().absorbed, 0);
         // Another worker's port sees all of it.

@@ -210,9 +210,9 @@ fn deterministic_mode_is_step_granularity_invariant() {
 #[test]
 fn live_mode_frontier_is_valid_and_exchange_converges_workers() {
     // Live mode gives up bit-reproducibility for exchange; the invariants
-    // that must survive: every published plan is valid, the global frontier
-    // is mutually non-dominated per format, and absorbed plans show up in
-    // worker caches (the island-migration effect).
+    // that must survive: every frontier plan is valid, the frontier is
+    // mutually non-dominated per format, and workers absorb each other's
+    // plans (the island-migration effect).
     let model = StubModel::line(8, 2, 11);
     let query = TableSet::prefix(8);
     let mut par = ParRmq::new(model.clone(), query, ParRmqConfig::seeded(21, 4));
@@ -231,18 +231,13 @@ fn live_mode_frontier_is_valid_and_exchange_converges_workers() {
     }
     let ex = par.exchange_stats();
     assert!(ex.publishes >= 4, "every worker publishes at least once");
-    assert!(ex.merged > 0);
-    // The reduced frontier (which includes unpublished survivors) covers
-    // the published snapshot: nothing is lost by the final merge.
-    let reduced = par.reduced_frontier();
-    for p in &frontier {
-        assert!(
-            reduced
-                .iter()
-                .any(|r| r.cost().approx_dominates(p.cost(), 1.0 + 1e-9)),
-            "reduction lost coverage of a published plan"
-        );
-    }
+    assert!(ex.partial_merged > 0);
+    assert!(ex.absorbed > 0, "workers absorb each other's plans");
+    // The frontier is the reduction of the workers' own, in live mode too.
+    assert_eq!(
+        rendered(&model, &frontier),
+        rendered(&model, &par.reduced_frontier())
+    );
 }
 
 #[test]

@@ -66,7 +66,7 @@ fn main() {
         eps_rmq.frontier().len()
     );
 
-    // ---- 2. Parallel optimization: exchange offered/merged + epochs. ---
+    // ---- 2. Parallel optimization: exchange offered/merged. ---
     let cfg = ParRmqConfig::seeded(11, 3);
     let mut par = ParRmq::new(Arc::clone(&model), query.tables(), cfg);
     par.optimize(Budget::Iterations(ITERS));
@@ -148,8 +148,14 @@ fn main() {
         ),
         ("arena.interns", "plan nodes interned in the arena"),
         ("arena.dedup_hits", "structural duplicates the arena folded"),
-        ("exchange.offered", "plans workers offered to the exchange"),
-        ("exchange.merged", "plans the shared frontier admitted"),
+        (
+            "exchange.partial_offered",
+            "plans workers offered to the exchange",
+        ),
+        (
+            "exchange.partial_merged",
+            "plans the shared frontier admitted",
+        ),
         ("service.submitted", "sessions past admission control"),
         ("exec.runs", "plans executed to completion"),
     ] {

@@ -10,9 +10,15 @@
 //! republish walks the cache's hash map, a delta publish the change list).
 //! Under approximate pruning the order a worker absorbs plans in decides
 //! which of two nearby plans it keeps, and the replays would drift apart
-//! without either being wrong.
+//! without either being wrong. That order-freedom under exact pruning is
+//! also what lets the shared frontier log survivors out of merge order; the
+//! last test pins it on its own.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use moqo_core::archive::ArchiveConfig;
+use moqo_core::optimizer::PlanExchange;
+use moqo_core::plan::PlanRef;
 use moqo_core::rmq::{Rmq, RmqConfig};
 use moqo_core::tables::TableSet;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
@@ -44,8 +50,9 @@ fn bits<'a>(costs: impl Iterator<Item = &'a moqo_core::CostVector>) -> Vec<Vec<u
 enum Publish {
     /// `ExchangePort::publish_partials`: the change list.
     Delta,
-    /// Every multi-table sub-query frontier of the cache, whole, through the
-    /// public `SharedFrontier` API — what `ParRmq` did before.
+    /// Every multi-table frontier of the cache, the query's included, whole,
+    /// through the public `SharedFrontier` API — what `ParRmq` did before it
+    /// kept a change list.
     Full,
 }
 
@@ -83,7 +90,6 @@ fn replay(
             for _ in 0..k {
                 rmq.iterate();
             }
-            port.publish_frontier(rmq, &shared);
             match mode {
                 Publish::Delta => {
                     port.publish_partials(rmq, &shared);
@@ -92,7 +98,7 @@ fn replay(
                     let sets = rmq
                         .cache()
                         .entry_sets()
-                        .filter(|(rel, _)| *rel != query && !rel.is_singleton())
+                        .filter(|(rel, _)| !rel.is_singleton())
                         .map(|(rel, set)| (rel, set, 0));
                     shared.publish_partials_as(w as u32, rmq.arena(), sets);
                 }
@@ -134,7 +140,6 @@ fn delta_and_full_republish_end_on_the_same_frontiers() {
         "a worker's query frontier differs"
     );
     assert_eq!(delta.stats.partial_merged, full.stats.partial_merged);
-    assert_eq!(delta.stats.merged, full.stats.merged);
     assert_eq!(delta.stats.absorbed, full.stats.absorbed);
 }
 
@@ -188,7 +193,6 @@ fn an_exchange_with_nothing_new_offers_probes_and_allocates_nothing() {
                     rmq.iterate();
                 }
             }
-            port.publish_frontier(rmq, &shared);
             port.publish_partials(rmq, &shared);
             port.absorb(rmq, &shared);
         }
@@ -211,4 +215,89 @@ fn an_exchange_with_nothing_new_offers_probes_and_allocates_nothing() {
     assert_eq!(after.partial_offered, before.partial_offered);
     assert_eq!(after.partial_epochs, before.partial_epochs);
     assert_eq!(after.absorbed, before.absorbed);
+}
+
+/// Every cached frontier of `rmq` as (cost bits, format) sets, by table set.
+fn frontiers(rmq: &Rmq<&ResourceCostModel>) -> BTreeMap<TableSet, BTreeSet<(Vec<u64>, u8)>> {
+    rmq.cache()
+        .entries()
+        .map(|(rel, ids)| {
+            let members = ids
+                .iter()
+                .map(|&id| {
+                    let plan = rmq.arena().export(id);
+                    (
+                        bits(std::iter::once(plan.cost())).remove(0),
+                        plan.format().0,
+                    )
+                })
+                .collect();
+            (rel, members)
+        })
+        .collect()
+}
+
+/// The order-free log argument: a reader that warm-starts the same plans
+/// in another order — stale plans and their evictors included, either one
+/// first — ends, under exact pruning, on the same frontiers, up to which of
+/// two exactly equal-cost plans it keeps; and so do the iterations it runs
+/// after.
+#[test]
+fn absorbing_the_log_in_any_order_ends_on_the_same_frontiers() {
+    let (model, query) = chain(9);
+    let exact = |seed| RmqConfig {
+        archive: ArchiveConfig::exact(),
+        ..RmqConfig::seeded(seed)
+    };
+    // What three donors would have logged: their exports after 3 and after
+    // 12 iterations, so many early plans are dominated by later ones.
+    let mut logged: Vec<PlanRef> = Vec::new();
+    for seed in [3u64, 4, 5] {
+        let mut donor = Rmq::new(&model, query, exact(seed));
+        for checkpoint in [3, 9] {
+            for _ in 0..checkpoint {
+                donor.iterate();
+            }
+            logged.extend(donor.export_plans());
+        }
+    }
+    assert!(logged.len() > 100, "{} plans logged", logged.len());
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut shuffled = |plans: &[PlanRef]| {
+        let mut plans = plans.to_vec();
+        for i in (1..plans.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            plans.swap(i, (rng % (i as u64 + 1)) as usize);
+        }
+        plans
+    };
+    for seed in [11u64, 12, 13, 14] {
+        let mut readers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut rmq = Rmq::new(&model, query, exact(seed));
+                rmq.warm_start(shuffled(&logged));
+                for _ in 0..8 {
+                    rmq.iterate();
+                }
+                rmq
+            })
+            .collect();
+        let (b, a) = (readers.pop().unwrap(), readers.pop().unwrap());
+        let ends = frontiers(&a);
+        assert!(
+            ends.len() > 9,
+            "seed {seed}: the readers touched sub-queries"
+        );
+        assert!(
+            ends == frontiers(&b),
+            "seed {seed}: the order changed a frontier"
+        );
+        assert_eq!(
+            bits(a.frontier_set().unwrap().costs()),
+            bits(b.frontier_set().unwrap().costs()),
+            "seed {seed}"
+        );
+    }
 }
