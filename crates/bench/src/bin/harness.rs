@@ -28,7 +28,7 @@ use serde::Serialize;
 
 use moqo_bench::Gate::{Scaling, Speedup};
 use moqo_bench::{gate_of, minmax_chain, resource_model, uniform_costs};
-use moqo_core::archive::{Admission, ArchiveConfig, EpsFactors};
+use moqo_core::archive::{Admission, EpsFactors};
 use moqo_core::arena::PlanArena;
 use moqo_core::climb::{pareto_climb_in, ClimbConfig, StepScratch};
 use moqo_core::cost::CostVector;
@@ -894,11 +894,9 @@ fn frontdoor_door(shards: usize, cap: usize, degrade_enabled: bool) -> FrontDoor
                 ttff_p99: Some(Duration::from_millis(25)),
                 ..SloConfig::default()
             },
-            ..ServiceConfig::default()
         },
         degradation: DegradationConfig {
             enabled: degrade_enabled,
-            ..DegradationConfig::default()
         },
         ..FrontDoorConfig::default()
     })
@@ -923,9 +921,7 @@ fn frontdoor_submit(
     };
     door.submit(request, |grant| {
         let mut cfg = RmqConfig::seeded(i as u64);
-        if let Some(eps) = grant.eps {
-            cfg.archive = ArchiveConfig::eps_box(EpsFactors::splat(eps));
-        }
+        cfg.archive = grant.archive(cfg.archive);
         Box::new(Rmq::new(Arc::clone(model), query, cfg))
     })
 }

@@ -216,12 +216,6 @@ impl<P> PlanCache<P> {
     pub fn entry_sets(&self) -> impl Iterator<Item = (TableSet, &ParetoSet<P>)> {
         self.map.iter().map(|(k, v)| (*k, &v.set))
     }
-
-    /// Removes every cached entry (used by cache-ablation experiments).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.changed.clear();
-    }
 }
 
 /// One table set's cached frontier, opened by [`PlanCache::slot`].
@@ -431,14 +425,5 @@ mod tests {
         assert!(absorb(&mut cache, f.joins[2]));
         assert_eq!(from(&cache), Some(1));
         assert_eq!(cache.frontier(rel).len(), 3);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let f = fixture();
-        let mut cache = PlanCache::new();
-        insert(&mut cache, &f.arena, f.s0, &Admission::exact());
-        cache.clear();
-        assert_eq!(cache.num_table_sets(), 0);
     }
 }

@@ -32,7 +32,7 @@ use crate::fxhash::FxHashMap;
 use crate::model::CostModel;
 use crate::mutations::MutationSet;
 use crate::optimizer::{AbortCheck, ConvergencePoint, Optimizer, PlanExchange};
-use crate::pareto::{ParetoSet, ScreenCounters};
+use crate::pareto::ParetoSet;
 use crate::plan::PlanRef;
 use crate::random_plan::{random_left_deep_plan_in, random_plan_in};
 use crate::tables::TableSet;
@@ -138,7 +138,7 @@ pub struct Rmq<M: CostModel> {
     query: TableSet,
     cfg: RmqConfig,
     /// Per-session plan arena: owns every plan that outlives an iteration
-    /// (cache members, result frontiers, warm starts).
+    /// (cache members, the query frontier among them, and warm starts).
     arena: PlanArena,
     /// Transient arena for random generation + hill climbing, cleared every
     /// iteration: its intern map stays iteration-sized and cache-resident,
@@ -162,11 +162,9 @@ pub struct Rmq<M: CostModel> {
     warm: WarmStartStats,
     /// The part of `warm` already flushed to the `moqo-obs` registry.
     flushed_warm: WarmStartStats,
+    /// The partial-plan cache; its query entry is the result archive. In
+    /// the cache ablation (`share_cache` disabled) it holds that entry only.
     cache: PlanCache<PlanId>,
-    /// Result archive used when `share_cache` is disabled.
-    results: ParetoSet<PlanId>,
-    /// Screening tallies of `results`, flushed with the cache's.
-    results_screen: ScreenCounters,
     iteration: u64,
     rng: StdRng,
     stats: RmqStats,
@@ -219,8 +217,6 @@ impl<M: CostModel> Rmq<M> {
             warm: WarmStartStats::default(),
             flushed_warm: WarmStartStats::default(),
             cache: PlanCache::new(),
-            results: ParetoSet::new(),
-            results_screen: ScreenCounters::default(),
             iteration: 0,
             stats: RmqStats::default(),
             climb_scratch: StepScratch::default(),
@@ -345,7 +341,8 @@ impl<M: CostModel> Rmq<M> {
             // Cache ablation: the private per-iteration cache dies with
             // the iteration, so its plans stay in the transient arena too —
             // only the surviving query-frontier plans are adopted into the
-            // session arena (the old Arc path freed exactly the same way).
+            // session arena, offered to the cache's query entry. The slot
+            // is absorbing, so the ablation exports nothing.
             let mut private = PlanCache::new();
             approximate_frontiers_in(
                 &mut self.climb_arena,
@@ -355,17 +352,17 @@ impl<M: CostModel> Rmq<M> {
                 &admission,
                 &mut self.frontier_scratch,
             );
-            for &p in private.frontier(self.query) {
-                let view = self.climb_arena.view(p);
+            let survivors = private.frontier(self.query);
+            if !survivors.is_empty() {
                 let (arena, climb_arena) = (&mut self.arena, &self.climb_arena);
                 let memo = &mut self.adopt_memo;
-                self.results.admit(
-                    &view.cost,
-                    view.format,
-                    &admission,
-                    &mut self.results_screen,
-                    || arena.adopt(climb_arena, p, memo),
-                );
+                let mut slot = self.cache.slot_absorbing(self.query);
+                for &p in survivors {
+                    let view = climb_arena.view(p);
+                    slot.insert_with(&view.cost, view.format, &admission, || {
+                        arena.adopt(climb_arena, p, memo)
+                    });
+                }
             }
             self.climb_arena.clear();
         }
@@ -463,11 +460,10 @@ impl<M: CostModel> Rmq<M> {
         m.climb_admitted.add(screen.admitted);
         m.climb_evicted.add(screen.evicted);
         // Archive-kernel seams: blocks screened by the SoA kernels and
-        // precision-driven ε-box rejections, across the climb frontiers,
-        // the partial-plan cache, and the ablation result archive; plus the
-        // current query-frontier size as a gauge.
+        // precision-driven ε-box rejections, across the climb frontiers and
+        // the partial-plan cache; plus the current query-frontier size as a
+        // gauge.
         let mut archive_screen = self.cache.take_screen_counters();
-        archive_screen.absorb(&std::mem::take(&mut self.results_screen));
         archive_screen.absorb(&screen);
         m.pareto_blocks_screened.add(archive_screen.blocks_screened);
         m.pareto_eps_rejects.add(archive_screen.eps_rejects);
@@ -503,12 +499,11 @@ impl<M: CostModel> Rmq<M> {
     /// exported as shared `Arc<Plan>` trees (exports are memoized in the
     /// arena, so repeated anytime snapshots cost one hash probe per plan).
     pub fn frontier(&self) -> Vec<PlanRef> {
-        let ids = if self.cfg.share_cache {
-            self.cache.frontier(self.query)
-        } else {
-            self.results.plans()
-        };
-        ids.iter().map(|&id| self.arena.export(id)).collect()
+        self.cache
+            .frontier(self.query)
+            .iter()
+            .map(|&id| self.arena.export(id))
+            .collect()
     }
 
     /// The current query frontier as the internal `(set, arena)` pair:
@@ -517,13 +512,7 @@ impl<M: CostModel> Rmq<M> {
     /// This is the zero-export handoff the parallel optimizer merges from —
     /// see [`ParetoSet::merge_from`].
     pub fn frontier_set(&self) -> Option<&ParetoSet<PlanId>> {
-        if self.cfg.share_cache {
-            self.cache.frontier_set(self.query)
-        } else if self.results.is_empty() {
-            None
-        } else {
-            Some(&self.results)
-        }
+        self.cache.frontier_set(self.query)
     }
 
     /// Run statistics (iterations, climb path lengths, last α).
@@ -580,31 +569,17 @@ impl<M: CostModel> Rmq<M> {
     /// Returns the number of plans **accepted**: admitted at once plus
     /// parked.
     ///
-    /// With `share_cache` disabled (the cache ablation), there is no
-    /// partial-plan cache to seed, but **full-query** plans still enter the
-    /// result archive under the same exact pruning — so frontier exchange
-    /// (the parallel optimizer's island migration) keeps working in the
-    /// ablation configuration; sub-query partial plans are ignored there.
+    /// With `share_cache` disabled (the cache ablation), the cache holds
+    /// only the query's entry: **full-query** plans still enter it under the
+    /// same exact pruning — so frontier exchange (the parallel optimizer's
+    /// island migration) keeps working in the ablation configuration — and
+    /// sub-query partial plans are ignored, not parked.
     pub fn warm_start<I>(&mut self, plans: I) -> usize
     where
         I: IntoIterator<Item = PlanRef>,
     {
         let exact = Admission::exact();
         let mut accepted = 0;
-        if !self.cfg.share_cache {
-            for plan in plans.into_iter().filter(|p| p.rel() == self.query) {
-                let (arena, memo) = (&mut self.arena, &mut self.import_memo);
-                let admitted = self.results.admit(
-                    plan.cost(),
-                    plan.format(),
-                    &exact,
-                    &mut self.results_screen,
-                    || arena.import_memoized(&plan, memo),
-                );
-                accepted += usize::from(admitted);
-            }
-            return accepted;
-        }
         for plan in plans {
             let rel = plan.rel();
             if !rel.is_subset(self.query) {
@@ -619,7 +594,7 @@ impl<M: CostModel> Rmq<M> {
                     || arena.import_memoized(&plan, memo),
                 );
                 accepted += usize::from(admitted);
-            } else {
+            } else if self.cfg.share_cache {
                 self.parked.entry(rel).or_default().push(plan);
                 self.warm.parked += 1;
                 accepted += 1;
@@ -826,6 +801,39 @@ mod tests {
         };
         let (_, frontier) = run(6, 2, 25, cfg);
         assert!(!frontier.is_empty());
+    }
+
+    /// The cache ablation's query frontier — (cost bits, format) in
+    /// archive order — as the ablation produced it with a separate result
+    /// archive; archiving into the cache's query entry must not move a bit.
+    #[test]
+    fn cache_ablation_frontier_is_pinned() {
+        let model = StubModel::line(8, 2, 8);
+        let cfg = RmqConfig {
+            share_cache: false,
+            ..RmqConfig::seeded(8)
+        };
+        let mut rmq = Rmq::new(&model, TableSet::prefix(8), cfg);
+        drive(&mut rmq, Budget::Iterations(60), &mut NullObserver);
+        let got: Vec<(Vec<u64>, u8)> = rmq
+            .frontier()
+            .iter()
+            .map(|p| {
+                let bits = p.cost().as_slice().iter().map(|c| c.to_bits()).collect();
+                (bits, p.format().0)
+            })
+            .collect();
+        let pinned: Vec<(Vec<u64>, u8)> = vec![
+            (
+                vec![4_632_977_658_256_829_896, 4_642_791_671_728_147_892],
+                0,
+            ),
+            (
+                vec![4_633_202_259_382_310_902, 4_642_641_987_902_500_956],
+                1,
+            ),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -12,7 +12,18 @@
 //! faster, and admission stops hitting its hard cap. Only when both steps
 //! are exhausted does the front door shed.
 
+use moqo_core::archive::{ArchiveConfig, EpsFactors};
 use moqo_core::optimizer::Budget;
+
+/// Uniform per-metric ε-box factor degraded sessions are built with. The
+/// paper's α-schedule starts at α = 25 and tightens as a session converges;
+/// a degraded grant pins precision at that coarse end instead, so
+/// per-iteration work stays flat. A finer factor would degrade into *more*
+/// work than full precision.
+pub const DEGRADED_EPS: f64 = 32.0;
+
+/// Budget multiplier (percent) applied at [`DegradeLevel::ReducedBudget`].
+pub const REDUCED_BUDGET_PCT: u32 = 50;
 
 /// How far down the ladder a new session is admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -50,28 +61,11 @@ pub struct DegradationConfig {
     /// control sheds outright — the ablation the bench harness measures
     /// degrade-before-shed against.
     pub enabled: bool,
-    /// Uniform per-metric ε-box factor degraded sessions are built with
-    /// (must be > 1; see `ArchiveConfig::eps_box`).
-    pub eps: f64,
-    /// Budget multiplier (percent) applied at
-    /// [`DegradeLevel::ReducedBudget`]; clamped to `1..=100`.
-    pub budget_pct: u32,
 }
 
 impl Default for DegradationConfig {
     fn default() -> Self {
-        DegradationConfig {
-            enabled: true,
-            // The paper's α-schedule starts very coarse (α = 25) and
-            // tightens as a session converges; a degraded grant pins
-            // precision at the coarse end instead, so per-iteration work
-            // stays flat rather than growing with the frontier. A factor
-            // *below* the schedule's starting point would make degraded
-            // sessions carry *larger* archives than full-precision ones —
-            // degrading into more work.
-            eps: 32.0,
-            budget_pct: 50,
-        }
+        DegradationConfig { enabled: true }
     }
 }
 
@@ -88,46 +82,39 @@ pub struct Grant {
 }
 
 impl Grant {
-    /// A full-precision grant for the requested budget.
-    pub(crate) fn full(budget: Budget) -> Self {
-        Grant {
-            level: DegradeLevel::Full,
-            eps: None,
-            budget,
-        }
+    /// The grant for `level` of the requested budget.
+    pub(crate) fn at(level: DegradeLevel, budget: Budget) -> Self {
+        let (eps, budget) = match level {
+            DegradeLevel::Full => (None, budget),
+            DegradeLevel::CoarseEps => (Some(DEGRADED_EPS), budget),
+            DegradeLevel::ReducedBudget => (Some(DEGRADED_EPS), reduce_budget(budget)),
+        };
+        Grant { level, eps, budget }
     }
 
-    /// The grant for `level` under `config`.
-    pub(crate) fn at(level: DegradeLevel, budget: Budget, config: &DegradationConfig) -> Self {
-        match level {
-            DegradeLevel::Full => Grant::full(budget),
-            DegradeLevel::CoarseEps => Grant {
-                level,
-                eps: Some(config.eps),
-                budget,
-            },
-            DegradeLevel::ReducedBudget => Grant {
-                level,
-                eps: Some(config.eps),
-                budget: reduce_budget(budget, config.budget_pct),
-            },
+    /// The archive the session's optimizer must be built with: the ε-box
+    /// archive (Trummer & Koch 2014) at the granted factor for a degraded
+    /// grant, `requested` otherwise.
+    pub fn archive(&self, requested: ArchiveConfig) -> ArchiveConfig {
+        match self.eps {
+            Some(eps) => ArchiveConfig::eps_box(EpsFactors::splat(eps)),
+            None => requested,
         }
     }
 }
 
-/// Scales a budget down to `pct` percent. Iteration budgets keep at least
-/// one iteration; time budgets scale their duration; absolute deadlines
-/// are left untouched (the cutoff is the client's contract). Both scalings
-/// divide before they multiply, so no budget overflows — `u64::MAX`
-/// iterations (run to completion) included.
-pub(crate) fn reduce_budget(budget: Budget, pct: u32) -> Budget {
-    let pct = pct.clamp(1, 100);
+/// Scales a budget down to [`REDUCED_BUDGET_PCT`] percent. Iteration
+/// budgets keep at least one iteration; time budgets scale their duration;
+/// absolute deadlines are left untouched (the cutoff is the client's
+/// contract). Both scalings divide before they multiply, so no budget
+/// overflows — `u64::MAX` iterations (run to completion) included.
+pub(crate) fn reduce_budget(budget: Budget) -> Budget {
     match budget {
         Budget::Iterations(n) => {
-            let pct = u64::from(pct);
+            let pct = u64::from(REDUCED_BUDGET_PCT);
             Budget::Iterations((n / 100 * pct + n % 100 * pct / 100).max(1))
         }
-        Budget::Time(d) => Budget::Time(d / 100 * pct),
+        Budget::Time(d) => Budget::Time(d / 100 * REDUCED_BUDGET_PCT),
         Budget::Deadline(at) => Budget::Deadline(at),
     }
 }
@@ -188,65 +175,59 @@ mod tests {
 
     #[test]
     fn disabled_ladder_always_grants_full() {
-        let cfg = DegradationConfig {
-            enabled: false,
-            ..DegradationConfig::default()
-        };
+        let cfg = DegradationConfig { enabled: false };
         assert_eq!(decide(&cfg, 7, 64, 64), DegradeLevel::Full);
     }
 
     #[test]
     fn grants_carry_eps_and_reduced_budget() {
-        let cfg = DegradationConfig::default();
-        let full = Grant::at(DegradeLevel::Full, Budget::Iterations(40), &cfg);
+        // A requested archive no degraded grant may keep: the paper's
+        // schedule, not an ε-box.
+        let requested = ArchiveConfig::paper();
+        let eps_box = ArchiveConfig::eps_box(EpsFactors::splat(32.0));
+        let full = Grant::at(DegradeLevel::Full, Budget::Iterations(40));
         assert_eq!(full.eps, None);
         assert_eq!(full.budget, Budget::Iterations(40));
+        assert_eq!(full.archive(requested), requested, "requested archive");
 
-        let coarse = Grant::at(DegradeLevel::CoarseEps, Budget::Iterations(40), &cfg);
+        let coarse = Grant::at(DegradeLevel::CoarseEps, Budget::Iterations(40));
         assert_eq!(coarse.eps, Some(32.0));
         assert_eq!(coarse.budget, Budget::Iterations(40), "budget intact");
+        assert_eq!(coarse.archive(requested), eps_box);
 
-        let reduced = Grant::at(DegradeLevel::ReducedBudget, Budget::Iterations(40), &cfg);
+        let reduced = Grant::at(DegradeLevel::ReducedBudget, Budget::Iterations(40));
         assert_eq!(reduced.eps, Some(32.0));
         assert_eq!(reduced.budget, Budget::Iterations(20));
+        assert_eq!(reduced.archive(requested), eps_box);
     }
 
     #[test]
     fn budget_reduction_floors_and_scales() {
         assert_eq!(
-            reduce_budget(Budget::Iterations(1), 50),
+            reduce_budget(Budget::Iterations(1)),
             Budget::Iterations(1),
             "at least one iteration survives"
         );
         assert_eq!(
-            reduce_budget(Budget::Time(Duration::from_millis(100)), 25),
-            Budget::Time(Duration::from_millis(25))
+            reduce_budget(Budget::Time(Duration::from_millis(100))),
+            Budget::Time(Duration::from_millis(50))
         );
         let at = std::time::Instant::now() + Duration::from_secs(5);
         assert_eq!(
-            reduce_budget(Budget::Deadline(at), 50),
+            reduce_budget(Budget::Deadline(at)),
             Budget::Deadline(at),
             "absolute deadlines are the client's contract"
-        );
-        // Out-of-range percentages clamp instead of zeroing budgets.
-        assert_eq!(
-            reduce_budget(Budget::Iterations(100), 0),
-            Budget::Iterations(1)
-        );
-        assert_eq!(
-            reduce_budget(Budget::Iterations(100), 700),
-            Budget::Iterations(100)
         );
         // Run-to-completion budgets and durations past 2^64 ns scale
         // without overflow or truncation.
         assert_eq!(
-            reduce_budget(Budget::Iterations(u64::MAX), 50),
+            reduce_budget(Budget::Iterations(u64::MAX)),
             Budget::Iterations(u64::MAX / 2)
         );
         let long = Duration::from_secs(40_000_000_000);
         assert!(long.as_nanos() > u128::from(u64::MAX), "fixture");
         assert_eq!(
-            reduce_budget(Budget::Time(long), 50),
+            reduce_budget(Budget::Time(long)),
             Budget::Time(Duration::from_secs(20_000_000_000))
         );
     }

@@ -22,10 +22,11 @@
 //!   `quota_breach` journal event.
 //! * **SLO-aware degradation** — before any request is shed for load, new
 //!   sessions step down a ladder ([`DegradationConfig`]): full precision →
-//!   coarser ε-box archives (Trummer & Koch 2014) → reduced budgets →
-//!   shed. The ladder reads each shard's `slo.*` breach mask and
-//!   live-session pressure; every transition is journaled and the deepest
-//!   active level exports as the `frontdoor.degrade_level` gauge.
+//!   an ε-box archive at [`DEGRADED_EPS`] ([`Grant::archive`]) → budgets
+//!   cut to [`REDUCED_BUDGET_PCT`] % → shed. The ladder reads each shard's
+//!   `slo.*` breach mask and live-session pressure; every transition is
+//!   journaled and the deepest active level exports as the
+//!   `frontdoor.degrade_level` gauge.
 //!
 //! ## Quick start
 //!
@@ -49,14 +50,10 @@
 //!             budget: Budget::Iterations(40),
 //!         },
 //!         |grant| {
-//!             // The builder sees the grant: a degraded grant carries the
-//!             // ε factor the optimizer must be built with.
+//!             // The builder sees the grant: a degraded grant names the
+//!             // archive the optimizer must be built with.
 //!             let mut cfg = RmqConfig::seeded(1);
-//!             if let Some(eps) = grant.eps {
-//!                 cfg.archive = moqo_core::archive::ArchiveConfig::eps_box(
-//!                     moqo_core::EpsFactors::uniform(eps),
-//!                 );
-//!             }
+//!             cfg.archive = grant.archive(cfg.archive);
 //!             Box::new(Rmq::new(Arc::clone(&model), query, cfg))
 //!         },
 //!     )
@@ -75,7 +72,7 @@ mod coalesce;
 mod degrade;
 mod quota;
 
-pub use degrade::{DegradationConfig, DegradeLevel, Grant};
+pub use degrade::{DegradationConfig, DegradeLevel, Grant, DEGRADED_EPS, REDUCED_BUDGET_PCT};
 pub use quota::QuotaConfig;
 
 use std::fmt;
@@ -330,7 +327,7 @@ impl FrontDoor {
                 handle,
                 shard: shard_idx,
                 coalesced: true,
-                grant: Grant::full(request.budget),
+                grant: Grant::at(DegradeLevel::Full, request.budget),
             });
         }
 
@@ -343,7 +340,7 @@ impl FrontDoor {
             shard.service.admission_config().max_live_sessions,
         );
         self.note_degrade_transition(shard_idx, level);
-        let grant = Grant::at(level, request.budget, &self.config.degradation);
+        let grant = Grant::at(level, request.budget);
 
         // 4. Build and submit at the granted tier.
         let optimizer = build(&grant);

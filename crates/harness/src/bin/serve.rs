@@ -83,9 +83,9 @@ struct Options {
     iters: u64,
     fan_out: usize,
     fan_out_every: usize,
-    /// ε-box archive factor for every session's optimizer (None = paper
-    /// α-schedule).
-    eps: Option<f64>,
+    /// The archive every session's optimizer requests: the ε-box at
+    /// `--eps`, else the paper's α-schedule.
+    archive: ArchiveConfig,
     seed: u64,
     obs_json: Option<String>,
     trace_out: Option<String>,
@@ -126,7 +126,7 @@ fn parse_args() -> Options {
         iters: 60,
         fan_out: 1,
         fan_out_every: 4,
-        eps: None,
+        archive: ArchiveConfig::paper(),
         seed: 42,
         obs_json: None,
         trace_out: None,
@@ -192,7 +192,7 @@ fn parse_args() -> Options {
                     eprintln!("--eps requires a factor > 1.0");
                     usage()
                 }
-                opts.eps = Some(v);
+                opts.archive = ArchiveConfig::eps_box(EpsFactors::splat(v));
             }
             "--seed" => opts.seed = parsed("--seed", value("--seed")),
             "--obs-json" => opts.obs_json = Some(value("--obs-json")),
@@ -373,10 +373,10 @@ fn run_single_service(opts: &Options) {
                 // Latency-critical sessions fan one query out over worker
                 // threads; the rest run the sequential optimizer. Both go
                 // through the same PlanExchange seam.
-                let mut rmq_cfg = RmqConfig::seeded(seed);
-                if let Some(eps) = opts.eps {
-                    rmq_cfg.archive = ArchiveConfig::eps_box(EpsFactors::splat(eps));
-                }
+                let rmq_cfg = RmqConfig {
+                    archive: opts.archive,
+                    ..RmqConfig::seeded(seed)
+                };
                 let optimizer: Box<dyn PlanExchange> = if session.fan_out > 1 {
                     let mut cfg = ParRmqConfig::seeded(seed, session.fan_out);
                     cfg.base.archive = rmq_cfg.archive;
@@ -535,7 +535,6 @@ fn run_front_door(opts: &Options) {
         },
         degradation: DegradationConfig {
             enabled: opts.degrade,
-            ..DegradationConfig::default()
         },
     });
 
@@ -557,11 +556,9 @@ fn run_front_door(opts: &Options) {
             };
             let submitted = door.submit(request, |grant| {
                 let mut cfg = RmqConfig::seeded(seed);
-                // A degraded grant dictates its ε factor; otherwise the
+                // A degraded grant dictates its archive; otherwise the
                 // explicit --eps (if any) applies.
-                if let Some(eps) = grant.eps.or(opts.eps) {
-                    cfg.archive = ArchiveConfig::eps_box(EpsFactors::splat(eps));
-                }
+                cfg.archive = grant.archive(opts.archive);
                 Box::new(Rmq::new(Arc::clone(&model), tables, cfg))
             });
             match submitted {

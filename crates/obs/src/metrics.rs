@@ -428,8 +428,6 @@ metrics! {
     histograms {
         /// Nanoseconds waiting for the shared-frontier merge mutex (sampled: every 8th publish).
         exchange_mutex_wait_ns = "exchange.mutex_wait_ns",
-        /// Queue delay, µs: submission to first optimizer step.
-        service_queue_delay_us = "service.queue_delay_us",
         /// Scheduling-slice duration, µs (the sampled clock that avoids a per-step `Instant::now`).
         service_slice_us = "service.slice_us",
         /// Plans accepted from the cross-query cache per session at submit (admitted plus parked; 0 on a miss).
@@ -595,7 +593,7 @@ mod tests {
         assert!(names.contains(&"frontdoor.quota_rejected"));
         assert!(names.contains(&"frontdoor.degrade_level"));
         let hists: Vec<&str> = metrics().histograms().iter().map(|(n, _)| *n).collect();
-        assert!(hists.contains(&"service.queue_delay_us"));
+        assert!(hists.contains(&"service.slice_us"));
         assert!(hists.contains(&"exchange.mutex_wait_ns"));
     }
 

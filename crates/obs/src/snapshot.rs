@@ -9,7 +9,7 @@
 //! {
 //!   "schema": 1,
 //!   "counters": { "rmq.iterations": 123, ... },
-//!   "histograms": { "service.queue_delay_us": { "count": 2, ... }, ... },
+//!   "histograms": { "service.slice_us": { "count": 2, ... }, ... },
 //!   "events": [ { "seq": 1, "level": "info", ... }, ... ]
 //! }
 //! ```
@@ -142,23 +142,23 @@ mod tests {
     #[test]
     fn snapshot_captures_registry_and_serializes() {
         metrics().rmq_iterations.add(2);
-        metrics().service_queue_delay_us.record(1500);
+        metrics().service_slice_us.record(1500);
         let snap = ObsSnapshot::capture();
         assert!(snap.counter("rmq.iterations") >= 2);
         assert_eq!(snap.counter("no.such.counter"), 0);
-        let h = snap.histogram("service.queue_delay_us").unwrap();
+        let h = snap.histogram("service.slice_us").unwrap();
         assert!(h.count >= 1);
         assert!(snap.histogram("no.such.histogram").is_none());
 
         let json = snap.to_json();
         assert!(json.starts_with("{\"schema\":1,\"counters\":{"));
         assert!(json.contains("\"rmq.iterations\":"));
-        assert!(json.contains("\"service.queue_delay_us\":{\"count\":"));
+        assert!(json.contains("\"service.slice_us\":{\"count\":"));
         assert!(json.ends_with("]}"));
 
         let text = snap.to_text();
         assert!(text.contains("rmq.iterations "));
-        assert!(text.contains("service.queue_delay_us count="));
+        assert!(text.contains("service.slice_us count="));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn a_hand_built_snapshot_renders_the_same_json() {
     let snap = ObsSnapshot {
         counters: vec![("rmq.iterations", 123), ("slo.breached", 0)],
         histograms: vec![(
-            "service.queue_delay_us",
+            "service.slice_us",
             HistogramSnapshot {
                 count: 2,
                 sum: 3_000,
@@ -86,7 +86,7 @@ fn a_hand_built_snapshot_renders_the_same_json() {
     };
     let expected = concat!(
         r#"{"schema":1,"counters":{"rmq.iterations":123,"slo.breached":0},"#,
-        r#""histograms":{"service.queue_delay_us":"#,
+        r#""histograms":{"service.slice_us":"#,
         r#"{"count":2,"sum":3000,"max":2000,"p50":1000,"p90":1900,"p99":2000}},"#,
         r#""events":[{"seq":1,"level":"info","target":"service","#,
         r#""session":0,"worker":0,"iteration":0,"epoch":0,"#,

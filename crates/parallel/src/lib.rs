@@ -557,10 +557,10 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
         self.stop.clone()
     }
 
-    /// The reduction: per-worker frontiers united in worker order through
-    /// exact `SigBetter` pruning — [`ParRmq::frontier`] in both modes (see
-    /// the crate docs).
-    pub fn reduced_frontier(&self) -> Vec<PlanRef> {
+    /// The current query frontier: the reduction of the workers' own,
+    /// united in worker order through exact `SigBetter` pruning, whatever
+    /// the mode (see the crate docs).
+    pub fn frontier(&self) -> Vec<PlanRef> {
         let mut union: ParetoSet<PlanRef> = ParetoSet::new();
         let mut screen = ScreenCounters::default();
         for worker in &self.workers {
@@ -570,12 +570,6 @@ impl<M: CostModel + Clone + Send + 'static> ParRmq<M> {
             }
         }
         union.into_plans()
-    }
-
-    /// The current query frontier: the reduction of the workers' own
-    /// ([`ParRmq::reduced_frontier`]), whatever the mode.
-    pub fn frontier(&self) -> Vec<PlanRef> {
-        self.reduced_frontier()
     }
 
     /// Lifetime exchange counters of the shared frontier.
@@ -661,7 +655,7 @@ impl<M: CostModel + Clone + Send + 'static> PlanExchange for ParRmq<M> {
     /// exported — those travel between workers through the shared frontier
     /// instead.
     fn export_plans(&self) -> Vec<PlanRef> {
-        self.reduced_frontier()
+        ParRmq::frontier(self)
     }
 
     fn fan_out(&self) -> usize {

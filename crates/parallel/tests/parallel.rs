@@ -56,17 +56,22 @@ fn sequential_union(
     workers: usize,
     total_iters: u64,
 ) -> Vec<PlanRef> {
-    let mut union: ParetoSet<PlanRef> = ParetoSet::new();
-    let mut screen = ScreenCounters::default();
-    for w in 0..workers as u64 {
+    union_of((0..workers as u64).map(|w| {
         let iters = total_iters / workers as u64 + u64::from(w < total_iters % workers as u64);
         let mut rmq = Rmq::new(model, query, RmqConfig::seeded(seed ^ w));
         for _ in 0..iters {
             rmq.iterate();
         }
-        for plan in rmq.frontier() {
-            union.insert(plan, &Admission::exact(), &mut screen);
-        }
+        rmq.frontier()
+    }))
+}
+
+/// Unites frontiers in the given order through exact `SigBetter` pruning.
+fn union_of(frontiers: impl IntoIterator<Item = Vec<PlanRef>>) -> Vec<PlanRef> {
+    let mut union: ParetoSet<PlanRef> = ParetoSet::new();
+    let mut screen = ScreenCounters::default();
+    for plan in frontiers.into_iter().flatten() {
+        union.insert(plan, &Admission::exact(), &mut screen);
     }
     union.into_plans()
 }
@@ -236,7 +241,7 @@ fn live_mode_frontier_is_valid_and_exchange_converges_workers() {
     // The frontier is the reduction of the workers' own, in live mode too.
     assert_eq!(
         rendered(&model, &frontier),
-        rendered(&model, &par.reduced_frontier())
+        rendered(&model, &union_of(par.worker_rmqs().map(Rmq::frontier)))
     );
 }
 

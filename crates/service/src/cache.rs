@@ -29,8 +29,9 @@
 //! hands out clones of those `Arc`s: plans that share sub-trees share them
 //! in the cache too, and a tree's nodes are freed when the last entry,
 //! session or snapshot holding it lets go. The cache is bounded by total
-//! stored plans; eviction is least-recently-used at entry (table-set)
-//! granularity, and a context's map goes with its last entry.
+//! stored plans ([`CACHE_MAX_PLANS`]); eviction is least-recently-used at
+//! entry (table-set) granularity, and a context's map goes with its last
+//! entry.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -40,19 +41,9 @@ use moqo_core::pareto::{ParetoSet, ScreenCounters};
 use moqo_core::plan::PlanRef;
 use moqo_core::tables::TableSet;
 
-/// Configuration of the cross-query plan cache.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheConfig {
-    /// Upper bound on the total number of cached plans across all entries.
-    /// `0` disables cross-query caching entirely.
-    pub max_plans: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { max_plans: 50_000 }
-    }
-}
+/// Upper bound on the total number of plans a service's cross-query cache
+/// stores across all entries.
+pub const CACHE_MAX_PLANS: usize = 50_000;
 
 /// Point-in-time counters of the cross-query cache.
 #[derive(Clone, Copy, Debug, Default)]
@@ -112,14 +103,15 @@ struct CacheInner {
 
 /// The shared, bounded cross-query plan cache.
 pub(crate) struct SharedPlanCache {
-    config: CacheConfig,
+    /// Upper bound on the total number of stored plans.
+    max_plans: usize,
     inner: Mutex<CacheInner>,
 }
 
 impl SharedPlanCache {
-    pub(crate) fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(max_plans: usize) -> Self {
         SharedPlanCache {
-            config,
+            max_plans,
             inner: Mutex::default(),
         }
     }
@@ -152,7 +144,7 @@ impl SharedPlanCache {
     /// plan is offered to its table set's entry under the exact rule, then
     /// the size bound is enforced.
     pub(crate) fn publish(&self, context: u64, plans: Vec<PlanRef>) {
-        if self.config.max_plans == 0 || plans.is_empty() {
+        if plans.is_empty() {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
@@ -180,7 +172,7 @@ impl SharedPlanCache {
         // cap. One scan collects every entry's recency; victims are then
         // taken in LRU order — O(total entries log total entries) once per
         // overflowing publish, not per evicted entry.
-        if inner.total_plans > self.config.max_plans {
+        if inner.total_plans > self.max_plans {
             let mut recency: Vec<(u64, u64, TableSet)> = inner
                 .map
                 .iter()
@@ -192,7 +184,7 @@ impl SharedPlanCache {
                 .collect();
             recency.sort_unstable_by_key(|&(last_used, _, _)| last_used);
             let mut victims = recency.into_iter();
-            while inner.total_plans > self.config.max_plans {
+            while inner.total_plans > self.max_plans {
                 let Some((_, ctx, rel)) = victims.next() else {
                     break;
                 };
@@ -239,7 +231,7 @@ mod tests {
     #[test]
     fn lookup_returns_contained_table_sets_only() {
         let model = StubModel::line(4, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(7, vec![scan(&model, 0, 0), scan(&model, 2, 0)]);
 
         // Query {0, 1}: only the T0 scan is contained.
@@ -257,7 +249,7 @@ mod tests {
     #[test]
     fn duplicate_plans_are_not_stored_twice() {
         let model = StubModel::line(2, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(1, vec![scan(&model, 0, 0), scan(&model, 0, 0)]);
         assert_eq!(cache.stats().plans, 1);
         // A different operator has an incomparable cost profile: kept.
@@ -289,7 +281,7 @@ mod tests {
         let rel = TableSet::prefix(3);
 
         // Dominated publish after the good plan: dropped.
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(1, vec![good.clone()]);
         cache.publish(1, vec![bad.clone()]);
         assert_eq!(cache.stats().plans, 1, "dominated publish must be dropped");
@@ -299,7 +291,7 @@ mod tests {
         );
 
         // Dominating publish after the bad plan: evicts it.
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(2, vec![bad]);
         cache.publish(2, vec![good.clone()]);
         let stats = cache.stats();
@@ -314,7 +306,7 @@ mod tests {
     #[test]
     fn global_bound_evicts_lru_entries() {
         let model = StubModel::line(8, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig { max_plans: 4 });
+        let cache = SharedPlanCache::new(4);
         for t in 0..4 {
             cache.publish(1, vec![scan(&model, t, 0)]);
         }
@@ -347,7 +339,7 @@ mod tests {
         let s = |t: usize| Plan::scan(&model, TableId::new(t), ScanOpId(0));
         let j01 = Plan::join(&model, s(0), s(1), JoinOpId(0));
         let published = vec![s(2), j01];
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(1, published.clone());
         let hits = cache.lookup(1, TableSet::prefix(3));
         assert_eq!(hits.len(), published.len());
@@ -364,7 +356,7 @@ mod tests {
         // A structurally identical plan has the cached plan's cost and
         // format, so the exact rule rejects it.
         let model = StubModel::line(2, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(1, vec![scan(&model, 0, 0)]);
         cache.publish(1, vec![scan(&model, 0, 0), scan(&model, 0, 0)]);
         let stats = cache.stats();
@@ -378,7 +370,7 @@ mod tests {
     #[test]
     fn lru_eviction_drops_a_context_with_its_last_entry() {
         let model = StubModel::line(10, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig { max_plans: 2 });
+        let cache = SharedPlanCache::new(2);
         // Publish structurally distinct left-deep trees (the round's bits
         // pick each leaf's scan operator → 1024 distinct shapes), each under
         // its own context, while LRU eviction keeps only 2 entries live: an
@@ -411,7 +403,7 @@ mod tests {
     #[test]
     fn contexts_of_different_dimensions_keep_their_own_costs() {
         let (two, three) = (StubModel::line(3, 2, 1), StubModel::line(3, 3, 1));
-        let cache = SharedPlanCache::new(CacheConfig::default());
+        let cache = SharedPlanCache::new(CACHE_MAX_PLANS);
         cache.publish(1, vec![scan(&two, 0, 0), scan(&two, 1, 0)]);
         cache.publish(2, vec![scan(&three, 0, 0)]);
         assert_eq!(cache.stats().plans, 3);
@@ -421,15 +413,6 @@ mod tests {
                 assert_eq!(plan.cost().as_slice(), fresh.cost().as_slice());
             }
         }
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let model = StubModel::line(2, 2, 1);
-        let cache = SharedPlanCache::new(CacheConfig { max_plans: 0 });
-        cache.publish(1, vec![scan(&model, 0, 0)]);
-        assert_eq!(cache.stats().plans, 0);
-        assert!(cache.lookup(1, TableSet::prefix(2)).is_empty());
     }
 
     /// A join tree over `tables` whose shape and operators follow `seed`:
@@ -485,9 +468,7 @@ mod tests {
                 vec![t(0), t(1), t(2), t(3)],
                 vec![t(1), t(2), t(3)],
             ];
-            let cache = SharedPlanCache::new(CacheConfig {
-                max_plans: usize::MAX,
-            });
+            let cache = SharedPlanCache::new(usize::MAX);
             let mut published = Groups::new();
             for batch in &batches {
                 let plans: Vec<PlanRef> = batch

@@ -9,19 +9,21 @@
 //! * [`OptimizationService`] — a long-running scheduler running many
 //!   concurrent sessions cooperatively: every session is a resumable task
 //!   on one shared **executor** (`moqo-parallel`'s `ExecPool`, one run
-//!   queue), sliced round-robin; fanned-out sessions spread their climb
-//!   batches over the *same* pool, so idle workers pick up work from wide
-//!   sessions instead of sitting behind per-session thread pools.
+//!   queue), sliced round-robin ([`STEPS_PER_SLICE`] iterations, or
+//!   [`SLICE_DURATION`] under time budgets); fanned-out sessions spread
+//!   their climb batches over the *same* pool, so idle workers pick up work
+//!   from wide sessions instead of sitting behind per-session thread pools.
 //! * [`SessionHandle`] — the client view: on-demand frontier snapshots,
 //!   epoch-numbered improvement notifications, a streaming
 //!   [`updates`](SessionHandle::updates) subscription, cancellation.
-//! * A **cross-query plan cache** ([`CacheConfig`], [`CacheStats`]) —
-//!   bounded, keyed by `(context fingerprint, table set)`, warm-starting
-//!   new sessions from the partial plans of previously optimized
-//!   overlapping queries (the cross-query extension of the paper's §4.3
-//!   plan sharing; cf. optd's persisted re-optimization state). Each entry
-//!   is a `moqo_core` `ParetoSet` under the exact admission rule, holding
-//!   the published `Arc<Plan>` trees themselves.
+//! * A **cross-query plan cache** ([`CacheStats`]) — bounded at
+//!   [`CACHE_MAX_PLANS`] plans, keyed by `(context fingerprint, table
+//!   set)`, warm-starting new sessions from the partial plans of
+//!   previously optimized overlapping queries (the cross-query extension
+//!   of the paper's §4.3 plan sharing; cf. optd's persisted
+//!   re-optimization state). Each entry is a `moqo_core` `ParetoSet` under
+//!   the exact admission rule, holding the published `Arc<Plan>` trees
+//!   themselves.
 //! * **Admission control** ([`AdmissionConfig`], [`AdmissionError`]) — a
 //!   bounded live-session queue that rejects rather than backlogs. A
 //!   session that fans a single query out (`moqo-parallel`'s `ParRmq`; see
@@ -72,7 +74,7 @@ mod session;
 mod stats;
 
 pub use admission::{AdmissionConfig, AdmissionError};
-pub use cache::{CacheConfig, CacheStats};
+pub use cache::{CacheStats, CACHE_MAX_PLANS};
 pub use session::{
     DoneReason, FrontierSnapshot, FrontierUpdates, SessionHandle, SessionId, SessionStatus,
 };
@@ -94,15 +96,12 @@ use moqo_parallel::{ExecPool, TaskSpec};
 use scheduler::{session_tick, ActiveSession, RemainingBudget, SchedState, ServiceCore};
 use session::SessionShared;
 
-/// Emits an admission-rejection journal event (the matching rejection
-/// counter is bumped at the call site, which knows the branch).
-fn journal_rejected(reason: &'static str) {
-    if journal::enabled(Target::Admission, Level::Warn) {
-        journal::emit_with(Target::Admission, Level::Warn, || {
-            EventKind::SessionRejected { reason }
-        });
-    }
-}
+/// Optimizer steps per scheduling slice for iteration-budget sessions.
+pub const STEPS_PER_SLICE: u64 = 16;
+
+/// Wall-clock length of one scheduling slice for time- and
+/// deadline-budget sessions.
+pub const SLICE_DURATION: Duration = Duration::from_millis(2);
 
 /// The exchange seam the service schedules: anytime, `Send`, optionally
 /// able to exchange partial plans with the cross-query cache, and
@@ -157,14 +156,8 @@ pub struct ServiceConfig {
     /// without running them (useful for admission tests and manual
     /// draining).
     pub workers: usize,
-    /// Optimizer steps per scheduling slice for iteration-budget sessions.
-    pub steps_per_slice: u64,
-    /// Wall-clock length of one slice for time/deadline-budget sessions.
-    pub slice_duration: Duration,
     /// Admission control.
     pub admission: AdmissionConfig,
-    /// Cross-query plan cache sizing.
-    pub cache: CacheConfig,
     /// Service-level objective targets, monitored continuously over the
     /// statistics windows (disabled by default — no target set).
     pub slo: SloConfig,
@@ -176,10 +169,7 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
-            steps_per_slice: 16,
-            slice_duration: Duration::from_millis(2),
             admission: AdmissionConfig::default(),
-            cache: CacheConfig::default(),
             slo: SloConfig::default(),
         }
     }
@@ -203,7 +193,7 @@ impl OptimizationService {
                 shutdown: false,
             }),
             pool: ExecPool::new(config.workers),
-            cache: cache::SharedPlanCache::new(config.cache),
+            cache: cache::SharedPlanCache::new(CACHE_MAX_PLANS),
             stats: stats::StatsCollector::new(),
             next_id: AtomicU64::new(1),
         });
@@ -230,21 +220,13 @@ impl OptimizationService {
             let mut sched = self.core.sched.lock().unwrap();
             if sched.shutdown {
                 drop(sched);
-                self.core.stats.record_rejected();
-                self.core.stats.evaluate_slo(&self.core.config.slo);
-                metrics().service_rejected_shutdown.incr();
-                journal_rejected("shutdown");
-                return Err(AdmissionError::ShuttingDown);
+                return Err(self.reject(AdmissionError::ShuttingDown));
             }
             let limit = self.core.config.admission.max_live_sessions;
             if sched.live >= limit {
                 let live = sched.live;
                 drop(sched);
-                self.core.stats.record_rejected();
-                self.core.stats.evaluate_slo(&self.core.config.slo);
-                metrics().service_rejected_queue_full.incr();
-                journal_rejected("queue_full");
-                return Err(AdmissionError::QueueFull { live, limit });
+                return Err(self.reject(AdmissionError::QueueFull { live, limit }));
             }
             sched.live += 1;
         }
@@ -295,11 +277,7 @@ impl OptimizationService {
                 drop(sched);
                 let mut session = session;
                 spans::finish(session.span.take());
-                self.core.stats.record_rejected();
-                self.core.stats.evaluate_slo(&self.core.config.slo);
-                metrics().service_rejected_shutdown.incr();
-                journal_rejected("shutdown");
-                return Err(AdmissionError::ShuttingDown);
+                return Err(self.reject(AdmissionError::ShuttingDown));
             }
             // The session becomes a recurring task on the shared executor:
             // each invocation runs one slice, then yields. A `Weak`
@@ -327,6 +305,26 @@ impl OptimizationService {
             });
         }
         Ok(SessionHandle { id, shared })
+    }
+
+    /// Accounts one rejected submission — statistics, SLO re-evaluation,
+    /// the rejection counter of its cause and the journal — and returns
+    /// the error.
+    fn reject(&self, error: AdmissionError) -> AdmissionError {
+        self.core.stats.record_rejected();
+        self.core.stats.evaluate_slo(&self.core.config.slo);
+        let m = metrics();
+        let (counter, reason) = match error {
+            AdmissionError::ShuttingDown => (&m.service_rejected_shutdown, "shutdown"),
+            AdmissionError::QueueFull { .. } => (&m.service_rejected_queue_full, "queue_full"),
+        };
+        counter.incr();
+        if journal::enabled(Target::Admission, Level::Warn) {
+            journal::emit_with(Target::Admission, Level::Warn, || {
+                EventKind::SessionRejected { reason }
+            });
+        }
+        error
     }
 
     /// Current service statistics.

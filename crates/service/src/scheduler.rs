@@ -3,9 +3,9 @@
 //!
 //! Each session becomes one recurring [`ExecPool`] task
 //! ([`session_tick`]): every invocation runs one bounded **slice** of its
-//! optimizer (`steps_per_slice` iterations, or `slice_duration` wall-clock
-//! for deadline budgets) through the core [`drive`] loop, then yields back
-//! to the pool. Because every algorithm behind the [`Optimizer`] trait is
+//! optimizer ([`STEPS_PER_SLICE`] iterations, or [`SLICE_DURATION`] of
+//! wall-clock time for deadline budgets) through the core [`drive`] loop,
+//! then yields back to the pool. Because every algorithm behind the [`Optimizer`] trait is
 //! *anytime* with polynomial per-step cost (the paper's headline property
 //! of RMQ), slicing needs no preemption: a slice is short by construction,
 //! so a fixed pool interleaves hundreds of sessions with bounded latency
@@ -23,7 +23,7 @@
 //! [`Optimizer`]: moqo_core::optimizer::Optimizer
 
 use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use moqo_core::fxhash::FxHasher;
@@ -38,9 +38,9 @@ use moqo_obs::{ctx, metrics};
 use moqo_parallel::{ExecPool, TaskStatus};
 
 use crate::cache::SharedPlanCache;
-use crate::session::{DoneReason, SessionId, SessionShared, SessionStatus};
+use crate::session::{DoneReason, SessionId, SessionShared, SessionState, SessionStatus};
 use crate::stats::StatsCollector;
-use crate::{PlanExchange, ServiceConfig};
+use crate::{PlanExchange, ServiceConfig, SLICE_DURATION, STEPS_PER_SLICE};
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -127,8 +127,35 @@ pub(crate) fn frontier_signature(plans: &[PlanRef]) -> u64 {
     acc
 }
 
+/// The frontier-change rule, applied after every step and once more at
+/// finalization: a nonempty frontier whose signature differs from
+/// `last_sig` becomes the session's frontier, bumps its epoch and, the
+/// first time, stamps `first_frontier_at`. Returns the session state, still
+/// locked, when the frontier changed; an unchanged frontier takes no lock.
+fn report_frontier<'a>(
+    shared: &'a SessionShared,
+    last_sig: &mut u64,
+    plans: Vec<PlanRef>,
+) -> Option<MutexGuard<'a, SessionState>> {
+    if plans.is_empty() {
+        return None;
+    }
+    let sig = frontier_signature(&plans);
+    if sig == *last_sig {
+        return None;
+    }
+    *last_sig = sig;
+    let mut state = shared.state.lock().unwrap();
+    state.epoch += 1;
+    if state.first_frontier_at.is_none() {
+        state.first_frontier_at = Some(Instant::now());
+    }
+    state.frontier = plans;
+    Some(state)
+}
+
 /// Observer bridging the core `drive` loop to the session's shared state:
-/// every step that changes the frontier bumps the session epoch and wakes
+/// every step that changes the frontier ([`report_frontier`]) wakes
 /// subscribers. This is the "existing Observer seam" — the service adds no
 /// new hooks to the optimizers themselves.
 struct SliceObserver<'a> {
@@ -143,23 +170,10 @@ impl Observer for SliceObserver<'_> {
         _step: u64,
         frontier: &mut dyn FnMut() -> Vec<PlanRef>,
     ) {
-        let plans = frontier();
-        if plans.is_empty() {
-            return;
+        let changed = report_frontier(self.shared, self.last_sig, frontier()).is_some();
+        if changed {
+            self.shared.cond.notify_all();
         }
-        let sig = frontier_signature(&plans);
-        if sig == *self.last_sig {
-            return;
-        }
-        *self.last_sig = sig;
-        let mut state = self.shared.state.lock().unwrap();
-        state.epoch += 1;
-        if state.first_frontier_at.is_none() {
-            state.first_frontier_at = Some(Instant::now());
-        }
-        state.frontier = plans;
-        drop(state);
-        self.shared.cond.notify_all();
     }
 }
 
@@ -180,9 +194,8 @@ pub(crate) fn run_slice(core: &ServiceCore, sess: &mut ActiveSession) -> Option<
             let delay = now.duration_since(state.submitted_at);
             drop(state);
             core.stats.record_queue_delay(delay);
-            let delay_us = delay.as_micros() as u64;
-            metrics().service_queue_delay_us.record(delay_us);
             if journal::enabled(Target::Service, Level::Debug) {
+                let delay_us = delay.as_micros() as u64;
                 journal::emit_with(Target::Service, Level::Debug, || {
                     EventKind::SessionFirstStep { delay_us }
                 });
@@ -194,14 +207,14 @@ pub(crate) fn run_slice(core: &ServiceCore, sess: &mut ActiveSession) -> Option<
             if done >= total {
                 return Some(DoneReason::BudgetExhausted);
             }
-            Budget::Iterations((total - done).min(core.config.steps_per_slice))
+            Budget::Iterations((total - done).min(STEPS_PER_SLICE))
         }
         RemainingBudget::Deadline(at) => {
             let now = Instant::now();
             if now >= at {
                 return Some(DoneReason::BudgetExhausted);
             }
-            Budget::Deadline(at.min(now + core.config.slice_duration))
+            Budget::Deadline(at.min(now + SLICE_DURATION))
         }
     };
     let mut observer = SliceObserver {
@@ -303,17 +316,8 @@ pub(crate) fn finalize(core: &ServiceCore, mut sess: ActiveSession, reason: Done
     }
     let final_frontier = sess.optimizer.frontier();
     let (steps, ttff) = {
-        let mut state = sess.shared.state.lock().unwrap();
-        if !final_frontier.is_empty() {
-            let sig = frontier_signature(&final_frontier);
-            if sig != sess.last_sig {
-                state.epoch += 1;
-                if state.first_frontier_at.is_none() {
-                    state.first_frontier_at = Some(Instant::now());
-                }
-            }
-            state.frontier = final_frontier;
-        }
+        let state = report_frontier(&sess.shared, &mut sess.last_sig, final_frontier)
+            .unwrap_or_else(|| sess.shared.state.lock().unwrap());
         let ttff = state
             .first_frontier_at
             .map(|at| at.duration_since(state.submitted_at));

@@ -12,7 +12,7 @@ use moqo_core::tables::TableSet;
 use moqo_parallel::{ParRmq, ParRmqConfig};
 use moqo_service::{
     AdmissionError, DoneReason, OptimizationService, ServiceConfig, SessionRequest, SessionStatus,
-    SloConfig, SLO_BIT_SHED, SLO_BIT_TTFF,
+    SloConfig, SLO_BIT_SHED, SLO_BIT_TTFF, STEPS_PER_SLICE,
 };
 
 /// Long enough that nothing times out under load, short enough to fail
@@ -22,7 +22,6 @@ const WAIT: Duration = Duration::from_secs(30);
 fn service(workers: usize) -> OptimizationService {
     OptimizationService::new(ServiceConfig {
         workers,
-        steps_per_slice: 4,
         ..ServiceConfig::default()
     })
 }
@@ -75,9 +74,11 @@ fn single_session_runs_to_completion() {
 
 #[test]
 fn many_concurrent_sessions_all_finish_on_a_small_pool() {
-    // 12 sessions, 2 workers: cooperative slicing must interleave them all.
+    // 12 sessions, 2 workers: cooperative slicing must interleave them all
+    // (each session runs 5 slices).
     let service = service(2);
     let model = Arc::new(StubModel::line(7, 2, 3));
+    let budget = 5 * STEPS_PER_SLICE;
     let handles: Vec<_> = (0..12)
         .map(|i| {
             service
@@ -85,7 +86,7 @@ fn many_concurrent_sessions_all_finish_on_a_small_pool() {
                     &model,
                     TableSet::prefix(7),
                     100 + i,
-                    Budget::Iterations(20),
+                    Budget::Iterations(budget),
                     2,
                 ))
                 .expect("admitted")
@@ -95,11 +96,11 @@ fn many_concurrent_sessions_all_finish_on_a_small_pool() {
         let done = handle.wait_done(WAIT).expect("completes");
         assert!(done.status.is_done());
         assert!(!done.plans.is_empty());
-        assert_eq!(done.steps, 20);
+        assert_eq!(done.steps, budget);
     }
     let stats = service.stats();
     assert_eq!(stats.completed, 12);
-    assert_eq!(stats.total_steps, 12 * 20);
+    assert_eq!(stats.total_steps, 12 * budget);
     assert!(stats.throughput_per_sec > 0.0);
 }
 
@@ -108,7 +109,7 @@ fn iteration_budget_sessions_are_deterministic_under_concurrency() {
     // The same seeded session must produce the same frontier regardless of
     // pool size or co-scheduled traffic (no warm starts: distinct
     // contexts), because iteration budgets are exact and RMQ is
-    // deterministic given its seed.
+    // deterministic given its seed. Each session spans several slices.
     let model = Arc::new(StubModel::line(6, 2, 9));
     let run = |workers: usize, context: u64, noise: bool| -> Vec<String> {
         let service = service(workers);
@@ -120,7 +121,7 @@ fn iteration_budget_sessions_are_deterministic_under_concurrency() {
                             &model,
                             TableSet::prefix(4),
                             900 + i,
-                            Budget::Iterations(25),
+                            Budget::Iterations(100),
                             context + 1000,
                         ))
                         .expect("admitted")
@@ -134,7 +135,7 @@ fn iteration_budget_sessions_are_deterministic_under_concurrency() {
                 &model,
                 TableSet::prefix(6),
                 55,
-                Budget::Iterations(30),
+                Budget::Iterations(120),
                 context,
             ))
             .expect("admitted");
@@ -447,7 +448,6 @@ fn slo_breaches_surface_in_service_stats() {
     // target: both bits must show in the stats snapshot.
     let service = OptimizationService::new(ServiceConfig {
         workers: 2,
-        steps_per_slice: 4,
         admission: moqo_service::AdmissionConfig {
             max_live_sessions: 1,
         },
@@ -456,7 +456,6 @@ fn slo_breaches_surface_in_service_stats() {
             shed_per_mille: Some(100),
             ..SloConfig::default()
         },
-        ..ServiceConfig::default()
     });
     let model = Arc::new(StubModel::line(5, 2, 7));
     let tables = TableSet::prefix(5);

@@ -16,10 +16,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use moqo_core::archive::ArchiveConfig;
 use moqo_core::optimizer::Budget;
 use moqo_core::rmq::{Rmq, RmqConfig};
-use moqo_core::EpsFactors;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
 use moqo_frontdoor::{FrontDoor, FrontDoorConfig, FrontRequest, FrontdoorError, QuotaConfig};
 use moqo_service::{context_fingerprint, ServiceConfig};
@@ -70,11 +68,9 @@ fn main() {
         };
         let outcome = door.submit(request, |grant| {
             let mut cfg = RmqConfig::seeded(i as u64);
-            // Degraded grants name the coarser ε-box precision the session
-            // must run at; full grants keep the paper's α-schedule.
-            if let Some(eps) = grant.eps {
-                cfg.archive = ArchiveConfig::eps_box(EpsFactors::splat(eps));
-            }
+            // Degraded grants name the coarser ε-box archive the session
+            // must run with; full grants keep the paper's α-schedule.
+            cfg.archive = grant.archive(cfg.archive);
             Box::new(Rmq::new(Arc::clone(&model), tables, cfg))
         });
         match outcome {

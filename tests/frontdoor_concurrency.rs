@@ -12,7 +12,7 @@ use moqo_core::tables::TableSet;
 use moqo_cost::{ResourceCostModel, ResourceMetric};
 use moqo_frontdoor::{
     DegradationConfig, DegradeLevel, FrontDoor, FrontDoorConfig, FrontRequest, FrontdoorError,
-    QuotaConfig,
+    Grant, QuotaConfig,
 };
 use moqo_service::{context_fingerprint, AdmissionConfig, ServiceConfig, SloConfig};
 use moqo_workload::TrafficSpec;
@@ -47,12 +47,17 @@ impl Fixture {
         }
     }
 
-    fn build(&self, seed: u64, tables: TableSet) -> Box<Rmq<Arc<ResourceCostModel>>> {
-        Box::new(Rmq::new(
-            Arc::clone(&self.model),
-            tables,
-            RmqConfig::seeded(seed),
-        ))
+    /// The session optimizer for `grant`: a degraded grant runs its ε-box
+    /// archive, a full one the paper's schedule.
+    fn build(
+        &self,
+        seed: u64,
+        tables: TableSet,
+        grant: &Grant,
+    ) -> Box<Rmq<Arc<ResourceCostModel>>> {
+        let mut cfg = RmqConfig::seeded(seed);
+        cfg.archive = grant.archive(cfg.archive);
+        Box::new(Rmq::new(Arc::clone(&self.model), tables, cfg))
     }
 }
 
@@ -69,7 +74,7 @@ fn coalesced_subscribers_share_epoch_numbered_snapshots() {
     let budget = Budget::Time(Duration::from_millis(400));
     let tables = fx.queries[0].tables();
     let leader = door
-        .submit(fx.request(3, 0, budget), |_| fx.build(1, tables))
+        .submit(fx.request(3, 0, budget), |grant| fx.build(1, tables, grant))
         .expect("leader admitted");
     assert!(!leader.coalesced, "first request leads");
 
@@ -115,7 +120,7 @@ fn late_subscriber_catches_up_from_the_current_epoch() {
     let budget = Budget::Time(Duration::from_millis(500));
     let tables = fx.queries[1].tables();
     let leader = door
-        .submit(fx.request(9, 1, budget), |_| fx.build(2, tables))
+        .submit(fx.request(9, 1, budget), |grant| fx.build(2, tables, grant))
         .expect("leader admitted");
 
     // Wait until the leader has visibly progressed (epoch ≥ 1)...
@@ -164,8 +169,8 @@ fn quota_exhaustion_sheds_only_the_flooding_tenant() {
     for i in 0..20 {
         let q = i % fx.queries.len();
         let tables = fx.queries[q].tables();
-        match door.submit(fx.request(1, q, Budget::Iterations(10)), |_| {
-            fx.build(50 + i as u64, tables)
+        match door.submit(fx.request(1, q, Budget::Iterations(10)), |grant| {
+            fx.build(50 + i as u64, tables, grant)
         }) {
             Ok(_) => admitted += 1,
             Err(FrontdoorError::QuotaExhausted { tenant }) => {
@@ -181,8 +186,8 @@ fn quota_exhaustion_sheds_only_the_flooding_tenant() {
     // Tenant 2's bucket is untouched: all its requests are admitted.
     for i in 0..5 {
         let tables = fx.queries[i].tables();
-        door.submit(fx.request(2, i, Budget::Iterations(10)), |_| {
-            fx.build(80 + i as u64, tables)
+        door.submit(fx.request(2, i, Budget::Iterations(10)), |grant| {
+            fx.build(80 + i as u64, tables, grant)
         })
         .expect("quiet tenant unaffected by the flood");
     }
@@ -225,7 +230,7 @@ fn degradation_ladder_escalates_with_shard_pressure_then_sheds() {
                     grant.eps.is_some() == (grant.level != DegradeLevel::Full),
                     "degraded grants carry the ε factor"
                 );
-                fx.build(i as u64, tables)
+                fx.build(i as u64, tables, grant)
             },
         ) {
             Ok(a) => levels.push(a.grant.level),
@@ -282,13 +287,13 @@ fn degradation_ladder_escalates_with_shard_pressure_then_sheds() {
         let t = fx.queries[q].tables();
         door.submit(
             fx.request(2000 + i as u64, q, Budget::Iterations(100)),
-            |_| fx.build(i as u64, t),
+            |grant| fx.build(i as u64, t, grant),
         )
         .expect("filling the shard");
     }
     let last = door
-        .submit(fx.request(4000, 0, Budget::Iterations(100)), |_| {
-            fx.build(99, tables)
+        .submit(fx.request(4000, 0, Budget::Iterations(100)), |grant| {
+            fx.build(99, tables, grant)
         })
         .expect("reduced-budget admission");
     assert_eq!(last.grant.level, DegradeLevel::ReducedBudget);
@@ -312,7 +317,6 @@ fn hot_tenant_cannot_breach_a_quiet_tenants_ttff_slo() {
                 max_live_sessions: 8,
             },
             slo,
-            ..ServiceConfig::default()
         },
         ..FrontDoorConfig::default()
     });
@@ -331,8 +335,8 @@ fn hot_tenant_cannot_breach_a_quiet_tenants_ttff_slo() {
     for i in 0..32 {
         let q = i % fx.queries.len();
         let tables = fx.queries[q].tables();
-        if let Ok(a) = door.submit(fx.request(hot, q, Budget::Iterations(2_000)), |_| {
-            fx.build(300 + i as u64, tables)
+        if let Ok(a) = door.submit(fx.request(hot, q, Budget::Iterations(2_000)), |grant| {
+            fx.build(300 + i as u64, tables, grant)
         }) {
             hot_handles.push(a.handle);
         }
@@ -344,8 +348,8 @@ fn hot_tenant_cannot_breach_a_quiet_tenants_ttff_slo() {
         let q = i % fx.queries.len();
         let tables = fx.queries[q].tables();
         let a = door
-            .submit(fx.request(quiet, q, Budget::Iterations(20)), |_| {
-                fx.build(400 + i as u64, tables)
+            .submit(fx.request(quiet, q, Budget::Iterations(20)), |grant| {
+                fx.build(400 + i as u64, tables, grant)
             })
             .expect("quiet tenant admitted despite the flood");
         assert_eq!(a.shard, quiet_shard, "quiet tenant stays on its shard");

@@ -32,7 +32,6 @@ fn fixture(workers: usize, seed: u64) -> Fixture {
     let context = context_fingerprint(catalog.fingerprint(), "resource:time,buffer");
     let service = OptimizationService::new(ServiceConfig {
         workers,
-        steps_per_slice: 8,
         ..ServiceConfig::default()
     });
     Fixture {
@@ -69,7 +68,7 @@ fn concurrent_sessions_complete_and_overlapping_queries_hit_the_cache() {
         .map(|i| {
             (
                 i,
-                fx.submit(&fx.queries[i], 100 + i as u64, Budget::Iterations(30)),
+                fx.submit(&fx.queries[i], 100 + i as u64, Budget::Iterations(60)),
             )
         })
         .collect();
@@ -79,7 +78,7 @@ fn concurrent_sessions_complete_and_overlapping_queries_hit_the_cache() {
             done.status,
             SessionStatus::Done(DoneReason::BudgetExhausted)
         );
-        assert_eq!(done.steps, 30, "iteration budgets are exact");
+        assert_eq!(done.steps, 60, "iteration budgets are exact");
         assert!(!done.plans.is_empty(), "non-empty frontier");
         for plan in &done.plans {
             assert!(plan.validate(fx.queries[*i].tables()).is_ok());
@@ -158,7 +157,7 @@ fn cold_wave_results_are_reproducible_across_runs() {
             .map(|i| {
                 (
                     i,
-                    fx.submit(&fx.queries[i], 7 + i as u64, Budget::Iterations(25)),
+                    fx.submit(&fx.queries[i], 7 + i as u64, Budget::Iterations(50)),
                 )
             })
             .collect();
